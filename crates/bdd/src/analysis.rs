@@ -34,7 +34,7 @@ impl BddManager {
     /// # Examples
     ///
     /// ```
-    /// use stgcheck_bdd::BddManager;
+    /// use stgcheck_bdd::{BddManager, BddOps};
     /// let mut m = BddManager::new();
     /// let x = m.new_var("x");
     /// let y = m.new_var("y");
@@ -178,6 +178,7 @@ impl Iterator for Cubes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BddOps;
 
     #[test]
     fn eval_matches_semantics() {

@@ -168,7 +168,7 @@ impl NodeArena {
         self.cell(i).store(encode(n), Ordering::Release);
     }
 
-    /// Exclusive-mode [`NodeArena::set`]: a plain store through `&mut
+    /// The `&mut` counterpart of [`NodeArena::set`]: a plain store through `&mut
     /// self`. No release fence is needed — the `&mut` borrow proves no
     /// other thread can observe the cell until the borrow ends, and the
     /// end of the borrow is itself a synchronization point for whoever
@@ -251,7 +251,7 @@ impl NodeArena {
         self.alloc_raw()
     }
 
-    /// Exclusive-mode [`NodeArena::alloc`]: a plain bump through `&mut
+    /// The `&mut` counterpart of [`NodeArena::alloc`]: a plain bump through `&mut
     /// self` — no `fetch_add` RMW, no cap-parking dance (a failed bump
     /// never moves the mark). Same failpoint, same `None`-on-exhaustion
     /// contract.

@@ -207,7 +207,7 @@ impl PackedCache {
         s.w2.store(rest << PACKED_BITS | (r.0 as u64 >> PACKED_BITS), Ordering::Release);
     }
 
-    /// Exclusive-mode [`PackedCache::insert`]: plain stores through
+    /// The `&mut` counterpart of [`PackedCache::insert`]: plain stores through
     /// `&mut self`, no release fences. The entry layout is identical, so
     /// shared-mode probes after the borrow ends validate it exactly as
     /// if a concurrent writer had published it.
@@ -341,7 +341,7 @@ impl DirectCache {
         s.seq.store(v.wrapping_add(2), Ordering::Release);
     }
 
-    /// Exclusive-mode [`DirectCache::insert`]: plain stores through
+    /// The `&mut` counterpart of [`DirectCache::insert`]: plain stores through
     /// `&mut self` — no CAS claim (there is nobody to race) and the
     /// version word stays even, so the entry reads as stable to any
     /// later shared-mode probe.

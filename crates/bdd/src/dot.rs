@@ -78,6 +78,7 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BddOps;
 
     #[test]
     fn dot_mentions_every_node() {

@@ -23,6 +23,7 @@ use std::fmt;
 
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
+use crate::ops::BddOps;
 
 /// Boolean expression tree over named variables.
 #[derive(Clone, PartialEq, Eq, Debug)]

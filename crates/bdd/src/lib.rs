@@ -10,11 +10,12 @@
 //! * a hash-consed node arena with a **concurrent unique table** (see
 //!   `docs/concurrent-table.md`): the arena is append-only with atomic
 //!   publication, the unique table is lock-sharded by level and the
-//!   operation caches are lossy-atomic, so every boolean operation on a
-//!   [`BddManager`] takes `&self` and may run from many threads against
-//!   one manager; mark-and-sweep garbage collection and peak-size
-//!   statistics (the "BDD size" columns of the paper's Table 1) are
-//!   `&mut self` quiesce-point operations;
+//!   operation caches are lossy-atomic, so every boolean operation
+//!   ([`BddOps`]) may run through `&BddManager` from many threads against
+//!   one manager, while the same operation through `&mut BddManager` runs
+//!   a plain-store instantiation of the same body; mark-and-sweep garbage
+//!   collection and peak-size statistics (the "BDD size" columns of the
+//!   paper's Table 1) are `&mut self` quiesce-point operations;
 //! * **complement edges** (see `docs/bdd-internals.md`): [`Bdd`] handles
 //!   carry a tag bit, so [`BddManager::not`] is O(1), a function and its
 //!   negation share every node, and `∨`/`∀`/`→`/`−` resolve through the
@@ -26,7 +27,7 @@
 //! * *cube cofactors* and existential/universal abstraction — the exact
 //!   primitives from which the paper assembles the Petri-net transition
 //!   function (Section 4), plus the fused relational product
-//!   [`BddManager::and_exists`];
+//!   [`BddOps::and_exists`];
 //! * satisfying-assignment counting and enumeration (the "# of states"
 //!   column of Table 1);
 //! * variable-ordering support: any static order at creation time, a
@@ -45,7 +46,7 @@
 //! # Quick example
 //!
 //! ```
-//! use stgcheck_bdd::BddManager;
+//! use stgcheck_bdd::{BddManager, BddOps};
 //!
 //! let mut m = BddManager::new();
 //! let x = m.new_var("x");
@@ -83,5 +84,6 @@ pub use budget::{Budget, ResourceError};
 pub use expr::{BoolExpr, ParseExprError};
 pub use manager::{BddManager, ManagerStats};
 pub use node::{Bdd, Literal, Var};
+pub use ops::BddOps;
 pub use serialize::{BddCheckpoint, SerializeError, SerializedBdd};
 pub use sift::SiftStats;

@@ -46,10 +46,14 @@ pub(crate) type UniqueTable = HashMap<(Bdd, Bdd), Bdd, CheapBuildHasher>;
 /// wrappers over `And` and `Exists` (`f∨g = ¬(¬f∧¬g)`, `∀c.f = ¬∃c.¬f`),
 /// which is precisely what doubles the hit rate of the shared cache.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub(crate) enum BinOp {
+pub enum BinOp {
+    /// Conjunction.
     And,
+    /// Exclusive or.
     Xor,
+    /// Existential abstraction.
     Exists,
+    /// Cube cofactor.
     CofactorCube,
 }
 
@@ -100,7 +104,7 @@ pub struct ManagerStats {
 /// # Examples
 ///
 /// ```
-/// use stgcheck_bdd::BddManager;
+/// use stgcheck_bdd::{BddManager, BddOps};
 /// let mut m = BddManager::new();
 /// let x = m.new_var("x");
 /// let y = m.new_var("y");
@@ -145,13 +149,10 @@ pub struct BddManager {
     /// Old-space slots recycled off the free list since the last
     /// collection. They hold *young* nodes despite sitting below the
     /// watermark, so the minor mark must treat them as young and the
-    /// minor sweep must visit them. Pushed by `alloc_slot`/`mk_x` at
+    /// minor sweep must visit them. Pushed by `alloc_slot`/`mk_mut` at
     /// free-list pop time — the only funnels through which a dead slot
     /// comes back to life between quiesce points.
     young_recycled: Mutex<Vec<u32>>,
-    /// Growth factor of the amortized collection trigger
-    /// ([`BddManager::gc_due`]); default 1.5, always > 1.
-    pub(crate) gc_growth: f64,
     /// Variable groups that sift as one block (empty = every variable on
     /// its own); see [`BddManager::set_var_groups`].
     pub(crate) groups: Vec<Vec<Var>>,
@@ -214,7 +215,6 @@ impl BddManager {
             gc_watermark: 0,
             minors_since_full: 0,
             young_recycled: Mutex::new(Vec::new()),
-            gc_growth: 1.5,
             groups: Vec::new(),
             sift_baseline: 0,
             gc_baseline: 0,
@@ -437,17 +437,19 @@ impl BddManager {
         self.nodes.alloc()
     }
 
-    /// The exclusive-mode [`BddManager::mk`]: identical hash-consing and
-    /// complement-edge semantics, but through `Mutex::get_mut` on the
-    /// shard, a plain bump allocation and plain counter writes — no lock
-    /// acquisition, no atomic read-modify-writes. The `&mut` receiver is
-    /// the whole safety argument: borrowck proves no other thread can
-    /// touch the manager while this runs. Same budget contract as `mk`
-    /// (trips [`ResourceError::ArenaExhausted`] and returns
-    /// [`Bdd::FALSE`] on exhaustion — unlike the sift-internal
-    /// [`BddManager::mk_counted`], whose headroom gate makes exhaustion a
-    /// panic-worthy invariant violation).
-    pub(crate) fn mk_x(&mut self, level: Level, lo: Bdd, hi: Bdd) -> Bdd {
+    /// [`BddManager::mk`] through an exclusive borrow, the node-creation
+    /// step of every [`crate::BddOps`] recursion run on `&mut
+    /// BddManager`: identical hash-consing and complement-edge semantics,
+    /// but through `Mutex::get_mut` on the shard, a plain bump allocation
+    /// and plain counter writes — no lock acquisition, no atomic
+    /// read-modify-writes. The `&mut` receiver is the whole safety
+    /// argument: borrowck proves no other thread can touch the manager
+    /// while this runs. Same budget contract as `mk` (trips
+    /// [`ResourceError::ArenaExhausted`] and returns [`Bdd::FALSE`] on
+    /// exhaustion — unlike the sift-internal [`BddManager::mk_counted`],
+    /// whose headroom gate makes exhaustion a panic-worthy invariant
+    /// violation).
+    pub(crate) fn mk_mut(&mut self, level: Level, lo: Bdd, hi: Bdd) -> Bdd {
         debug_assert!(!self.node(lo).is_dead() && !self.node(hi).is_dead());
         debug_assert!(self.level(lo) > level && self.level(hi) > level);
         if lo == hi {
@@ -809,14 +811,6 @@ impl BddManager {
         levels.into_iter().map(|l| self.var_at_level[l as usize]).collect()
     }
 
-    /// The support of `f` as a positive cube — the quantification prefix
-    /// that abstracts exactly the variables `f` depends on. Used by the
-    /// image engines to derive per-transition prefixes from their cubes.
-    pub fn support_cube(&self, f: Bdd) -> Bdd {
-        let vars = self.support(f);
-        self.vars_cube(&vars)
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> ManagerStats {
         ManagerStats {
@@ -940,6 +934,11 @@ impl BddManager {
     /// Every this-many-th collection is a full one, bounding how long
     /// old-space garbage can be retained by the minor collector.
     const FULL_GC_CADENCE: usize = 4;
+
+    /// Growth factor of the amortized collection trigger
+    /// ([`BddManager::gc_due`]): collect only once the live count has
+    /// grown this many times past the previous collection's survivors.
+    const GC_GROWTH: f64 = 1.5;
 
     /// Full mark-and-sweep over the whole arena: reclaims every node not
     /// reachable from `roots`, exactly the pre-generational behaviour.
@@ -1085,32 +1084,17 @@ impl BddManager {
         self.young_recycled.get_mut().expect("young-recycled list").clear();
     }
 
-    /// Configures the growth factor of the amortized collection trigger
-    /// (the 1.5 in [`BddManager::gc_due`]'s default policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `growth <= 1.0` — such a factor would make every
-    /// allocation trigger-eligible and the trigger meaningless. The CLI
-    /// validates user input before this is reached (usage error, exit
-    /// 2); this assert guards programmatic callers.
-    pub fn set_gc_growth(&mut self, growth: f64) {
-        assert!(growth > 1.0, "gc growth factor must be > 1.0, got {growth}");
-        self.gc_growth = growth;
-    }
-
     /// `true` when the engines' amortized collection policy says a GC is
     /// worth its mark-and-sweep: the live count exceeds `threshold`
-    /// *and* has grown at least `gc_growth`× (default 1.5, see
-    /// [`BddManager::set_gc_growth`]) past the count left by the
-    /// previous collection. A mostly-live multi-million-node working set
+    /// *and* has grown at least `GC_GROWTH` = 1.5× past the count left by
+    /// the previous collection. A mostly-live multi-million-node working set
     /// no longer pays a whole-graph walk per frontier step just because
     /// it dwarfs the absolute threshold — collections amortize against
     /// growth, the way the `reorder_due` trigger already amortizes
     /// sifting.
     pub fn gc_due(&self, threshold: usize) -> bool {
         let live = self.live_nodes();
-        live > threshold && (live as f64) > (self.gc_baseline as f64) * self.gc_growth
+        live > threshold && (live as f64) > (self.gc_baseline as f64) * Self::GC_GROWTH
     }
 
     /// Runs [`BddManager::gc`] only when the live-node count exceeds
@@ -1181,6 +1165,7 @@ fn ref_resolved(resolved: &[bool], r: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BddOps;
 
     #[test]
     fn var_creation_and_order() {
@@ -1484,25 +1469,19 @@ mod tests {
         }
         m.gc(&[f]); // sets the baseline to the survivor count
         let baseline = m.live_nodes();
-        // Grow live to ~1.3× the baseline — past 1.2×, short of 1.5× —
-        // one fresh literal node at a time.
+        // Grow live one fresh literal node at a time: to ~1.3× the
+        // baseline, short of the 1.5× trigger, then past it.
         let mut next = 20;
         while m.live_nodes() * 10 < baseline * 13 {
             let _lit = m.var(vars[next]);
             next += 1;
         }
-        assert!(!m.gc_due(0), "default 1.5x trigger fired below its threshold");
-        m.set_gc_growth(1.2);
-        assert!(m.gc_due(0), "tightened 1.2x trigger failed to fire");
-        m.set_gc_growth(4.0);
-        assert!(!m.gc_due(0), "loosened 4x trigger fired anyway");
-    }
-
-    #[test]
-    #[should_panic(expected = "gc growth factor must be > 1.0")]
-    fn gc_growth_rejects_non_amortizing_factors() {
-        let mut m = BddManager::new();
-        m.set_gc_growth(1.0);
+        assert!(!m.gc_due(0), "1.5x trigger fired below its threshold");
+        while m.live_nodes() * 10 <= baseline * 15 {
+            let _lit = m.var(vars[next]);
+            next += 1;
+        }
+        assert!(m.gc_due(0), "1.5x trigger failed to fire past its threshold");
     }
 
     #[test]
@@ -1515,7 +1494,7 @@ mod tests {
         let results: Vec<Vec<Bdd>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let m = &m;
+                    let mut m = &m;
                     let vars = &vars;
                     scope.spawn(move || {
                         let mut out = Vec::new();

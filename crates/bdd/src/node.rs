@@ -151,7 +151,7 @@ pub(crate) const DEAD_LEVEL: Level = u32::MAX - 1;
 /// edge is stored negated and referenced through a complemented handle.
 /// The `hi` (then) edge may carry a complement tag freely.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub(crate) struct Node {
+pub struct Node {
     pub level: Level,
     pub lo: Bdd,
     pub hi: Bdd,

@@ -1,4 +1,5 @@
-//! Boolean operations on BDDs: negation, the binary connectives and `ite`.
+//! Boolean operations on BDDs: negation, the binary connectives and `ite`,
+//! and the [`BddOps`] trait that every node-creating operation lives on.
 //!
 //! With complement edges, negation is a tag flip — no traversal, no cache,
 //! no arena growth — and the connectives collapse onto a small core:
@@ -7,9 +8,12 @@
 //! complement-*normalized* keys (operand order for the symmetric ops,
 //! tags stripped where the operation commutes with negation), so `f∧g`,
 //! `g∧f`, `¬f∨¬g` and `¬(f∧g)` all resolve through a single cache line.
+//!
+//! The recursions are written once each, as provided methods of
+//! [`BddOps`]; see its docs for the two instantiations.
 
 use crate::manager::{BddManager, BinOp};
-use crate::node::Bdd;
+use crate::node::{Bdd, Literal, Node, Var};
 
 impl BddManager {
     /// Logical negation `¬f` — O(1): flips the complement tag of the
@@ -30,9 +34,124 @@ impl BddManager {
     pub fn not(&self, f: Bdd) -> Bdd {
         f.complement()
     }
+}
+
+/// The memo-table line a finished recursion step publishes its result
+/// under (keys after complement normalization).
+#[derive(Copy, Clone, Debug)]
+pub enum Memo {
+    /// A binary connective or quantifier, keyed `(op, f, g)`.
+    Bin(BinOp, Bdd, Bdd),
+    /// `ite(f, g, h)`.
+    Ite(Bdd, Bdd, Bdd),
+    /// The fused product `∃c.(f ∧ g)`, keyed `(f, g, c)`.
+    AndExists(Bdd, Bdd, Bdd),
+}
+
+mod sealed {
+    use super::{Bdd, Memo, Node};
+
+    /// The two steps of a recursion that differ between a shared and an
+    /// exclusive manager borrow. Their argument types are private to the
+    /// crate, so code outside it can call neither, and the trait cannot be
+    /// implemented outside it either.
+    pub trait Access {
+        /// Hash-conses `node` (`lo` may be complemented; see
+        /// `BddManager::mk`).
+        fn mk(&mut self, node: Node) -> Bdd;
+        /// Publishes `r` as the result memoised under `key`.
+        fn memo(&mut self, key: Memo, r: Bdd);
+    }
+}
+
+// `inline(always)` on both implementations: the recursions are
+// instantiated in the calling crate, where plain `#[inline]` left `memo`
+// out of line, so every memo publication paid a call and a `Memo` match
+// instead of one direct cache insert.
+impl sealed::Access for BddManager {
+    #[inline(always)]
+    fn mk(&mut self, n: Node) -> Bdd {
+        self.mk_mut(n.level, n.lo, n.hi)
+    }
+
+    #[inline(always)]
+    fn memo(&mut self, key: Memo, r: Bdd) {
+        match key {
+            Memo::Bin(op, f, g) => self.caches.bin_insert_mut(op, f, g, r),
+            Memo::Ite(f, g, h) => self.caches.ite_insert_mut(f, g, h, r),
+            Memo::AndExists(f, g, c) => self.caches.and_exists_insert_mut(f, g, c, r),
+        }
+    }
+}
+
+impl sealed::Access for &BddManager {
+    #[inline(always)]
+    fn mk(&mut self, n: Node) -> Bdd {
+        BddManager::mk(self, n.level, n.lo, n.hi)
+    }
+
+    #[inline(always)]
+    fn memo(&mut self, key: Memo, r: Bdd) {
+        match key {
+            Memo::Bin(op, f, g) => self.caches.bin_insert(op, f, g, r),
+            Memo::Ite(f, g, h) => self.caches.ite_insert(f, g, h, r),
+            Memo::AndExists(f, g, c) => self.caches.and_exists_insert(f, g, c, r),
+        }
+    }
+}
+
+impl BddOps for BddManager {
+    #[inline]
+    fn manager(&self) -> &BddManager {
+        self
+    }
+}
+
+impl BddOps for &BddManager {
+    #[inline]
+    fn manager(&self) -> &BddManager {
+        self
+    }
+}
+
+/// Every operation that may create nodes: the connectives, cubes,
+/// cofactors and quantifiers.
+///
+/// # One body, two instantiations
+///
+/// The manager is `Sync`: parallel workers share it through
+/// `&BddManager`, so creating a node takes a unique-table shard lock and
+/// memo entries are published with release/acquire atomics. A thread
+/// holding `&mut BddManager` has nobody to race, and plain stores do the
+/// same job faster. Every recursion is therefore written once, here,
+/// over the only two steps that differ: hash-consing a node and
+/// publishing a memo entry. The trait is implemented for `BddManager`
+/// (reached through `&mut`: plain stores, `Mutex::get_mut`) and for
+/// `&BddManager` (atomic publication), and monomorphisation compiles
+/// each body once per implementation. The borrow picks the path:
+/// `m.and(f, g)` runs the plain-store copy when `m: &mut BddManager` and
+/// the atomic one when `m: &BddManager`. Both return identical handles
+/// and fill the same memo tables. Generic code takes `&mut impl BddOps`
+/// and serves both.
+///
+/// # Examples
+///
+/// ```
+/// use stgcheck_bdd::{BddManager, BddOps};
+/// let mut m = BddManager::new();
+/// let x = m.new_var("x");
+/// let y = m.new_var("y");
+/// let (vx, vy) = (m.var(x), m.var(y));
+/// let f = m.and(vx, vy); // `&mut BddManager`: plain stores
+/// let mut shared = &m;
+/// assert_eq!(shared.and(vy, vx), f); // `&BddManager`: atomic, same handle
+/// ```
+pub trait BddOps: sealed::Access + Sized {
+    /// The manager behind this borrow, for the read-only queries.
+    fn manager(&self) -> &BddManager;
 
     /// Conjunction `f ∧ g`.
-    pub fn and(&self, f: Bdd, g: Bdd) -> Bdd {
+    fn and(&mut self, f: Bdd, g: Bdd) -> Bdd {
         // Terminal and trivial cases.
         if f.is_false() || g.is_false() {
             return Bdd::FALSE;
@@ -47,32 +166,33 @@ impl BddManager {
             return Bdd::FALSE;
         }
         let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::And, a, b) {
+        let m = self.manager();
+        if let Some(r) = m.caches.bin_get(BinOp::And, a, b) {
             return r;
         }
-        if self.inert() {
+        if m.inert() {
             return Bdd::FALSE;
         }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
+        let (lf, fe0, fe1) = m.peek(f);
+        let (lg, ge0, ge1) = m.peek(g);
         let top = lf.min(lg);
         let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
         let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
         let lo = self.and(f0, g0);
         let hi = self.and(f1, g1);
-        let r = self.mk(top, lo, hi);
+        let r = self.mk(Node { level: top, lo, hi });
         // A trip below this frame means `lo`/`hi` may be inert garbage:
         // never publish such a result to the memo table.
-        if self.inert() {
+        if self.manager().inert() {
             return Bdd::FALSE;
         }
-        self.caches.bin_insert(BinOp::And, a, b, r);
+        self.memo(Memo::Bin(BinOp::And, a, b), r);
         r
     }
 
     /// Disjunction `f ∨ g`, by De Morgan through the `and` cache:
     /// `f ∨ g = ¬(¬f ∧ ¬g)`.
-    pub fn or(&self, f: Bdd, g: Bdd) -> Bdd {
+    fn or(&mut self, f: Bdd, g: Bdd) -> Bdd {
         self.and(f.complement(), g.complement()).complement()
     }
 
@@ -81,7 +201,7 @@ impl BddManager {
     /// Complement-normalized: `¬f ⊕ g = f ⊕ ¬g = ¬(f ⊕ g)`, so both
     /// operands are stripped to their regular handles before the cache is
     /// consulted and the combined tag parity is re-applied to the result.
-    pub fn xor(&self, f: Bdd, g: Bdd) -> Bdd {
+    fn xor(&mut self, f: Bdd, g: Bdd) -> Bdd {
         let parity = f.is_complemented() ^ g.is_complemented();
         let (f, g) = (f.regular(), g.regular());
         if f == g {
@@ -95,41 +215,42 @@ impl BddManager {
             return f.complement_if(!parity);
         }
         let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::Xor, a, b) {
+        let m = self.manager();
+        if let Some(r) = m.caches.bin_get(BinOp::Xor, a, b) {
             return r.complement_if(parity);
         }
-        if self.inert() {
+        if m.inert() {
             return Bdd::FALSE;
         }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
+        let (lf, fe0, fe1) = m.peek(f);
+        let (lg, ge0, ge1) = m.peek(g);
         let top = lf.min(lg);
         let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
         let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
         let lo = self.xor(f0, g0);
         let hi = self.xor(f1, g1);
-        let r = self.mk(top, lo, hi);
-        if self.inert() {
+        let r = self.mk(Node { level: top, lo, hi });
+        if self.manager().inert() {
             return Bdd::FALSE;
         }
-        self.caches.bin_insert(BinOp::Xor, a, b, r);
+        self.memo(Memo::Bin(BinOp::Xor, a, b), r);
         r.complement_if(parity)
     }
 
     /// Set difference `f ∧ ¬g` — the idiom used throughout the traversal
     /// algorithms (`New = From − Reached`). The negation is free, so this
     /// is exactly one `and`.
-    pub fn diff(&self, f: Bdd, g: Bdd) -> Bdd {
+    fn diff(&mut self, f: Bdd, g: Bdd) -> Bdd {
         self.and(f, g.complement())
     }
 
     /// Implication `f → g = ¬(f ∧ ¬g)`.
-    pub fn implies(&self, f: Bdd, g: Bdd) -> Bdd {
+    fn implies(&mut self, f: Bdd, g: Bdd) -> Bdd {
         self.and(f, g.complement()).complement()
     }
 
     /// Biconditional `f ↔ g = ¬(f ⊕ g)`.
-    pub fn iff(&self, f: Bdd, g: Bdd) -> Bdd {
+    fn iff(&mut self, f: Bdd, g: Bdd) -> Bdd {
         self.xor(f, g).complement()
     }
 
@@ -139,7 +260,7 @@ impl BddManager {
     /// the branches (`ite(¬f,g,h) = ite(f,h,g)`) and a complemented then
     /// branch factors out (`ite(f,¬g,¬h) = ¬ite(f,g,h)`), so the cached
     /// key always has a regular `f` and a regular `g`.
-    pub fn ite(&self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
+    fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
         // Terminal cases.
         if f.is_true() {
             return g;
@@ -184,202 +305,35 @@ impl BddManager {
         // Normalization 2: regular then-branch; the tag moves to the result.
         let flip = g.is_complemented();
         let (g, h) = if flip { (g.complement(), h.complement()) } else { (g, h) };
-        if let Some(r) = self.caches.ite_get(f, g, h) {
+        let m = self.manager();
+        if let Some(r) = m.caches.ite_get(f, g, h) {
             return r.complement_if(flip);
         }
-        if self.inert() {
+        if m.inert() {
             return Bdd::FALSE;
         }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let (lh, he0, he1) = self.peek(h);
+        let (lf, fe0, fe1) = m.peek(f);
+        let (lg, ge0, ge1) = m.peek(g);
+        let (lh, he0, he1) = m.peek(h);
         let top = lf.min(lg).min(lh);
         let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
         let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
         let (h0, h1) = if lh == top { (he0, he1) } else { (h, h) };
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
-        let r = self.mk(top, lo, hi);
-        if self.inert() {
+        let r = self.mk(Node { level: top, lo, hi });
+        if self.manager().inert() {
             return Bdd::FALSE;
         }
-        self.caches.ite_insert(f, g, h, r);
+        self.memo(Memo::Ite(f, g, h), r);
         r.complement_if(flip)
     }
 
-    /// Exclusive-mode [`BddManager::and`]: identical recursion, results
-    /// and memoisation, but every node is hash-consed through the
-    /// exclusive `mk` (plain bump allocation, `get_mut` on the
-    /// unique-table shard) and every cache publication is a plain
-    /// (non-release) store. The `&mut` receiver is the entire
-    /// safety argument — borrowck proves no concurrent reader exists, so
-    /// the atomic-publication protocol of the shared path is pure
-    /// overhead here. Cache *probes* stay on the shared read path (an
-    /// acquire load is a plain load on the architectures we target), so
-    /// both paths populate and consume the same memo tables.
-    pub fn and_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        if f.is_false() || g.is_false() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() {
-            return g;
-        }
-        if g.is_true() || f == g {
-            return f;
-        }
-        if f == g.complement() {
-            return Bdd::FALSE;
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::And, a, b) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let lo = self.and_x(f0, g0);
-        let hi = self.and_x(f1, g1);
-        let r = self.mk_x(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::And, a, b, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::or`]: De Morgan through
-    /// [`BddManager::and_x`].
-    pub fn or_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.and_x(f.complement(), g.complement()).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::diff`]: `f ∧ ¬g` through
-    /// [`BddManager::and_x`].
-    pub fn diff_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.and_x(f, g.complement())
-    }
-
-    /// Exclusive-mode [`BddManager::implies`].
-    pub fn implies_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.and_x(f, g.complement()).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::iff`].
-    pub fn iff_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.xor_x(f, g).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::xor`] — see [`BddManager::and_x`]
-    /// for the mode contract.
-    pub fn xor_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let parity = f.is_complemented() ^ g.is_complemented();
-        let (f, g) = (f.regular(), g.regular());
-        if f == g {
-            return Bdd::TRUE.complement_if(!parity);
-        }
-        if f.is_true() {
-            return g.complement_if(!parity);
-        }
-        if g.is_true() {
-            return f.complement_if(!parity);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::Xor, a, b) {
-            return r.complement_if(parity);
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let lo = self.xor_x(f0, g0);
-        let hi = self.xor_x(f1, g1);
-        let r = self.mk_x(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::Xor, a, b, r);
-        r.complement_if(parity)
-    }
-
-    /// Exclusive-mode [`BddManager::ite`] — see [`BddManager::and_x`]
-    /// for the mode contract.
-    pub fn ite_x(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == h.complement() {
-            return self.iff_x(f, g);
-        }
-        if f == g {
-            return self.or_x(f, h);
-        }
-        if f == g.complement() {
-            return self.and_x(f.complement(), h);
-        }
-        if f == h {
-            return self.and_x(f, g);
-        }
-        if f == h.complement() {
-            return self.or_x(f.complement(), g);
-        }
-        if g.is_true() {
-            return self.or_x(f, h);
-        }
-        if g.is_false() {
-            return self.and_x(f.complement(), h);
-        }
-        if h.is_false() {
-            return self.and_x(f, g);
-        }
-        if h.is_true() {
-            return self.or_x(f.complement(), g);
-        }
-        let (f, g, h) = if f.is_complemented() { (f.complement(), h, g) } else { (f, g, h) };
-        let flip = g.is_complemented();
-        let (g, h) = if flip { (g.complement(), h.complement()) } else { (g, h) };
-        if let Some(r) = self.caches.ite_get(f, g, h) {
-            return r.complement_if(flip);
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let (lh, he0, he1) = self.peek(h);
-        let top = lf.min(lg).min(lh);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let (h0, h1) = if lh == top { (he0, he1) } else { (h, h) };
-        let lo = self.ite_x(f0, g0, h0);
-        let hi = self.ite_x(f1, g1, h1);
-        let r = self.mk_x(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.ite_insert_mut(f, g, h, r);
-        r.complement_if(flip)
-    }
-
-    /// Exclusive-mode [`BddManager::and_many`].
-    pub fn and_many_x(&mut self, fs: &[Bdd]) -> Bdd {
+    /// Conjunction of many functions. Returns `TRUE` for an empty slice.
+    fn and_many(&mut self, fs: &[Bdd]) -> Bdd {
         let mut acc = Bdd::TRUE;
         for &f in fs {
-            acc = self.and_x(acc, f);
+            acc = self.and(acc, f);
             if acc.is_false() {
                 break;
             }
@@ -387,11 +341,11 @@ impl BddManager {
         acc
     }
 
-    /// Exclusive-mode [`BddManager::or_many`].
-    pub fn or_many_x(&mut self, fs: &[Bdd]) -> Bdd {
+    /// Disjunction of many functions. Returns `FALSE` for an empty slice.
+    fn or_many(&mut self, fs: &[Bdd]) -> Bdd {
         let mut acc = Bdd::FALSE;
         for &f in fs {
-            acc = self.or_x(acc, f);
+            acc = self.or(acc, f);
             if acc.is_true() {
                 break;
             }
@@ -405,7 +359,7 @@ impl BddManager {
     /// # Examples
     ///
     /// ```
-    /// use stgcheck_bdd::BddManager;
+    /// use stgcheck_bdd::{BddManager, BddOps};
     /// let mut m = BddManager::new();
     /// let x = m.new_var("x");
     /// let y = m.new_var("y");
@@ -416,47 +370,184 @@ impl BddManager {
     /// let h = m.compose(f, x, g); // (y∨z) ∧ y = y
     /// assert_eq!(h, vy);
     /// ```
-    pub fn compose(&self, f: Bdd, v: crate::Var, g: Bdd) -> Bdd {
+    fn compose(&mut self, f: Bdd, v: Var, g: Bdd) -> Bdd {
         let f1 = self.restrict(f, v, true);
         let f0 = self.restrict(f, v, false);
         self.ite(g, f1, f0)
     }
 
-    /// Conjunction of many functions. Returns `TRUE` for an empty slice.
-    pub fn and_many(&self, fs: &[Bdd]) -> Bdd {
-        let mut acc = Bdd::TRUE;
-        for &f in fs {
-            acc = self.and(acc, f);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// Disjunction of many functions. Returns `FALSE` for an empty slice.
-    pub fn or_many(&self, fs: &[Bdd]) -> Bdd {
-        let mut acc = Bdd::FALSE;
-        for &f in fs {
-            acc = self.or(acc, f);
-            if acc.is_true() {
-                break;
-            }
-        }
-        acc
-    }
-
     /// Tests whether `f ∧ g` is satisfiable without necessarily building the
     /// full conjunction (set-intersection emptiness test).
-    pub fn intersects(&self, f: Bdd, g: Bdd) -> bool {
+    fn intersects(&mut self, f: Bdd, g: Bdd) -> bool {
         // The conjunction is memoised anyway; building it is the simplest
         // correct implementation and the caches keep it cheap.
         !self.and(f, g).is_false()
     }
 
     /// Tests language inclusion `f ⊆ g` (i.e. `f → g` is a tautology).
-    pub fn is_subset(&self, f: Bdd, g: Bdd) -> bool {
+    fn is_subset(&mut self, f: Bdd, g: Bdd) -> bool {
         self.diff(f, g).is_false()
+    }
+
+    /// Builds the cube (conjunction of literals) `∧ lits`.
+    ///
+    /// Duplicate literals are allowed; contradictory literals yield `FALSE`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stgcheck_bdd::{BddManager, BddOps, Literal};
+    /// let mut m = BddManager::new();
+    /// let x = m.new_var("x");
+    /// let y = m.new_var("y");
+    /// let c = m.cube(&[Literal::positive(x), Literal::negative(y)]);
+    /// let vx = m.var(x);
+    /// let ny = m.nvar(y);
+    /// assert_eq!(c, m.and(vx, ny));
+    /// ```
+    fn cube(&mut self, lits: &[Literal]) -> Bdd {
+        let mut acc = Bdd::TRUE;
+        // Conjoin bottom-up (deepest level first) so each `and` is O(1)-ish.
+        let mut sorted: Vec<Literal> = lits.to_vec();
+        sorted.sort_by_key(|l| std::cmp::Reverse(self.manager().level_of(l.var())));
+        for l in sorted {
+            let lit = self.manager().literal(l);
+            acc = self.and(lit, acc);
+        }
+        acc
+    }
+
+    /// Builds the positive cube `∧ vars`, the usual quantification prefix.
+    fn vars_cube(&mut self, vars: &[Var]) -> Bdd {
+        let lits: Vec<Literal> = vars.iter().map(|&v| Literal::positive(v)).collect();
+        self.cube(&lits)
+    }
+
+    /// The support of `f` as a positive cube — the quantification prefix
+    /// that abstracts exactly the variables `f` depends on.
+    fn support_cube(&mut self, f: Bdd) -> Bdd {
+        let vars = self.manager().support(f);
+        self.vars_cube(&vars)
+    }
+
+    /// Restricts `f` by `v = value` (Shannon cofactor w.r.t. one literal).
+    fn restrict(&mut self, f: Bdd, v: Var, value: bool) -> Bdd {
+        let c = self.manager().literal(Literal::new(v, value));
+        self.cofactor_cube(f, c)
+    }
+
+    /// Generalised cofactor `f_c` of `f` with respect to a cube `c`
+    /// (Section 4 of the paper): every variable of `c` is fixed to its
+    /// polarity in `c` and *removed* from the function.
+    ///
+    /// Commutes with complementation, so the memo table is keyed on the
+    /// regular handle of `f` and serves `f_c` and `(¬f)_c` alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `c` is not a cube.
+    fn cofactor_cube(&mut self, f: Bdd, c: Bdd) -> Bdd {
+        // A tripped manager may be handed garbage built by inert ops; the
+        // recursion bails out inert before touching it.
+        debug_assert!(
+            self.manager().inert() || self.manager().is_cube(c),
+            "cofactor requires a cube"
+        );
+        let tag = f.is_complemented();
+        crate::quant::cofactor_rec(self, f.regular(), c).complement_if(tag)
+    }
+
+    /// Existential abstraction `∃ vars(c) . f` where `c` is a (positive)
+    /// cube listing the variables to abstract.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stgcheck_bdd::{BddManager, BddOps};
+    /// let mut m = BddManager::new();
+    /// let x = m.new_var("x");
+    /// let y = m.new_var("y");
+    /// let (vx, vy) = (m.var(x), m.var(y));
+    /// let f = m.and(vx, vy);
+    /// let cube = m.vars_cube(&[x]);
+    /// assert_eq!(m.exists(f, cube), vy); // ∃x. x∧y = y
+    /// ```
+    fn exists(&mut self, f: Bdd, c: Bdd) -> Bdd {
+        debug_assert!(
+            self.manager().inert() || self.manager().is_cube(c),
+            "quantification prefix must be a cube"
+        );
+        crate::quant::exists_rec(self, f, c)
+    }
+
+    /// Universal abstraction `∀ vars(c) . f`, as the free complement dual
+    /// `¬∃ vars(c) . ¬f` — no recursion or cache of its own.
+    fn forall(&mut self, f: Bdd, c: Bdd) -> Bdd {
+        self.exists(f.complement(), c).complement()
+    }
+
+    /// Fused relational product `∃ vars(c) . (f ∧ g)`.
+    ///
+    /// Avoids materialising the intermediate conjunction, which is the
+    /// classic optimisation for image computations.
+    fn and_exists(&mut self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
+        debug_assert!(
+            self.manager().inert() || self.manager().is_cube(c),
+            "quantification prefix must be a cube"
+        );
+        crate::quant::and_exists_rec(self, f, g, c)
+    }
+
+    /// Level-bounded fused relational product: `∃ vars(c) . (f ∧ g)`
+    /// under the precondition that `g` and `c` touch only variables at
+    /// level `bound` or deeper (level numbers grow towards the
+    /// terminals, so "at or below `bound`" in the diagram).
+    ///
+    /// Above the bound the product cannot branch `g` or quantify
+    /// anything, so the recursion keeps `f`'s shape and descends it
+    /// structurally without re-peeking `g` and `c` at every node — the
+    /// fast path the saturation engine leans on: a transition cluster
+    /// whose home level is `bound` only ever rewrites the part of the
+    /// state set below its home level. The result is *exactly*
+    /// [`BddOps::and_exists`]`(f, g, c)` (the bounded and unbounded
+    /// recursions share one memo table), which
+    /// `crates/bdd/tests/props.rs` pins as a property.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds when `c` is not a cube or when `g`/`c`
+    /// reach above the bound.
+    fn and_exists_below(&mut self, f: Bdd, g: Bdd, c: Bdd, bound: usize) -> Bdd {
+        let m = self.manager();
+        debug_assert!(m.inert() || m.is_cube(c), "quantification prefix must be a cube");
+        debug_assert!(
+            m.support(g).iter().chain(m.support(c).iter()).all(|&v| m.level_of(v) >= bound),
+            "and_exists_below: operand support reaches above the bound"
+        );
+        crate::quant::and_exists_below_rec(self, f, g, c, bound as crate::node::Level)
+    }
+
+    /// N-ary generalisation of [`BddOps::and_exists`]:
+    /// `∃ vars(c) . (f₀ ∧ f₁ ∧ … ∧ fₙ)`.
+    ///
+    /// The first `n − 1` conjuncts are combined pairwise; the final
+    /// product is fused with the quantification so the full conjunction is
+    /// never materialised. An empty slice yields `∃c.TRUE = TRUE`.
+    fn and_exists_many(&mut self, fs: &[Bdd], c: Bdd) -> Bdd {
+        match fs {
+            [] => Bdd::TRUE,
+            [f] => self.exists(*f, c),
+            [init @ .., last] => {
+                let mut acc = init[0];
+                for &f in &init[1..] {
+                    acc = self.and(acc, f);
+                    if acc.is_false() {
+                        return Bdd::FALSE;
+                    }
+                }
+                self.and_exists(acc, *last, c)
+            }
+        }
     }
 }
 
@@ -475,7 +566,7 @@ mod tests {
 
     #[test]
     fn de_morgan() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         let lhs0 = m.and(x, y);
         let lhs = m.not(lhs0);
         let (nx, ny) = (m.not(x), m.not(y));
@@ -485,7 +576,7 @@ mod tests {
 
     #[test]
     fn double_negation_is_free() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         let f = m.xor(x, y);
         let live = m.live_nodes();
         let nodes = m.nodes.len();
@@ -498,7 +589,7 @@ mod tests {
 
     #[test]
     fn and_or_absorption() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         let xy = m.and(x, y);
         assert_eq!(m.or(x, xy), x);
         let x_or_y = m.or(x, y);
@@ -507,7 +598,7 @@ mod tests {
 
     #[test]
     fn contradiction_and_excluded_middle() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         let f = m.xor(x, y);
         let nf = m.not(f);
         assert_eq!(m.and(f, nf), Bdd::FALSE);
@@ -516,7 +607,7 @@ mod tests {
 
     #[test]
     fn xor_properties() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         assert_eq!(m.xor(x, x), Bdd::FALSE);
         let t = m.one();
         let nx = m.not(x);
@@ -533,7 +624,7 @@ mod tests {
 
     #[test]
     fn ite_equals_definition() {
-        let (m, f, g, h) = setup();
+        let (mut m, f, g, h) = setup();
         let ite = m.ite(f, g, h);
         let fg = m.and(f, g);
         let nf = m.not(f);
@@ -544,7 +635,7 @@ mod tests {
 
     #[test]
     fn ite_normalizations() {
-        let (m, f, g, h) = setup();
+        let (mut m, f, g, h) = setup();
         let base = m.ite(f, g, h);
         // ite(¬f, h, g) == ite(f, g, h).
         let nf = m.not(f);
@@ -561,7 +652,7 @@ mod tests {
 
     #[test]
     fn implies_and_iff() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         let imp = m.implies(x, y);
         let nx = m.not(x);
         let expected = m.or(nx, y);
@@ -576,7 +667,7 @@ mod tests {
 
     #[test]
     fn diff_is_relative_complement() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         let d = m.diff(x, y);
         let ny = m.not(y);
         let expected = m.and(x, ny);
@@ -587,7 +678,7 @@ mod tests {
 
     #[test]
     fn many_variants() {
-        let (m, x, y, z) = setup();
+        let (mut m, x, y, z) = setup();
         let all = m.and_many(&[x, y, z]);
         let xy = m.and(x, y);
         let expected = m.and(xy, z);
@@ -624,46 +715,8 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_ops_return_the_shared_canonical_handles() {
-        // The fast-path contract: `*_x` must produce bit-identical
-        // handles to the shared ops — same hash-consing, same
-        // complement normal form, same memo entries — regardless of
-        // which path ran first and populated the caches.
-        let mut m = BddManager::new();
-        let vars = m.new_vars("x", 6);
-        let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-        for i in 0..6 {
-            for j in 0..6 {
-                let (a, b) = (lits[i], lits[j].complement());
-                let shared_and = m.and(a, b);
-                assert_eq!(m.and_x(a, b), shared_and);
-                let excl_xor = m.xor_x(a, b);
-                assert_eq!(m.xor(a, b), excl_xor);
-                let c = lits[(i + j) % 6];
-                let shared_ite = m.ite(shared_and, excl_xor, c);
-                assert_eq!(m.ite_x(shared_and, excl_xor, c), shared_ite);
-                let excl_or = m.or_x(shared_and, c);
-                assert_eq!(m.or(shared_and, c), excl_or);
-            }
-        }
-        m.check_invariants();
-    }
-
-    #[test]
-    fn exclusive_ops_stay_inert_after_a_trip() {
-        let mut m = BddManager::new();
-        let vars = m.new_vars("x", 8);
-        let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-        m.budget().trip(crate::ResourceError::ArenaExhausted);
-        // Tripped managers answer FALSE without memoising garbage.
-        assert_eq!(m.and_x(lits[0], lits[1]), Bdd::FALSE);
-        assert_eq!(m.xor_x(lits[2], lits[3]), Bdd::FALSE);
-        assert_eq!(m.ite_x(lits[4], lits[5], lits[6]), Bdd::FALSE);
-    }
-
-    #[test]
     fn subset_and_intersection() {
-        let (m, x, y, _) = setup();
+        let (mut m, x, y, _) = setup();
         let xy = m.and(x, y);
         assert!(m.is_subset(xy, x));
         assert!(m.is_subset(xy, y));

@@ -4,52 +4,24 @@
 //! *cube cofactors* (`f_c`: restrict `f` by the literals of a cube `c` and
 //! drop those variables) and products. Reachability additionally needs
 //! existential abstraction `∃x.f` and the fused relational product
-//! [`BddManager::and_exists`].
+//! [`BddOps::and_exists`].
 //!
 //! Complement edges shape this module twice over: the cube cofactor
 //! commutes with negation (`(¬f)_c = ¬(f_c)`), so its cache is keyed on
 //! regular handles only, and universal abstraction is the free dual
 //! `∀c.f = ¬∃c.¬f` — one recursion serves both quantifiers through one
 //! cache.
+//!
+//! The recursions below are generic over [`BddOps`], like the connectives
+//! in `ops.rs`: each has one body, compiled once for the exclusive and
+//! once for the shared manager borrow. The public entry points are the
+//! [`BddOps`] methods that call them.
 
 use crate::manager::{BddManager, BinOp};
-use crate::node::{Bdd, Literal, Var, TERMINAL_LEVEL};
+use crate::node::{Bdd, Level, Literal, Node, TERMINAL_LEVEL};
+use crate::ops::{BddOps, Memo};
 
 impl BddManager {
-    /// Builds the cube (conjunction of literals) `∧ lits`.
-    ///
-    /// Duplicate literals are allowed; contradictory literals yield `FALSE`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stgcheck_bdd::{BddManager, Literal};
-    /// let mut m = BddManager::new();
-    /// let x = m.new_var("x");
-    /// let y = m.new_var("y");
-    /// let c = m.cube(&[Literal::positive(x), Literal::negative(y)]);
-    /// let vx = m.var(x);
-    /// let ny = m.nvar(y);
-    /// assert_eq!(c, m.and(vx, ny));
-    /// ```
-    pub fn cube(&self, lits: &[Literal]) -> Bdd {
-        let mut acc = Bdd::TRUE;
-        // Conjoin bottom-up (deepest level first) so each `and` is O(1)-ish.
-        let mut sorted: Vec<Literal> = lits.to_vec();
-        sorted.sort_by_key(|l| std::cmp::Reverse(self.level_of(l.var())));
-        for l in sorted {
-            let lit = self.literal(l);
-            acc = self.and(lit, acc);
-        }
-        acc
-    }
-
-    /// Builds the positive cube `∧ vars`, the usual quantification prefix.
-    pub fn vars_cube(&self, vars: &[Var]) -> Bdd {
-        let lits: Vec<Literal> = vars.iter().map(|&v| Literal::positive(v)).collect();
-        self.cube(&lits)
-    }
-
     /// Returns `true` if `f` is a cube: a single path to `TRUE`.
     pub fn is_cube(&self, f: Bdd) -> bool {
         let mut g = f;
@@ -94,519 +66,202 @@ impl BddManager {
     /// literal), in one arena read; `TRUE` reports [`TERMINAL_LEVEL`]
     /// and itself. The shared skip-step of every quantifier recursion.
     #[inline]
-    fn cube_peek(&self, c: Bdd) -> (crate::node::Level, Bdd) {
+    fn cube_peek(&self, c: Bdd) -> (Level, Bdd) {
         if c.is_terminal() {
             return (TERMINAL_LEVEL, c);
         }
         let (cl, clo, chi) = self.peek(c);
         (cl, if clo.is_false() { chi } else { clo })
     }
+}
 
-    /// Restricts `f` by `v = value` (Shannon cofactor w.r.t. one literal).
-    pub fn restrict(&self, f: Bdd, v: Var, value: bool) -> Bdd {
-        let lit = Literal::new(v, value);
-        let c = self.literal(lit);
-        self.cofactor_cube(f, c)
+/// Recursive cofactor over a *regular* `f` (see [`BddOps::cofactor_cube`]).
+pub(crate) fn cofactor_rec<M: BddOps>(m: &mut M, f: Bdd, c: Bdd) -> Bdd {
+    debug_assert!(!f.is_complemented());
+    if c.is_true() || f.is_terminal() {
+        return f;
     }
-
-    /// Generalised cofactor `f_c` of `f` with respect to a cube `c`
-    /// (Section 4 of the paper): every variable of `c` is fixed to its
-    /// polarity in `c` and *removed* from the function.
-    ///
-    /// Commutes with complementation, so the memo table is keyed on the
-    /// regular handle of `f` and serves `f_c` and `(¬f)_c` alike.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `c` is not a cube.
-    pub fn cofactor_cube(&self, f: Bdd, c: Bdd) -> Bdd {
-        // A tripped manager may be handed garbage built by inert ops; the
-        // recursion below bails out inert before touching it.
-        debug_assert!(self.inert() || self.is_cube(c), "cofactor requires a cube");
-        let tag = f.is_complemented();
-        self.cofactor_rec(f.regular(), c).complement_if(tag)
+    let mgr = m.manager();
+    if let Some(r) = mgr.caches.bin_get(BinOp::CofactorCube, f, c) {
+        return r;
     }
+    if mgr.inert() {
+        return Bdd::FALSE;
+    }
+    let (fl, flo, fhi) = mgr.peek(f);
+    let (cl, clo, chi) = mgr.peek(c);
+    // `c` is a cube: its tail is whichever child is not FALSE, and
+    // `clo` doubles as the polarity of the top literal.
+    let next = if clo.is_false() { chi } else { clo };
+    let r = if cl < fl {
+        // `f` does not depend on the cube's top variable: skip it.
+        cofactor_rec(m, f, next)
+    } else if cl == fl {
+        let branch = if clo.is_false() { fhi } else { flo };
+        let tag = branch.is_complemented();
+        cofactor_rec(m, branch.regular(), next).complement_if(tag)
+    } else {
+        let hi_tag = fhi.is_complemented();
+        let lo = cofactor_rec(m, flo, c);
+        let hi = cofactor_rec(m, fhi.regular(), c).complement_if(hi_tag);
+        m.mk(Node { level: fl, lo, hi })
+    };
+    // Budget trip below this frame → sub-results may be inert
+    // garbage: never publish them to the memo table.
+    if m.manager().inert() {
+        return Bdd::FALSE;
+    }
+    m.memo(Memo::Bin(BinOp::CofactorCube, f, c), r);
+    r
+}
 
-    /// Recursive cofactor over a *regular* `f`.
-    fn cofactor_rec(&self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(!f.is_complemented());
-        if c.is_true() || f.is_terminal() {
-            return f;
+/// Recursive existential abstraction (see [`BddOps::exists`]).
+pub(crate) fn exists_rec<M: BddOps>(m: &mut M, f: Bdd, mut c: Bdd) -> Bdd {
+    if f.is_terminal() {
+        return f;
+    }
+    let mgr = m.manager();
+    let (fl, flo, fhi) = mgr.peek(f);
+    // Skip cube variables above the root of f.
+    let (cl, ctail) = loop {
+        let (cl, tail) = mgr.cube_peek(c);
+        if cl >= fl {
+            break (cl, tail);
         }
-        if let Some(r) = self.caches.bin_get(BinOp::CofactorCube, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, flo, fhi) = self.peek(f);
-        let (cl, clo, chi) = self.peek(c);
-        // `c` is a cube: its tail is whichever child is not FALSE, and
-        // `clo` doubles as the polarity of the top literal.
-        let next = if clo.is_false() { chi } else { clo };
-        let r = if cl < fl {
-            // `f` does not depend on the cube's top variable: skip it.
-            self.cofactor_rec(f, next)
-        } else if cl == fl {
-            let branch = if clo.is_false() { fhi } else { flo };
-            let tag = branch.is_complemented();
-            self.cofactor_rec(branch.regular(), next).complement_if(tag)
+        c = tail;
+    };
+    if c.is_true() {
+        return f;
+    }
+    if let Some(r) = mgr.caches.bin_get(BinOp::Exists, f, c) {
+        return r;
+    }
+    if mgr.inert() {
+        return Bdd::FALSE;
+    }
+    let r = if cl == fl {
+        let lo = exists_rec(m, flo, ctail);
+        if lo.is_true() {
+            // Early termination: the disjunction is already TRUE.
+            Bdd::TRUE
         } else {
-            let hi_tag = fhi.is_complemented();
-            let lo = self.cofactor_rec(flo, c);
-            let hi = self.cofactor_rec(fhi.regular(), c).complement_if(hi_tag);
-            self.mk(fl, lo, hi)
-        };
-        // Budget trip below this frame → sub-results may be inert
-        // garbage: never publish them to the memo table.
-        if self.inert() {
-            return Bdd::FALSE;
+            let hi = exists_rec(m, fhi, ctail);
+            m.or(lo, hi)
         }
-        self.caches.bin_insert(BinOp::CofactorCube, f, c, r);
-        r
+    } else {
+        let lo = exists_rec(m, flo, c);
+        let hi = exists_rec(m, fhi, c);
+        m.mk(Node { level: fl, lo, hi })
+    };
+    if m.manager().inert() {
+        return Bdd::FALSE;
     }
+    m.memo(Memo::Bin(BinOp::Exists, f, c), r);
+    r
+}
 
-    /// Existential abstraction `∃ vars(c) . f` where `c` is a (positive)
-    /// cube listing the variables to abstract.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stgcheck_bdd::BddManager;
-    /// let mut m = BddManager::new();
-    /// let x = m.new_var("x");
-    /// let y = m.new_var("y");
-    /// let (vx, vy) = (m.var(x), m.var(y));
-    /// let f = m.and(vx, vy);
-    /// let cube = m.vars_cube(&[x]);
-    /// assert_eq!(m.exists(f, cube), vy); // ∃x. x∧y = y
-    /// ```
-    pub fn exists(&self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec(f, c)
+/// Recursive fused relational product (see [`BddOps::and_exists`]).
+pub(crate) fn and_exists_rec<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
+    if f.is_false() || g.is_false() || f == g.complement() {
+        return Bdd::FALSE;
     }
-
-    fn exists_rec(&self, f: Bdd, mut c: Bdd) -> Bdd {
-        if f.is_terminal() {
-            return f;
+    if f.is_true() || f == g {
+        return exists_rec(m, g, c);
+    }
+    if g.is_true() {
+        return exists_rec(m, f, c);
+    }
+    if c.is_true() {
+        return m.and(f, g);
+    }
+    let (a, b) = (f.min(g), f.max(g));
+    let mgr = m.manager();
+    if let Some(r) = mgr.caches.and_exists_get(a, b, c) {
+        return r;
+    }
+    if mgr.inert() {
+        return Bdd::FALSE;
+    }
+    let (lf, fe0, fe1) = mgr.peek(f);
+    let (lg, ge0, ge1) = mgr.peek(g);
+    let top = lf.min(lg);
+    // Skip cube variables above both operands.
+    let mut c2 = c;
+    let (cl, ctail) = loop {
+        let (cl, tail) = mgr.cube_peek(c2);
+        if cl >= top {
+            break (cl, tail);
         }
-        let (fl, flo, fhi) = self.peek(f);
-        // Skip cube variables above the root of f.
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c);
-            if cl >= fl {
-                break (cl, tail);
-            }
-            c = tail;
-        };
-        if c.is_true() {
-            return f;
-        }
-        if let Some(r) = self.caches.bin_get(BinOp::Exists, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let r = if cl == fl {
-            let lo = self.exists_rec(flo, ctail);
-            if lo.is_true() {
-                // Early termination: the disjunction is already TRUE.
-                Bdd::TRUE
-            } else {
-                let hi = self.exists_rec(fhi, ctail);
-                self.or(lo, hi)
-            }
+        c2 = tail;
+    };
+    if c2.is_true() {
+        let r = m.and(f, g);
+        m.memo(Memo::AndExists(a, b, c), r);
+        return r;
+    }
+    let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
+    let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
+    let r = if cl == top {
+        let lo = and_exists_rec(m, f0, g0, ctail);
+        if lo.is_true() {
+            // Early termination: the disjunction is already TRUE.
+            Bdd::TRUE
         } else {
-            let lo = self.exists_rec(flo, c);
-            let hi = self.exists_rec(fhi, c);
-            self.mk(fl, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
+            let hi = and_exists_rec(m, f1, g1, ctail);
+            m.or(lo, hi)
         }
-        self.caches.bin_insert(BinOp::Exists, f, c, r);
-        r
+    } else {
+        let lo = and_exists_rec(m, f0, g0, c2);
+        let hi = and_exists_rec(m, f1, g1, c2);
+        m.mk(Node { level: top, lo, hi })
+    };
+    if m.manager().inert() {
+        return Bdd::FALSE;
     }
+    m.memo(Memo::AndExists(a, b, c), r);
+    r
+}
 
-    /// Universal abstraction `∀ vars(c) . f`, as the free complement dual
-    /// `¬∃ vars(c) . ¬f` — no recursion or cache of its own.
-    pub fn forall(&self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec(f.complement(), c).complement()
+/// Recursive level-bounded product (see [`BddOps::and_exists_below`]).
+pub(crate) fn and_exists_below_rec<M: BddOps>(
+    m: &mut M,
+    f: Bdd,
+    g: Bdd,
+    c: Bdd,
+    bound: Level,
+) -> Bdd {
+    let mgr = m.manager();
+    if mgr.level(f) >= bound {
+        // At (or past) the bound the operands may interact: fall
+        // back to the general fused recursion. Terminals land here
+        // too (their level is below every variable).
+        return and_exists_rec(m, f, g, c);
     }
-
-    /// Fused relational product `∃ vars(c) . (f ∧ g)`.
-    ///
-    /// Avoids materialising the intermediate conjunction, which is the
-    /// classic optimisation for image computations.
-    pub fn and_exists(&self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.and_exists_rec(f, g, c)
+    // f's root lies strictly above the bound, where g is constant
+    // along every path and c quantifies nothing: the product keeps
+    // f's branching structure.
+    let (a, b) = (f.min(g), f.max(g));
+    if let Some(r) = mgr.caches.and_exists_get(a, b, c) {
+        return r;
     }
-
-    fn and_exists_rec(&self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        if f.is_false() || g.is_false() || f == g.complement() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() || f == g {
-            return self.exists_rec(g, c);
-        }
-        if g.is_true() {
-            return self.exists_rec(f, c);
-        }
-        if c.is_true() {
-            return self.and(f, g);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        // Skip cube variables above both operands.
-        let mut c2 = c;
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c2);
-            if cl >= top {
-                break (cl, tail);
-            }
-            c2 = tail;
-        };
-        if c2.is_true() {
-            let r = self.and(f, g);
-            self.caches.and_exists_insert(a, b, c, r);
-            return r;
-        }
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let r = if cl == top {
-            let lo = self.and_exists_rec(f0, g0, ctail);
-            if lo.is_true() {
-                // Early termination: the disjunction is already TRUE.
-                Bdd::TRUE
-            } else {
-                let hi = self.and_exists_rec(f1, g1, ctail);
-                self.or(lo, hi)
-            }
-        } else {
-            let lo = self.and_exists_rec(f0, g0, c2);
-            let hi = self.and_exists_rec(f1, g1, c2);
-            self.mk(top, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.and_exists_insert(a, b, c, r);
-        r
+    if mgr.inert() {
+        return Bdd::FALSE;
     }
-
-    /// Level-bounded fused relational product: `∃ vars(c) . (f ∧ g)`
-    /// under the precondition that `g` and `c` touch only variables at
-    /// level `bound` or deeper (level numbers grow towards the
-    /// terminals, so "at or below `bound`" in the diagram).
-    ///
-    /// Above the bound the product cannot branch `g` or quantify
-    /// anything, so the recursion keeps `f`'s shape and descends it
-    /// structurally without re-peeking `g` and `c` at every node — the
-    /// fast path the saturation engine leans on: a transition cluster
-    /// whose home level is `bound` only ever rewrites the part of the
-    /// state set below its home level. The result is *exactly*
-    /// [`BddManager::and_exists`]`(f, g, c)` (the bounded and unbounded
-    /// recursions share one memo table), which
-    /// `crates/bdd/tests/props.rs` pins as a property.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `c` is not a cube or when `g`/`c`
-    /// reach above the bound.
-    pub fn and_exists_below(&self, f: Bdd, g: Bdd, c: Bdd, bound: usize) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        debug_assert!(
-            self.support(g)
-                .iter()
-                .chain(self.support(c).iter())
-                .all(|&v| self.level_of(v) >= bound),
-            "and_exists_below: operand support reaches above the bound"
-        );
-        self.and_exists_below_rec(f, g, c, bound as crate::node::Level)
+    let (fl, f0, f1) = mgr.peek(f);
+    let lo = and_exists_below_rec(m, f0, g, c, bound);
+    let hi = and_exists_below_rec(m, f1, g, c, bound);
+    let r = m.mk(Node { level: fl, lo, hi });
+    if m.manager().inert() {
+        return Bdd::FALSE;
     }
-
-    fn and_exists_below_rec(&self, f: Bdd, g: Bdd, c: Bdd, bound: crate::node::Level) -> Bdd {
-        if self.level(f) >= bound {
-            // At (or past) the bound the operands may interact: fall
-            // back to the general fused recursion. Terminals land here
-            // too (their level is below every variable).
-            return self.and_exists_rec(f, g, c);
-        }
-        // f's root lies strictly above the bound, where g is constant
-        // along every path and c quantifies nothing: the product keeps
-        // f's branching structure.
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, f0, f1) = self.peek(f);
-        let lo = self.and_exists_below_rec(f0, g, c, bound);
-        let hi = self.and_exists_below_rec(f1, g, c, bound);
-        let r = self.mk(fl, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.and_exists_insert(a, b, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::cofactor_cube`] — same recursion,
-    /// results and memo keys, but nodes and cache entries are written
-    /// through the `&mut`-proven plain-store path (see
-    /// [`BddManager::and_x`] for the mode contract).
-    pub fn cofactor_cube_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "cofactor requires a cube");
-        let tag = f.is_complemented();
-        self.cofactor_rec_x(f.regular(), c).complement_if(tag)
-    }
-
-    fn cofactor_rec_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(!f.is_complemented());
-        if c.is_true() || f.is_terminal() {
-            return f;
-        }
-        if let Some(r) = self.caches.bin_get(BinOp::CofactorCube, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, flo, fhi) = self.peek(f);
-        let (cl, clo, chi) = self.peek(c);
-        let next = if clo.is_false() { chi } else { clo };
-        let r = if cl < fl {
-            self.cofactor_rec_x(f, next)
-        } else if cl == fl {
-            let branch = if clo.is_false() { fhi } else { flo };
-            let tag = branch.is_complemented();
-            self.cofactor_rec_x(branch.regular(), next).complement_if(tag)
-        } else {
-            let hi_tag = fhi.is_complemented();
-            let lo = self.cofactor_rec_x(flo, c);
-            let hi = self.cofactor_rec_x(fhi.regular(), c).complement_if(hi_tag);
-            self.mk_x(fl, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::CofactorCube, f, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::exists`] — see [`BddManager::and_x`]
-    /// for the mode contract.
-    pub fn exists_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec_x(f, c)
-    }
-
-    fn exists_rec_x(&mut self, f: Bdd, mut c: Bdd) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        let (fl, flo, fhi) = self.peek(f);
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c);
-            if cl >= fl {
-                break (cl, tail);
-            }
-            c = tail;
-        };
-        if c.is_true() {
-            return f;
-        }
-        if let Some(r) = self.caches.bin_get(BinOp::Exists, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let r = if cl == fl {
-            let lo = self.exists_rec_x(flo, ctail);
-            if lo.is_true() {
-                Bdd::TRUE
-            } else {
-                let hi = self.exists_rec_x(fhi, ctail);
-                self.or_x(lo, hi)
-            }
-        } else {
-            let lo = self.exists_rec_x(flo, c);
-            let hi = self.exists_rec_x(fhi, c);
-            self.mk_x(fl, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::Exists, f, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::forall`].
-    pub fn forall_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec_x(f.complement(), c).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::and_exists`] — see
-    /// [`BddManager::and_x`] for the mode contract.
-    pub fn and_exists_x(&mut self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.and_exists_rec_x(f, g, c)
-    }
-
-    fn and_exists_rec_x(&mut self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        if f.is_false() || g.is_false() || f == g.complement() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() || f == g {
-            return self.exists_rec_x(g, c);
-        }
-        if g.is_true() {
-            return self.exists_rec_x(f, c);
-        }
-        if c.is_true() {
-            return self.and_x(f, g);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let mut c2 = c;
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c2);
-            if cl >= top {
-                break (cl, tail);
-            }
-            c2 = tail;
-        };
-        if c2.is_true() {
-            let r = self.and_x(f, g);
-            self.caches.and_exists_insert_mut(a, b, c, r);
-            return r;
-        }
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let r = if cl == top {
-            let lo = self.and_exists_rec_x(f0, g0, ctail);
-            if lo.is_true() {
-                Bdd::TRUE
-            } else {
-                let hi = self.and_exists_rec_x(f1, g1, ctail);
-                self.or_x(lo, hi)
-            }
-        } else {
-            let lo = self.and_exists_rec_x(f0, g0, c2);
-            let hi = self.and_exists_rec_x(f1, g1, c2);
-            self.mk_x(top, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.and_exists_insert_mut(a, b, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::and_exists_below`] — same bounded
-    /// recursion, same shared memo table as the unbounded product.
-    pub fn and_exists_below_x(&mut self, f: Bdd, g: Bdd, c: Bdd, bound: usize) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        debug_assert!(
-            self.support(g)
-                .iter()
-                .chain(self.support(c).iter())
-                .all(|&v| self.level_of(v) >= bound),
-            "and_exists_below: operand support reaches above the bound"
-        );
-        self.and_exists_below_rec_x(f, g, c, bound as crate::node::Level)
-    }
-
-    fn and_exists_below_rec_x(&mut self, f: Bdd, g: Bdd, c: Bdd, bound: crate::node::Level) -> Bdd {
-        if self.level(f) >= bound {
-            return self.and_exists_rec_x(f, g, c);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, f0, f1) = self.peek(f);
-        let lo = self.and_exists_below_rec_x(f0, g, c, bound);
-        let hi = self.and_exists_below_rec_x(f1, g, c, bound);
-        let r = self.mk_x(fl, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.and_exists_insert_mut(a, b, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::and_exists_many`].
-    pub fn and_exists_many_x(&mut self, fs: &[Bdd], c: Bdd) -> Bdd {
-        match fs {
-            [] => Bdd::TRUE,
-            [f] => self.exists_x(*f, c),
-            [init @ .., last] => {
-                let mut acc = init[0];
-                for &f in &init[1..] {
-                    acc = self.and_x(acc, f);
-                    if acc.is_false() {
-                        return Bdd::FALSE;
-                    }
-                }
-                self.and_exists_x(acc, *last, c)
-            }
-        }
-    }
-
-    /// N-ary generalisation of [`BddManager::and_exists`]:
-    /// `∃ vars(c) . (f₀ ∧ f₁ ∧ … ∧ fₙ)`.
-    ///
-    /// The first `n − 1` conjuncts are combined pairwise; the final
-    /// product is fused with the quantification so the full conjunction is
-    /// never materialised. An empty slice yields `∃c.TRUE = TRUE`.
-    pub fn and_exists_many(&self, fs: &[Bdd], c: Bdd) -> Bdd {
-        match fs {
-            [] => Bdd::TRUE,
-            [f] => self.exists(*f, c),
-            [init @ .., last] => {
-                let mut acc = init[0];
-                for &f in &init[1..] {
-                    acc = self.and(acc, f);
-                    if acc.is_false() {
-                        return Bdd::FALSE;
-                    }
-                }
-                self.and_exists(acc, *last, c)
-            }
-        }
-    }
+    m.memo(Memo::AndExists(a, b, c), r);
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Var;
 
     fn setup3() -> (BddManager, Var, Var, Var) {
         let mut m = BddManager::new();
@@ -618,7 +273,7 @@ mod tests {
 
     #[test]
     fn cube_building_and_decomposition() {
-        let (m, x, y, z) = setup3();
+        let (mut m, x, y, z) = setup3();
         let lits = vec![Literal::positive(x), Literal::negative(y), Literal::positive(z)];
         let c = m.cube(&lits);
         assert!(m.is_cube(c));
@@ -631,7 +286,7 @@ mod tests {
 
     #[test]
     fn contradictory_cube_is_false() {
-        let (m, x, _, _) = setup3();
+        let (mut m, x, _, _) = setup3();
         let c = m.cube(&[Literal::positive(x), Literal::negative(x)]);
         assert!(c.is_false());
         assert!(!m.is_cube(c));
@@ -639,7 +294,7 @@ mod tests {
 
     #[test]
     fn non_cube_detection() {
-        let (m, x, y, _) = setup3();
+        let (mut m, x, y, _) = setup3();
         let (vx, vy) = (m.var(x), m.var(y));
         let f = m.or(vx, vy);
         assert!(!m.is_cube(f));
@@ -653,7 +308,7 @@ mod tests {
 
     #[test]
     fn restrict_single_literal() {
-        let (m, x, y, _) = setup3();
+        let (mut m, x, y, _) = setup3();
         let (vx, vy) = (m.var(x), m.var(y));
         let f = m.xor(vx, vy);
         let f_x1 = m.restrict(f, x, true);
@@ -665,7 +320,7 @@ mod tests {
 
     #[test]
     fn cofactor_commutes_with_negation() {
-        let (m, x, y, z) = setup3();
+        let (mut m, x, y, z) = setup3();
         let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
         let xy = m.and(vx, vy);
         let f = m.or(xy, vz);
@@ -678,7 +333,7 @@ mod tests {
 
     #[test]
     fn cofactor_cube_matches_sequential_restrict() {
-        let (m, x, y, z) = setup3();
+        let (mut m, x, y, z) = setup3();
         let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
         let xy = m.and(vx, vy);
         let f = m.or(xy, vz);
@@ -692,7 +347,7 @@ mod tests {
 
     #[test]
     fn exists_removes_variable() {
-        let (m, x, y, _) = setup3();
+        let (mut m, x, y, _) = setup3();
         let (vx, vy) = (m.var(x), m.var(y));
         let f = m.and(vx, vy);
         let cx = m.vars_cube(&[x]);
@@ -703,7 +358,7 @@ mod tests {
 
     #[test]
     fn exists_is_disjunction_of_cofactors() {
-        let (m, x, y, z) = setup3();
+        let (mut m, x, y, z) = setup3();
         let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
         let t0 = m.and(vx, vy);
         let nz = m.not(vz);
@@ -721,7 +376,7 @@ mod tests {
 
     #[test]
     fn forall_is_dual_of_exists() {
-        let (m, x, y, z) = setup3();
+        let (mut m, x, y, z) = setup3();
         let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
         let t0 = m.or(vx, vy);
         let f = m.and(t0, vz);
@@ -742,7 +397,7 @@ mod tests {
 
     #[test]
     fn and_exists_equals_unfused() {
-        let (m, x, y, z) = setup3();
+        let (mut m, x, y, z) = setup3();
         let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
         let f = m.or(vx, vy);
         let g = m.xor(vy, vz);
@@ -755,7 +410,7 @@ mod tests {
 
     #[test]
     fn and_exists_of_complements_is_empty() {
-        let (m, x, y, _) = setup3();
+        let (mut m, x, y, _) = setup3();
         let (vx, vy) = (m.var(x), m.var(y));
         let f = m.or(vx, vy);
         let nf = m.not(f);
@@ -765,7 +420,7 @@ mod tests {
 
     #[test]
     fn quantifying_irrelevant_vars_is_identity() {
-        let (m, x, y, z) = setup3();
+        let (mut m, x, y, z) = setup3();
         let (vx, vy) = (m.var(x), m.var(y));
         let f = m.and(vx, vy);
         let cz = m.vars_cube(&[z]);
@@ -774,39 +429,8 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_quantifiers_return_the_shared_canonical_handles() {
-        let mut m = BddManager::new();
-        let vars: Vec<Var> = (0..8).map(|i| m.new_var(format!("x{i}"))).collect();
-        let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-        let t0 = m.and(lits[0], lits[3]);
-        let t1 = m.xor(lits[1], lits[5]);
-        let f = m.or(t0, t1);
-        let t2 = m.and(lits[2], lits[5]);
-        let g = m.xor(t2, lits[6]);
-        let c = m.vars_cube(&[vars[1], vars[3], vars[5]]);
-        let shared_ex = m.exists(f, c);
-        assert_eq!(m.exists_x(f, c), shared_ex);
-        let excl_fa = m.forall_x(g, c);
-        assert_eq!(m.forall(g, c), excl_fa);
-        let shared_ae = m.and_exists(f, g, c);
-        assert_eq!(m.and_exists_x(f, g, c), shared_ae);
-        let excl_cof = m.cofactor_cube_x(f, c);
-        assert_eq!(m.cofactor_cube(f, c), excl_cof);
-        // The bounded product agrees with the unbounded one in both
-        // modes (g/c sit at level 2 and deeper).
-        let deep_c = m.vars_cube(&[vars[5]]);
-        let bound = 2;
-        let shared_below = m.and_exists_below(f, t2, deep_c, bound);
-        assert_eq!(m.and_exists_below_x(f, t2, deep_c, bound), shared_below);
-        let many = [f, g, t2];
-        let shared_many = m.and_exists_many(&many, c);
-        assert_eq!(m.and_exists_many_x(&many, c), shared_many);
-        m.check_invariants();
-    }
-
-    #[test]
     fn exists_over_whole_support_gives_constant() {
-        let (m, x, y, _) = setup3();
+        let (mut m, x, y, _) = setup3();
         let (vx, vy) = (m.var(x), m.var(y));
         let f = m.and(vx, vy);
         let c = m.vars_cube(&[x, y]);

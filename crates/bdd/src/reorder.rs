@@ -9,6 +9,7 @@
 
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
+use crate::ops::BddOps;
 use std::collections::HashMap;
 
 impl BddManager {
@@ -65,7 +66,6 @@ impl BddManager {
         fresh.gc_full_runs = self.gc_full_runs;
         fresh.gc_reclaimed = self.gc_reclaimed;
         fresh.gc_pause_ns = self.gc_pause_ns;
-        fresh.gc_growth = self.gc_growth;
         *self = fresh;
         mapped
     }

@@ -58,7 +58,7 @@ const CHECKPOINT_VERSION: u32 = 3;
 /// # Examples
 ///
 /// ```
-/// use stgcheck_bdd::BddManager;
+/// use stgcheck_bdd::{BddManager, BddOps};
 /// let mut a = BddManager::new();
 /// let x = a.new_var("x");
 /// let y = a.new_var("y");
@@ -614,6 +614,7 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BddOps;
 
     fn twin_managers(nvars: usize) -> (BddManager, BddManager) {
         let mut a = BddManager::new();
@@ -638,7 +639,7 @@ mod tests {
 
     #[test]
     fn cross_manager_round_trip_preserves_semantics() {
-        let (a, b) = twin_managers(6);
+        let (mut a, b) = twin_managers(6);
         let vars = a.order();
         let mut f = a.zero();
         for (i, &v) in vars.iter().enumerate() {
@@ -655,7 +656,7 @@ mod tests {
 
     #[test]
     fn complement_root_shares_the_node_list() {
-        let (a, b) = twin_managers(4);
+        let (mut a, b) = twin_managers(4);
         let vars = a.order();
         let (v0, v1) = (a.var(vars[0]), a.var(vars[1]));
         let f = a.and(v0, v1);
@@ -672,7 +673,7 @@ mod tests {
 
     #[test]
     fn same_manager_import_is_identity() {
-        let (a, _) = twin_managers(4);
+        let (mut a, _) = twin_managers(4);
         let vars = a.order();
         let (v0, v1) = (a.var(vars[0]), a.var(vars[1]));
         let t0 = a.and(v0, v1);
@@ -684,7 +685,7 @@ mod tests {
 
     #[test]
     fn byte_round_trip_and_compactness() {
-        let (a, _) = twin_managers(8);
+        let (mut a, _) = twin_managers(8);
         let vars = a.order();
         let mut f = a.one();
         for &v in &vars {
@@ -821,7 +822,7 @@ mod tests {
 
     #[test]
     fn bulk_import_equals_recursive_import() {
-        let (a, _) = twin_managers(8);
+        let (mut a, _) = twin_managers(8);
         let vars = a.order();
         // A function with shared subgraphs and complemented edges.
         let mut f = a.zero();
@@ -851,7 +852,7 @@ mod tests {
 
     #[test]
     fn shared_subgraphs_serialize_once() {
-        let (a, b) = twin_managers(5);
+        let (mut a, b) = twin_managers(5);
         let vars = a.order();
         // f = (x0 ∧ g) ∨ (¬x0 ∧ g) collapses to g, so force sharing via
         // two distinct parents over a common child instead.

@@ -436,6 +436,7 @@ impl BddManager {
 mod tests {
     use super::*;
     use crate::node::Literal;
+    use crate::BddOps;
 
     /// `f` evaluated over all assignments of `n` variables.
     fn truth_table(m: &BddManager, f: Bdd, n: usize) -> Vec<bool> {

@@ -2,7 +2,7 @@
 //! semantics, plus the algebraic laws the symbolic algorithms rely on.
 
 use proptest::prelude::*;
-use stgcheck_bdd::{Bdd, BddManager, BoolExpr, Literal, Var};
+use stgcheck_bdd::{Bdd, BddManager, BddOps, BoolExpr, Literal, Var};
 
 const NVARS: usize = 6;
 
@@ -43,6 +43,44 @@ fn assignment_from_bits(bits: u32) -> Vec<bool> {
     (0..NVARS).map(|i| bits & (1 << i) != 0).collect()
 }
 
+/// Every node-creating [`BddOps`] operation once, on operands `f`, `g`,
+/// `h` and the variable mask `mask`, through whichever instantiation `m`
+/// selects. Generic so that one script runs on `&BddManager` (atomic
+/// stores) and on `BddManager` reached through `&mut` (plain stores).
+fn op_script<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, h: Bdd, mask: u32) -> Vec<Bdd> {
+    let vars: Vec<Var> = (0..NVARS).filter(|i| mask & (1 << i) != 0).map(Var::from_index).collect();
+    let lits: Vec<Literal> =
+        vars.iter().enumerate().map(|(i, &v)| Literal::new(v, i % 2 == 0)).collect();
+    let q = m.vars_cube(&vars);
+    let cube = m.cube(&lits);
+    // `g` projected onto the deepest variable: an operand that respects
+    // `and_exists_below`'s bound.
+    let above: Vec<Var> = (0..NVARS - 1).map(Var::from_index).collect();
+    let above = m.vars_cube(&above);
+    let g_deep = m.exists(g, above);
+    let q_deep = m.vars_cube(&[Var::from_index(NVARS - 1)]);
+    vec![
+        m.and(f, g),
+        m.or(f, g),
+        m.xor(f, g),
+        m.diff(f, g),
+        m.implies(f, g),
+        m.iff(f, g),
+        m.ite(f, g, h),
+        m.and_many(&[f, g, h]),
+        m.or_many(&[f, g, h]),
+        m.compose(f, Var::from_index(0), g),
+        q,
+        cube,
+        m.cofactor_cube(f, cube),
+        m.exists(f, q),
+        m.forall(f, q),
+        m.and_exists(f, g, q),
+        m.and_exists_below(f, g_deep, q_deep, NVARS - 1),
+        m.and_exists_many(&[f, g, h], q),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -77,7 +115,7 @@ proptest! {
     /// ∃x.f ≡ f|x=0 ∨ f|x=1 and ∀x.f ≡ f|x=0 ∧ f|x=1, for every variable.
     #[test]
     fn quantifier_shannon_laws(e in arb_expr(), vi in 0..NVARS) {
-        let (m, f) = compile(&e);
+        let (mut m, f) = compile(&e);
         let v = Var::from_index(vi);
         let c = m.vars_cube(&[v]);
         let f0 = m.restrict(f, v, false);
@@ -115,7 +153,7 @@ proptest! {
     /// Cofactor by a cube equals iterated single-variable restriction.
     #[test]
     fn cube_cofactor_is_iterated_restrict(e in arb_expr(), mask in 0u32..(1 << NVARS), pol in 0u32..(1 << NVARS)) {
-        let (m, f) = compile(&e);
+        let (mut m, f) = compile(&e);
         let lits: Vec<Literal> = (0..NVARS)
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| Literal::new(Var::from_index(i), pol & (1 << i) != 0))
@@ -405,11 +443,53 @@ proptest! {
         );
     }
 
+    /// Both instantiations of every operation are one function: on one
+    /// manager, the `&BddManager` (atomic) and `&mut BddManager`
+    /// (plain-store) paths return identical handles whichever runs first,
+    /// and the same script run on two fresh managers — one per
+    /// instantiation — leaves identical statistics behind.
+    #[test]
+    fn shared_and_exclusive_instantiations_agree(
+        e1 in arb_expr(),
+        e2 in arb_expr(),
+        e3 in arb_expr(),
+        mask in 0u32..(1 << NVARS),
+    ) {
+        let build = || {
+            let (mut m, _) = compile(&e1);
+            let vars: Vec<Var> = (0..NVARS).map(Var::from_index).collect();
+            let resolve = |name: &str| -> Option<Var> {
+                let idx: usize = name[1..].parse().ok()?;
+                vars.get(idx).copied()
+            };
+            let ops = [&e1, &e2, &e3].map(|e| e.to_bdd(&mut m, &resolve));
+            (m, ops)
+        };
+        let (mut m, [f, g, h]) = build();
+        let shared = op_script(&mut &m, f, g, h, mask);
+        let exclusive = op_script(&mut m, f, g, h, mask);
+        prop_assert_eq!(&shared, &exclusive);
+        // Exclusive first, on a manager whose memo tables have not seen
+        // the script: the shared path must find the same handles.
+        let (mut m, [f, g, h]) = build();
+        let exclusive = op_script(&mut m, h, f, g, !mask);
+        let shared = op_script(&mut &m, h, f, g, !mask);
+        prop_assert_eq!(&shared, &exclusive);
+        m.check_invariants();
+
+        let (a, [f, g, h]) = build();
+        let (mut b, _) = build();
+        let via_shared = op_script(&mut &a, f, g, h, mask);
+        let via_exclusive = op_script(&mut b, f, g, h, mask);
+        prop_assert_eq!(via_shared, via_exclusive);
+        prop_assert_eq!(a.stats(), b.stats());
+    }
+
     /// Cube enumeration partitions the on-set: cubes are disjoint and their
     /// union is the function.
     #[test]
     fn cubes_partition_function(e in arb_expr()) {
-        let (m, f) = compile(&e);
+        let (mut m, f) = compile(&e);
         let cubes: Vec<Vec<Literal>> = m.cubes(f).collect();
         let mut union = m.zero();
         let mut total = 0u128;

@@ -3,7 +3,7 @@
 //! abstraction, relational product).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stgcheck_bdd::{Bdd, BddManager, Literal, Var};
+use stgcheck_bdd::{Bdd, BddManager, BddOps, Literal, Var};
 
 /// Builds the disjunction of `n` conjunctions `aᵢ ∧ bᵢ` under an
 /// interleaved order — linear-sized, a realistic reachable-set shape.
@@ -28,7 +28,7 @@ fn bench_and(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdd/and");
     for n in [16usize, 64, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
-            let (m, f, avars, _) = build_sum_of_products(n);
+            let (mut m, f, avars, _) = build_sum_of_products(n);
             let mut g = m.one();
             for &v in avars.iter().take(n / 2) {
                 let lv = m.var(v);
@@ -44,7 +44,7 @@ fn bench_cofactor(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdd/cofactor_cube");
     for n in [16usize, 64, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
-            let (m, f, avars, bvars) = build_sum_of_products(n);
+            let (mut m, f, avars, bvars) = build_sum_of_products(n);
             let lits: Vec<Literal> = avars
                 .iter()
                 .step_by(4)
@@ -62,7 +62,7 @@ fn bench_exists(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdd/exists");
     for n in [16usize, 64, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
-            let (m, f, avars, _) = build_sum_of_products(n);
+            let (mut m, f, avars, _) = build_sum_of_products(n);
             let cube = m.vars_cube(&avars);
             bencher.iter(|| std::hint::black_box(m.exists(f, cube)));
         });
@@ -74,7 +74,7 @@ fn bench_and_exists(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdd/and_exists");
     for n in [16usize, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
-            let (m, f, avars, bvars) = build_sum_of_products(n);
+            let (mut m, f, avars, bvars) = build_sum_of_products(n);
             let mut g = m.zero();
             for i in 0..n {
                 let (a, b) = (m.var(avars[i]), m.nvar(bvars[i]));

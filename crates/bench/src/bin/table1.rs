@@ -9,9 +9,8 @@
 //! ```text
 //! cargo run --release -p stgcheck-bench --bin table1 [--explicit] \
 //!     [--order <strategy>] [--engine <engine>|all] [--jobs <n>] \
-//!     [--jobs-matrix <n,n,…>] [--repeat <n>] [--gc-growth <f>] \
-//!     [--sharing shared|private] [--reorder <mode>|all] [--from-dir <dir>] \
-//!     [--json <path>] [--small]
+//!     [--jobs-matrix <n,n,…>] [--repeat <n>] [--sharing shared|private] \
+//!     [--reorder <mode>|all] [--from-dir <dir>] [--json <path>] [--small]
 //! ```
 //!
 //! * `--explicit` additionally times the explicit state-graph baseline on
@@ -26,16 +25,14 @@
 //!   default shared manager this now scales work against one BDD arena;
 //!   `0` (the default) auto-detects the machine's available parallelism,
 //!   and every row records the detected value as `jobs_detected`;
-//! * `--jobs-matrix <n,n,…>` (e.g. `1,2,4,8`) prints one row per jobs
-//!   value so single-thread exclusive-mode walls sit next to the
-//!   multi-worker scaling curve in one table; overrides `--jobs`;
+//! * `--jobs-matrix <n,n,…>` (e.g. `1,2,4,8`) prints one parallel-engine
+//!   row per jobs value so the single-worker wall sits next to the
+//!   multi-worker scaling curve in one table; overrides `--jobs`. The
+//!   other engines ignore `jobs` and get one row each, at `jobs` 1;
 //! * `--repeat <n>` verifies every row `n` times and reports the median
 //!   wall time (min/max land in the JSON as `wall_min_s`/`wall_max_s`) —
 //!   the checked-in `BENCH_table1.json` uses `--repeat 3`; note that with
 //!   `--cache-dir` every repeat after the first is served warm;
-//! * `--gc-growth <f>` tunes the generational-GC trigger (collect when
-//!   live nodes exceed `f`× the post-collection baseline; default 1.5,
-//!   must be > 1.0);
 //! * `--sharing shared|private` selects whether parallel workers share the
 //!   one concurrent manager or keep private ones (default: shared);
 //! * `--reorder none|sift|auto|all` selects the dynamic variable
@@ -257,20 +254,16 @@ fn main() {
             std::process::exit(2);
         })
     });
-    // One row per jobs value; a bare `--jobs N` is the 1-element matrix.
-    let jobs_matrix: Vec<usize> = value_of("--jobs-matrix").map_or_else(
-        || vec![jobs],
-        |v| {
-            v.split(',')
-                .map(|p| {
-                    p.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("--jobs-matrix needs comma-separated numbers, got `{v}`");
-                        std::process::exit(2);
-                    })
+    let jobs_matrix: Option<Vec<usize>> = value_of("--jobs-matrix").map(|v| {
+        v.split(',')
+            .map(|p| {
+                p.trim().parse().unwrap_or_else(|_| {
+                    eprintln!("--jobs-matrix needs comma-separated numbers, got `{v}`");
+                    std::process::exit(2);
                 })
-                .collect()
-        },
-    );
+            })
+            .collect()
+    });
     let repeat: usize = value_of("--repeat").map_or(1, |v| {
         let n = v.parse().unwrap_or_else(|_| {
             eprintln!("--repeat needs a number, got `{v}`");
@@ -281,17 +274,6 @@ fn main() {
             std::process::exit(2);
         }
         n
-    });
-    let gc_growth: f64 = value_of("--gc-growth").map_or(1.5, |v| {
-        let g: f64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("--gc-growth needs a number, got `{v}`");
-            std::process::exit(2);
-        });
-        if !g.is_finite() || g <= 1.0 {
-            eprintln!("--gc-growth must be > 1.0 (collection must amortize), got `{v}`");
-            std::process::exit(2);
-        }
-        g
     });
     let sharing: ShardSharing = value_of("--sharing").map_or_else(ShardSharing::default, |v| {
         v.parse().unwrap_or_else(|e| {
@@ -405,10 +387,17 @@ fn main() {
     let persist = PersistOptions { cache_dir: cache_dir.clone(), ..PersistOptions::default() };
     // One row per (engine, reorder, jobs) combination, jobs innermost so
     // the scaling curve of one configuration reads as consecutive lines.
+    // Only the parallel engine reads `jobs`, so only it is multiplied by
+    // the matrix; a bare `--jobs N` is the 1-element matrix of every engine.
     let mut combos: Vec<(EngineKind, ReorderMode, usize)> = Vec::new();
     for &kind in &engines {
+        let jobs_of_kind = match &jobs_matrix {
+            Some(matrix) if kind == EngineKind::ParallelSharded => matrix.clone(),
+            Some(_) => vec![1],
+            None => vec![jobs],
+        };
         for &reorder in &reorders {
-            for &j in &jobs_matrix {
+            for &j in &jobs_of_kind {
                 combos.push((kind, reorder, j));
             }
         }
@@ -417,13 +406,7 @@ fn main() {
         |arbitration: bool, kind: EngineKind, reorder: ReorderMode, j: usize| VerifyOptions {
             order,
             policy: PersistencyPolicy { allow_arbitration: arbitration },
-            engine: stgcheck_core::EngineOptions {
-                kind,
-                jobs: j,
-                sharing,
-                gc_growth,
-                ..Default::default()
-            },
+            engine: stgcheck_core::EngineOptions { kind, jobs: j, sharing, ..Default::default() },
             reorder,
             budget,
         };

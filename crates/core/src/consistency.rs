@@ -8,7 +8,7 @@
 //!
 //! The STG is inconsistent iff `R(D) ∩ Inconsistent(D) ≠ ∅`.
 
-use stgcheck_bdd::{Bdd, Literal};
+use stgcheck_bdd::{Bdd, BddOps, Literal};
 use stgcheck_stg::{Polarity, SignalId};
 
 use crate::encode::{StateWitness, SymbolicStg};

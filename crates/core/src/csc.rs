@@ -3,7 +3,7 @@
 //! frozen-traversal check for CSC-*irreducibility* (mutually complementary
 //! input sequences).
 
-use stgcheck_bdd::{Bdd, Literal};
+use stgcheck_bdd::{Bdd, BddOps, Literal};
 use stgcheck_stg::{Polarity, SignalId, SignalKind};
 
 use crate::encode::{StateWitness, SymbolicStg};

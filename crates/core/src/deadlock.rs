@@ -6,7 +6,7 @@
 //! (a specification may legitimately terminate), so the verifier reports
 //! it as information rather than folding it into the verdict.
 
-use stgcheck_bdd::Bdd;
+use stgcheck_bdd::{Bdd, BddOps};
 
 use crate::encode::{StateWitness, SymbolicStg};
 

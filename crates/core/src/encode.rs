@@ -11,7 +11,7 @@
 //! * `NSM(t) = ∧_{p∈t•} p′` — no successor marked;
 //! * `ASM(t) = ∧_{p∈t•} p`  — all successors marked.
 
-use stgcheck_bdd::{Bdd, BddCheckpoint, BddManager, Literal, Var};
+use stgcheck_bdd::{Bdd, BddCheckpoint, BddManager, BddOps, Literal, Var};
 use stgcheck_petri::{PlaceId, TransId};
 use stgcheck_stg::{Code, Polarity, SignalId, Stg};
 
@@ -41,7 +41,7 @@ pub enum VarOrder {
 }
 
 /// Per-transition characteristic cubes (Section 4).
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct TransCubes {
     /// `E(t)`: all predecessor places marked.
     pub enabled: Bdd,
@@ -51,6 +51,9 @@ pub struct TransCubes {
     pub no_succ: Bdd,
     /// `ASM(t)`: all successor places marked.
     pub all_succ: Bdd,
+    /// The value the transition's signal holds right after it fires
+    /// (`a` for `a+`, `¬a` for `a−`); `None` for a dummy transition.
+    pub code_after: Option<Literal>,
 }
 
 /// The symbolic context for one STG: a BDD manager populated with place
@@ -244,7 +247,10 @@ impl<'a> SymbolicStg<'a> {
             let no_pred = mgr.cube(&neg(&pre));
             let no_succ = mgr.cube(&neg(&post));
             let all_succ = mgr.cube(&pos(&post));
-            trans_cubes.push(TransCubes { enabled, no_pred, no_succ, all_succ });
+            let code_after = stg
+                .label(t)
+                .map(|l| Literal::new(signal_vars[l.signal.index()], l.polarity.value_after()));
+            trans_cubes.push(TransCubes { enabled, no_pred, no_succ, all_succ, code_after });
         }
         let places_cube = mgr.vars_cube(&place_vars);
         let signals_cube = mgr.vars_cube(&signal_vars);
@@ -530,7 +536,7 @@ mod tests {
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let net = stg.net();
         let a1p = net.trans_by_name("a1+").unwrap();
-        let c = sym.cubes(a1p).clone();
+        let c = *sym.cubes(a1p);
         // a1+ consumes req1 and the mutex place: E(t) is a 2-literal cube.
         assert!(sym.manager().is_cube(c.enabled));
         assert_eq!(sym.manager().cube_literals(c.enabled).len(), 2);

@@ -14,7 +14,7 @@
 //! * [`EngineKind::Clustered`] — transitions greedily grouped by support
 //!   overlap into partitioned relations (Burch/Clarke/Long style); each
 //!   transition's step collapses to one fused
-//!   [`stgcheck_bdd::BddManager::and_exists`] over a *before* cube plus
+//!   [`stgcheck_bdd::BddOps::and_exists`] over a *before* cube plus
 //!   one product with an *after* cube, so the memoisation cache is shared
 //!   across the cluster's overlapping supports;
 //! * [`EngineKind::ParallelSharded`] — transitions sharded across
@@ -33,7 +33,7 @@
 //!   the variable order (the topmost level its support touches, so the
 //!   firing stays at or below it — see [`saturation_homes`]) and is
 //!   fired to a *local fixpoint* there through the level-bounded
-//!   [`stgcheck_bdd::BddManager::and_exists_below`]; the schedule works
+//!   [`stgcheck_bdd::BddOps::and_exists_below`]; the schedule works
 //!   deepest homes first and re-saturates the deeper levels a growing
 //!   cluster re-enables before moving up, so the reached set grows in a
 //!   locality-coherent order instead of one global frontier per sweep.
@@ -45,10 +45,10 @@
 use std::collections::BTreeSet;
 use std::sync::mpsc;
 
-use stgcheck_bdd::{Bdd, BddManager, Budget, Literal, ResourceError, SerializedBdd, Var};
+use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, Literal, ResourceError, SerializedBdd, Var};
 use stgcheck_petri::TransId;
 
-use crate::encode::SymbolicStg;
+use crate::encode::{SymbolicStg, TransCubes};
 use crate::traverse::TraversalStrategy;
 
 /// How many live nodes trigger a garbage collection between steps (shared
@@ -190,61 +190,10 @@ impl std::str::FromStr for ReorderMode {
     }
 }
 
-/// Which BDD-manager entry points an engine run uses.
-///
-/// Since PR 5 the manager is `Sync`: every operation publishes nodes and
-/// memo entries with release/acquire atomics so concurrent workers can
-/// share it. That protocol is pure overhead when only one thread touches
-/// the manager — which is every `jobs == 1` run and every sequential
-/// segment of a parallel run. The exclusive mode routes those segments
-/// through `&mut self` twins (`and_x`, `exists_x`, …) that use plain
-/// stores and `Mutex::get_mut`, with borrowck (not a fence) as the
-/// safety argument. Results are bit-identical either way; this knob only
-/// changes *how* they are computed.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// Pick automatically: exclusive whenever the engine's effective
-    /// worker count is 1, shared otherwise. The default.
-    #[default]
-    Auto,
-    /// Force the `&mut self` fast paths (only honoured where the engine
-    /// actually holds exclusive access; shared-manager parallel sections
-    /// always use the atomic paths regardless).
-    Exclusive,
-    /// Force the atomic shared paths even single-threaded — the PR 5
-    /// baseline, kept reachable for A/B benchmarking.
-    Shared,
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExecMode::Auto => "auto",
-            ExecMode::Exclusive => "exclusive",
-            ExecMode::Shared => "shared",
-        })
-    }
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ExecMode, String> {
-        match s {
-            "auto" => Ok(ExecMode::Auto),
-            "exclusive" | "excl" => Ok(ExecMode::Exclusive),
-            "shared" => Ok(ExecMode::Shared),
-            other => {
-                Err(format!("unknown exec mode `{other}` (expected auto, exclusive or shared)"))
-            }
-        }
-    }
-}
-
 /// Engine configuration, [`stgcheck_stg::SgOptions`]-style: a plain
 /// options struct with a sensible [`Default`], threaded through
 /// [`crate::VerifyOptions`] and the CLI.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct EngineOptions {
     /// Which engine computes the frontier step.
     pub kind: EngineKind,
@@ -264,31 +213,6 @@ pub struct EngineOptions {
     /// Whether [`EngineKind::ParallelSharded`] workers share the one
     /// concurrent manager (default) or own private managers.
     pub sharing: ShardSharing,
-    /// Exclusive-vs-shared manager entry points (see [`ExecMode`]).
-    /// Never part of a result-cache key: it changes how results are
-    /// computed, not what they are.
-    pub exec: ExecMode,
-    /// Growth factor of the amortized GC trigger
-    /// ([`stgcheck_bdd::BddManager::gc_due`]): collect only once the
-    /// live count has grown this many times past the previous
-    /// collection's survivor count. Must be > 1.0; default 1.5. Like
-    /// `exec`, never part of a result-cache key.
-    pub gc_growth: f64,
-}
-
-impl Default for EngineOptions {
-    fn default() -> EngineOptions {
-        EngineOptions {
-            kind: EngineKind::default(),
-            strategy: TraversalStrategy::default(),
-            jobs: 0,
-            max_cluster: 0,
-            reorder: ReorderMode::default(),
-            sharing: ShardSharing::default(),
-            exec: ExecMode::default(),
-            gc_growth: 1.5,
-        }
-    }
 }
 
 impl EngineOptions {
@@ -308,20 +232,6 @@ impl EngineOptions {
             self.max_cluster
         } else {
             8
-        }
-    }
-
-    /// `true` when a sequential engine segment should take the
-    /// exclusive-mode (`&mut self`) manager entry points: forced by
-    /// [`ExecMode::Exclusive`], forbidden by [`ExecMode::Shared`], and
-    /// under [`ExecMode::Auto`] taken exactly when the run is
-    /// single-threaded — a non-parallel engine, or a parallel engine
-    /// resolved to one worker.
-    pub fn exclusive(&self) -> bool {
-        match self.exec {
-            ExecMode::Exclusive => true,
-            ExecMode::Shared => false,
-            ExecMode::Auto => self.kind != EngineKind::ParallelSharded || self.effective_jobs() < 2,
         }
     }
 }
@@ -461,11 +371,11 @@ impl FixpointCtl {
     /// Seeds a loop: the resumed `(reached ∪ init, frontier, iterations)`
     /// or the fresh `(init, init, 0)`. Union with `init` keeps the seed
     /// sound even for a snapshot taken before init was folded in.
-    fn seed(&mut self, sym: &SymbolicStg<'_>, init: Bdd) -> (Bdd, Bdd, usize) {
+    fn seed(&mut self, sym: &mut SymbolicStg<'_>, init: Bdd) -> (Bdd, Bdd, usize) {
         match self.resume.take() {
             Some(r) => {
                 self.last_snapshot = r.iterations;
-                (sym.manager().or(r.reached, init), r.frontier, r.iterations)
+                (sym.manager_mut().or(r.reached, init), r.frontier, r.iterations)
             }
             None => (init, init, 0),
         }
@@ -598,7 +508,6 @@ pub(crate) fn run_fixpoint(
             },
         };
     }
-    sym.manager_mut().set_gc_growth(opts.gc_growth);
     match opts.kind {
         EngineKind::PerTransition => run_per_transition(sym, opts, spec, transitions, init, ctl),
         EngineKind::Clustered => run_clustered(sym, opts, spec, transitions, init, ctl),
@@ -609,69 +518,14 @@ pub(crate) fn run_fixpoint(
 
 /// One δ application under the spec, confined to `within` when set.
 ///
-/// `&SymbolicStg` is all it needs — the image pipeline runs entirely on
-/// the concurrent manager's shared-reference operations, which is what
-/// lets the shared-mode workers call it from many threads at once.
-fn apply_one(sym: &SymbolicStg<'_>, spec: &FixpointSpec, set: Bdd, t: TransId) -> Bdd {
-    let img = match (spec.direction, spec.marking_only) {
-        (StepDirection::Forward, false) => sym.image(set, t),
-        (StepDirection::Forward, true) => sym.image_marking(set, t),
-        (StepDirection::Backward, false) => sym.preimage(set, t),
-        (StepDirection::Backward, true) => sym.preimage_marking(set, t),
-    };
+/// Generic over the manager borrow: the shared-mode workers call it with
+/// `&BddManager` from many threads at once, every other caller with
+/// `&mut BddManager`.
+fn apply_one<M: BddOps>(mgr: &mut M, spec: &FixpointSpec, cubes: &TransCubes, set: Bdd) -> Bdd {
+    let img = cubes.fire(mgr, set, spec.direction, spec.marking_only);
     match spec.within {
-        Some(w) => sym.manager().and(img, w),
+        Some(w) => mgr.and(img, w),
         None => img,
-    }
-}
-
-// Mode-dispatch helpers: one branch per step, routing to either the
-// shared (atomic-publication) or the exclusive (`&mut`, plain-store)
-// manager entry points. The exclusive side is only reachable from
-// contexts that hold `&mut SymbolicStg` — which every sequential engine
-// loop and every private-manager worker does — so the dispatch is a
-// plain bool, decided once per run by [`EngineOptions::exclusive`].
-
-/// [`apply_one`] with mode dispatch.
-fn apply_one_m(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    set: Bdd,
-    t: TransId,
-    x: bool,
-) -> Bdd {
-    if !x {
-        return apply_one(sym, spec, set, t);
-    }
-    let img = match (spec.direction, spec.marking_only) {
-        (StepDirection::Forward, false) => sym.image_x(set, t),
-        (StepDirection::Forward, true) => sym.image_marking_x(set, t),
-        (StepDirection::Backward, false) => sym.preimage_x(set, t),
-        (StepDirection::Backward, true) => sym.preimage_marking_x(set, t),
-    };
-    match spec.within {
-        Some(w) => sym.manager_mut().and_x(img, w),
-        None => img,
-    }
-}
-
-/// Mode-dispatched disjunction on the main manager.
-fn or_m(sym: &mut SymbolicStg<'_>, a: Bdd, b: Bdd, x: bool) -> Bdd {
-    let mgr = sym.manager_mut();
-    if x {
-        mgr.or_x(a, b)
-    } else {
-        mgr.or(a, b)
-    }
-}
-
-/// Mode-dispatched set difference on the main manager.
-fn diff_m(sym: &mut SymbolicStg<'_>, a: Bdd, b: Bdd, x: bool) -> Bdd {
-    let mgr = sym.manager_mut();
-    if x {
-        mgr.diff_x(a, b)
-    } else {
-        mgr.diff(a, b)
     }
 }
 
@@ -748,7 +602,6 @@ fn run_per_transition(
     init: Bdd,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
-    let x = opts.exclusive();
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     let mut rings = if spec.record_rings { vec![init] } else { Vec::new() };
     loop {
@@ -757,8 +610,9 @@ fn run_per_transition(
             TraversalStrategy::Chained => {
                 let mut acc = from;
                 for &t in transitions {
-                    let img = apply_one_m(sym, spec, acc, t, x);
-                    acc = or_m(sym, acc, img, x);
+                    let cubes = *sym.cubes(t);
+                    let img = apply_one(sym.manager_mut(), spec, &cubes, acc);
+                    acc = sym.manager_mut().or(acc, img);
                     // Intermediate sets inside one chained sweep are the
                     // memory peak on deep pipelines: collect eagerly,
                     // keeping only the running accumulator.
@@ -769,8 +623,9 @@ fn run_per_transition(
             TraversalStrategy::Bfs => {
                 let mut acc = from;
                 for &t in transitions {
-                    let img = apply_one_m(sym, spec, from, t, x);
-                    acc = or_m(sym, acc, img, x);
+                    let cubes = *sym.cubes(t);
+                    let img = apply_one(sym.manager_mut(), spec, &cubes, from);
+                    acc = sym.manager_mut().or(acc, img);
                     maybe_gc(sym, spec, &[reached, from, acc], &rings, &[]);
                 }
                 acc
@@ -788,11 +643,11 @@ fn run_per_transition(
                 stop,
             };
         }
-        let new = diff_m(sym, to, reached, x);
+        let new = sym.manager_mut().diff(to, reached);
         if new.is_false() {
             break;
         }
-        reached = or_m(sym, reached, new, x);
+        reached = sym.manager_mut().or(reached, new);
         if spec.record_rings {
             rings.push(new);
         }
@@ -885,46 +740,29 @@ pub(crate) fn build_fused_cubes(
     out
 }
 
-/// One fused δ application (forward or backward) confined to `within`.
-pub(crate) fn fused_apply(
-    sym: &mut SymbolicStg<'_>,
+/// One fused δ application (forward or backward) confined to `within`,
+/// generic over the manager borrow like [`apply_one`].
+///
+/// `bound` is the firing cluster's home level under
+/// [`EngineKind::Saturation`]: the `and_exists` recursion then keeps the
+/// state set's shape above it instead of re-peeking the cubes at every
+/// node (see [`stgcheck_bdd::BddOps::and_exists_below`]). The result does
+/// not depend on the bound; `0` is the plain fused product.
+pub(crate) fn fused_apply<M: BddOps>(
+    mgr: &mut M,
     spec: &FixpointSpec,
     cubes: &FusedCubes,
     set: Bdd,
+    bound: usize,
 ) -> Bdd {
     let (select, reimpose) = match spec.direction {
         StepDirection::Forward => (cubes.before, cubes.after),
         StepDirection::Backward => (cubes.after, cubes.before),
     };
-    let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_many(&[set, select], cubes.quant);
+    let moved = mgr.and_exists_below(set, select, cubes.quant, bound);
     let img = mgr.and(moved, reimpose);
     match spec.within {
-        Some(w) => sym.manager_mut().and(img, w),
-        None => img,
-    }
-}
-
-/// [`fused_apply`] with mode dispatch.
-fn fused_apply_m(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    cubes: &FusedCubes,
-    set: Bdd,
-    x: bool,
-) -> Bdd {
-    if !x {
-        return fused_apply(sym, spec, cubes, set);
-    }
-    let (select, reimpose) = match spec.direction {
-        StepDirection::Forward => (cubes.before, cubes.after),
-        StepDirection::Backward => (cubes.after, cubes.before),
-    };
-    let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_many_x(&[set, select], cubes.quant);
-    let img = mgr.and_x(moved, reimpose);
-    match spec.within {
-        Some(w) => sym.manager_mut().and_x(img, w),
+        Some(w) => mgr.and(img, w),
         None => img,
     }
 }
@@ -978,7 +816,6 @@ fn run_clustered(
         fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
     let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
     let engine_roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
-    let x = opts.exclusive();
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     loop {
         iterations += 1;
@@ -988,11 +825,12 @@ fn run_clustered(
         let mut acc = from;
         for cluster in &clusters {
             let mut delta = Bdd::FALSE;
+            let mgr = sym.manager_mut();
             for &i in cluster {
-                let img = fused_apply_m(sym, spec, &fused[i], acc, x);
-                delta = or_m(sym, delta, img, x);
+                let img = fused_apply(mgr, spec, &fused[i], acc, 0);
+                delta = mgr.or(delta, img);
             }
-            acc = or_m(sym, acc, delta, x);
+            acc = mgr.or(acc, delta);
             maybe_gc(sym, spec, &[reached, acc], &[], &engine_roots);
         }
         // Pre-commit budget check — see `run_per_transition`.
@@ -1005,11 +843,11 @@ fn run_clustered(
                 stop,
             };
         }
-        let new = diff_m(sym, acc, reached, x);
+        let new = sym.manager_mut().diff(acc, reached);
         if new.is_false() {
             break;
         }
-        reached = or_m(sym, reached, new, x);
+        reached = sym.manager_mut().or(reached, new);
         from = new;
         maybe_gc(sym, spec, &[reached, from], &[], &engine_roots);
         // The fused cubes are ordinary protected roots: in-place sifting
@@ -1045,7 +883,7 @@ fn run_clustered(
 /// topmost (smallest-index; levels grow towards the terminals) level any
 /// of its variables sits on. The cluster's support then lies entirely in
 /// `[home, n)`, so its firings can never build structure above the home
-/// and [`stgcheck_bdd::BddManager::and_exists_below`] may descend the
+/// and [`stgcheck_bdd::BddOps::and_exists_below`] may descend the
 /// state set structurally down to it.
 ///
 /// The assignment is a pure, permutation-stable function of the variable
@@ -1072,54 +910,6 @@ pub(crate) fn saturation_schedule(homes: &[usize]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..homes.len()).collect();
     order.sort_by_key(|&c| (std::cmp::Reverse(homes[c]), c));
     order
-}
-
-/// [`fused_apply`] bounded at the firing cluster's home level: identical
-/// result, but the `and_exists` recursion keeps the state set's shape
-/// above `home` instead of re-peeking the cubes at every node.
-fn fused_apply_below(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    cubes: &FusedCubes,
-    set: Bdd,
-    home: usize,
-) -> Bdd {
-    let (select, reimpose) = match spec.direction {
-        StepDirection::Forward => (cubes.before, cubes.after),
-        StepDirection::Backward => (cubes.after, cubes.before),
-    };
-    let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_below(set, select, cubes.quant, home);
-    let img = mgr.and(moved, reimpose);
-    match spec.within {
-        Some(w) => sym.manager_mut().and(img, w),
-        None => img,
-    }
-}
-
-/// [`fused_apply_below`] with mode dispatch.
-fn fused_apply_below_m(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    cubes: &FusedCubes,
-    set: Bdd,
-    home: usize,
-    x: bool,
-) -> Bdd {
-    if !x {
-        return fused_apply_below(sym, spec, cubes, set, home);
-    }
-    let (select, reimpose) = match spec.direction {
-        StepDirection::Forward => (cubes.before, cubes.after),
-        StepDirection::Backward => (cubes.after, cubes.before),
-    };
-    let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_below_x(set, select, cubes.quant, home);
-    let img = mgr.and_x(moved, reimpose);
-    match spec.within {
-        Some(w) => sym.manager_mut().and_x(img, w),
-        None => img,
-    }
 }
 
 /// Ciardo-style saturation over the clustered engine's grouping.
@@ -1172,7 +962,6 @@ fn run_saturation(
     // Saturation has no global frontier; a resumed snapshot seeds the
     // reached set and the sweep simply re-saturates every cluster against
     // it (already-saturated clusters converge in one pass).
-    let x = opts.exclusive();
     let (mut reached, _, mut iterations) = ctl.seed(sym, init);
     let mut pos = 0;
     while pos < schedule.len() {
@@ -1184,8 +973,9 @@ fn run_saturation(
             iterations += 1;
             let mut acc = reached;
             for &i in &clusters[c] {
-                let img = fused_apply_below_m(sym, spec, &fused[i], acc, homes[c], x);
-                acc = or_m(sym, acc, img, x);
+                let mgr = sym.manager_mut();
+                let img = fused_apply(mgr, spec, &fused[i], acc, homes[c]);
+                acc = mgr.or(acc, img);
                 maybe_gc(sym, spec, &[reached, acc], &[], &engine_roots);
             }
             // A trip inside the sweep makes `acc` inert garbage (an OR of
@@ -1271,22 +1061,22 @@ fn shard_closure(
     spec: &FixpointSpec,
     shard: &[TransId],
     from: Bdd,
-    x: bool,
 ) -> Bdd {
     let mut reached = from;
     let mut front = from;
     loop {
         let mut acc = front;
         for &t in shard {
-            let img = apply_one_m(w, spec, acc, t, x);
-            acc = or_m(w, acc, img, x);
+            let cubes = *w.cubes(t);
+            let img = apply_one(w.manager_mut(), spec, &cubes, acc);
+            acc = w.manager_mut().or(acc, img);
             maybe_gc(w, spec, &[reached, acc], &[], &[]);
         }
-        let new = diff_m(w, acc, reached, x);
+        let new = w.manager_mut().diff(acc, reached);
         if new.is_false() {
             return reached;
         }
-        reached = or_m(w, reached, new, x);
+        reached = w.manager_mut().or(reached, new);
         front = new;
         maybe_gc(w, spec, &[reached, front], &[], &[]);
     }
@@ -1304,13 +1094,13 @@ fn shard_closure_shared(
     shard: &[TransId],
     from: Bdd,
 ) -> Bdd {
-    let mgr = sym.manager();
+    let mut mgr = sym.manager();
     let mut reached = from;
     let mut front = from;
     loop {
         let mut acc = front;
         for &t in shard {
-            let img = apply_one(sym, spec, acc, t);
+            let img = apply_one(&mut mgr, spec, sym.cubes(t), acc);
             acc = mgr.or(acc, img);
         }
         let new = mgr.diff(acc, reached);
@@ -1450,18 +1240,14 @@ fn run_parallel_shared(
             };
         }
         // Workers are joined: the coordinator holds `&mut` again, so the
-        // join/commit arithmetic of this sequential segment takes the
-        // exclusive fast path (unless A/B-pinned to the shared one).
-        let xq = opts.exec != ExecMode::Shared;
-        let mut to = from;
-        for part in parts {
-            to = or_m(sym, to, part, xq);
-        }
-        let new = diff_m(sym, to, reached, xq);
+        // join/commit arithmetic runs the plain-store instantiation.
+        let mgr = sym.manager_mut();
+        let to = parts.into_iter().fold(from, |to, part| mgr.or(to, part));
+        let new = mgr.diff(to, reached);
         if new.is_false() {
             break;
         }
-        reached = or_m(sym, reached, new, xq);
+        reached = mgr.or(reached, new);
         from = new;
         // Stop-the-world quiesce point: workers are joined, the `&mut`
         // borrow is exclusive again.
@@ -1515,11 +1301,6 @@ fn run_parallel_private(
     // the node ceiling, the coordinator passing the deadline) reaches
     // every private manager at its next allocation poll.
     let budget = ctl.budget.clone();
-    // A private worker owns its manager outright, so it always qualifies
-    // for the exclusive fast path — unless the run is pinned to the shared
-    // one for A/B comparison.
-    let worker_excl = opts.exec != ExecMode::Shared;
-    let gc_growth = opts.gc_growth;
     std::thread::scope(|scope| {
         let (res_tx, res_rx) = mpsc::channel::<(SerializedBdd, usize)>();
         let mut cmd_txs: Vec<mpsc::Sender<ShardCmd>> = Vec::new();
@@ -1538,7 +1319,6 @@ fn run_parallel_private(
                 // serialised interchange sound.
                 let mut w = SymbolicStg::new(stg, order);
                 w.manager_mut().set_budget(budget);
-                w.manager_mut().set_gc_growth(gc_growth);
                 if w.manager().order() != start_order {
                     w.apply_var_order(&start_order, &mut []);
                 }
@@ -1560,7 +1340,7 @@ fn run_parallel_private(
                         gc: true,
                     };
                     let from = w.manager_mut().import_bdd(&cmd.frontier);
-                    let local = shard_closure(&mut w, &wspec, &shard, from, worker_excl);
+                    let local = shard_closure(&mut w, &wspec, &shard, from);
                     let out = w.manager().export_bdd(local);
                     if res_tx.send((out, w.manager().peak_live_nodes())).is_err() {
                         return;
@@ -1589,8 +1369,9 @@ fn run_parallel_private(
             let mut to = from;
             for _ in 0..cmd_txs.len() {
                 let (ser, peak) = res_rx.recv().expect("worker result");
-                let part = sym.manager_mut().import_bdd(&ser);
-                to = or_m(sym, to, part, worker_excl);
+                let mgr = sym.manager_mut();
+                let part = mgr.import_bdd(&ser);
+                to = mgr.or(to, part);
                 shard_peak = shard_peak.max(peak);
             }
             // Pre-commit budget check (all worker results drained above,
@@ -1605,11 +1386,11 @@ fn run_parallel_private(
                     stop,
                 };
             }
-            let new = diff_m(sym, to, reached, worker_excl);
+            let new = sym.manager_mut().diff(to, reached);
             if new.is_false() {
                 break;
             }
-            reached = or_m(sym, reached, new, worker_excl);
+            reached = sym.manager_mut().or(reached, new);
             from = new;
             maybe_gc(sym, spec, &[reached, from], &[], &[]);
             // Sift the *main* manager only; the workers pick up the new
@@ -1665,8 +1446,9 @@ mod tests {
                         gc: true,
                     };
                     for (i, &tr) in transitions.iter().enumerate() {
-                        let a = apply_one(&sym, &spec, t.reached, tr);
-                        let b = fused_apply(&mut sym, &spec, &fused[i], t.reached);
+                        let cubes = *sym.cubes(tr);
+                        let a = apply_one(sym.manager_mut(), &spec, &cubes, t.reached);
+                        let b = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, 0);
                         assert_eq!(
                             a,
                             b,
@@ -1701,13 +1483,14 @@ mod tests {
         let spec = FixpointSpec::forward_full();
         let xp = stg.net().trans_by_name("x+").unwrap();
         let i = transitions.iter().position(|&t| t == xp).unwrap();
-        let seq = apply_one(&sym, &spec, init, xp);
-        let fus = fused_apply(&mut sym, &spec, &fused[i], init);
+        let cubes = *sym.cubes(xp);
+        let seq = apply_one(sym.manager_mut(), &spec, &cubes, init);
+        let fus = fused_apply(sym.manager_mut(), &spec, &fused[i], init, 0);
         assert_eq!(seq, fus);
         assert!(!fus.is_false());
         // And backward inverts it exactly.
         let back_spec = FixpointSpec { direction: StepDirection::Backward, ..spec };
-        let back = fused_apply(&mut sym, &back_spec, &fused[i], fus);
+        let back = fused_apply(sym.manager_mut(), &back_spec, &fused[i], fus, 0);
         assert_eq!(back, init);
     }
 
@@ -1832,9 +1615,8 @@ mod tests {
         assert_eq!(schedule, saturation_schedule(&homes), "must be deterministic");
     }
 
-    /// The bounded fused apply agrees with the unbounded one at the home
-    /// level of the firing transition's cluster (and at bound 0, where it
-    /// degenerates to plain `fused_apply`).
+    /// The bounded fused apply agrees with the unbounded one (bound 0) at
+    /// the home level of the firing transition's cluster.
     #[test]
     fn bounded_fused_apply_matches_unbounded_at_the_home_level() {
         let stg = gen::muller_pipeline(5);
@@ -1846,11 +1628,9 @@ mod tests {
         let spec = FixpointSpec::forward_full();
         for (c, cluster) in clusters.iter().enumerate() {
             for &i in cluster {
-                let free = fused_apply(&mut sym, &spec, &fused[i], t.reached);
-                let bounded = fused_apply_below(&mut sym, &spec, &fused[i], t.reached, homes[c]);
+                let free = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, 0);
+                let bounded = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, homes[c]);
                 assert_eq!(free, bounded, "cluster {c} transition {i} at home {}", homes[c]);
-                let at_top = fused_apply_below(&mut sym, &spec, &fused[i], t.reached, 0);
-                assert_eq!(free, at_top, "bound 0 must degenerate to fused_apply");
             }
         }
     }

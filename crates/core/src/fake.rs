@@ -7,7 +7,7 @@
 //! `λ(tₖ) = λ(tᵢ)` is enabled: then the conflict did not really disable
 //! the *signal* — it is fake.
 
-use stgcheck_bdd::Bdd;
+use stgcheck_bdd::{Bdd, BddOps};
 use stgcheck_petri::TransId;
 use stgcheck_stg::FakeConflict;
 

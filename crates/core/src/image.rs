@@ -16,12 +16,48 @@
 //!
 //! Note the complete absence of next-state variables: this is the paper's
 //! key encoding trick, and the ablation benchmarks measure what it buys.
+//!
+//! The pipeline is written once, in [`TransCubes::fire`], generic over the
+//! manager borrow ([`BddOps`]): the parallel engine's workers run it on a
+//! shared `&BddManager`, everything else on `&mut BddManager`.
 
-use stgcheck_bdd::Bdd;
+use stgcheck_bdd::{Bdd, BddOps};
 use stgcheck_petri::TransId;
-use stgcheck_stg::Polarity;
 
-use crate::encode::SymbolicStg;
+use crate::encode::{SymbolicStg, TransCubes};
+use crate::engine::StepDirection;
+
+impl TransCubes {
+    /// Fires the transition on `set`: `δD` forward, its exact inverse
+    /// backward, or the marking-only `δN` (and inverse) when
+    /// `marking_only` — the cofactor/product pipeline of the module docs.
+    pub(crate) fn fire<M: BddOps>(
+        &self,
+        mgr: &mut M,
+        set: Bdd,
+        direction: StepDirection,
+        marking_only: bool,
+    ) -> Bdd {
+        let [select, clear, vacate, mark] = match direction {
+            StepDirection::Forward => [self.enabled, self.no_pred, self.no_succ, self.all_succ],
+            StepDirection::Backward => [self.all_succ, self.no_succ, self.no_pred, self.enabled],
+        };
+        let r = mgr.cofactor_cube(set, select);
+        let r = mgr.and(r, clear);
+        let r = mgr.cofactor_cube(r, vacate);
+        let moved = mgr.and(r, mark);
+        let Some(after) = self.code_after.filter(|_| !marking_only) else { return moved };
+        // Forward `a+` selects `a = 0` and imposes `a = 1`; backward
+        // selects the post-firing value and restores the pre-firing one.
+        let after = mgr.manager().literal(after);
+        let (sel, put) = match direction {
+            StepDirection::Forward => (after.complement(), after),
+            StepDirection::Backward => (after, after.complement()),
+        };
+        let r = mgr.cofactor_cube(moved, sel);
+        mgr.and(r, put)
+    }
+}
 
 impl SymbolicStg<'_> {
     /// Forward image on the marking variables only: `δN(M, t)`.
@@ -30,13 +66,9 @@ impl SymbolicStg<'_> {
     /// successor place (other than a self-loop) is already marked are
     /// dropped by the `NSM` cofactor — the safeness check reports those
     /// separately.
-    pub fn image_marking(&self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t);
-        let mgr = self.manager();
-        let r = mgr.cofactor_cube(m, c.enabled);
-        let r = mgr.and(r, c.no_pred);
-        let r = mgr.cofactor_cube(r, c.no_succ);
-        mgr.and(r, c.all_succ)
+    pub fn image_marking(&mut self, m: Bdd, t: TransId) -> Bdd {
+        let c = *self.cubes(t);
+        c.fire(self.manager_mut(), m, StepDirection::Forward, true)
     }
 
     /// Full forward image `δD(M, t)`: marking update plus the signal-code
@@ -45,126 +77,23 @@ impl SymbolicStg<'_> {
     /// States whose code is inconsistent with the label (e.g. `a+` fired
     /// with `a = 1`) are silently dropped by the code cofactor; the
     /// consistency check detects them before they would matter.
-    pub fn image(&self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.image_marking(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager();
-        match label.polarity {
-            Polarity::Rise => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and(r, lit)
-            }
-        }
-    }
-
-    /// Exclusive-mode [`SymbolicStg::image_marking`]: the same cofactor/
-    /// product pipeline routed through the `&mut BddManager` fast paths —
-    /// plain stores instead of atomic publication, `get_mut` instead of
-    /// lock acquisition. Identical results and memo entries.
-    pub fn image_marking_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t).clone();
-        let mgr = self.manager_mut();
-        let r = mgr.cofactor_cube_x(m, c.enabled);
-        let r = mgr.and_x(r, c.no_pred);
-        let r = mgr.cofactor_cube_x(r, c.no_succ);
-        mgr.and_x(r, c.all_succ)
-    }
-
-    /// Exclusive-mode [`SymbolicStg::image`].
-    pub fn image_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.image_marking_x(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager_mut();
-        match label.polarity {
-            Polarity::Rise => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and_x(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and_x(r, lit)
-            }
-        }
+    pub fn image(&mut self, m: Bdd, t: TransId) -> Bdd {
+        let c = *self.cubes(t);
+        c.fire(self.manager_mut(), m, StepDirection::Forward, false)
     }
 
     /// Backward image on the marking variables only: all markings from
     /// which firing `t` lands in `M`.
-    pub fn preimage_marking(&self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t);
-        let mgr = self.manager();
-        let r = mgr.cofactor_cube(m, c.all_succ);
-        let r = mgr.and(r, c.no_succ);
-        let r = mgr.cofactor_cube(r, c.no_pred);
-        mgr.and(r, c.enabled)
+    pub fn preimage_marking(&mut self, m: Bdd, t: TransId) -> Bdd {
+        let c = *self.cubes(t);
+        c.fire(self.manager_mut(), m, StepDirection::Backward, true)
     }
 
     /// Full backward image: all full states from which firing `t` lands in
     /// `M`.
-    pub fn preimage(&self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.preimage_marking(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager();
-        match label.polarity {
-            // Forward a+ sets a to 1, so backward selects a=1, restores 0.
-            Polarity::Rise => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and(r, lit)
-            }
-        }
-    }
-    /// Exclusive-mode [`SymbolicStg::preimage_marking`].
-    pub fn preimage_marking_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t).clone();
-        let mgr = self.manager_mut();
-        let r = mgr.cofactor_cube_x(m, c.all_succ);
-        let r = mgr.and_x(r, c.no_succ);
-        let r = mgr.cofactor_cube_x(r, c.no_pred);
-        mgr.and_x(r, c.enabled)
-    }
-
-    /// Exclusive-mode [`SymbolicStg::preimage`].
-    pub fn preimage_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.preimage_marking_x(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager_mut();
-        match label.polarity {
-            Polarity::Rise => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and_x(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and_x(r, lit)
-            }
-        }
+    pub fn preimage(&mut self, m: Bdd, t: TransId) -> Bdd {
+        let c = *self.cubes(t);
+        c.fire(self.manager_mut(), m, StepDirection::Backward, false)
     }
 }
 
@@ -325,9 +254,9 @@ mod tests {
                         StepDirection::Forward => (fused[i].before, fused[i].after),
                         StepDirection::Backward => (fused[i].after, fused[i].before),
                     };
-                    let moved =
-                        sym.manager().and_exists_below(t.reached, select, fused[i].quant, home);
-                    let bounded = sym.manager().and(moved, reimpose);
+                    let mgr = sym.manager_mut();
+                    let moved = mgr.and_exists_below(t.reached, select, fused[i].quant, home);
+                    let bounded = mgr.and(moved, reimpose);
                     assert_eq!(
                         bounded,
                         pipeline,
@@ -335,7 +264,7 @@ mod tests {
                         stg.name(),
                         stg.net().trans_name(tr)
                     );
-                    let unbounded = fused_apply(&mut sym, &spec, &fused[i], t.reached);
+                    let unbounded = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, 0);
                     assert_eq!(bounded, unbounded, "{} bounded vs fused", stg.name());
                 }
             }

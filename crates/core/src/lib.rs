@@ -65,7 +65,7 @@ mod verify;
 pub use consistency::ConsistencyViolation;
 pub use csc::{CodeRegions, CscAnalysis};
 pub use encode::{StateWitness, SymbolicStg, TransCubes, VarOrder};
-pub use engine::{EngineKind, EngineOptions, ExecMode, ReorderMode, ShardSharing};
+pub use engine::{EngineKind, EngineOptions, ReorderMode, ShardSharing};
 pub use exit::ProcessExit;
 pub use logic::{LogicError, SignalFunction};
 pub use persistency::{SymSignalViolation, SymTransViolation};

@@ -20,7 +20,7 @@
 //! CSC is violated the on- and off-sets overlap and derivation fails —
 //! which is exactly why the CSC check comes first.
 
-use stgcheck_bdd::{Bdd, Literal};
+use stgcheck_bdd::{Bdd, BddOps, Literal};
 use stgcheck_stg::{Polarity, SignalId};
 
 use crate::encode::SymbolicStg;

@@ -7,7 +7,7 @@
 //! places — which is why the paper's Table 1 reports negligible "NI-p"
 //! time for the master-read and Muller-pipeline examples.
 
-use stgcheck_bdd::Bdd;
+use stgcheck_bdd::{Bdd, BddOps};
 use stgcheck_petri::TransId;
 use stgcheck_stg::{PersistencyPolicy, SignalId};
 

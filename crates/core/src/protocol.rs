@@ -335,13 +335,34 @@ pub struct VerifyRequest {
     pub options: VerifyOptions,
 }
 
+/// The fields a `verify` request may carry.
+const VERIFY_FIELDS: &[&str] = &[
+    "op",
+    "id",
+    "net",
+    "net_path",
+    "engine",
+    "reorder",
+    "sharing",
+    "order",
+    "jobs",
+    "bfs",
+    "arbitration",
+    "timeout_s",
+    "max_nodes",
+    "max_steps",
+    "fallback",
+];
+
 /// Parses one request line against the daemon's default options.
 ///
 /// # Errors
 ///
 /// A `bad_request` explanation: malformed JSON, unknown fields of known
 /// ops, missing ids, bad option values. The caller turns this into a
-/// rejection response carrying the same text.
+/// rejection response carrying the same text. Rejecting unknown fields
+/// makes a typo such as `"engin"` fail loudly instead of running the
+/// request with the daemon's defaults.
 pub fn parse_request(line: &str, defaults: &VerifyOptions) -> Result<Request, String> {
     let json = parse_json(line)?;
     if !matches!(json, Json::Obj(_)) {
@@ -358,6 +379,20 @@ pub fn parse_request(line: &str, defaults: &VerifyOptions) -> Result<Request, St
         Some(Json::Str(s)) => s.as_str(),
         Some(_) => return Err("`op` must be a string".to_string()),
     };
+    let fields: &[&str] = match op {
+        "verify" => VERIFY_FIELDS,
+        "cancel" => &["op", "target"],
+        "ping" => &["op", "id"],
+        other => return Err(format!("unknown op `{other}` (expected verify, cancel or ping)")),
+    };
+    if let Json::Obj(members) = &json {
+        if let Some((field, _)) = members.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown field `{field}` for op `{op}` (accepted: {})",
+                fields.join(", ")
+            ));
+        }
+    }
     match op {
         "verify" => parse_verify(&json, defaults).map(Request::Verify),
         "cancel" => {
@@ -367,11 +402,10 @@ pub fn parse_request(line: &str, defaults: &VerifyOptions) -> Result<Request, St
                 .ok_or("cancel needs a string `target` naming the request id to cancel")?;
             Ok(Request::Cancel { target: target.to_string() })
         }
-        "ping" => {
+        _ => {
             let id = json.get("id").and_then(Json::as_str).map(str::to_string);
             Ok(Request::Ping { id })
         }
-        other => Err(format!("unknown op `{other}` (expected verify, cancel or ping)")),
     }
 }
 
@@ -437,7 +471,6 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
     opt_parse(json, "engine", &mut options.engine.kind)?;
     opt_parse(json, "reorder", &mut options.reorder)?;
     opt_parse(json, "sharing", &mut options.engine.sharing)?;
-    opt_parse(json, "exec", &mut options.engine.exec)?;
     if let Some(v) = json.get("order") {
         let s = v.as_str().ok_or("`order` must be a string")?;
         options.order = match s {
@@ -544,6 +577,13 @@ mod tests {
             (r#"{"id":"a","net":"x","max_steps":1.5}"#, "non-negative integer"),
             (r#"{"op":"cancel"}"#, "needs a string `target`"),
             (r#"{"op":"frobnicate"}"#, "unknown op"),
+            (
+                r#"{"id":"a","net":"x","engin":"clustered"}"#,
+                "unknown field `engin` for op `verify`",
+            ),
+            (r#"{"id":"a","net":"x","exec":"shared"}"#, "unknown field `exec`"),
+            (r#"{"op":"cancel","target":"r1","id":"c1"}"#, "unknown field `id` for op `cancel`"),
+            (r#"{"op":"ping","id":"p","verbose":true}"#, "unknown field `verbose` for op `ping`"),
         ] {
             let err = parse_request(line, &d).expect_err(line);
             assert!(err.contains(needle), "`{line}` → `{err}` (wanted `{needle}`)");

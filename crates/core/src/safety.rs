@@ -7,7 +7,7 @@
 //! transition whose firing would add a token to an already-marked
 //! non-self-loop successor place.
 
-use stgcheck_bdd::{Bdd, Literal};
+use stgcheck_bdd::{Bdd, BddOps, Literal};
 use stgcheck_petri::TransId;
 
 use crate::encode::{StateWitness, SymbolicStg};

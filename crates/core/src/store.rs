@@ -258,9 +258,7 @@ impl ResultStore {
 /// of the key: a budget changes whether a run finishes, never what a
 /// finished run computes, so a verdict cached by a generous run must
 /// serve a tightly-budgeted rerun (and only completed runs are ever
-/// stored). [`crate::ExecMode`] and the GC growth factor are excluded for
-/// the same reason: they pick between result-identical execution paths
-/// and collection schedules.
+/// stored).
 pub(crate) fn cache_key(hash: u128, opts: &VerifyOptions) -> String {
     format!("{hash:032x}-{}", opts_tag(opts))
 }

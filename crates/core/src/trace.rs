@@ -8,7 +8,7 @@
 //! that intersection, repeat. The result is a real firing sequence that
 //! the explicit token game replays.
 
-use stgcheck_bdd::{Bdd, Literal};
+use stgcheck_bdd::{Bdd, BddOps, Literal};
 use stgcheck_petri::TransId;
 use stgcheck_stg::Code;
 

@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use stgcheck_bdd::Bdd;
+use stgcheck_bdd::{Bdd, BddOps};
 use stgcheck_stg::{Code, Polarity, SgError, SgOptions, SignalId};
 
 use crate::encode::SymbolicStg;

@@ -16,7 +16,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stgcheck_bdd::{BddCheckpoint, Budget, Literal, ResourceError};
+use stgcheck_bdd::{BddCheckpoint, BddOps, Budget, Literal, ResourceError};
 use stgcheck_stg::{Code, FakeConflict, Implementability, PersistencyPolicy, SgError, Stg};
 
 use crate::consistency::ConsistencyViolation;

@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --example trace_debug`
 
+use stgcheck::bdd::BddOps;
 use stgcheck::core::{SymbolicStg, VarOrder};
 use stgcheck::stg::gen;
 use stgcheck::stg::{Polarity, Stg, StgBuilder};

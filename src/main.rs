@@ -19,14 +19,6 @@
 //!                        see docs/concurrent-table.md)
 //!   --reorder <m>        none|sift|auto — dynamic variable reordering
 //!                        (in-place sifting; see docs/reordering.md)
-//!   --exec <m>           auto|exclusive|shared — BDD-manager execution
-//!                        mode: auto picks the exclusive (`&mut`, plain
-//!                        store) fast path whenever a single thread owns
-//!                        the manager (default: auto; see
-//!                        docs/concurrent-table.md)
-//!   --gc-growth <f>      garbage-collect when live nodes exceed f times
-//!                        the post-collection baseline; must be > 1.0
-//!                        (default: 1.5)
 //!   --bfs                strict breadth-first traversal (default: chained)
 //!   --quiet              only print the verdict line per file
 //!   --timeout <secs>     wall-clock deadline for the whole verification;
@@ -184,7 +176,6 @@ fn usage() -> &'static str {
     "usage: stgcheck [--arbitration] [--order interleaved|places|signals|declaration] \
      [--engine per-transition|clustered|parallel|saturation] [--jobs N] \
      [--sharing shared|private] \
-     [--exec auto|exclusive|shared] [--gc-growth F] \
      [--reorder none|sift|auto] [--bfs] [--quiet] \
      [--timeout SECS] [--max-nodes N] [--max-steps N] [--fallback] \
      [--failpoints SPEC] \
@@ -291,21 +282,6 @@ fn parse_verify_flag(
         "--sharing" => {
             let v = it.next().ok_or("--sharing needs a value")?;
             options.engine.sharing = v.parse()?;
-        }
-        "--exec" => {
-            let v = it.next().ok_or("--exec needs a value")?;
-            options.engine.exec = v.parse()?;
-        }
-        "--gc-growth" => {
-            let v = it.next().ok_or("--gc-growth needs a value")?;
-            let growth: f64 =
-                v.parse().map_err(|_| format!("--gc-growth needs a number, got `{v}`"))?;
-            if !growth.is_finite() || growth <= 1.0 {
-                return Err(format!(
-                    "--gc-growth must be > 1.0 (collection must amortize), got `{v}`"
-                ));
-            }
-            options.engine.gc_growth = growth;
         }
         "--timeout" => {
             let v = it.next().ok_or("--timeout needs a value in seconds")?;

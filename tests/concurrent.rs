@@ -12,10 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stgcheck::bdd::{Bdd, BddManager, SerializedBdd, Var};
-use stgcheck::core::{
-    verify, EngineKind, EngineOptions, ExecMode, ReorderMode, SymbolicStg, VarOrder, VerifyOptions,
-};
+use stgcheck::bdd::{Bdd, BddManager, BddOps, SerializedBdd, Var};
+use stgcheck::core::{verify, EngineKind, EngineOptions, ReorderMode, ShardSharing, VerifyOptions};
 use stgcheck::stg::{gen, Stg};
 
 /// One scripted operation; operands index the thread's result history
@@ -62,10 +60,10 @@ fn gen_script(seed: u64, len: usize) -> Vec<Op> {
     script
 }
 
-/// Runs a script against the manager through `&self` only — exactly what
-/// a shared-mode engine worker is allowed to do.
-fn run_script(m: &BddManager, vars: &[Var], script: &[Op], from: &[Bdd]) -> Vec<Bdd> {
-    let cube = |mask: u16| -> Bdd {
+/// Runs a script against the manager through `&BddManager` only — exactly
+/// what a shared-mode engine worker is allowed to do.
+fn run_script(mut m: &BddManager, vars: &[Var], script: &[Op], from: &[Bdd]) -> Vec<Bdd> {
+    let cube = |m: &mut &BddManager, mask: u16| -> Bdd {
         let vs: Vec<Var> = vars
             .iter()
             .enumerate()
@@ -77,15 +75,24 @@ fn run_script(m: &BddManager, vars: &[Var], script: &[Op], from: &[Bdd]) -> Vec<
     let mut pool: Vec<Bdd> = from.to_vec();
     for &op in script {
         let r = match op {
+            Op::Exists(i, mask) => {
+                let c = cube(&mut m, mask);
+                m.exists(pool[i], c)
+            }
+            Op::Forall(i, mask) => {
+                let c = cube(&mut m, mask);
+                m.forall(pool[i], c)
+            }
+            Op::AndExists(i, j, mask) => {
+                let c = cube(&mut m, mask);
+                m.and_exists(pool[i], pool[j], c)
+            }
             Op::And(i, j) => m.and(pool[i], pool[j]),
             Op::Or(i, j) => m.or(pool[i], pool[j]),
             Op::Xor(i, j) => m.xor(pool[i], pool[j]),
             Op::Diff(i, j) => m.diff(pool[i], pool[j]),
             Op::Not(i) => m.not(pool[i]),
             Op::Ite(i, j, k) => m.ite(pool[i], pool[j], pool[k]),
-            Op::Exists(i, mask) => m.exists(pool[i], cube(mask)),
-            Op::Forall(i, mask) => m.forall(pool[i], cube(mask)),
-            Op::AndExists(i, j, mask) => m.and_exists(pool[i], pool[j], cube(mask)),
         };
         pool.push(r);
     }
@@ -180,7 +187,7 @@ fn algebraic_identities_hold_under_contention() {
         }
         // Checker threads verify identities on their own random functions.
         for t in 0..2u64 {
-            let (m, vars, seeds) = (&shared, &vars, &seeds);
+            let (mut m, vars, seeds) = (&shared, &vars, &seeds);
             scope.spawn(move || {
                 let script = gen_script(0x5EED + t, 300);
                 let pool = run_script(m, vars, &script, seeds);
@@ -190,15 +197,16 @@ fn algebraic_identities_hold_under_contention() {
                     let g = pool[rng.gen_range(0..pool.len())];
                     let c = m.vars_cube(&vars[0..rng.gen_range(1..4usize)]);
                     // De Morgan through the shared caches.
-                    let lhs = m.not(m.and(f, g));
-                    let rhs = m.or(m.not(f), m.not(g));
+                    let fg = m.and(f, g);
+                    let lhs = m.not(fg);
+                    let rhs = m.or(f.complement(), g.complement());
                     assert_eq!(lhs, rhs, "De Morgan broke under contention");
                     // Complementation / excluded middle.
-                    assert_eq!(m.and(f, m.not(f)), Bdd::FALSE);
-                    assert_eq!(m.or(f, m.not(f)), Bdd::TRUE);
+                    assert_eq!(m.and(f, f.complement()), Bdd::FALSE);
+                    assert_eq!(m.or(f, f.complement()), Bdd::TRUE);
                     // Fused relational product vs the unfused pipeline.
                     let fused = m.and_exists(f, g, c);
-                    let unfused = m.exists(m.and(f, g), c);
+                    let unfused = m.exists(fg, c);
                     assert_eq!(fused, unfused, "and_exists diverged under contention");
                 }
             });
@@ -269,10 +277,10 @@ fn quiesce_gc_between_concurrent_phases_preserves_functions() {
 }
 
 // ---------------------------------------------------------------------
-// Exclusive-mode fast path vs shared-mode atomic path.
+// Shared fan-out vs the single-worker `&mut` path, end to end.
 // ---------------------------------------------------------------------
 
-fn mode_corpus() -> Vec<Stg> {
+fn engine_corpus() -> Vec<Stg> {
     vec![
         gen::mutex_element(),
         gen::muller_pipeline(4),
@@ -283,75 +291,36 @@ fn mode_corpus() -> Vec<Stg> {
     ]
 }
 
-const ALL_KINDS: [EngineKind; 4] = [
-    EngineKind::PerTransition,
-    EngineKind::Clustered,
-    EngineKind::ParallelSharded,
-    EngineKind::Saturation,
-];
-
-/// `--exec` is pure execution strategy: for every engine × reorder mode,
-/// a `jobs == 1` run on the exclusive (`&mut`, plain-store) fast path, a
-/// `jobs == 1` run pinned to the shared (atomic-publication) path, and a
-/// `jobs == 2` run must agree on every verdict and state count — and the
-/// two single-job runs, which execute the *identical* recursion sequence,
-/// must match on every BDD size column as well.
+/// The parallel engine's fan-out against its own single-worker run, for
+/// both sharing models and every reorder mode. With `jobs == 2` shared
+/// workers run every operation through the `&BddManager` instantiation;
+/// with `jobs == 1` the engine falls back to the sequential loop, which
+/// runs the `&mut BddManager` one throughout. The two must agree on every
+/// verdict and state count.
 #[test]
-fn exclusive_and_shared_modes_agree_across_engines_and_reorders() {
-    for stg in mode_corpus() {
-        for kind in ALL_KINDS {
+fn two_workers_agree_with_one_across_sharing_and_reorders() {
+    for stg in engine_corpus() {
+        for sharing in [ShardSharing::Shared, ShardSharing::Private] {
             for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
-                let with = |jobs: usize, exec: ExecMode| VerifyOptions {
-                    engine: EngineOptions { kind, jobs, exec, ..Default::default() },
+                let with = |jobs: usize| VerifyOptions {
+                    engine: EngineOptions {
+                        kind: EngineKind::ParallelSharded,
+                        jobs,
+                        sharing,
+                        ..Default::default()
+                    },
                     reorder,
                     ..VerifyOptions::default()
                 };
-                let ctx = format!("{}: {kind} + reorder {reorder}", stg.name());
-                // jobs == 1 resolves ExecMode::Auto to the exclusive path.
-                let excl = verify(&stg, with(1, ExecMode::Auto)).unwrap();
-                let shared = verify(&stg, with(1, ExecMode::Shared)).unwrap();
-                let multi = verify(&stg, with(2, ExecMode::Auto)).unwrap();
-                for (label, other) in [("shared", &shared), ("jobs=2", &multi)] {
-                    assert_eq!(excl.verdict, other.verdict, "{ctx}: {label} verdict");
-                    assert_eq!(excl.num_states, other.num_states, "{ctx}: {label} states");
-                    assert_eq!(excl.safe(), other.safe(), "{ctx}: {label} safety");
-                    assert_eq!(excl.consistent(), other.consistent(), "{ctx}: {label}");
-                    assert_eq!(excl.persistent(), other.persistent(), "{ctx}: {label}");
-                    assert_eq!(excl.csc_holds(), other.csc_holds(), "{ctx}: {label} CSC");
-                }
-                // Same engine, same jobs, same recursion order: the two
-                // paths must walk byte-identical manager trajectories.
-                assert_eq!(excl.bdd_peak, shared.bdd_peak, "{ctx}: peak diverged");
-                assert_eq!(excl.bdd_final, shared.bdd_final, "{ctx}: final size diverged");
-                assert_eq!(excl.sift_passes, shared.sift_passes, "{ctx}: sift passes diverged");
-            }
-        }
-    }
-}
-
-/// Canonicity across execution modes in ONE manager: running the same
-/// traversal once through the exclusive entry points and once through the
-/// shared ones must return the *identical* `Reached` handle — both paths
-/// feed the same unique table, so a single node difference would be a
-/// canonicity bug, not a perf quirk.
-#[test]
-fn exclusive_mode_reaches_identical_handles() {
-    for stg in mode_corpus() {
-        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let code = sym.effective_initial_code().unwrap();
-        for kind in ALL_KINDS {
-            for jobs in [1usize, 2] {
-                let with =
-                    |exec: ExecMode| EngineOptions { kind, jobs, exec, ..EngineOptions::default() };
-                let e = sym.traverse_with_engine(code, &with(ExecMode::Exclusive));
-                let s = sym.traverse_with_engine(code, &with(ExecMode::Shared));
-                assert_eq!(
-                    e.reached,
-                    s.reached,
-                    "{}: {kind} jobs={jobs} exec modes returned different handles",
-                    stg.name()
-                );
-                assert_eq!(e.stats.num_states, s.stats.num_states);
+                let ctx = format!("{}: {sharing} + reorder {reorder}", stg.name());
+                let one = verify(&stg, with(1)).unwrap();
+                let two = verify(&stg, with(2)).unwrap();
+                assert_eq!(one.verdict, two.verdict, "{ctx}: verdict");
+                assert_eq!(one.num_states, two.num_states, "{ctx}: states");
+                assert_eq!(one.safe(), two.safe(), "{ctx}: safety");
+                assert_eq!(one.consistent(), two.consistent(), "{ctx}: consistency");
+                assert_eq!(one.persistent(), two.persistent(), "{ctx}: persistency");
+                assert_eq!(one.csc_holds(), two.csc_holds(), "{ctx}: CSC");
             }
         }
     }

@@ -40,6 +40,9 @@ fn bench_net(file: &str) -> Stg {
 /// All four engines under all three reorder modes.
 #[test]
 fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
+    // Failpoints are process-wide: hold the lock so an `arena-alloc`
+    // armed by a concurrently running test cannot fire inside this run.
+    let _guard = failpoint::exclusive();
     let stg = bench_net("master_read_2.g");
     let base = tmp("interrupt-anywhere");
     for kind in [
@@ -110,6 +113,7 @@ fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
 /// saturation engine plus forced sifting.
 #[test]
 fn fallback_ladder_completes_where_the_plain_budget_exhausts() {
+    let _guard = failpoint::exclusive(); // process-wide failpoints, see above
     let stg = bench_net("master_read_3.g");
     let scratch = verify(&stg, VerifyOptions::default()).unwrap();
 
@@ -138,6 +142,7 @@ fn fallback_ladder_completes_where_the_plain_budget_exhausts() {
 /// — instead of completing or erroring.
 #[test]
 fn external_cancel_flag_interrupts_the_run() {
+    let _guard = failpoint::exclusive(); // process-wide failpoints, see above
     let stg = bench_net("master_read_3.g");
     let flag = Arc::new(AtomicBool::new(true)); // pre-raised: trip at the first poll
     let persist = PersistOptions { cancel: Some(flag.clone()), ..PersistOptions::default() };
