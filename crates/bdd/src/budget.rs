@@ -8,8 +8,9 @@
 //! operation:
 //!
 //! * the budget is installed on a [`crate::BddManager`]
-//!   ([`crate::BddManager::set_budget`]) and shared by `Arc`, so clones
-//!   handed to worker managers observe the same trip;
+//!   ([`crate::BddManager::set_budget`]) and shared by `Arc`, so the
+//!   clone the engine loop polls at its commit points observes the same
+//!   trip;
 //! * hot paths poll with a bounded stride (`note_alloc` checks the cheap
 //!   counters on every node allocation and the expensive clock only every
 //!   [`POLL_STRIDE`] allocations), so even a single giant `and_exists`

@@ -271,8 +271,7 @@ impl Slot {
 ///   either a value some writer actually stored for exactly that key, or
 ///   a miss — never a torn mixture;
 /// * the backing array is allocated lazily on the first insert, so idle
-///   managers (short-lived test managers, the private per-worker
-///   managers of the compatibility engine mode) stay cheap.
+///   managers (short-lived test managers) stay cheap.
 pub(crate) struct DirectCache {
     slots: OnceLock<Box<[Slot]>>,
     bits: u32,

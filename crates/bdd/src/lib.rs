@@ -37,9 +37,9 @@
 //!   grouped sifting ([`BddManager::sift`],
 //!   [`BddManager::set_var_groups`]) and the automatic growth trigger
 //!   [`BddManager::reorder_due`] (see `docs/reordering.md`);
-//! * a compact serialised-BDD interchange ([`SerializedBdd`]) for moving
-//!   functions between managers with compatible orders — the frontier
-//!   exchange of `stgcheck-core`'s parallel sharded traversal engine;
+//! * a durable, checksummed multi-root serialized form
+//!   ([`BddCheckpoint`]) with an O(n) bulk loader — the artifact behind
+//!   `stgcheck-core`'s result cache and fixpoint checkpoints;
 //! * a boolean-expression AST with a parser ([`BoolExpr`]) that serves as
 //!   reference semantics for the property tests.
 //!
@@ -85,5 +85,5 @@ pub use expr::{BoolExpr, ParseExprError};
 pub use manager::{BddManager, ManagerStats};
 pub use node::{Bdd, Literal, Var};
 pub use ops::BddOps;
-pub use serialize::{BddCheckpoint, SerializeError, SerializedBdd};
+pub use serialize::{fnv64, BddCheckpoint, SerializeError};
 pub use sift::SiftStats;

@@ -165,7 +165,7 @@ pub struct BddManager {
     pub(crate) sift_runs: usize,
     pub(crate) sift_swaps: usize,
     /// The installed resource budget (unlimited by default). Shared with
-    /// worker managers by cloning; see `crate::budget` for the trip-flag
+    /// the engine loop by cloning; see `crate::budget` for the trip-flag
     /// protocol.
     pub(crate) budget: Budget,
     /// Snapshot of `budget.is_limited()` taken at install time (budgets
@@ -557,19 +557,6 @@ impl BddManager {
             }
         }
         id.complement_if(flip)
-    }
-
-    /// Rebuilds a [`crate::SerializedBdd`] through the O(n) bulk loader
-    /// instead of the per-node `mk` descent; returns a
-    /// handle canonical-equal to [`BddManager::import_bdd`] on the same
-    /// snapshot (asserted by the round-trip test matrix).
-    ///
-    /// Errors (instead of panicking) when a node refers to a level this
-    /// manager does not have or the arena runs out of slots mid-import —
-    /// both reachable from checkpoint files, which are external input.
-    pub fn bulk_import_bdd(&mut self, s: &crate::SerializedBdd) -> Result<Bdd, String> {
-        let handles = self.bulk_load_nodes(s.node_list())?;
-        Ok(decode_ref(&handles, s.root_ref()))
     }
 
     /// Rebuilds every named root of a [`crate::BddCheckpoint`] in one
@@ -1144,7 +1131,7 @@ impl BddManager {
     }
 }
 
-/// Decodes a tagged serialized reference (bit 0 = complement, `0` =
+/// Decodes a tagged checkpoint reference (bit 0 = complement, `0` =
 /// terminal, `k + 1` = entry `k`) against already-resolved handles.
 fn decode_ref(handles: &[Bdd], r: u32) -> Bdd {
     match r >> 1 {

@@ -1,87 +1,39 @@
-//! Compact serialised-BDD interchange between managers.
+//! The durable serialized form of BDDs: the **checkpoint format v3**
+//! ([`BddCheckpoint`]) behind result caches and fixpoint checkpoints.
 //!
-//! The parallel sharded traversal engine gives every worker thread its own
-//! [`BddManager`]; frontiers cross thread boundaries as [`SerializedBdd`]
-//! values — a manager-independent, topologically ordered node list. Import
-//! is meaningful between managers that agree on the *level semantics*
-//! (same variable at the same level), which holds by construction when the
-//! managers were populated by the same deterministic declaration sequence.
+//! A checkpoint is a multi-root, manager-independent node list under a
+//! header carrying the net content-hash, the full variable order (by
+//! name) with sifting groups, named root handles and free-form integer
+//! metadata, sealed by an FNV-1a-64 checksum so truncation or corruption
+//! is detected at load (see `docs/persistent-store.md`). Nodes record
+//! *levels*, not variable identities, so a load is meaningful for any
+//! manager whose order gives each level the same meaning.
 //!
-//! References carry a **complement bit** (format version 2, see
-//! `docs/bdd-internals.md`): a snapshot of a complement-edge manager is
-//! lossless, round-trips through managers with different tag layouts, and
-//! `¬f` serialises to the same node list as `f` with only the root
-//! reference differing.
-//!
-//! The in-memory form is already compact (12 bytes per node); for wire or
-//! disk use, [`SerializedBdd::to_bytes`] produces an LEB128-varint stream
-//! that typically shrinks small-level, near-child references to a few
-//! bytes each.
-//!
-//! For *durable* artifacts — result caches and fixpoint checkpoints —
-//! this module also defines the **checkpoint format v3**
-//! ([`BddCheckpoint`]): a multi-root node list under a header carrying
-//! the net content-hash, the full variable order (by name) with sifting
-//! groups, named root handles and free-form integer metadata, sealed by
-//! an FNV-1a-64 checksum so truncation or corruption is detected at
-//! load (see `docs/persistent-store.md`).
+//! References carry a **complement bit**: a snapshot of a
+//! complement-edge manager is lossless, round-trips through managers
+//! with different tag layouts, and `¬f` serialises to the same node list
+//! as `f` with only the root reference differing. The byte form is an
+//! LEB128-varint stream that shrinks small-level, near-child references
+//! to a byte or two each.
 
 use std::collections::HashMap;
 
 use crate::manager::BddManager;
-use crate::node::{Bdd, Level};
+use crate::node::Bdd;
 
-/// Reference encoding inside a [`SerializedBdd`]: bit 0 is the complement
-/// tag; the remaining bits are `0` for the terminal and `k + 1` for the
-/// `k`-th entry of the node list. So `0` is `TRUE`, `1` is `FALSE`, and
-/// `(k + 1) << 1 | c` is entry `k`, complemented iff `c` is set.
+/// Reference encoding inside a checkpoint's node list: bit 0 is the
+/// complement tag; the remaining bits are `0` for the terminal and
+/// `k + 1` for the `k`-th entry of the node list. So `0` is `TRUE`, `1`
+/// is `FALSE`, and `(k + 1) << 1 | c` is entry `k`, complemented iff `c`
+/// is set.
 const REF_NODE_BASE: u32 = 1;
 
-/// Wire-format version written by [`SerializedBdd::to_bytes`]. Version 2
-/// introduced tagged (complement-edge) references; version-1 streams
-/// (plain indices, two terminals) are rejected rather than misread.
-const FORMAT_VERSION: u32 = 2;
-
-/// Format version written by [`BddCheckpoint::to_bytes`]: the durable
-/// multi-root artifact with header and checksum. Sharing the version
-/// counter with the v2 worker-exchange stream means neither reader can
-/// misinterpret the other's bytes.
+/// Format version written by [`BddCheckpoint::to_bytes`]. Versions 1 and
+/// 2 were single-root streams without header or checksum; they are
+/// rejected by version rather than misread.
 const CHECKPOINT_VERSION: u32 = 3;
 
-/// A manager-independent snapshot of one BDD.
-///
-/// Nodes are listed children-first (topological order), so importing can
-/// rebuild bottom-up with plain hash-consing. Shared subgraphs are stored
-/// once, exactly as in the manager, and complement tags are preserved
-/// per edge.
-///
-/// # Examples
-///
-/// ```
-/// use stgcheck_bdd::{BddManager, BddOps};
-/// let mut a = BddManager::new();
-/// let x = a.new_var("x");
-/// let y = a.new_var("y");
-/// let (vx, vy) = (a.var(x), a.var(y));
-/// let f = a.xor(vx, vy);
-///
-/// // A second manager with the same declaration sequence.
-/// let mut b = BddManager::new();
-/// b.new_var("x");
-/// b.new_var("y");
-/// let imported = b.import_bdd(&a.export_bdd(f));
-/// assert_eq!(b.sat_count(imported), 2);
-/// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SerializedBdd {
-    /// `(level, lo, hi)` per node; `lo`/`hi` use the tagged reference
-    /// encoding and always point at earlier entries (or the terminal).
-    nodes: Vec<(u32, u32, u32)>,
-    /// Root reference in the same encoding.
-    root: u32,
-}
-
-/// Why decoding a byte stream into a [`SerializedBdd`] failed.
+/// Why decoding a byte stream into a [`BddCheckpoint`] failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SerializeError {
     /// The stream ended in the middle of a value.
@@ -91,18 +43,18 @@ pub enum SerializeError {
     /// A node or root referenced a node not yet defined (breaks the
     /// topological-order invariant).
     ForwardReference,
-    /// Trailing bytes after the root reference.
+    /// Trailing bytes after the last root.
     TrailingBytes,
     /// The stream's format version is not the one this build writes
-    /// (e.g. a pre-complement-edge version-1 stream).
+    /// (e.g. a retired version-2 single-root stream).
     UnsupportedVersion(u32),
     /// A node's level is out of range, or a child is not strictly deeper
     /// than its parent — importing such a stream would build a
     /// non-canonical (wrong) BDD, so it is rejected up front.
     OrderViolation,
-    /// A length-prefixed string is not valid UTF-8 (v3 header).
+    /// A length-prefixed string is not valid UTF-8.
     BadString,
-    /// The v3 trailer checksum does not match the stream contents —
+    /// The trailer checksum does not match the stream contents —
     /// the artifact was truncated or corrupted on disk.
     ChecksumMismatch,
 }
@@ -130,84 +82,7 @@ impl std::fmt::Display for SerializeError {
 
 impl std::error::Error for SerializeError {}
 
-impl SerializedBdd {
-    /// Number of decision nodes in the snapshot.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when the snapshot is one of the two constant functions.
-    pub fn is_terminal(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Highest variable level mentioned by any node (0 for a terminal
-    /// snapshot). Importing requires a manager with at least
-    /// `max_level() + 1` variables.
-    pub fn max_level(&self) -> usize {
-        self.nodes.iter().map(|&(level, _, _)| level as usize).max().unwrap_or(0)
-    }
-
-    /// LEB128-varint byte encoding: format version, node count, then
-    /// `(level, lo, hi)` per node, then the root reference.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(6 + self.nodes.len() * 4);
-        write_varint(&mut out, FORMAT_VERSION);
-        write_varint(&mut out, self.nodes.len() as u32);
-        for &(level, lo, hi) in &self.nodes {
-            write_varint(&mut out, level);
-            write_varint(&mut out, lo);
-            write_varint(&mut out, hi);
-        }
-        write_varint(&mut out, self.root);
-        out
-    }
-
-    /// Decodes a stream produced by [`SerializedBdd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SerializeError`] for the failure modes; a successful decode
-    /// guarantees the topological-order invariant that
-    /// [`BddManager::import_bdd`] relies on.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SerializedBdd, SerializeError> {
-        let mut pos = 0usize;
-        let version = read_varint(bytes, &mut pos)?;
-        if version != FORMAT_VERSION {
-            return Err(SerializeError::UnsupportedVersion(version));
-        }
-        let count = read_varint(bytes, &mut pos)? as usize;
-        let mut nodes = Vec::with_capacity(count.min(bytes.len()));
-        for i in 0..count {
-            let level = read_varint(bytes, &mut pos)?;
-            let lo = read_varint(bytes, &mut pos)?;
-            let hi = read_varint(bytes, &mut pos)?;
-            validate_node(&nodes, i, level, lo, hi)?;
-            nodes.push((level, lo, hi));
-        }
-        let root = read_varint(bytes, &mut pos)?;
-        if (root >> 1) > count as u32 {
-            return Err(SerializeError::ForwardReference);
-        }
-        if pos != bytes.len() {
-            return Err(SerializeError::TrailingBytes);
-        }
-        Ok(SerializedBdd { nodes, root })
-    }
-
-    /// The raw `(level, lo, hi)` node list (crate-internal: the bulk
-    /// loader inserts these directly into the unique tables).
-    pub(crate) fn node_list(&self) -> &[(u32, u32, u32)] {
-        &self.nodes
-    }
-
-    /// The root reference in the tagged encoding (crate-internal).
-    pub(crate) fn root_ref(&self) -> u32 {
-        self.root
-    }
-}
-
-/// Shared structural validation for one decoded node: references must
+/// Structural validation for one decoded node: references must
 /// point at the terminal or earlier entries, and every referenced child
 /// must sit at a strictly deeper level — otherwise an import would
 /// silently build a non-canonical BDD.
@@ -307,8 +182,9 @@ fn read_string(bytes: &[u8], pos: &mut usize) -> Result<String, SerializeError> 
     String::from_utf8(raw.to_vec()).map_err(|_| SerializeError::BadString)
 }
 
-/// FNV-1a-64 over a byte slice — the v3 trailer checksum.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+/// FNV-1a-64 over a byte slice — the checkpoint trailer checksum, and
+/// the record checksum of `stgcheck-core`'s request journal.
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -319,16 +195,35 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 
 /// A durable, self-describing multi-root BDD artifact (format v3).
 ///
-/// Where [`SerializedBdd`] is a bare worker-exchange payload that trusts
-/// its environment, a checkpoint carries everything needed to validate a
-/// load against a *different process at a different time*: the content
-/// hash of the net it was computed from, the variable order by name
-/// (with sifting groups), named root references into one shared node
-/// list, free-form integer metadata (e.g. the fixpoint iteration count),
-/// and a trailing FNV-1a-64 checksum over the whole byte stream.
+/// A checkpoint carries everything needed to validate a load against a
+/// *different process at a different time*: the content hash of the net
+/// it was computed from, the variable order by name (with sifting
+/// groups), named root references into one shared node list, free-form
+/// integer metadata (e.g. the fixpoint iteration count), and a trailing
+/// FNV-1a-64 checksum over the whole byte stream.
 ///
 /// Construct via [`BddManager::export_checkpoint`]; rebuild via
 /// [`BddManager::bulk_import_checkpoint`].
+///
+/// # Examples
+///
+/// ```
+/// use stgcheck_bdd::{BddCheckpoint, BddManager, BddOps};
+/// let mut a = BddManager::new();
+/// let x = a.new_var("x");
+/// let y = a.new_var("y");
+/// let (vx, vy) = (a.var(x), a.var(y));
+/// let f = a.xor(vx, vy);
+/// let bytes = a.export_checkpoint(0, &[("f", f)], &[]).to_bytes();
+///
+/// // A second manager with the same variables in the same order.
+/// let mut b = BddManager::new();
+/// b.new_var("x");
+/// b.new_var("y");
+/// let roots = b.bulk_import_checkpoint(&BddCheckpoint::from_bytes(&bytes)?)?;
+/// assert_eq!(b.sat_count(roots[0].1), 2);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BddCheckpoint {
     /// Content hash of the net this artifact was computed from
@@ -342,8 +237,8 @@ pub struct BddCheckpoint {
     pub groups: Vec<Vec<u32>>,
     /// Free-form `(key, value)` metadata, e.g. `("iterations", n)`.
     pub meta: Vec<(String, u64)>,
-    /// `(level, lo, hi)` per node in the v2 tagged encoding,
-    /// children-first.
+    /// `(level, lo, hi)` per node in the tagged reference encoding
+    /// (see `REF_NODE_BASE`), children-first.
     pub(crate) nodes: Vec<(u32, u32, u32)>,
     /// Named roots as `(name, tagged reference)`.
     pub(crate) roots: Vec<(String, u32)>,
@@ -412,9 +307,9 @@ impl BddCheckpoint {
     ///
     /// [`SerializeError::UnsupportedVersion`] for non-v3 streams,
     /// [`SerializeError::ChecksumMismatch`] when the trailer does not
-    /// match (truncation/corruption), and the structural errors of
-    /// [`SerializedBdd::from_bytes`] — a successful decode guarantees
-    /// every node and root reference is well-formed and level-ordered.
+    /// match (truncation/corruption), and structural errors otherwise —
+    /// a successful decode guarantees every node and root reference is
+    /// well-formed and level-ordered.
     pub fn from_bytes(bytes: &[u8]) -> Result<BddCheckpoint, SerializeError> {
         let mut pos = 0usize;
         let version = read_varint(bytes, &mut pos)?;
@@ -489,22 +384,9 @@ impl BddCheckpoint {
 }
 
 impl BddManager {
-    /// Snapshots the function `f` into a manager-independent form.
-    ///
-    /// Levels (positions in the variable order), not [`crate::Var`]
-    /// identities, are recorded: the snapshot is meaningful for any
-    /// manager whose order assigns the same meaning to each level.
-    /// Complement tags are recorded per edge, so the snapshot is exact.
-    pub fn export_bdd(&self, f: Bdd) -> SerializedBdd {
-        let (nodes, mut refs) = self.export_node_list(&[f]);
-        SerializedBdd { nodes, root: refs.pop().expect("one root in, one ref out") }
-    }
-
     /// Snapshots several functions into one shared, topologically ordered
     /// node list; returns the list plus one tagged reference per root (in
-    /// input order). Subgraphs shared *between* roots are stored once —
-    /// the building block of both [`BddManager::export_bdd`] and the
-    /// multi-root [`BddManager::export_checkpoint`].
+    /// input order). Subgraphs shared *between* roots are stored once.
     fn export_node_list(&self, roots: &[Bdd]) -> (Vec<(u32, u32, u32)>, Vec<u32>) {
         let mut index: HashMap<Bdd, u32> = HashMap::new();
         let mut nodes: Vec<(u32, u32, u32)> = Vec::new();
@@ -555,6 +437,11 @@ impl BddManager {
     /// Snapshots named roots into a durable v3 [`BddCheckpoint`] carrying
     /// this manager's full variable order (by name), its sifting groups
     /// (as level indices), the caller's net hash and metadata.
+    ///
+    /// Levels (positions in the variable order), not [`crate::Var`]
+    /// identities, are recorded, and complement tags per edge, so the
+    /// snapshot is exact for any manager whose order assigns the same
+    /// meaning to each level.
     pub fn export_checkpoint(
         &self,
         net_hash: u128,
@@ -579,41 +466,12 @@ impl BddManager {
             roots: roots.iter().zip(refs).map(|(&(n, _), r)| (n.to_string(), r)).collect(),
         }
     }
-
-    /// Rebuilds a snapshot inside this manager and returns its root.
-    ///
-    /// The manager must declare at least as many variables as the deepest
-    /// level in the snapshot, with the same per-level meaning as the
-    /// exporting manager (see [`BddManager::export_bdd`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node's level is outside this manager's variable range.
-    pub fn import_bdd(&self, s: &SerializedBdd) -> Bdd {
-        let mut handles: Vec<Bdd> = Vec::with_capacity(s.nodes.len());
-        let dec = |handles: &[Bdd], r: u32| -> Bdd {
-            match r >> 1 {
-                0 => Bdd::TRUE.complement_if(r & 1 != 0),
-                k => handles[(k - REF_NODE_BASE) as usize].complement_if(r & 1 != 0),
-            }
-        };
-        for &(level, lo, hi) in &s.nodes {
-            assert!(
-                (level as usize) < self.num_vars(),
-                "imported BDD refers to level {level} but manager has {} variables",
-                self.num_vars()
-            );
-            let lo = dec(&handles, lo);
-            let hi = dec(&handles, hi);
-            handles.push(self.mk(level as Level, lo, hi));
-        }
-        dec(&handles, s.root)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Level;
     use crate::BddOps;
 
     fn twin_managers(nvars: usize) -> (BddManager, BddManager) {
@@ -626,47 +484,102 @@ mod tests {
         (a, b)
     }
 
+    /// A one-root checkpoint without hash or metadata.
+    fn snapshot(m: &BddManager, f: Bdd) -> BddCheckpoint {
+        m.export_checkpoint(0, &[("f", f)], &[])
+    }
+
+    /// Bulk-loads a one-root checkpoint and returns its root.
+    fn bulk_root(m: &mut BddManager, ck: &BddCheckpoint) -> Bdd {
+        m.bulk_import_checkpoint(ck).expect("bulk import")[0].1
+    }
+
+    /// The reference importer the bulk loader is checked against: rebuilds
+    /// the node list children-first through the per-node `mk`, which
+    /// applies the manager's own canonicalization.
+    fn mk_import(m: &BddManager, ck: &BddCheckpoint) -> Vec<Bdd> {
+        let dec = |handles: &[Bdd], r: u32| match r >> 1 {
+            0 => Bdd::TRUE.complement_if(r & 1 != 0),
+            k => handles[(k - REF_NODE_BASE) as usize].complement_if(r & 1 != 0),
+        };
+        let mut handles = Vec::with_capacity(ck.nodes.len());
+        for &(level, lo, hi) in &ck.nodes {
+            let (lo, hi) = (dec(&handles, lo), dec(&handles, hi));
+            handles.push(m.mk(level as Level, lo, hi));
+        }
+        ck.roots.iter().map(|&(_, r)| dec(&handles, r)).collect()
+    }
+
+    /// A hand-built v3 stream over two variables `a`, `b` with no groups
+    /// or metadata, sealed with a valid checksum — so decoding reaches the
+    /// structural checks behind it.
+    fn stream(nodes: &[(u32, u32, u32)], roots: &[u32], junk: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in [CHECKPOINT_VERSION, 0, 0, 2] {
+            write_varint(&mut out, v);
+        }
+        write_string(&mut out, "a");
+        write_string(&mut out, "b");
+        write_varint(&mut out, 0); // groups
+        write_varint(&mut out, 0); // metadata
+        write_varint(&mut out, nodes.len() as u32);
+        for &(level, lo, hi) in nodes {
+            for v in [level, lo, hi] {
+                write_varint(&mut out, v);
+            }
+        }
+        write_varint(&mut out, roots.len() as u32);
+        for &r in roots {
+            write_string(&mut out, "r");
+            write_varint(&mut out, r);
+        }
+        out.extend_from_slice(junk);
+        let checksum = fnv64(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
     #[test]
     fn terminals_round_trip() {
-        let (a, b) = twin_managers(2);
+        let (a, mut b) = twin_managers(2);
         for f in [Bdd::FALSE, Bdd::TRUE] {
-            let s = a.export_bdd(f);
-            assert!(s.is_terminal());
-            assert_eq!(b.import_bdd(&s), f);
-            assert_eq!(SerializedBdd::from_bytes(&s.to_bytes()).unwrap(), s);
+            let ck = snapshot(&a, f);
+            assert_eq!(ck.num_nodes(), 0);
+            assert_eq!(BddCheckpoint::from_bytes(&ck.to_bytes()).unwrap(), ck);
+            assert_eq!(bulk_root(&mut b, &ck), f);
         }
     }
 
     #[test]
     fn cross_manager_round_trip_preserves_semantics() {
-        let (mut a, b) = twin_managers(6);
+        let (mut a, mut b) = twin_managers(6);
         let vars = a.order();
         let mut f = a.zero();
         for (i, &v) in vars.iter().enumerate() {
             let lv = if i % 2 == 0 { a.var(v) } else { a.nvar(v) };
             f = a.xor(f, lv);
         }
-        let s = a.export_bdd(f);
-        assert_eq!(s.num_nodes(), a.size(f));
-        let g = b.import_bdd(&s);
+        let ck = snapshot(&a, f);
+        assert_eq!(ck.num_nodes(), a.size(f));
+        let g = bulk_root(&mut b, &ck);
         assert_eq!(b.sat_count(g), a.sat_count(f));
         // Re-export from the importing manager: identical snapshot.
-        assert_eq!(b.export_bdd(g), s);
+        assert_eq!(snapshot(&b, g), ck);
     }
 
     #[test]
     fn complement_root_shares_the_node_list() {
-        let (mut a, b) = twin_managers(4);
+        let (mut a, mut b) = twin_managers(4);
         let vars = a.order();
         let (v0, v1) = (a.var(vars[0]), a.var(vars[1]));
         let f = a.and(v0, v1);
         let nf = a.not(f);
-        let s = a.export_bdd(f);
-        let sn = a.export_bdd(nf);
+        let s = snapshot(&a, f);
+        let sn = snapshot(&a, nf);
         assert_eq!(s.nodes, sn.nodes, "¬f must serialize the same node list as f");
-        assert_ne!(s.root, sn.root);
-        let g = b.import_bdd(&s);
-        let gn = b.import_bdd(&sn);
+        assert_ne!(s.roots, sn.roots);
+        let g = bulk_root(&mut b, &s);
+        let gn = bulk_root(&mut b, &sn);
         assert_eq!(gn, g.complement());
         assert_eq!(b.sat_count(g) + b.sat_count(gn), 16);
     }
@@ -679,8 +592,9 @@ mod tests {
         let t0 = a.and(v0, v1);
         let v3 = a.nvar(vars[3]);
         let f = a.or(t0, v3);
-        let s = a.export_bdd(f);
-        assert_eq!(a.import_bdd(&s), f);
+        let ck = snapshot(&a, f);
+        assert_eq!(bulk_root(&mut a, &ck), f);
+        assert_eq!(mk_import(&a, &ck), vec![f]);
     }
 
     #[test]
@@ -692,66 +606,50 @@ mod tests {
             let lv = a.var(v);
             f = a.and(f, lv);
         }
-        let s = a.export_bdd(f);
-        let bytes = s.to_bytes();
-        // 8 one-literal nodes, all references small: well under 12 B/node.
-        assert!(bytes.len() < s.num_nodes() * 6 + 5, "{} bytes", bytes.len());
-        assert_eq!(SerializedBdd::from_bytes(&bytes).unwrap(), s);
+        let ck = snapshot(&a, f);
+        let bytes = ck.to_bytes();
+        // 8 one-literal nodes, all references small: one byte per varint,
+        // so the node list costs 3 bytes per node over the header.
+        let header = snapshot(&a, Bdd::TRUE).to_bytes();
+        assert!(bytes.len() - header.len() <= 3 * ck.num_nodes(), "{} bytes", bytes.len());
+        assert_eq!(BddCheckpoint::from_bytes(&bytes).unwrap(), ck);
     }
 
     #[test]
     fn malformed_bytes_are_rejected() {
-        assert_eq!(SerializedBdd::from_bytes(&[]), Err(SerializeError::Truncated));
+        assert_eq!(BddCheckpoint::from_bytes(&[]), Err(SerializeError::Truncated));
         // Wrong format version (a pre-complement-edge stream).
         let mut v1 = Vec::new();
         write_varint(&mut v1, 1);
-        assert_eq!(SerializedBdd::from_bytes(&v1), Err(SerializeError::UnsupportedVersion(1)));
+        assert_eq!(BddCheckpoint::from_bytes(&v1), Err(SerializeError::UnsupportedVersion(1)));
+        // The hand-built stream itself is valid.
+        assert!(BddCheckpoint::from_bytes(&stream(&[(0, 0, 1)], &[2], &[])).is_ok());
         // One node claiming a forward/self reference.
-        let mut bad = Vec::new();
-        write_varint(&mut bad, FORMAT_VERSION);
-        write_varint(&mut bad, 1); // node count
-        write_varint(&mut bad, 0); // level
-        write_varint(&mut bad, 2); // lo -> itself (node part 1)
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 2);
-        assert_eq!(SerializedBdd::from_bytes(&bad), Err(SerializeError::ForwardReference));
+        let bad = stream(&[(0, 2, 1)], &[2], &[]);
+        assert_eq!(BddCheckpoint::from_bytes(&bad), Err(SerializeError::ForwardReference));
         // A root past the node list.
-        let mut bad_root = Vec::new();
-        write_varint(&mut bad_root, FORMAT_VERSION);
-        write_varint(&mut bad_root, 0);
-        write_varint(&mut bad_root, 4); // node part 2, but no nodes
-        assert_eq!(SerializedBdd::from_bytes(&bad_root), Err(SerializeError::ForwardReference));
-        // Valid stream with trailing junk.
-        let (a, _) = twin_managers(2);
-        let v = a.order()[0];
-        let f = a.var(v);
-        let mut bytes = a.export_bdd(f).to_bytes();
-        bytes.push(0);
-        assert_eq!(SerializedBdd::from_bytes(&bytes), Err(SerializeError::TrailingBytes));
+        let bad_root = stream(&[], &[4], &[]);
+        assert_eq!(BddCheckpoint::from_bytes(&bad_root), Err(SerializeError::ForwardReference));
+        // A sealed stream with junk after the last root.
+        let junk = stream(&[(0, 0, 1)], &[2], &[0]);
+        assert_eq!(BddCheckpoint::from_bytes(&junk), Err(SerializeError::TrailingBytes));
         // Varint overflow.
         let huge = [0xff, 0xff, 0xff, 0xff, 0x7f];
-        assert_eq!(SerializedBdd::from_bytes(&huge), Err(SerializeError::Overflow));
+        assert_eq!(BddCheckpoint::from_bytes(&huge), Err(SerializeError::Overflow));
     }
 
     #[test]
-    fn v2_rejects_level_order_violations() {
+    fn checkpoint_rejects_level_order_violations() {
         // A parent at level 1 whose child claims level 1 (not strictly
         // deeper): importing this would silently build a non-canonical
         // BDD, so decode must refuse.
-        let mut bad = Vec::new();
-        write_varint(&mut bad, FORMAT_VERSION);
-        write_varint(&mut bad, 2); // node count
-        write_varint(&mut bad, 1); // node 0: level 1
-        write_varint(&mut bad, 0); // lo = TRUE
-        write_varint(&mut bad, 1); // hi = FALSE
-        write_varint(&mut bad, 1); // node 1: level 1 — must be < child's
-        write_varint(&mut bad, 2); // lo = node 0
-        write_varint(&mut bad, 1); // hi = FALSE
-        write_varint(&mut bad, 4); // root = node 1
-        assert_eq!(SerializedBdd::from_bytes(&bad), Err(SerializeError::OrderViolation));
+        let bad = stream(&[(1, 0, 1), (1, 2, 1)], &[4], &[]);
+        assert_eq!(BddCheckpoint::from_bytes(&bad), Err(SerializeError::OrderViolation));
+        // A level past the declared variables.
+        let deep = stream(&[(2, 0, 1)], &[2], &[]);
+        assert_eq!(BddCheckpoint::from_bytes(&deep), Err(SerializeError::OrderViolation));
         // Same stream with the parent hoisted to level 0 is fine.
-        bad[5] = 0;
-        assert!(SerializedBdd::from_bytes(&bad).is_ok());
+        assert!(BddCheckpoint::from_bytes(&stream(&[(1, 0, 1), (0, 2, 1)], &[4], &[])).is_ok());
     }
 
     fn checkpoint_fixture() -> (BddManager, Bdd, Bdd, BddCheckpoint) {
@@ -812,47 +710,50 @@ mod tests {
             mutated[pos] ^= 0x55;
             assert!(BddCheckpoint::from_bytes(&mutated).is_err(), "flip at {pos}");
         }
-        // A v2 stream is refused by version, not misparsed.
+        // A retired v2 stream is refused by version, not misparsed.
         let mut v2 = Vec::new();
-        write_varint(&mut v2, FORMAT_VERSION);
+        write_varint(&mut v2, 2);
         assert_eq!(BddCheckpoint::from_bytes(&v2), Err(SerializeError::UnsupportedVersion(2)));
-        // And the v2 reader refuses a v3 artifact.
-        assert_eq!(SerializedBdd::from_bytes(&bytes), Err(SerializeError::UnsupportedVersion(3)));
     }
 
     #[test]
     fn bulk_import_equals_recursive_import() {
-        let (mut a, _) = twin_managers(8);
-        let vars = a.order();
         // A function with shared subgraphs and complemented edges.
-        let mut f = a.zero();
-        for (i, &v) in vars.iter().enumerate() {
-            let lv = if i % 3 == 0 { a.var(v) } else { a.nvar(v) };
-            f = if i % 2 == 0 { a.xor(f, lv) } else { a.or(f, lv) };
-        }
-        let s = a.export_bdd(f);
+        let build = |m: &mut BddManager| {
+            let vars = m.order();
+            let mut f = m.zero();
+            for (i, &v) in vars.iter().enumerate() {
+                let lv = if i % 3 == 0 { m.var(v) } else { m.nvar(v) };
+                f = if i % 2 == 0 { m.xor(f, lv) } else { m.or(f, lv) };
+            }
+            f
+        };
+        let (mut a, _) = twin_managers(8);
+        let f = build(&mut a);
+        let ck = snapshot(&a, f);
         // Same manager: bulk load must dedup against existing nodes and
         // return the identical handle.
         let mut same = a;
-        let g = same.bulk_import_bdd(&s).expect("bulk import");
-        assert_eq!(g, f);
-        assert_eq!(same.export_bdd(g), s);
+        assert_eq!(bulk_root(&mut same, &ck), f);
+        assert_eq!(snapshot(&same, f), ck);
         same.check_invariants();
-        // Fresh manager: bulk and recursive imports agree handle-for-handle.
+        // Fresh managers: bulk and recursive imports agree node for node.
         let (mut b, c) = twin_managers(8);
-        let via_bulk = b.bulk_import_bdd(&s).expect("bulk import");
-        let via_mk = c.import_bdd(&s);
-        assert_eq!(b.export_bdd(via_bulk), c.export_bdd(via_mk));
+        let via_bulk = bulk_root(&mut b, &ck);
+        let via_mk = mk_import(&c, &ck)[0];
+        assert_eq!(snapshot(&b, via_bulk), snapshot(&c, via_mk));
         assert_eq!(b.sat_count(via_bulk), same.sat_count(f));
         b.check_invariants();
-        // And bulk-then-recursive in one manager give the same handle.
-        let recursive_again = b.import_bdd(&s);
-        assert_eq!(recursive_again, via_bulk);
+        // And in the bulk-loaded manager, both the recursive import and
+        // the operations that built `f` land on the bulk-loaded handle.
+        assert_eq!(mk_import(&b, &ck), vec![via_bulk]);
+        assert_eq!(build(&mut b), via_bulk);
+        b.check_invariants();
     }
 
     #[test]
     fn shared_subgraphs_serialize_once() {
-        let (mut a, b) = twin_managers(5);
+        let (mut a, mut b) = twin_managers(5);
         let vars = a.order();
         // f = (x0 ∧ g) ∨ (¬x0 ∧ g) collapses to g, so force sharing via
         // two distinct parents over a common child instead.
@@ -865,9 +766,9 @@ mod tests {
         let t = a.and(n0, v3);
         let right = a.and(t, shared);
         let f = a.or(left, right);
-        let s = a.export_bdd(f);
-        assert_eq!(s.num_nodes(), a.size(f));
-        let g = b.import_bdd(&s);
+        let ck = snapshot(&a, f);
+        assert_eq!(ck.num_nodes(), a.size(f));
+        let g = bulk_root(&mut b, &ck);
         assert_eq!(b.sat_count(g), a.sat_count(f));
     }
 }

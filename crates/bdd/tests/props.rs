@@ -2,7 +2,7 @@
 //! semantics, plus the algebraic laws the symbolic algorithms rely on.
 
 use proptest::prelude::*;
-use stgcheck_bdd::{Bdd, BddManager, BddOps, BoolExpr, Literal, Var};
+use stgcheck_bdd::{Bdd, BddCheckpoint, BddManager, BddOps, BoolExpr, Literal, Var};
 
 const NVARS: usize = 6;
 
@@ -373,19 +373,20 @@ proptest! {
         }
     }
 
-    /// Serialisation round-trips complement tags exactly: export/import
-    /// through a twin manager preserves the function and `¬f` shares the
-    /// byte stream's node list with `f`.
+    /// Serialisation round-trips complement tags exactly: a checkpoint
+    /// byte round trip into a twin manager preserves the function, and
+    /// `¬f` shares `f`'s node list.
     #[test]
     fn serialization_roundtrips_complements(e in arb_expr()) {
         let (m, f) = compile(&e);
         let nf = m.not(f);
         let mut twin = BddManager::new();
         twin.new_vars("x", NVARS);
-        let s = stgcheck_bdd::SerializedBdd::from_bytes(&m.export_bdd(f).to_bytes()).unwrap();
-        let sn = stgcheck_bdd::SerializedBdd::from_bytes(&m.export_bdd(nf).to_bytes()).unwrap();
-        let g = twin.import_bdd(&s);
-        let gn = twin.import_bdd(&sn);
+        let ck = m.export_checkpoint(0, &[("f", f), ("nf", nf)], &[]);
+        let ck = BddCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+        prop_assert_eq!(ck.num_nodes(), m.size(f));
+        let roots = twin.bulk_import_checkpoint(&ck).unwrap();
+        let (g, gn) = (roots[0].1, roots[1].1);
         prop_assert_eq!(twin.not(g), gn);
         for bits in 0..(1u32 << NVARS) {
             let a = assignment_from_bits(bits);
@@ -507,55 +508,55 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every strict prefix of a valid v2 stream is rejected with a typed
+    /// Every strict prefix of a valid checkpoint is rejected with a typed
     /// error — decode never panics and never fabricates a BDD.
     #[test]
     fn serialized_prefixes_always_error(e in arb_expr()) {
         let (m, f) = compile(&e);
-        let bytes = m.export_bdd(f).to_bytes();
+        let bytes = m.export_checkpoint(42, &[("reached", f)], &[]).to_bytes();
         for cut in 0..bytes.len() {
             prop_assert!(
-                stgcheck_bdd::SerializedBdd::from_bytes(&bytes[..cut]).is_err(),
+                BddCheckpoint::from_bytes(&bytes[..cut]).is_err(),
                 "prefix of {} / {} bytes decoded", cut, bytes.len()
             );
         }
     }
 
-    /// Single-byte corruption of a valid v2 stream never panics: decode
-    /// either errors or yields a stream that imports into a well-formed
-    /// manager (canonical invariants intact).
+    /// Single-byte corruption of a checkpoint *body* under a recomputed
+    /// trailer checksum — what a faulty writer, not disk damage, would
+    /// produce — never panics: decode either errors, or the bulk loader
+    /// returns (at worst with a typed error) and leaves a well-formed
+    /// manager behind.
     #[test]
     fn serialized_mutations_never_panic(e in arb_expr(), pos_seed in any::<u32>(), flip in 1u8..=255) {
         let (m, f) = compile(&e);
-        let bytes = m.export_bdd(f).to_bytes();
-        let pos = pos_seed as usize % bytes.len();
-        let mut mutated = bytes.clone();
-        mutated[pos] ^= flip;
-        if let Ok(s) = stgcheck_bdd::SerializedBdd::from_bytes(&mutated) {
-            // Level bounds were validated against the stream itself; give
-            // the import a manager wide enough for any level mentioned.
+        let nf = m.not(f);
+        let ck = m.export_checkpoint(42, &[("f", f), ("nf", nf)], &[("iterations".to_string(), 7)]);
+        let mut bytes = ck.to_bytes();
+        let body = bytes.len() - 8;
+        bytes[pos_seed as usize % body] ^= flip;
+        let checksum = stgcheck_bdd::fnv64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        if let Ok(ck) = BddCheckpoint::from_bytes(&bytes) {
+            // Levels were validated against the stream's own variable
+            // list; give the load a manager wide enough for all of them.
             let mut fresh = BddManager::new();
-            fresh.new_vars("x", NVARS.max(s.max_level() + 1));
-            let g = fresh.import_bdd(&s);
-            let h = fresh.bulk_import_bdd(&s).expect("bulk import");
-            prop_assert_eq!(g, h);
+            fresh.new_vars("x", NVARS.max(ck.var_names.len()));
+            let _ = fresh.bulk_import_checkpoint(&ck);
             fresh.check_invariants();
         }
     }
 
-    /// v3 checkpoints: every strict prefix and every single-byte flip is
-    /// rejected (the trailing checksum covers the whole artifact).
+    /// Every single-byte flip of a checkpoint is rejected: the trailing
+    /// checksum covers the whole artifact.
     #[test]
     fn checkpoint_mutations_always_error(e in arb_expr(), pos_seed in any::<u32>(), flip in 1u8..=255) {
         let (m, f) = compile(&e);
         let ck = m.export_checkpoint(42, &[("reached", f)], &[("iterations".to_string(), 7)]);
         let bytes = ck.to_bytes();
-        for cut in 0..bytes.len() {
-            prop_assert!(stgcheck_bdd::BddCheckpoint::from_bytes(&bytes[..cut]).is_err());
-        }
         let pos = pos_seed as usize % bytes.len();
         let mut mutated = bytes.clone();
         mutated[pos] ^= flip;
-        prop_assert!(stgcheck_bdd::BddCheckpoint::from_bytes(&mutated).is_err());
+        prop_assert!(BddCheckpoint::from_bytes(&mutated).is_err());
     }
 }

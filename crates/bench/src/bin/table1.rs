@@ -9,9 +9,12 @@
 //! ```text
 //! cargo run --release -p stgcheck-bench --bin table1 [--explicit] \
 //!     [--order <strategy>] [--engine <engine>|all] [--jobs <n>] \
-//!     [--jobs-matrix <n,n,…>] [--repeat <n>] [--sharing shared|private] \
-//!     [--reorder <mode>|all] [--from-dir <dir>] [--json <path>] [--small]
+//!     [--jobs-matrix <n,n,…>] [--repeat <n>] [--reorder <mode>|all] \
+//!     [--from-dir <dir>] [--json <path>] [--small]
 //! ```
+//!
+//! An unknown flag or an unknown `--order`/`--engine`/`--reorder` value
+//! exits 2 instead of silently running the defaults.
 //!
 //! * `--explicit` additionally times the explicit state-graph baseline on
 //!   the workloads where it is feasible (the paper's motivation: symbolic
@@ -21,10 +24,10 @@
 //! * `--engine per-transition|clustered|parallel|saturation|all` selects
 //!   the image engine (default: per-transition); `all` prints one row per
 //!   engine so the engines can be compared line by line;
-//! * `--jobs <n>` sets the worker count for the parallel engine — with the
-//!   default shared manager this now scales work against one BDD arena;
-//!   `0` (the default) auto-detects the machine's available parallelism,
-//!   and every row records the detected value as `jobs_detected`;
+//! * `--jobs <n>` sets the worker count for the parallel engine, whose
+//!   workers share one BDD arena; `0` (the default) auto-detects the
+//!   machine's available parallelism, and every row records the detected
+//!   value as `jobs_detected`;
 //! * `--jobs-matrix <n,n,…>` (e.g. `1,2,4,8`) prints one parallel-engine
 //!   row per jobs value so the single-worker wall sits next to the
 //!   multi-worker scaling curve in one table; overrides `--jobs`. The
@@ -33,8 +36,6 @@
 //!   wall time (min/max land in the JSON as `wall_min_s`/`wall_max_s`) —
 //!   the checked-in `BENCH_table1.json` uses `--repeat 3`; note that with
 //!   `--cache-dir` every repeat after the first is served warm;
-//! * `--sharing shared|private` selects whether parallel workers share the
-//!   one concurrent manager or keep private ones (default: shared);
 //! * `--reorder none|sift|auto|all` selects the dynamic variable
 //!   reordering mode (default: none; see `docs/reordering.md`); `all`
 //!   prints one row per mode so the static order and the sifted runs can
@@ -79,7 +80,7 @@ use std::time::{Duration, Instant};
 use stgcheck_bench::{quick_workloads, table1_workloads, workloads_from_dir};
 use stgcheck_core::{
     verify_persistent, CacheStatus, EngineKind, Outcome, PersistOptions, ProcessExit, ReorderMode,
-    ShardSharing, SymbolicReport, VarOrder, VerifyOptions,
+    SymbolicReport, VarOrder, VerifyOptions,
 };
 use stgcheck_stg::{build_state_graph, PersistencyPolicy, SgOptions};
 
@@ -90,11 +91,31 @@ fn parse_order(s: &str) -> VarOrder {
         "signals" => VarOrder::SignalsThenPlaces,
         "declaration" => VarOrder::Declaration,
         other => {
-            eprintln!("unknown order `{other}`; using interleaved");
-            VarOrder::Interleaved
+            eprintln!(
+                "unknown order `{other}` (expected interleaved, places, signals or declaration)"
+            );
+            std::process::exit(2);
         }
     }
 }
+
+/// Flags that stand alone, and flags that consume the next argument.
+const SWITCHES: [&str; 5] = ["--explicit", "--small", "--warm-rerun", "--batch", "--fallback"];
+const VALUED: [&str; 13] = [
+    "--order",
+    "--engine",
+    "--jobs",
+    "--jobs-matrix",
+    "--repeat",
+    "--reorder",
+    "--from-dir",
+    "--json",
+    "--cache-dir",
+    "--workers",
+    "--timeout",
+    "--max-nodes",
+    "--max-steps",
+];
 
 fn order_name(o: VarOrder) -> &'static str {
     match o {
@@ -232,14 +253,21 @@ fn median(walls: &mut [f64]) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if VALUED.contains(&a.as_str()) {
+            rest.next();
+        } else if !SWITCHES.contains(&a.as_str()) {
+            eprintln!(
+                "unknown argument `{a}` (flags: {} and {} <value>)",
+                SWITCHES.join(" "),
+                VALUED.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
     let explicit = args.iter().any(|a| a == "--explicit");
     let small = args.iter().any(|a| a == "--small");
-    let order = args
-        .iter()
-        .position(|a| a == "--order")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| parse_order(s))
-        .unwrap_or_default();
     let value_of = |flag: &str| -> Option<&String> {
         args.iter().position(|a| a == flag).map(|i| {
             args.get(i + 1).unwrap_or_else(|| {
@@ -248,6 +276,7 @@ fn main() {
             })
         })
     };
+    let order = value_of("--order").map_or_else(VarOrder::default, |v| parse_order(v));
     let jobs: usize = value_of("--jobs").map_or(0, |v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("--jobs needs a number, got `{v}`");
@@ -274,12 +303,6 @@ fn main() {
             std::process::exit(2);
         }
         n
-    });
-    let sharing: ShardSharing = value_of("--sharing").map_or_else(ShardSharing::default, |v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
     });
     let json_path: Option<PathBuf> = value_of("--json").map(PathBuf::from);
     let from_dir: Option<PathBuf> = value_of("--from-dir").map(PathBuf::from);
@@ -406,7 +429,7 @@ fn main() {
         |arbitration: bool, kind: EngineKind, reorder: ReorderMode, j: usize| VerifyOptions {
             order,
             policy: PersistencyPolicy { allow_arbitration: arbitration },
-            engine: stgcheck_core::EngineOptions { kind, jobs: j, sharing, ..Default::default() },
+            engine: stgcheck_core::EngineOptions { kind, jobs: j, ..Default::default() },
             reorder,
             budget,
         };

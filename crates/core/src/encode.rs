@@ -323,10 +323,9 @@ impl<'a> SymbolicStg<'a> {
     ///
     /// Every handle *not* in `extra` and not internal to the context is
     /// invalidated, exactly as by [`stgcheck_bdd::BddManager::reorder`].
-    /// Used by the parallel engine's workers to adopt the main manager's
-    /// order after it sifted — the serialised frontier interchange is
-    /// level-based, so both sides must agree on the meaning of every
-    /// level.
+    /// Used by [`SymbolicStg::import_checkpoint`] to line this context's
+    /// levels up with a checkpoint's order before the level-based bulk
+    /// load.
     pub fn apply_var_order(&mut self, order: &[Var], extra: &mut [Bdd]) {
         let mut roots: Vec<Bdd> = vec![self.places_cube, self.signals_cube];
         for c in &self.trans_cubes {

@@ -18,16 +18,11 @@
 //!   one product with an *after* cube, so the memoisation cache is shared
 //!   across the cluster's overlapping supports;
 //! * [`EngineKind::ParallelSharded`] — transitions sharded across
-//!   `std::thread::scope` workers. In the default [`ShardSharing::Shared`]
-//!   mode every worker computes against **one** concurrent
-//!   [`stgcheck_bdd::BddManager`] (see `docs/concurrent-table.md`):
-//!   shard closures and frontier joins pass plain [`Bdd`] handles, and
-//!   between iterations the workers are joined so GC and `--reorder`
-//!   sifting run at a stop-the-world quiesce point. The
-//!   [`ShardSharing::Private`] compatibility mode keeps the original
-//!   design — per-worker managers exchanging frontiers as
-//!   [`SerializedBdd`] snapshots (the serialized form remains the wire
-//!   format; it just no longer sits on the default hot loop);
+//!   `std::thread::scope` workers that all compute against **one**
+//!   concurrent [`stgcheck_bdd::BddManager`] (see
+//!   `docs/concurrent-table.md`): shard closures and frontier joins pass
+//!   plain [`Bdd`] handles, and between iterations the workers are joined
+//!   so GC and `--reorder` sifting run at a stop-the-world quiesce point;
 //! * [`EngineKind::Saturation`] — Ciardo-style saturation over the
 //!   clustered engine's grouping: every cluster gets a *home level* in
 //!   the variable order (the topmost level its support touches, so the
@@ -43,16 +38,15 @@
 //! benchmark family and on random STGs.
 
 use std::collections::BTreeSet;
-use std::sync::mpsc;
 
-use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, Literal, ResourceError, SerializedBdd, Var};
+use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, Literal, ResourceError, Var};
 use stgcheck_petri::TransId;
 
 use crate::encode::{SymbolicStg, TransCubes};
 use crate::traverse::TraversalStrategy;
 
 /// How many live nodes trigger a garbage collection between steps (shared
-/// by every engine and by the per-worker managers of the sharded engine).
+/// by every engine).
 pub(crate) const GC_THRESHOLD: usize = 500_000;
 
 /// Selects the image engine that drives the fixed-point loops.
@@ -68,7 +62,7 @@ pub enum EngineKind {
     Clustered,
     /// Transitions sharded across worker threads; partial frontier
     /// closures are OR-joined per iteration. Workers share the one
-    /// concurrent manager by default ([`ShardSharing`]).
+    /// concurrent manager.
     ParallelSharded,
     /// Ciardo-style saturation over the clustered engine's grouping:
     /// each support-overlap cluster is assigned a *home level* (the
@@ -109,45 +103,8 @@ impl std::str::FromStr for EngineKind {
     }
 }
 
-/// How the [`EngineKind::ParallelSharded`] workers hold their BDD state.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ShardSharing {
-    /// All workers operate on the *one* shared concurrent manager:
-    /// frontiers and shard closures are plain [`Bdd`] handles, no
-    /// export/import round trip, GC + sifting at a stop-the-world
-    /// quiesce point between iterations. The default.
-    #[default]
-    Shared,
-    /// The pre-concurrent design: each worker owns a private manager and
-    /// frontiers cross thread boundaries as [`SerializedBdd`] snapshots.
-    /// Kept as a differential baseline for the equivalence suite and as
-    /// the template for a future distributed (wire-format) backend.
-    Private,
-}
-
-impl std::fmt::Display for ShardSharing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ShardSharing::Shared => "shared",
-            ShardSharing::Private => "private",
-        })
-    }
-}
-
-impl std::str::FromStr for ShardSharing {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ShardSharing, String> {
-        match s {
-            "shared" | "one-manager" => Ok(ShardSharing::Shared),
-            "private" | "per-worker" => Ok(ShardSharing::Private),
-            other => Err(format!("unknown sharing mode `{other}` (expected shared or private)")),
-        }
-    }
-}
-
 /// When the fixed-point loops run in-place variable sifting
-/// ([`stgcheck_bdd::BddManager::sift`]) on the main manager.
+/// ([`stgcheck_bdd::BddManager::sift`]) on the manager.
 ///
 /// Consulted by every engine between outer iterations; see
 /// `docs/reordering.md` for the trigger semantics and when each mode
@@ -210,9 +167,6 @@ pub struct EngineOptions {
     /// Dynamic variable reordering policy, consulted between outer
     /// fixed-point iterations by every engine.
     pub reorder: ReorderMode,
-    /// Whether [`EngineKind::ParallelSharded`] workers share the one
-    /// concurrent manager (default) or own private managers.
-    pub sharing: ShardSharing,
 }
 
 impl EngineOptions {
@@ -260,12 +214,11 @@ pub(crate) struct FixpointSpec {
     /// supported by the per-transition engine under
     /// [`TraversalStrategy::Bfs`].
     pub record_rings: bool,
-    /// Allow threshold-triggered garbage collection in the *main*
-    /// manager during this loop. Must be `false` whenever the caller
-    /// holds BDD handles that are not reachable from the permanent
-    /// roots, the loop's live sets or `within` — [`stgcheck_bdd::BddManager::gc`]
-    /// dangles every unrooted handle. Worker managers of the sharded
-    /// engine always collect (no foreign handles live there).
+    /// Allow threshold-triggered garbage collection during this loop.
+    /// Must be `false` whenever the caller holds BDD handles that are
+    /// not reachable from the permanent roots, the loop's live sets or
+    /// `within` — [`stgcheck_bdd::BddManager::gc`] dangles every
+    /// unrooted handle.
     pub gc: bool,
 }
 
@@ -314,9 +267,6 @@ pub(crate) struct FixpointOutcome {
     pub iterations: usize,
     /// Strict-BFS rings when requested, empty otherwise.
     pub rings: Vec<Bdd>,
-    /// Highest per-worker peak of live BDD nodes (0 for the sequential
-    /// engines, whose peak shows up in the main manager).
-    pub shard_peak_nodes: usize,
     /// Whether the loop converged, was interrupted or ran out of budget.
     pub stop: FixpointStop,
 }
@@ -386,7 +336,7 @@ impl FixpointCtl {
     /// which case a final snapshot has been written unconditionally.
     ///
     /// An abort is routed through the budget's cancellation latch so
-    /// every layer sharing the budget — worker managers, in-flight
+    /// every layer sharing the budget — parallel workers, in-flight
     /// `and_exists` recursions — stops cooperatively, exactly as an
     /// external cancel would.
     fn tick(
@@ -501,7 +451,6 @@ pub(crate) fn run_fixpoint(
             reached: init,
             iterations: ctl.resume.as_ref().map_or(0, |r| r.iterations),
             rings: Vec::new(),
-            shard_peak_nodes: 0,
             stop: match reason {
                 ResourceError::Cancelled => FixpointStop::Interrupted,
                 other => FixpointStop::Exhausted(other),
@@ -518,7 +467,7 @@ pub(crate) fn run_fixpoint(
 
 /// One δ application under the spec, confined to `within` when set.
 ///
-/// Generic over the manager borrow: the shared-mode workers call it with
+/// Generic over the manager borrow: the parallel workers call it with
 /// `&BddManager` from many threads at once, every other caller with
 /// `&mut BddManager`.
 fn apply_one<M: BddOps>(mgr: &mut M, spec: &FixpointSpec, cubes: &TransCubes, set: Bdd) -> Bdd {
@@ -635,13 +584,7 @@ fn run_per_transition(
         // makes `to` inert garbage whose diff is spuriously FALSE — the
         // loop must report exhaustion, never fake convergence.
         if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-            return FixpointOutcome {
-                reached,
-                iterations: iterations - 1,
-                rings,
-                shard_peak_nodes: 0,
-                stop,
-            };
+            return FixpointOutcome { reached, iterations: iterations - 1, rings, stop };
         }
         let new = sym.manager_mut().diff(to, reached);
         if new.is_false() {
@@ -655,22 +598,10 @@ fn run_per_transition(
         maybe_gc(sym, spec, &[reached, from], &rings, &[]);
         maybe_reorder(sym, opts, spec, &[reached, from], &rings, &[]);
         if ctl.tick(sym, reached, from, iterations) {
-            return FixpointOutcome {
-                reached,
-                iterations,
-                rings,
-                shard_peak_nodes: 0,
-                stop: FixpointStop::Interrupted,
-            };
+            return FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Interrupted };
         }
     }
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings,
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
+    FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Converged }
 }
 
 // ---------------------------------------------------------------------------
@@ -839,7 +770,6 @@ fn run_clustered(
                 reached,
                 iterations: iterations - 1,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop,
             };
         }
@@ -859,18 +789,11 @@ fn run_clustered(
                 reached,
                 iterations,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop: FixpointStop::Interrupted,
             };
         }
     }
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings: Vec::new(),
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
+    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
 }
 
 // ---------------------------------------------------------------------------
@@ -991,13 +914,7 @@ fn run_saturation(
             reached = acc;
         }
         if let Some(stop) = ctl.budget_stop(sym, reached, reached, iterations) {
-            return FixpointOutcome {
-                reached,
-                iterations,
-                rings: Vec::new(),
-                shard_peak_nodes: 0,
-                stop,
-            };
+            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
         }
         // The snapshot's frontier *is* the reached set here — saturation
         // resumes by re-saturating, not by frontier replay.
@@ -1006,7 +923,6 @@ fn run_saturation(
                 reached,
                 iterations,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop: FixpointStop::Interrupted,
             };
         }
@@ -1040,60 +956,20 @@ fn run_saturation(
             None => pos += 1,
         }
     }
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings: Vec::new(),
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
+    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
 }
 
 // ---------------------------------------------------------------------------
 // Parallel sharded engine.
 // ---------------------------------------------------------------------------
 
-/// A worker's local closure against a **private** manager: everything
-/// reachable from `from` using only the shard's transitions (chained,
-/// with the worker's own GC).
-fn shard_closure(
-    w: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    shard: &[TransId],
-    from: Bdd,
-) -> Bdd {
-    let mut reached = from;
-    let mut front = from;
-    loop {
-        let mut acc = front;
-        for &t in shard {
-            let cubes = *w.cubes(t);
-            let img = apply_one(w.manager_mut(), spec, &cubes, acc);
-            acc = w.manager_mut().or(acc, img);
-            maybe_gc(w, spec, &[reached, acc], &[], &[]);
-        }
-        let new = w.manager_mut().diff(acc, reached);
-        if new.is_false() {
-            return reached;
-        }
-        reached = w.manager_mut().or(reached, new);
-        front = new;
-        maybe_gc(w, spec, &[reached, front], &[], &[]);
-    }
-}
-
-/// A worker's local closure against the **shared** concurrent manager:
-/// same fixpoint as [`shard_closure`], but through `&SymbolicStg` — the
-/// handles it takes and returns are directly meaningful to every other
-/// thread, so nothing is serialized. No GC here: collection is a
-/// quiesce-point operation that the coordinator runs between outer
-/// iterations, once the scoped workers have been joined.
-fn shard_closure_shared(
-    sym: &SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    shard: &[TransId],
-    from: Bdd,
-) -> Bdd {
+/// A worker's local closure: everything reachable from `from` using only
+/// the shard's transitions (chained), computed through `&SymbolicStg`
+/// against the shared concurrent manager — the handles it takes and
+/// returns are directly meaningful to every other thread. No GC here:
+/// collection is a quiesce-point operation that the coordinator runs
+/// between outer iterations, once the scoped workers have been joined.
+fn shard_closure(sym: &SymbolicStg<'_>, spec: &FixpointSpec, shard: &[TransId], from: Bdd) -> Bdd {
     let mut mgr = sym.manager();
     let mut reached = from;
     let mut front = from;
@@ -1113,20 +989,10 @@ fn shard_closure_shared(
 }
 
 /// A shard below this many transitions cannot amortise the per-iteration
-/// export/broadcast/join round trip: run such fixpoints sequentially.
+/// thread spawn and join: run such fixpoints sequentially.
 /// Keeps the auxiliary loops (per-signal inference, frozen-input CSC
 /// checks, tiny nets) from paying thread setup for trivial work.
 const MIN_SHARD_TRANSITIONS: usize = 4;
-
-/// One per-iteration command to a shard worker: the frontier to close
-/// over, and — when the main manager sifted since the last exchange —
-/// the new variable order the worker must adopt *before* importing it
-/// (the [`SerializedBdd`] interchange is level-based, so both sides must
-/// agree on what each level means).
-struct ShardCmd {
-    frontier: SerializedBdd,
-    order: Option<Vec<Var>>,
-}
 
 /// Splits `transitions` into `jobs` shards balanced by support size.
 ///
@@ -1161,6 +1027,21 @@ fn balance_shards(
     shards
 }
 
+/// The parallel engine: scoped workers share the one concurrent manager,
+/// so the per-iteration exchange is a handful of `Copy` handles.
+///
+/// Iteration protocol:
+///
+/// 1. **Fan out** — spawn one scoped worker per shard; each closes its
+///    shard over the current frontier through `&SymbolicStg`, racing
+///    freely on the lock-sharded unique table and lossy-atomic caches.
+/// 2. **Join** — OR the workers' closure handles into the next frontier
+///    (plain handle arithmetic; canonicity makes the result identical to
+///    what any sequential engine would produce).
+/// 3. **Quiesce** — with every worker joined, the coordinator holds the
+///    only reference, so `&mut` GC and `--reorder` sifting run exactly
+///    as in the sequential engines. In-place sifting preserves handles,
+///    so `reached`/`from` survive into the next fan-out unchanged.
 fn run_parallel(
     sym: &mut SymbolicStg<'_>,
     opts: &EngineOptions,
@@ -1180,39 +1061,6 @@ fn run_parallel(
         };
         return run_per_transition(sym, &seq, spec, transitions, init, ctl);
     }
-    match opts.sharing {
-        ShardSharing::Shared => run_parallel_shared(sym, opts, spec, transitions, init, jobs, ctl),
-        ShardSharing::Private => {
-            run_parallel_private(sym, opts, spec, transitions, init, jobs, ctl)
-        }
-    }
-}
-
-/// The default parallel engine: scoped workers share the one concurrent
-/// manager, so the per-iteration exchange is a handful of `Copy`
-/// handles.
-///
-/// Iteration protocol:
-///
-/// 1. **Fan out** — spawn one scoped worker per shard; each closes its
-///    shard over the current frontier through `&SymbolicStg`, racing
-///    freely on the lock-sharded unique table and lossy-atomic caches.
-/// 2. **Join** — OR the workers' closure handles into the next frontier
-///    (plain handle arithmetic; canonicity makes the result identical to
-///    what any sequential engine would produce).
-/// 3. **Quiesce** — with every worker joined, the coordinator holds the
-///    only reference, so `&mut` GC and `--reorder` sifting run exactly
-///    as in the sequential engines. In-place sifting preserves handles,
-///    so `reached`/`from` survive into the next fan-out unchanged.
-fn run_parallel_shared(
-    sym: &mut SymbolicStg<'_>,
-    opts: &EngineOptions,
-    spec: &FixpointSpec,
-    transitions: &[TransId],
-    init: Bdd,
-    jobs: usize,
-    ctl: &mut FixpointCtl,
-) -> FixpointOutcome {
     let shards = balance_shards(sym, transitions, jobs);
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     loop {
@@ -1221,7 +1069,7 @@ fn run_parallel_shared(
         let parts: Vec<Bdd> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
-                .map(|shard| scope.spawn(move || shard_closure_shared(shared, spec, shard, from)))
+                .map(|shard| scope.spawn(move || shard_closure(shared, spec, shard, from)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
         });
@@ -1235,7 +1083,6 @@ fn run_parallel_shared(
                 reached,
                 iterations: iterations - 1,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop,
             };
         }
@@ -1258,165 +1105,11 @@ fn run_parallel_shared(
                 reached,
                 iterations,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop: FixpointStop::Interrupted,
             };
         }
     }
-    // The shared peak is the main manager's peak; there is no separate
-    // worker column to report.
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings: Vec::new(),
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
-}
-
-/// The compatibility engine: private per-worker managers exchanging
-/// [`SerializedBdd`] frontiers — the original PR 2 design, retained as a
-/// differential baseline and as the shape a distributed backend would
-/// take (the serialized interchange is the wire format).
-fn run_parallel_private(
-    sym: &mut SymbolicStg<'_>,
-    opts: &EngineOptions,
-    spec: &FixpointSpec,
-    transitions: &[TransId],
-    init: Bdd,
-    jobs: usize,
-    ctl: &mut FixpointCtl,
-) -> FixpointOutcome {
-    let stg = sym.stg();
-    let order = sym.order();
-    // The main manager may already have been sifted away from the
-    // deterministic declaration order (e.g. by an earlier fixpoint of the
-    // same verification); fresh workers start from the declaration order,
-    // so hand them the current one to adopt first.
-    let start_order: Vec<Var> = sym.manager().order();
-    let within_ser = spec.within.map(|w| sym.manager().export_bdd(w));
-    let marking_only = spec.marking_only;
-    let direction = spec.direction;
-    // Workers share the loop's budget: a trip anywhere (a worker blowing
-    // the node ceiling, the coordinator passing the deadline) reaches
-    // every private manager at its next allocation poll.
-    let budget = ctl.budget.clone();
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = mpsc::channel::<(SerializedBdd, usize)>();
-        let mut cmd_txs: Vec<mpsc::Sender<ShardCmd>> = Vec::new();
-        for shard in balance_shards(sym, transitions, jobs) {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<ShardCmd>();
-            cmd_txs.push(cmd_tx);
-            let res_tx = res_tx.clone();
-            let within_ser = within_ser.clone();
-            let start_order = start_order.clone();
-            let budget = budget.clone();
-            scope.spawn(move || {
-                // Each worker owns a full symbolic context; the
-                // deterministic declaration sequence plus the explicit
-                // order hand-off guarantees its variable levels line up
-                // with the main manager's, which is what makes the
-                // serialised interchange sound.
-                let mut w = SymbolicStg::new(stg, order);
-                w.manager_mut().set_budget(budget);
-                if w.manager().order() != start_order {
-                    w.apply_var_order(&start_order, &mut []);
-                }
-                let mut within = within_ser.map(|s| w.manager_mut().import_bdd(&s));
-                while let Ok(cmd) = cmd_rx.recv() {
-                    if let Some(new_order) = cmd.order {
-                        match within {
-                            Some(ref mut wh) => {
-                                w.apply_var_order(&new_order, std::slice::from_mut(wh));
-                            }
-                            None => w.apply_var_order(&new_order, &mut []),
-                        }
-                    }
-                    let wspec = FixpointSpec {
-                        marking_only,
-                        direction,
-                        within,
-                        record_rings: false,
-                        gc: true,
-                    };
-                    let from = w.manager_mut().import_bdd(&cmd.frontier);
-                    let local = shard_closure(&mut w, &wspec, &shard, from);
-                    let out = w.manager().export_bdd(local);
-                    if res_tx.send((out, w.manager().peak_live_nodes())).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
-        let mut shard_peak = 0;
-        let mut sent_order = start_order;
-        loop {
-            iterations += 1;
-            let cur_order = sym.manager().order();
-            let order_msg = if cur_order != sent_order {
-                sent_order = cur_order.clone();
-                Some(cur_order)
-            } else {
-                None
-            };
-            let frontier = sym.manager().export_bdd(from);
-            for tx in &cmd_txs {
-                tx.send(ShardCmd { frontier: frontier.clone(), order: order_msg.clone() })
-                    .expect("worker alive");
-            }
-            let mut to = from;
-            for _ in 0..cmd_txs.len() {
-                let (ser, peak) = res_rx.recv().expect("worker result");
-                let mgr = sym.manager_mut();
-                let part = mgr.import_bdd(&ser);
-                to = mgr.or(to, part);
-                shard_peak = shard_peak.max(peak);
-            }
-            // Pre-commit budget check (all worker results drained above,
-            // so the channel protocol stays in lockstep).
-            if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-                drop(cmd_txs); // workers see a closed channel and exit
-                return FixpointOutcome {
-                    reached,
-                    iterations: iterations - 1,
-                    rings: Vec::new(),
-                    shard_peak_nodes: shard_peak,
-                    stop,
-                };
-            }
-            let new = sym.manager_mut().diff(to, reached);
-            if new.is_false() {
-                break;
-            }
-            reached = sym.manager_mut().or(reached, new);
-            from = new;
-            maybe_gc(sym, spec, &[reached, from], &[], &[]);
-            // Sift the *main* manager only; the workers pick up the new
-            // level semantics from the order broadcast above on the next
-            // iteration.
-            maybe_reorder(sym, opts, spec, &[reached, from], &[], &[]);
-            if ctl.tick(sym, reached, from, iterations) {
-                drop(cmd_txs); // workers see a closed channel and exit
-                return FixpointOutcome {
-                    reached,
-                    iterations,
-                    rings: Vec::new(),
-                    shard_peak_nodes: shard_peak,
-                    stop: FixpointStop::Interrupted,
-                };
-            }
-        }
-        drop(cmd_txs); // workers see a closed channel and exit
-        FixpointOutcome {
-            reached,
-            iterations,
-            rings: Vec::new(),
-            shard_peak_nodes: shard_peak,
-            stop: FixpointStop::Converged,
-        }
-    })
+    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
 }
 
 #[cfg(test)]

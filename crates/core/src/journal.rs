@@ -43,22 +43,11 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use stgcheck_bdd::failpoint;
+use stgcheck_bdd::{failpoint, fnv64};
 
 use crate::protocol::json_escape;
 
 const HEADER: &str = "stgcheck-journal-v1";
-
-/// FNV-1a 64-bit — the checksum primitive shared with the v3 checkpoint
-/// trailer (duplicated here because the BDD crate keeps its own private).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Appends the checksum trailer and writes the record tmp-then-rename.
 fn write_record(path: &Path, body: &str) -> io::Result<()> {

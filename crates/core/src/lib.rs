@@ -16,9 +16,9 @@
 //! * a pluggable image-engine layer ([`EngineKind`], [`EngineOptions`])
 //!   behind one shared fixed-point loop: the per-transition baseline,
 //!   support-clustered partitioned relations with fused `and_exists`
-//!   steps, and a parallel sharded engine that splits transitions across
-//!   worker threads with private BDD managers (see
-//!   `docs/traversal-engines.md`);
+//!   steps, a parallel sharded engine that splits transitions across
+//!   worker threads sharing one concurrent BDD manager, and a
+//!   Ciardo-style saturation engine (see `docs/traversal-engines.md`);
 //! * the checks of Section 5: safeness, consistency, transition and
 //!   signal persistency (Fig. 6), CSC via excitation/quiescent regions,
 //!   CSC-reducibility via frozen-input traversal, determinism, and fake
@@ -65,7 +65,7 @@ mod verify;
 pub use consistency::ConsistencyViolation;
 pub use csc::{CodeRegions, CscAnalysis};
 pub use encode::{StateWitness, SymbolicStg, TransCubes, VarOrder};
-pub use engine::{EngineKind, EngineOptions, ReorderMode, ShardSharing};
+pub use engine::{EngineKind, EngineOptions, ReorderMode};
 pub use exit::ProcessExit;
 pub use logic::{LogicError, SignalFunction};
 pub use persistency::{SymSignalViolation, SymTransViolation};

@@ -175,6 +175,18 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // as one slice. The input is a `&str` and every stop byte is
+            // ASCII, so the run is valid UTF-8 on its own and the scan
+            // stays linear in the string's length.
+            let start = self.pos;
+            while self.peek().is_some_and(|c| c != b'"' && c != b'\\' && c >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(
+                std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| "invalid UTF-8".to_string())?,
+            );
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -216,17 +228,8 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(c) if c < 0x20 => {
+                Some(c) => {
                     return Err(format!("raw control byte 0x{c:02x} in string"));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -343,7 +346,6 @@ const VERIFY_FIELDS: &[&str] = &[
     "net_path",
     "engine",
     "reorder",
-    "sharing",
     "order",
     "jobs",
     "bfs",
@@ -470,7 +472,6 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
     let mut options = *defaults;
     opt_parse(json, "engine", &mut options.engine.kind)?;
     opt_parse(json, "reorder", &mut options.reorder)?;
-    opt_parse(json, "sharing", &mut options.engine.sharing)?;
     if let Some(v) = json.get("order") {
         let s = v.as_str().ok_or("`order` must be a string")?;
         options.order = match s {
@@ -582,11 +583,31 @@ mod tests {
                 "unknown field `engin` for op `verify`",
             ),
             (r#"{"id":"a","net":"x","exec":"shared"}"#, "unknown field `exec`"),
+            (
+                r#"{"id":"a","net":"x","sharing":"private"}"#,
+                "unknown field `sharing` for op `verify`",
+            ),
             (r#"{"op":"cancel","target":"r1","id":"c1"}"#, "unknown field `id` for op `cancel`"),
             (r#"{"op":"ping","id":"p","verbose":true}"#, "unknown field `verbose` for op `ping`"),
         ] {
             let err = parse_request(line, &d).expect_err(line);
             assert!(err.contains(needle), "`{line}` → `{err}` (wanted `{needle}`)");
         }
+    }
+
+    /// A verify request with a 1 MiB inline net — multi-byte characters,
+    /// escapes and all — parses in one linear pass and hands the exact
+    /// text back.
+    #[test]
+    fn large_inline_net_parses_and_round_trips() {
+        let chunk = "# \u{fc}nicode \"quoted\" back\\slash\ttab \u{1f600}\n";
+        let net = chunk.repeat((1 << 20) / chunk.len() + 1);
+        assert!(net.len() >= 1 << 20);
+        let line = format!(r#"{{"id":"big","net":"{}"}}"#, json_escape(&net));
+        let Request::Verify(v) = parse_request(&line, &VerifyOptions::default()).expect("parses")
+        else {
+            panic!("expected verify")
+        };
+        assert_eq!(v.net.as_deref(), Some(net.as_str()));
     }
 }

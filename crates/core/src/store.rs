@@ -36,7 +36,7 @@ use stgcheck_stg::{
 use crate::consistency::ConsistencyViolation;
 use crate::csc::CscAnalysis;
 use crate::encode::{StateWitness, VarOrder};
-use crate::engine::{write_atomically, EngineKind, ReorderMode, ShardSharing};
+use crate::engine::{write_atomically, EngineKind, ReorderMode};
 use crate::persistency::{SymSignalViolation, SymTransViolation};
 use crate::safety::SafetyViolation;
 use crate::traverse::{TraversalStats, TraversalStrategy};
@@ -285,19 +285,12 @@ fn opts_tag(opts: &VerifyOptions) -> String {
         TraversalStrategy::Chained => "ch",
         TraversalStrategy::Bfs => "bf",
     };
-    let sharing = match engine.sharing {
-        ShardSharing::Shared => "ss",
-        ShardSharing::Private => "sv",
-    };
     let reorder = match engine.reorder {
         ReorderMode::None => "rn",
         ReorderMode::Sift => "rs",
         ReorderMode::Auto => "ra",
     };
-    format!(
-        "{order}-{policy}-{kind}-{strategy}-j{}-c{}-{sharing}-{reorder}",
-        engine.jobs, engine.max_cluster
-    )
+    format!("{order}-{policy}-{kind}-{strategy}-j{}-c{}-{reorder}", engine.jobs, engine.max_cluster)
 }
 
 /// File name of the `latest` pointer: sanitized net name plus the option
@@ -505,14 +498,8 @@ pub(crate) fn report_to_text(r: &SymbolicReport) -> String {
     let t = &r.traversal;
     let _ = writeln!(
         out,
-        "trav {} {} {} {} {} {} {}",
-        t.iterations,
-        t.peak_nodes,
-        t.worker_peak_nodes,
-        t.final_nodes,
-        t.sift_passes,
-        t.num_states,
-        t.seconds
+        "trav {} {} {} {} {} {}",
+        t.iterations, t.peak_nodes, t.final_nodes, t.sift_passes, t.num_states, t.seconds
     );
     let _ = writeln!(out, "code {}", r.initial_code.0);
     let _ = writeln!(out, "deadlock {}", opt_wit_str(&r.deadlock));
@@ -634,15 +621,14 @@ pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
             ("gc", [a, b, c]) => {
                 gc = (a.parse().ok()?, b.parse().ok()?, c.parse().ok()?);
             }
-            ("trav", [a, b, c, d, e, f, g]) => {
+            ("trav", [a, b, c, d, e, f]) => {
                 trav = Some(TraversalStats {
                     iterations: a.parse().ok()?,
                     peak_nodes: b.parse().ok()?,
-                    worker_peak_nodes: c.parse().ok()?,
-                    final_nodes: d.parse().ok()?,
-                    sift_passes: e.parse().ok()?,
-                    num_states: f.parse().ok()?,
-                    seconds: g.parse().ok()?,
+                    final_nodes: c.parse().ok()?,
+                    sift_passes: d.parse().ok()?,
+                    num_states: e.parse().ok()?,
+                    seconds: f.parse().ok()?,
                 });
             }
             ("code", [n]) => code = Some(Code(n.parse().ok()?)),
@@ -789,6 +775,12 @@ mod tests {
         assert!(report_from_text(&text.replace("verdict", "verdikt")).is_none());
         assert!(report_from_text(&text.replace("report-v1", "report-v9")).is_none());
         assert!(report_from_text(&format!("{text}junk\n")).is_none());
+        // A report written before the worker-peak column was dropped has
+        // a 7-field `trav` line: a clean miss, recomputed cold.
+        let trav = text.lines().find(|l| l.starts_with("trav ")).unwrap();
+        let f: Vec<&str> = trav.split(' ').collect();
+        let seven = format!("{} {} {} 0 {}", f[0], f[1], f[2], f[3..].join(" "));
+        assert!(report_from_text(&text.replace(trav, &seven)).is_none());
     }
 
     #[test]

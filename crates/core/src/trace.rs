@@ -47,7 +47,6 @@ impl SymbolicStg<'_> {
         let stats = TraversalStats {
             iterations: out.iterations,
             peak_nodes: self.manager().peak_live_nodes(),
-            worker_peak_nodes: 0,
             final_nodes: self.manager().size(out.reached),
             sift_passes: self.manager().stats().sift_runs - sift_runs_before,
             num_states: self.manager().sat_count(out.reached),

@@ -33,10 +33,8 @@ pub enum TraversalStrategy {
 pub struct TraversalStats {
     /// Outer fixed-point iterations until convergence.
     pub iterations: usize,
-    /// Peak live BDD nodes during the traversal (main manager).
+    /// Peak live BDD nodes during the traversal.
     pub peak_nodes: usize,
-    /// Highest peak of any worker manager (parallel engine only, else 0).
-    pub worker_peak_nodes: usize,
     /// Size of the final `Reached` BDD in nodes.
     pub final_nodes: usize,
     /// In-place sifting passes run during this traversal (0 under
@@ -127,7 +125,6 @@ impl SymbolicStg<'_> {
         let stats = TraversalStats {
             iterations: out.iterations,
             peak_nodes: self.manager().peak_live_nodes(),
-            worker_peak_nodes: out.shard_peak_nodes,
             final_nodes: self.manager().size(out.reached),
             sift_passes: self.manager().stats().sift_runs - sift_runs_before,
             num_states: self.manager().sat_count(out.reached),

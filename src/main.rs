@@ -11,12 +11,9 @@
 //!                        (default: per-transition; see
 //!                        docs/traversal-engines.md)
 //!   --jobs <n>           worker threads for --engine parallel (default:
-//!                        available parallelism); with the default shared
-//!                        manager the workers race on one BDD arena, so
-//!                        --jobs scales real work instead of copies
-//!   --sharing <m>        shared|private — whether parallel workers share
-//!                        the one concurrent BDD manager (default: shared;
-//!                        see docs/concurrent-table.md)
+//!                        available parallelism); the workers race on one
+//!                        concurrent BDD manager (see
+//!                        docs/concurrent-table.md)
 //!   --reorder <m>        none|sift|auto — dynamic variable reordering
 //!                        (in-place sifting; see docs/reordering.md)
 //!   --bfs                strict breadth-first traversal (default: chained)
@@ -175,7 +172,6 @@ struct Cli {
 fn usage() -> &'static str {
     "usage: stgcheck [--arbitration] [--order interleaved|places|signals|declaration] \
      [--engine per-transition|clustered|parallel|saturation] [--jobs N] \
-     [--sharing shared|private] \
      [--reorder none|sift|auto] [--bfs] [--quiet] \
      [--timeout SECS] [--max-nodes N] [--max-steps N] [--fallback] \
      [--failpoints SPEC] \
@@ -278,10 +274,6 @@ fn parse_verify_flag(
             let v = it.next().ok_or("--jobs needs a value")?;
             options.engine.jobs =
                 v.parse().map_err(|_| format!("--jobs needs a number, got `{v}`"))?;
-        }
-        "--sharing" => {
-            let v = it.next().ok_or("--sharing needs a value")?;
-            options.engine.sharing = v.parse()?;
         }
         "--timeout" => {
             let v = it.next().ok_or("--timeout needs a value in seconds")?;

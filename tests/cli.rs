@@ -114,9 +114,13 @@ fn missing_file_exits_2() {
 
 #[test]
 fn bad_option_exits_2_with_usage() {
-    let out = Command::new(bin()).arg("--frobnicate").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // `--sharing` was removed and must fail like any unknown option.
+    let handshake = data("handshake.g");
+    for args in [vec!["--frobnicate"], vec!["--sharing", "private", &handshake]] {
+        let out = Command::new(bin()).args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{args:?}");
+    }
 }
 
 #[test]

@@ -6,14 +6,14 @@
 //! scripts, then replays the same scripts on a fresh single-threaded
 //! manager with the same variable declarations. Canonical handles differ
 //! between the two managers (creation order differs), but the *functions*
-//! must be identical — and [`BddManager::export_bdd`] snapshots are
-//! canonical per (function, variable order), so comparing snapshots is a
-//! node-for-node structural check, not just a state count.
+//! must be identical — and [`BddManager::export_checkpoint`] snapshots
+//! are canonical per (function sequence, variable order), so comparing
+//! snapshots is a node-for-node structural check, not just a state count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stgcheck::bdd::{Bdd, BddManager, BddOps, SerializedBdd, Var};
-use stgcheck::core::{verify, EngineKind, EngineOptions, ReorderMode, ShardSharing, VerifyOptions};
+use stgcheck::bdd::{Bdd, BddCheckpoint, BddManager, BddOps, Var};
+use stgcheck::core::{verify, EngineKind, EngineOptions, ReorderMode, VerifyOptions};
 use stgcheck::stg::{gen, Stg};
 
 /// One scripted operation; operands index the thread's result history
@@ -109,8 +109,9 @@ fn fresh_manager() -> (BddManager, Vec<Var>, Vec<Bdd>) {
 
 /// Snapshot of every function a script produced, in a manager-independent
 /// canonical form.
-fn snapshots(m: &BddManager, results: &[Bdd]) -> Vec<SerializedBdd> {
-    results.iter().map(|&r| m.export_bdd(r)).collect()
+fn snapshots(m: &BddManager, results: &[Bdd]) -> BddCheckpoint {
+    let roots: Vec<(&str, Bdd)> = results.iter().map(|&r| ("", r)).collect();
+    m.export_checkpoint(0, &roots, &[])
 }
 
 /// The headline stress test: N threads hammer one manager with random op
@@ -291,37 +292,34 @@ fn engine_corpus() -> Vec<Stg> {
     ]
 }
 
-/// The parallel engine's fan-out against its own single-worker run, for
-/// both sharing models and every reorder mode. With `jobs == 2` shared
-/// workers run every operation through the `&BddManager` instantiation;
-/// with `jobs == 1` the engine falls back to the sequential loop, which
-/// runs the `&mut BddManager` one throughout. The two must agree on every
-/// verdict and state count.
+/// The parallel engine's fan-out against its own single-worker run,
+/// under every reorder mode. With `jobs == 2` the workers run every
+/// operation through the `&BddManager` instantiation; with `jobs == 1`
+/// the engine falls back to the sequential loop, which runs the
+/// `&mut BddManager` one throughout. The two must agree on every verdict
+/// and state count.
 #[test]
-fn two_workers_agree_with_one_across_sharing_and_reorders() {
+fn two_workers_agree_with_one_across_reorders() {
     for stg in engine_corpus() {
-        for sharing in [ShardSharing::Shared, ShardSharing::Private] {
-            for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
-                let with = |jobs: usize| VerifyOptions {
-                    engine: EngineOptions {
-                        kind: EngineKind::ParallelSharded,
-                        jobs,
-                        sharing,
-                        ..Default::default()
-                    },
-                    reorder,
-                    ..VerifyOptions::default()
-                };
-                let ctx = format!("{}: {sharing} + reorder {reorder}", stg.name());
-                let one = verify(&stg, with(1)).unwrap();
-                let two = verify(&stg, with(2)).unwrap();
-                assert_eq!(one.verdict, two.verdict, "{ctx}: verdict");
-                assert_eq!(one.num_states, two.num_states, "{ctx}: states");
-                assert_eq!(one.safe(), two.safe(), "{ctx}: safety");
-                assert_eq!(one.consistent(), two.consistent(), "{ctx}: consistency");
-                assert_eq!(one.persistent(), two.persistent(), "{ctx}: persistency");
-                assert_eq!(one.csc_holds(), two.csc_holds(), "{ctx}: CSC");
-            }
+        for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
+            let with = |jobs: usize| VerifyOptions {
+                engine: EngineOptions {
+                    kind: EngineKind::ParallelSharded,
+                    jobs,
+                    ..Default::default()
+                },
+                reorder,
+                ..VerifyOptions::default()
+            };
+            let ctx = format!("{}: reorder {reorder}", stg.name());
+            let one = verify(&stg, with(1)).unwrap();
+            let two = verify(&stg, with(2)).unwrap();
+            assert_eq!(one.verdict, two.verdict, "{ctx}: verdict");
+            assert_eq!(one.num_states, two.num_states, "{ctx}: states");
+            assert_eq!(one.safe(), two.safe(), "{ctx}: safety");
+            assert_eq!(one.consistent(), two.consistent(), "{ctx}: consistency");
+            assert_eq!(one.persistent(), two.persistent(), "{ctx}: persistency");
+            assert_eq!(one.csc_holds(), two.csc_holds(), "{ctx}: CSC");
         }
     }
 }

@@ -12,8 +12,8 @@ mod common;
 
 use common::{fixture, fixture_corpus, imported_corpus};
 use stgcheck::core::{
-    verify, EngineKind, EngineOptions, ReorderMode, ShardSharing, SymbolicStg, TraversalStrategy,
-    VarOrder, VerifyOptions,
+    verify, EngineKind, EngineOptions, ReorderMode, SymbolicStg, TraversalStrategy, VarOrder,
+    VerifyOptions,
 };
 use stgcheck::stg::{gen, Stg};
 
@@ -50,30 +50,12 @@ fn engines() -> Vec<(&'static str, EngineOptions)> {
             EngineOptions { kind: EngineKind::Clustered, max_cluster: 1, ..Default::default() },
         ),
         (
-            "parallel/shared/2",
+            "parallel/2",
             EngineOptions { kind: EngineKind::ParallelSharded, jobs: 2, ..Default::default() },
         ),
         (
-            "parallel/shared/4",
+            "parallel/4",
             EngineOptions { kind: EngineKind::ParallelSharded, jobs: 4, ..Default::default() },
-        ),
-        (
-            "parallel/private/2",
-            EngineOptions {
-                kind: EngineKind::ParallelSharded,
-                jobs: 2,
-                sharing: ShardSharing::Private,
-                ..Default::default()
-            },
-        ),
-        (
-            "parallel/private/4",
-            EngineOptions {
-                kind: EngineKind::ParallelSharded,
-                jobs: 4,
-                sharing: ShardSharing::Private,
-                ..Default::default()
-            },
         ),
         ("saturation", EngineOptions { kind: EngineKind::Saturation, ..Default::default() }),
         (
@@ -216,11 +198,10 @@ fn verdicts_and_counts_are_reorder_independent() {
     }
 }
 
-/// The tentpole lock-down for the saturation engine: the full four-engine
-/// matrix — every engine × `--reorder {none,sift,auto}`, and for the
-/// parallel engine additionally × `--sharing {shared,private}` — must
-/// produce the *identical* `Reached` handle and state count on every
-/// benchmark family and on random safe STGs.
+/// The full four-engine matrix — every engine × `--reorder
+/// {none,sift,auto}`, and for the parallel engine additionally × `jobs
+/// {2,4}` — must produce the *identical* `Reached` handle and state count
+/// on every benchmark family and on random safe STGs.
 ///
 /// A sifting run garbage-collects everything outside its own roots, so a
 /// reference handle from *before* the sift would dangle; instead the
@@ -228,7 +209,7 @@ fn verdicts_and_counts_are_reorder_independent() {
 /// in the same manager, where handle equality is exactly function
 /// equality under the then-current order.
 #[test]
-fn four_engine_reorder_sharing_matrix_agrees_on_reached() {
+fn four_engine_reorder_matrix_agrees_on_reached() {
     let mut nets = fixture_corpus();
     nets.extend(imported_corpus());
     nets.extend((0..10u64).map(gen::random_safe_stg));
@@ -242,18 +223,13 @@ fn four_engine_reorder_sharing_matrix_agrees_on_reached() {
             EngineKind::ParallelSharded,
             EngineKind::Saturation,
         ] {
-            let sharings: &[ShardSharing] = if kind == EngineKind::ParallelSharded {
-                &[ShardSharing::Shared, ShardSharing::Private]
-            } else {
-                &[ShardSharing::Shared]
-            };
+            let jobs: &[usize] = if kind == EngineKind::ParallelSharded { &[2, 4] } else { &[2] };
             for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
-                for &sharing in sharings {
-                    let opts =
-                        EngineOptions { kind, jobs: 2, reorder, sharing, ..Default::default() };
+                for &jobs in jobs {
+                    let opts = EngineOptions { kind, jobs, reorder, ..Default::default() };
                     let t = sym.traverse_with_engine(code, &opts);
                     let base = sym.traverse_with_engine(code, &EngineOptions::default());
-                    let ctx = format!("{}: {kind} reorder {reorder} sharing {sharing}", stg.name());
+                    let ctx = format!("{}: {kind} reorder {reorder} jobs {jobs}", stg.name());
                     assert_eq!(t.reached, base.reached, "{ctx}: reached handle differs");
                     assert_eq!(t.stats.num_states, states, "{ctx}: state count differs");
                 }
@@ -262,54 +238,28 @@ fn four_engine_reorder_sharing_matrix_agrees_on_reached() {
     }
 }
 
+/// The parallel engine must agree with `per-transition` on the state
+/// count and full verdict for every net in `benchmarks/`, at 2 and 4
+/// workers, across `--reorder none|auto`.
 #[test]
-fn worker_peaks_are_reported_by_private_sharding_only() {
-    let stg = gen::muller_pipeline(8);
-    let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-    let code = sym.effective_initial_code().unwrap();
-    let private = EngineOptions {
-        kind: EngineKind::ParallelSharded,
-        jobs: 2,
-        sharing: ShardSharing::Private,
-        ..Default::default()
-    };
-    let t = sym.traverse_with_engine(code, &private);
-    assert!(t.stats.worker_peak_nodes > 0, "private sharding must report worker peaks");
-    // With the shared manager there are no worker managers: every node
-    // the workers build shows up in the main peak instead.
-    let shared = EngineOptions { kind: EngineKind::ParallelSharded, jobs: 2, ..Default::default() };
-    let t = sym.traverse_with_engine(code, &shared);
-    assert_eq!(t.stats.worker_peak_nodes, 0, "shared sharding has no separate worker peak");
-    assert!(t.stats.peak_nodes > 0);
-    // Sequential engines leave the worker column at zero.
-    let seq = sym.traverse(code, TraversalStrategy::Chained);
-    assert_eq!(seq.stats.worker_peak_nodes, 0);
-}
-
-/// The acceptance gate of the shared-table rework: shared-manager
-/// parallel must agree with `per-transition` (and with private-manager
-/// parallel) on the state count and full verdict for every net in
-/// `benchmarks/`, across `--reorder none|auto`.
-#[test]
-fn shared_and_private_parallel_agree_on_benchmark_corpus() {
+fn parallel_agrees_with_per_transition_on_benchmark_corpus() {
     let mut corpus = fixture_corpus();
     corpus.extend(imported_corpus());
     for stg in corpus {
         for reorder in [ReorderMode::None, ReorderMode::Auto] {
             let base = verify(&stg, VerifyOptions { reorder, ..VerifyOptions::default() }).unwrap();
-            for sharing in [ShardSharing::Shared, ShardSharing::Private] {
+            for jobs in [2, 4] {
                 let opts = VerifyOptions {
                     engine: EngineOptions {
                         kind: EngineKind::ParallelSharded,
-                        jobs: 2,
-                        sharing,
+                        jobs,
                         ..Default::default()
                     },
                     reorder,
                     ..VerifyOptions::default()
                 };
                 let report = verify(&stg, opts).unwrap();
-                let ctx = format!("{}: parallel/{sharing} reorder {reorder}", stg.name());
+                let ctx = format!("{}: parallel/{jobs} reorder {reorder}", stg.name());
                 assert_eq!(report.num_states, base.num_states, "{ctx}");
                 assert_eq!(report.verdict, base.verdict, "{ctx}");
                 assert_eq!(report.safe(), base.safe(), "{ctx}");

@@ -1,5 +1,5 @@
-//! End-to-end tests of the persistent store (PR 7): checkpoint bulk
-//! loading against the recursive importer on the whole checked-in
+//! End-to-end tests of the persistent store: checkpoint bulk loading
+//! against the handles the BDD operations build, on the whole checked-in
 //! corpus, interrupt/resume equivalence across every engine × reorder
 //! mode, warm cache hits, and incremental reverification of monotone
 //! edits.
@@ -46,10 +46,11 @@ fn find_root(roots: &[(String, stgcheck::bdd::Bdd)], name: &str) -> stgcheck::bd
 
 /// The acceptance gate for the bulk loader: on every corpus net, the
 /// level-ordered bulk import of the reached-set checkpoint must return
-/// handles equal to the recursive (`mk`-descent) importer — both into
-/// the exporting manager (identity) and into a fresh twin encoding.
+/// the handle the traversal's own operations built — both in the
+/// exporting manager (identity) and in a fresh twin encoding that ran
+/// the same traversal.
 #[test]
-fn bulk_checkpoint_load_matches_recursive_import_on_corpus() {
+fn bulk_checkpoint_load_matches_ops_built_handle_on_corpus() {
     for stg in corpus() {
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
@@ -66,14 +67,17 @@ fn bulk_checkpoint_load_matches_recursive_import_on_corpus() {
         assert_eq!(ck.meta_value("iterations"), Some(7), "{}", stg.name());
 
         // Bulk into the exporting manager: the exact same handle.
-        let ser = sym.manager().export_bdd(reached);
-        assert_eq!(sym.manager_mut().bulk_import_bdd(&ser).unwrap(), reached, "{}", stg.name());
+        let same = find_root(&sym.import_checkpoint(&ck).unwrap(), "reached");
+        assert_eq!(same, reached, "{}", stg.name());
 
-        // Bulk into a twin encoding equals the recursive import there.
+        // Bulk into a twin encoding equals what the twin's own traversal
+        // built there.
         let mut twin = SymbolicStg::new(&stg, VarOrder::Interleaved);
+        let twin_code = twin.effective_initial_code().unwrap();
+        let built = twin.traverse_engine(twin_code).reached;
         let bulk = find_root(&twin.import_checkpoint(&ck).unwrap(), "reached");
-        let recursive = twin.manager().import_bdd(&ser);
-        assert_eq!(bulk, recursive, "{}", stg.name());
+        assert_eq!(bulk, built, "{}", stg.name());
+        twin.manager_mut().check_invariants();
         assert_eq!(
             twin.manager().sat_count(bulk),
             sym.manager().sat_count(reached),
