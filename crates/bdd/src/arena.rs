@@ -120,7 +120,7 @@ impl NodeArena {
             segs: (0..NUM_SEGS).map(|_| OnceLock::new()).collect(),
             hwm: AtomicUsize::new(0),
         };
-        let slot = arena.alloc_raw().expect("an empty arena cannot be exhausted");
+        let slot = arena.alloc().expect("an empty arena cannot be exhausted");
         debug_assert_eq!(slot, 0);
         arena.set(0, terminal);
         arena
@@ -242,39 +242,8 @@ impl NodeArena {
     ///
     /// Returns `None` when the packed-cell slot range (2^27 nodes) is
     /// exhausted — the caller (the manager's `mk`) turns that into a
-    /// budget trip, never a panic. The `arena-alloc` failpoint injects
-    /// the same outcome deterministically for the robustness suite.
+    /// budget trip, never a panic.
     pub(crate) fn alloc(&self) -> Option<u32> {
-        if crate::failpoint::hit("arena-alloc") {
-            return None;
-        }
-        self.alloc_raw()
-    }
-
-    /// The `&mut` counterpart of [`NodeArena::alloc`]: a plain bump through `&mut
-    /// self` — no `fetch_add` RMW, no cap-parking dance (a failed bump
-    /// never moves the mark). Same failpoint, same `None`-on-exhaustion
-    /// contract.
-    pub(crate) fn alloc_mut(&mut self) -> Option<u32> {
-        if crate::failpoint::hit("arena-alloc") {
-            return None;
-        }
-        let i = *self.hwm.get_mut();
-        if i >= MAX_SLOTS {
-            return None;
-        }
-        *self.hwm.get_mut() = i + 1;
-        let (s, off) = locate(i);
-        debug_assert!(off < SEG_SIZE);
-        self.segs[s].get_or_init(|| (0..SEG_SIZE).map(|_| AtomicU64::new(0)).collect());
-        Some(i as u32)
-    }
-
-    /// [`NodeArena::alloc`] minus the failpoint: the terminal slot claimed
-    /// during construction is scaffolding, not an interesting fault site —
-    /// an always-firing `arena-alloc` must exhaust verification, not make
-    /// the manager unconstructible.
-    fn alloc_raw(&self) -> Option<u32> {
         let i = self.hwm.fetch_add(1, Ordering::Relaxed);
         if i >= MAX_SLOTS {
             // Park the mark at the cap so `len()` stays honest no matter
@@ -282,6 +251,21 @@ impl NodeArena {
             self.hwm.fetch_min(MAX_SLOTS, Ordering::Relaxed);
             return None;
         }
+        let (s, off) = locate(i);
+        debug_assert!(off < SEG_SIZE);
+        self.segs[s].get_or_init(|| (0..SEG_SIZE).map(|_| AtomicU64::new(0)).collect());
+        Some(i as u32)
+    }
+
+    /// The `&mut` counterpart of [`NodeArena::alloc`]: a plain bump through `&mut
+    /// self` — no `fetch_add` RMW, no cap-parking dance (a failed bump
+    /// never moves the mark). Same `None`-on-exhaustion contract.
+    pub(crate) fn alloc_mut(&mut self) -> Option<u32> {
+        let i = *self.hwm.get_mut();
+        if i >= MAX_SLOTS {
+            return None;
+        }
+        *self.hwm.get_mut() = i + 1;
         let (s, off) = locate(i);
         debug_assert!(off < SEG_SIZE);
         self.segs[s].get_or_init(|| (0..SEG_SIZE).map(|_| AtomicU64::new(0)).collect());

@@ -31,6 +31,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::failpoint::FaultPlan;
+
 /// Check the wall clock only every this many node allocations: an
 /// `Instant::now()` per allocation would dominate the apply loop.
 const POLL_STRIDE: u64 = 1024;
@@ -138,6 +140,8 @@ struct BudgetInner {
 #[derive(Clone)]
 pub struct Budget {
     inner: Arc<BudgetInner>,
+    /// The run's failpoints; disarmed unless [`Budget::with_faults`].
+    faults: FaultPlan,
 }
 
 impl Default for Budget {
@@ -184,13 +188,27 @@ impl Budget {
                 cancel: cancel.unwrap_or_default(),
                 tripped: AtomicU8::new(TRIP_NONE),
             }),
+            faults: FaultPlan::default(),
         }
     }
 
+    /// This budget with `faults` as the run's fault plan: every manager
+    /// it is installed on, and its [`Budget::rearm`], hit the same plan.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// The run's fault plan (disarmed unless [`Budget::with_faults`]).
+    pub fn faults(&self) -> &FaultPlan {
+        &self.faults
+    }
+
     /// A fresh untripped budget with the same limits, the same *absolute*
-    /// deadline and the same cancel flag — used by the `--fallback`
-    /// degradation ladder to retry under the original contract. The step
-    /// counter restarts (the retry is a new computation).
+    /// deadline, the same cancel flag and the same fault plan — used by
+    /// the `--fallback` degradation ladder to retry under the original
+    /// contract. The step counter restarts (the retry is a new
+    /// computation); failpoint hits keep counting.
     pub fn rearm(&self) -> Self {
         Budget {
             inner: Arc::new(BudgetInner {
@@ -202,6 +220,7 @@ impl Budget {
                 cancel: Arc::clone(&self.inner.cancel),
                 tripped: AtomicU8::new(TRIP_NONE),
             }),
+            faults: self.faults.clone(),
         }
     }
 
@@ -358,7 +377,8 @@ mod tests {
 
     #[test]
     fn rearm_clears_the_trip_but_shares_the_cancel_flag() {
-        let b = Budget::new(None, 10, 0, None);
+        let faults = FaultPlan::parse("arena-alloc=2").unwrap();
+        let b = Budget::new(None, 10, 0, None).with_faults(faults);
         b.trip(ResourceError::NodeBudget { limit: 10 });
         let r = b.rearm();
         assert!(!r.is_tripped());
@@ -366,6 +386,9 @@ mod tests {
         b.cancel_flag().store(true, Ordering::Relaxed);
         assert!(r.check_coarse());
         assert_eq!(r.tripped(), Some(ResourceError::Cancelled));
+        // The retry counts failpoint hits against the same plan.
+        assert!(!b.faults().hit("arena-alloc"));
+        assert!(r.faults().hit("arena-alloc"));
     }
 
     #[test]

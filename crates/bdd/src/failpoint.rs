@@ -1,13 +1,20 @@
 //! Deterministic fault injection for robustness testing.
 //!
 //! A *failpoint* is a named hook compiled into a failure-prone code path
-//! (arena allocation, cache-dir writes, checkpoint renames). Disarmed —
-//! the production state — every hook costs one relaxed load of a global
-//! flag and nothing else. Armed (via [`arm`] or the
-//! `STGCHECK_FAILPOINTS` environment variable / `--failpoints` CLI flag),
-//! each named hook deterministically reports an injected failure, which
-//! the host code must turn into a typed error or a clean cold-path
-//! recompute — never a panic, a wrong verdict, or a partial artifact.
+//! (arena allocation, cache-dir writes, checkpoint renames). Which hooks
+//! fire is decided by a [`FaultPlan`] value that the caller hands to the
+//! run: through [`crate::Budget::with_faults`] for the BDD layer, and
+//! through the persistence and serve options above it. Nothing is read
+//! from process state, so two runs in one process — one armed, one
+//! not — never see each other's faults.
+//!
+//! The disarmed plan ([`FaultPlan::default`]) is the production state:
+//! every hook costs one `Option` test, except the arena hook on the
+//! node-allocation hot path, which tests a flag the manager snapshots
+//! when a budget is installed. An armed hook reports an injected
+//! failure deterministically; the host code must turn it into a typed
+//! error or a clean cold-path recompute — never a panic, a wrong
+//! verdict, or a partial artifact.
 //!
 //! Spec grammar (`;`-separated):
 //!
@@ -16,19 +23,16 @@
 //! store-rename=3         fail only the 3rd hit (1-based) of `store-rename`
 //! ```
 //!
-//! The registry is global process state, so tests that arm failpoints
-//! must serialize through [`exclusive`].
+//! Hits are counted per plan: every clone of a plan shares its counters,
+//! so `name=N` fires exactly once across all threads and layers the plan
+//! was handed to.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Fast global switch: `false` (the default) short-circuits every hook.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Every failpoint compiled into the codebase. [`arm`] validates specs
-/// against this list so a typo'd `--failpoints` flag fails loudly instead
-/// of silently injecting nothing.
+/// Every failpoint compiled into the codebase. [`FaultPlan::parse`]
+/// validates specs against this list so a typo'd `--failpoints` flag
+/// fails loudly instead of silently injecting nothing.
 ///
 /// The `journal-*`/`serve-*`/`worker-panic` names fault the `stgcheck
 /// serve` daemon seams: journal record writes and recovery reads, the
@@ -45,102 +49,70 @@ pub const KNOWN: &[&str] = &[
     "worker-panic",
 ];
 
-/// When to fire an armed failpoint.
-#[derive(Debug, Clone, Copy)]
-enum FireRule {
-    /// Fail every hit.
-    Always,
-    /// Fail only the n-th hit (1-based).
-    Nth(u64),
+/// One armed failpoint and its hit counter. It fails every hit, or
+/// only the `nth` one (1-based).
+#[derive(Debug)]
+struct Point {
+    name: String,
+    nth: Option<u64>,
+    hits: AtomicU64,
 }
 
-#[derive(Default)]
-struct Registry {
-    /// name → (rule, hits so far).
-    points: HashMap<String, (FireRule, u64)>,
+/// The set of armed failpoints for one run (see the module docs).
+/// `Clone` shares the hit counters.
+#[derive(Clone, Debug, Default)]
+pub struct FaultPlan {
+    /// The armed points; `None` is the disarmed plan.
+    points: Option<Arc<[Point]>>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(Registry::default()))
-}
-
-fn test_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Serialises tests that arm failpoints: the registry is process-global,
-/// so concurrent arming tests would observe each other's faults. Arming
-/// while holding this guard; [`disarm_all`] before dropping it.
-pub fn exclusive() -> MutexGuard<'static, ()> {
-    test_lock().lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Arms failpoints from a spec string (see module docs for the grammar).
-/// Names are validated against [`KNOWN`]; a typo'd spec is an error, not
-/// a silent no-op.
-pub fn arm(spec: &str) -> Result<(), String> {
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
-        let (name, rule) = match part.split_once('=') {
-            None => (part, FireRule::Always),
-            Some((name, n)) => {
-                let n: u64 =
-                    n.parse().map_err(|_| format!("failpoint `{name}`: bad hit count `{n}`"))?;
-                if n == 0 {
-                    return Err(format!("failpoint `{name}`: hit counts are 1-based"));
+impl FaultPlan {
+    /// Builds a plan from a spec string (see the module docs for the
+    /// grammar). Names are validated against [`KNOWN`]; a typo'd spec is
+    /// an error, not a silent no-op. A name given twice keeps its last
+    /// hit count; an empty spec is the disarmed plan.
+    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+        let mut points: Vec<Point> = Vec::new();
+        for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
+            let (name, nth) = match part.split_once('=') {
+                None => (part, None),
+                Some((name, n)) => {
+                    let n: u64 = n
+                        .parse()
+                        .map_err(|_| format!("failpoint `{name}`: bad hit count `{n}`"))?;
+                    if n == 0 {
+                        return Err(format!("failpoint `{name}`: hit counts are 1-based"));
+                    }
+                    (name, Some(n))
                 }
-                (name, FireRule::Nth(n))
+            };
+            if !KNOWN.contains(&name) {
+                return Err(format!("unknown failpoint `{name}` (known: {})", KNOWN.join(", ")));
             }
-        };
-        if !KNOWN.contains(&name) {
-            return Err(format!("unknown failpoint `{name}` (known: {})", KNOWN.join(", ")));
+            points.retain(|p| p.name != name);
+            points.push(Point { name: name.to_string(), nth, hits: AtomicU64::new(0) });
         }
-        reg.points.insert(name.to_string(), (rule, 0));
+        Ok(FaultPlan { points: (!points.is_empty()).then(|| points.into()) })
     }
-    if !reg.points.is_empty() {
-        ARMED.store(true, Ordering::Release);
+
+    /// Whether any failpoint is armed.
+    pub fn is_armed(&self) -> bool {
+        self.points.is_some()
     }
-    Ok(())
-}
 
-/// Arms failpoints from the `STGCHECK_FAILPOINTS` environment variable,
-/// if set. Returns the spec error, if any.
-pub fn arm_from_env() -> Result<(), String> {
-    match std::env::var("STGCHECK_FAILPOINTS") {
-        Ok(spec) if !spec.trim().is_empty() => arm(&spec),
-        _ => Ok(()),
-    }
-}
-
-/// Disarms every failpoint and resets hit counters.
-pub fn disarm_all() {
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    reg.points.clear();
-    ARMED.store(false, Ordering::Release);
-}
-
-/// The hook: returns `true` when an injected failure should fire at this
-/// site. Disarmed cost is a single relaxed load.
-#[inline]
-pub fn hit(name: &str) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    hit_slow(name)
-}
-
-#[cold]
-fn hit_slow(name: &str) -> bool {
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    match reg.points.get_mut(name) {
-        None => false,
-        Some((rule, hits)) => {
-            *hits += 1;
-            match *rule {
-                FireRule::Always => true,
-                FireRule::Nth(n) => *hits == n,
+    /// The hook: counts a hit of `name` and returns `true` when an
+    /// injected failure should fire at this site. Disarmed cost is one
+    /// `Option` test.
+    #[inline]
+    pub fn hit(&self, name: &str) -> bool {
+        match &self.points {
+            None => false,
+            Some(points) => {
+                debug_assert!(KNOWN.contains(&name), "hook `{name}` is not in KNOWN");
+                points.iter().find(|p| p.name == name).is_some_and(|p| {
+                    let hits = p.hits.fetch_add(1, Ordering::Relaxed) + 1;
+                    p.nth.is_none_or(|n| hits == n)
+                })
             }
         }
     }
@@ -152,27 +124,43 @@ mod tests {
 
     #[test]
     fn disarmed_is_inert_and_specs_parse() {
-        let _guard = exclusive();
-        disarm_all();
-        assert!(!hit("arena-alloc"));
+        let disarmed = FaultPlan::default();
+        assert!(!disarmed.is_armed());
+        assert!(!disarmed.hit("arena-alloc"));
+        assert!(!FaultPlan::parse(" ; ").unwrap().is_armed());
 
-        arm("arena-alloc").unwrap();
-        assert!(hit("arena-alloc"));
-        assert!(hit("arena-alloc"));
-        assert!(!hit("other-point"));
+        let always = FaultPlan::parse("arena-alloc").unwrap();
+        assert!(always.is_armed());
+        assert!(always.hit("arena-alloc"));
+        assert!(always.hit("arena-alloc"));
+        assert!(!always.hit("store-write"));
 
-        disarm_all();
-        assert!(!hit("arena-alloc"));
+        let plan = FaultPlan::parse("store-rename=2; store-write").unwrap();
+        let shared = plan.clone();
+        assert!(!plan.hit("store-rename"));
+        assert!(shared.hit("store-rename"), "clones share the hit counter");
+        assert!(!plan.hit("store-rename"));
+        assert!(plan.hit("store-write"));
 
-        arm("store-rename=2; store-write").unwrap();
-        assert!(!hit("store-rename"));
-        assert!(hit("store-rename"));
-        assert!(!hit("store-rename"));
-        assert!(hit("store-write"));
+        // A repeated name keeps its last hit count.
+        let last = FaultPlan::parse("store-read=1;store-read=2").unwrap();
+        assert!(!last.hit("store-read"));
+        assert!(last.hit("store-read"));
 
-        assert!(arm("store-read=notanumber").is_err());
-        assert!(arm("store-read=0").is_err());
-        assert!(arm("no-such-point").is_err(), "typos must fail loudly");
-        disarm_all();
+        assert!(FaultPlan::parse("store-read=notanumber").is_err());
+        assert!(FaultPlan::parse("store-read=0").is_err());
+        assert!(FaultPlan::parse("no-such-point").is_err(), "typos must fail loudly");
+    }
+
+    #[test]
+    fn nth_hit_fires_exactly_once_across_threads() {
+        let plan = FaultPlan::parse("store-rename=3").unwrap();
+        let fired: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..100).filter(|_| plan.hit("store-rename")).count()))
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("hit loop cannot panic")).sum()
+        });
+        assert_eq!(fired, 1);
     }
 }

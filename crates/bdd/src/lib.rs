@@ -82,6 +82,7 @@ pub use analysis::Cubes;
 pub use arena::{MAX_SLOTS, MAX_VARS};
 pub use budget::{Budget, ResourceError};
 pub use expr::{BoolExpr, ParseExprError};
+pub use failpoint::FaultPlan;
 pub use manager::{BddManager, ManagerStats};
 pub use node::{Bdd, Literal, Var};
 pub use ops::BddOps;

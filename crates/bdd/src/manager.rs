@@ -173,6 +173,9 @@ pub struct BddManager {
     /// lets the unbudgeted hot path skip the per-allocation poll
     /// entirely.
     pub(crate) budget_limited: bool,
+    /// Snapshot of `budget.faults().is_armed()`, taken with
+    /// `budget_limited`: the disarmed `arena-alloc` hook tests only this.
+    faults_armed: bool,
 }
 
 impl Default for BddManager {
@@ -222,6 +225,7 @@ impl BddManager {
             sift_swaps: 0,
             budget: Budget::unlimited(),
             budget_limited: false,
+            faults_armed: false,
         }
     }
 
@@ -239,6 +243,7 @@ impl BddManager {
             budget.trip(reason);
         }
         self.budget_limited = budget.is_limited();
+        self.faults_armed = budget.faults().is_armed();
         self.budget = budget;
     }
 
@@ -366,7 +371,9 @@ impl BddManager {
     /// When the arena is exhausted this trips the installed [`Budget`]
     /// and returns [`Bdd::FALSE`] — a valid handle — without publishing
     /// anything; the enclosing operations observe the trip, stop
-    /// memoising and unwind inertly (see `crate::budget`).
+    /// memoising and unwind inertly (see `crate::budget`). The budget's
+    /// `arena-alloc` failpoint injects the same outcome at a bump
+    /// allocation.
     pub(crate) fn mk(&self, level: Level, lo: Bdd, hi: Bdd) -> Bdd {
         debug_assert!(!self.node(lo).is_dead() && !self.node(hi).is_dead());
         debug_assert!(self.level(lo) > level && self.level(hi) > level);
@@ -434,6 +441,9 @@ impl BddManager {
                 return Some(slot);
             }
         }
+        if self.faults_armed && self.budget.faults().hit("arena-alloc") {
+            return None;
+        }
         self.nodes.alloc()
     }
 
@@ -467,16 +477,15 @@ impl BddManager {
                 Some(slot) => {
                     *self.free_hint.get_mut() = free.len();
                     self.young_recycled.get_mut().expect("young-recycled list").push(slot);
-                    slot
+                    Some(slot)
                 }
-                None => match self.nodes.alloc_mut() {
-                    Some(slot) => slot,
-                    None => {
-                        self.budget.trip(ResourceError::ArenaExhausted);
-                        return Bdd::FALSE;
-                    }
-                },
+                None if self.faults_armed && self.budget.faults().hit("arena-alloc") => None,
+                None => self.nodes.alloc_mut(),
             }
+        };
+        let Some(slot) = slot else {
+            self.budget.trip(ResourceError::ArenaExhausted);
+            return Bdd::FALSE;
         };
         self.nodes.set_mut(slot as usize, Node { level, lo, hi });
         let id = Bdd::from_slot(slot);

@@ -39,7 +39,7 @@
 
 use std::collections::BTreeSet;
 
-use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, Literal, ResourceError, Var};
+use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, FaultPlan, Literal, ResourceError, Var};
 use stgcheck_petri::TransId;
 
 use crate::encode::{SymbolicStg, TransCubes};
@@ -394,7 +394,7 @@ impl FixpointCtl {
             &[("reached", reached), ("frontier", frontier)],
             &[("iterations".to_string(), iterations as u64)],
         );
-        if let Err(e) = write_atomically(&path, &ck.to_bytes()) {
+        if let Err(e) = write_atomically(&path, &ck.to_bytes(), self.budget.faults()) {
             self.io_error
                 .get_or_insert_with(|| format!("checkpoint write to {}: {e}", path.display()));
         }
@@ -404,19 +404,22 @@ impl FixpointCtl {
 /// tmp-then-rename write: a crash mid-write never leaves a torn artifact
 /// at the destination (the v3 checksum catches everything else).
 ///
-/// Failpoints `store-write` and `store-rename`
-/// ([`stgcheck_bdd::failpoint`]) fault the two I/O steps. The rename
-/// fault deliberately leaves the already-written `.tmp` file behind —
-/// that is exactly the debris a real crash between the two syscalls
-/// leaves, and the robustness suite asserts no later run mistakes it for
-/// a valid artifact.
-pub(crate) fn write_atomically(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+/// The `store-write` and `store-rename` failpoints of `faults` fault the
+/// two I/O steps. The rename fault deliberately leaves the
+/// already-written `.tmp` file behind — that is exactly the debris a
+/// real crash between the two syscalls leaves, and the robustness suite
+/// asserts no later run mistakes it for a valid artifact.
+pub(crate) fn write_atomically(
+    path: &std::path::Path,
+    bytes: &[u8],
+    faults: &FaultPlan,
+) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
-    if stgcheck_bdd::failpoint::hit("store-write") {
+    if faults.hit("store-write") {
         return Err(std::io::Error::other("failpoint store-write armed"));
     }
     std::fs::write(&tmp, bytes)?;
-    if stgcheck_bdd::failpoint::hit("store-rename") {
+    if faults.hit("store-rename") {
         return Err(std::io::Error::other("failpoint store-rename armed"));
     }
     std::fs::rename(&tmp, path)

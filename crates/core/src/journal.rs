@@ -35,23 +35,23 @@
 //! rename itself was torn — which rename prevents), and a torn answer
 //! merely causes one duplicate replay.
 //!
-//! Failpoints `journal-write` and `journal-read` fault the record writer
-//! and reader ([`stgcheck_bdd::failpoint`]); the serve layer must degrade
-//! (note + keep answering) on write faults and skip-with-note on read
-//! faults.
+//! The `journal-write` and `journal-read` failpoints of the daemon's
+//! [`FaultPlan`] fault the record writer and reader; the serve layer must
+//! degrade (note + keep answering) on write faults and skip-with-note on
+//! read faults.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use stgcheck_bdd::{failpoint, fnv64};
+use stgcheck_bdd::{fnv64, FaultPlan};
 
 use crate::protocol::json_escape;
 
 const HEADER: &str = "stgcheck-journal-v1";
 
 /// Appends the checksum trailer and writes the record tmp-then-rename.
-fn write_record(path: &Path, body: &str) -> io::Result<()> {
-    if failpoint::hit("journal-write") {
+fn write_record(path: &Path, body: &str, faults: &FaultPlan) -> io::Result<()> {
+    if faults.hit("journal-write") {
         return Err(io::Error::other("failpoint journal-write armed"));
     }
     let mut bytes = body.as_bytes().to_vec();
@@ -62,8 +62,8 @@ fn write_record(path: &Path, body: &str) -> io::Result<()> {
 }
 
 /// Reads a record, verifies the trailer, returns the body text.
-fn read_record(path: &Path) -> Result<String, String> {
-    if failpoint::hit("journal-read") {
+fn read_record(path: &Path, faults: &FaultPlan) -> Result<String, String> {
+    if faults.hit("journal-read") {
         return Err("failpoint journal-read armed".to_string());
     }
     let bytes = std::fs::read(path).map_err(|e| format!("read: {e}"))?;
@@ -107,17 +107,20 @@ fn parse_name(name: &str) -> Option<(u8, u64)> {
 pub struct Journal {
     dir: PathBuf,
     next_seq: u64,
+    /// Fires the `journal-write` fault.
+    faults: FaultPlan,
 }
 
 impl Journal {
     /// Opens (creating if needed) the journal directory and positions the
     /// sequence counter after the highest existing record, so recovery
-    /// and continued operation never collide.
+    /// and continued operation never collide. Record writes hit the
+    /// `journal-write` failpoint of `faults`.
     ///
     /// # Errors
     ///
     /// Directory creation or listing failures.
-    pub fn open(dir: &Path) -> io::Result<Journal> {
+    pub fn open(dir: &Path, faults: FaultPlan) -> io::Result<Journal> {
         std::fs::create_dir_all(dir)?;
         let mut max_seq = 0;
         for entry in std::fs::read_dir(dir)? {
@@ -126,7 +129,7 @@ impl Journal {
                 max_seq = max_seq.max(seq);
             }
         }
-        Ok(Journal { dir: dir.to_path_buf(), next_seq: max_seq + 1 })
+        Ok(Journal { dir: dir.to_path_buf(), next_seq: max_seq + 1, faults })
     }
 
     /// Journals an accepted request (id + verbatim request line) and
@@ -140,7 +143,7 @@ impl Journal {
     pub fn record_accept(&mut self, id: &str, line: &str) -> io::Result<u64> {
         let seq = self.next_seq;
         let body = format!("{HEADER}\n{}\n{line}\n", json_escape(id));
-        write_record(&accept_path(&self.dir, seq), &body)?;
+        write_record(&accept_path(&self.dir, seq), &body, &self.faults)?;
         self.next_seq += 1;
         Ok(seq)
     }
@@ -155,7 +158,7 @@ impl Journal {
     /// contract as [`Journal::record_accept`].
     pub fn record_answer(&self, seq: u64) -> io::Result<()> {
         let body = format!("{HEADER}\nanswer {seq}\n");
-        write_record(&answer_path(&self.dir, seq), &body)
+        write_record(&answer_path(&self.dir, seq), &body, &self.faults)
     }
 
     /// Removes every record after a clean drain: nothing is unanswered,
@@ -192,9 +195,10 @@ pub struct Recovered {
 ///
 /// Returns the replayable records in sequence order plus human-readable
 /// notes for every record that was skipped (corrupt, unreadable, or
-/// faulted by `journal-read`). Skipping is always safe: a lost accept
-/// means one unreplayed request, never a wrong answer.
-pub fn unanswered(dir: &Path) -> (Vec<Recovered>, Vec<String>) {
+/// faulted by the `journal-read` failpoint of `faults`). Skipping is
+/// always safe: a lost accept means one unreplayed request, never a
+/// wrong answer.
+pub fn unanswered(dir: &Path, faults: &FaultPlan) -> (Vec<Recovered>, Vec<String>) {
     let mut notes = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -221,7 +225,7 @@ pub fn unanswered(dir: &Path) -> (Vec<Recovered>, Vec<String>) {
             continue;
         }
         let path = accept_path(dir, seq);
-        let body = match read_record(&path) {
+        let body = match read_record(&path, faults) {
             Ok(body) => body,
             Err(e) => {
                 notes.push(format!("journal record {}: {e}; skipped", path.display()));
@@ -261,14 +265,14 @@ mod tests {
     #[test]
     fn accept_answer_replay_roundtrip() {
         let dir = scratch("roundtrip");
-        let mut j = Journal::open(&dir).unwrap();
+        let mut j = Journal::open(&dir, FaultPlan::default()).unwrap();
         let s1 = j.record_accept("r1", r#"{"id":"r1","net":"x"}"#).unwrap();
         let s2 = j.record_accept("r\"2\nodd", r#"{"id":"r2","net":"y"}"#).unwrap();
         let s3 = j.record_accept("r3", r#"{"id":"r3","net":"z"}"#).unwrap();
         assert!(s1 < s2 && s2 < s3);
         j.record_answer(s2).unwrap();
 
-        let (replay, notes) = unanswered(&dir);
+        let (replay, notes) = unanswered(&dir, &FaultPlan::default());
         assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(replay.len(), 2);
         assert_eq!(replay[0].seq, s1);
@@ -277,11 +281,11 @@ mod tests {
         assert_eq!(replay[1].id, "r3");
 
         // Reopening continues the sequence instead of reusing numbers.
-        let j2 = Journal::open(&dir).unwrap();
+        let j2 = Journal::open(&dir, FaultPlan::default()).unwrap();
         assert!(j2.next_seq > s3);
 
         j2.clear().unwrap();
-        let (replay, notes) = unanswered(&dir);
+        let (replay, notes) = unanswered(&dir, &FaultPlan::default());
         assert!(replay.is_empty() && notes.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -289,7 +293,7 @@ mod tests {
     #[test]
     fn corrupt_records_are_skipped_with_notes() {
         let dir = scratch("corrupt");
-        let mut j = Journal::open(&dir).unwrap();
+        let mut j = Journal::open(&dir, FaultPlan::default()).unwrap();
         let s1 = j.record_accept("ok", r#"{"id":"ok","net":"x"}"#).unwrap();
         let s2 = j.record_accept("torn", r#"{"id":"torn","net":"y"}"#).unwrap();
 
@@ -301,7 +305,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (replay, notes) = unanswered(&dir);
+        let (replay, notes) = unanswered(&dir, &FaultPlan::default());
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].seq, s1);
         assert_eq!(notes.len(), 1);
@@ -309,7 +313,7 @@ mod tests {
 
         // A truncated record (shorter than the trailer) is also a skip.
         std::fs::write(accept_path(&dir, 99), b"abc").unwrap();
-        let (replay, notes) = unanswered(&dir);
+        let (replay, notes) = unanswered(&dir, &FaultPlan::default());
         assert_eq!(replay.len(), 1);
         assert!(notes.iter().any(|n| n.contains("truncated")), "{notes:?}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -317,27 +321,26 @@ mod tests {
 
     #[test]
     fn journal_failpoints_fault_the_seams() {
-        let _guard = failpoint::exclusive();
-        failpoint::disarm_all();
         let dir = scratch("failpoints");
-        let mut j = Journal::open(&dir).unwrap();
+        let disarmed = FaultPlan::default();
+        let mut j = Journal::open(&dir, disarmed.clone()).unwrap();
         let s1 = j.record_accept("r1", r#"{"id":"r1","net":"x"}"#).unwrap();
 
-        failpoint::arm("journal-write").unwrap();
-        assert!(j.record_accept("r2", "{}").is_err());
-        assert!(j.record_answer(s1).is_err());
-        failpoint::disarm_all();
+        let write_fault = FaultPlan::parse("journal-write").unwrap();
+        let mut faulted = Journal::open(&dir, write_fault).unwrap();
+        assert!(faulted.record_accept("r2", "{}").is_err());
+        assert!(faulted.record_answer(s1).is_err());
+        assert_eq!(faulted.next_seq, s1 + 1);
 
         // The failed accept consumed no sequence number and left no
         // partial record — recovery sees exactly the one good record.
-        let (replay, notes) = unanswered(&dir);
+        let (replay, notes) = unanswered(&dir, &disarmed);
         assert_eq!((replay.len(), notes.len()), (1, 0), "{notes:?}");
 
-        failpoint::arm("journal-read").unwrap();
-        let (replay, notes) = unanswered(&dir);
+        let read_fault = FaultPlan::parse("journal-read").unwrap();
+        let (replay, notes) = unanswered(&dir, &read_fault);
         assert!(replay.is_empty());
         assert!(notes.iter().any(|n| n.contains("journal-read")), "{notes:?}");
-        failpoint::disarm_all();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

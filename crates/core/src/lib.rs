@@ -86,4 +86,4 @@ pub use verify::{
 // Budget/cancellation and fault-injection primitives live in the BDD
 // crate (the layer that polls them); re-export the types callers need to
 // configure a run or interpret an exhaustion.
-pub use stgcheck_bdd::{failpoint, Budget, ResourceError};
+pub use stgcheck_bdd::{Budget, FaultPlan, ResourceError};

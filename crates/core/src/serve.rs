@@ -16,7 +16,8 @@
 //!
 //! The robustness invariants the fault-injection suite holds this module
 //! to: no injected fault (`journal-write`, `journal-read`,
-//! `serve-accept`, `worker-panic`) may produce a wrong verdict, a torn
+//! `serve-accept`, `worker-panic`; armed by the [`crate::FaultPlan`] in
+//! [`ServeOptions::persist`]) may produce a wrong verdict, a torn
 //! journal record, or a hung drain; admission is bounded
 //! ([`ServeOptions::queue_cap`]), so a request flood degrades into
 //! explicit `queue_full` rejections instead of unbounded memory. See
@@ -30,7 +31,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use stgcheck_bdd::failpoint;
 use stgcheck_stg::{parse_g, Implementability, Stg};
 
 use crate::exit::ProcessExit;
@@ -65,7 +65,8 @@ pub struct JobSpec {
     pub options: VerifyOptions,
     /// Cache/checkpoint plumbing. [`PersistOptions::cancel`] is owned by
     /// the scheduler — anything set here is replaced by the job's own
-    /// cancellation latch.
+    /// cancellation latch. [`PersistOptions::faults`] also arms the
+    /// job's `worker-panic` hook.
     pub persist: PersistOptions,
 }
 
@@ -342,7 +343,7 @@ fn run_one(shared: &Shared, job: Queued) {
     // `worker-panic` fault — must surface as that job's JobError::Panic,
     // with the worker thread alive and the queue still moving.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if failpoint::hit("worker-panic") {
+        if spec.persist.faults.hit("worker-panic") {
             panic!("failpoint worker-panic armed");
         }
         let mut persist = spec.persist.clone();
@@ -427,11 +428,11 @@ pub struct ServeOptions {
     /// (`--queue-cap`, default 64). Beyond it, requests are answered
     /// `rejected`/`queue_full` — never buffered without bound.
     pub queue_cap: usize,
-    /// Result cache shared by all requests (`--cache-dir`).
-    pub cache_dir: Option<PathBuf>,
-    /// Cache size cap in bytes (`--cache-max-mb`), enforced after each
-    /// store by evicting oldest-first.
-    pub cache_max_bytes: Option<u64>,
+    /// The persistence template every job starts from: the result
+    /// cache shared by all requests (`--cache-dir`, `--cache-max-mb`)
+    /// and the daemon's one fault plan (`--failpoints`), which the
+    /// journal, the admission path and every job count hits against.
+    pub persist: PersistOptions,
     /// Request journal directory (`--journal`); enables `--recover`.
     pub journal_dir: Option<PathBuf>,
     /// Replay accepted-but-unanswered journal records before serving.
@@ -452,8 +453,7 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: 2,
             queue_cap: 64,
-            cache_dir: None,
-            cache_max_bytes: None,
+            persist: PersistOptions::default(),
             journal_dir: None,
             recover: false,
             listen: None,
@@ -615,7 +615,7 @@ impl Daemon {
         let id = req.id.clone();
         // Injected admission fault: the request is refused loudly — a
         // typed rejection the client can retry on — never half-admitted.
-        if failpoint::hit("serve-accept") {
+        if self.opts.persist.faults.hit("serve-accept") {
             self.answer_refusal(&id, replay_seq, &sink, "rejected", "serve_accept_fault", "");
             return;
         }
@@ -663,15 +663,7 @@ impl Daemon {
             }
             (None, None) => None,
         };
-        let spec = JobSpec {
-            stg,
-            options: req.options,
-            persist: PersistOptions {
-                cache_dir: self.opts.cache_dir.clone(),
-                cache_max_bytes: self.opts.cache_max_bytes,
-                ..PersistOptions::default()
-            },
-        };
+        let spec = JobSpec { stg, options: req.options, persist: self.opts.persist.clone() };
         let callback = {
             let id = id.clone();
             let sink = Arc::clone(&sink);
@@ -757,7 +749,7 @@ enum DrainCause {
 pub fn run_daemon(opts: ServeOptions) -> ProcessExit {
     let journal = match &opts.journal_dir {
         None => None,
-        Some(dir) => match Journal::open(dir) {
+        Some(dir) => match Journal::open(dir, opts.persist.faults.clone()) {
             Ok(j) => Some(Arc::new(Mutex::new(j))),
             Err(e) => {
                 let _ =
@@ -774,7 +766,7 @@ pub fn run_daemon(opts: ServeOptions) -> ProcessExit {
                 return ProcessExit::Usage;
             }
             Some(dir) => {
-                let (replay, notes) = journal::unanswered(dir);
+                let (replay, notes) = journal::unanswered(dir, &opts.persist.faults);
                 recovery_skipped = !notes.is_empty();
                 for note in notes {
                     let _ = writeln!(std::io::stderr(), "stgcheck serve: recovery: {note}");
@@ -967,6 +959,7 @@ fn read_connection(
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
+    use stgcheck_bdd::FaultPlan;
     use stgcheck_stg::gen;
 
     fn spec(stg: Stg) -> JobSpec {
@@ -1079,23 +1072,17 @@ mod tests {
 
     #[test]
     fn worker_panic_is_isolated_to_one_internal_error() {
-        let _guard = failpoint::exclusive();
-        failpoint::disarm_all();
         let scheduler = Scheduler::new_paused(1, 16);
         let (tx, rx) = channel();
-        failpoint::arm("worker-panic=1").unwrap();
+        let faults = FaultPlan::parse("worker-panic=1").unwrap();
         for tag in 0..2u64 {
             let tx = tx.clone();
-            scheduler
-                .submit(
-                    spec(gen::muller_pipeline(3 + tag as usize)),
-                    Box::new(move |r| tx.send((tag, r)).unwrap()),
-                )
-                .unwrap();
+            let mut job = spec(gen::muller_pipeline(3 + tag as usize));
+            job.persist.faults = faults.clone();
+            scheduler.submit(job, Box::new(move |r| tx.send((tag, r)).unwrap())).unwrap();
         }
         scheduler.start();
         let mut results = collect(&rx, 2);
-        failpoint::disarm_all();
         results.sort_by_key(|(tag, _)| *tag);
         assert!(
             matches!(results[0].1.run, Err(JobError::Panic(_))),

@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use stgcheck_bdd::{Bdd, BddCheckpoint};
+use stgcheck_bdd::{Bdd, BddCheckpoint, FaultPlan};
 use stgcheck_petri::{PetriNet, PlaceId, TransId};
 use stgcheck_stg::{
     parse_g, write_g, Code, FakeConflict, Implementability, Polarity, SignalId, Stg,
@@ -72,17 +72,20 @@ impl std::fmt::Display for CacheStatus {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
+    /// Fires the `store-read`, `store-write` and `store-rename` faults.
+    faults: FaultPlan,
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) the store rooted at `dir`.
+    /// Opens (creating if needed) the store rooted at `dir`; its reads
+    /// and writes hit the failpoints of `faults`.
     ///
     /// # Errors
     ///
     /// Propagates the `create_dir_all` failure.
-    pub fn open(dir: &Path) -> io::Result<ResultStore> {
+    pub fn open(dir: &Path, faults: FaultPlan) -> io::Result<ResultStore> {
         std::fs::create_dir_all(dir)?;
-        Ok(ResultStore { dir: dir.to_path_buf() })
+        Ok(ResultStore { dir: dir.to_path_buf(), faults })
     }
 
     /// The store's root directory.
@@ -98,7 +101,7 @@ impl ResultStore {
     /// miss. The `store-read` failpoint injects the unreadable case: an
     /// armed run must degrade to a clean cold recompute, never an error.
     pub(crate) fn load_report(&self, key: &str) -> Option<SymbolicReport> {
-        if stgcheck_bdd::failpoint::hit("store-read") {
+        if self.faults.hit("store-read") {
             return None;
         }
         let text = std::fs::read_to_string(self.path(&format!("{key}.report"))).ok()?;
@@ -107,7 +110,7 @@ impl ResultStore {
 
     /// Loads the stored reached-set checkpoint for `key`.
     pub(crate) fn load_reached(&self, key: &str) -> Option<BddCheckpoint> {
-        if stgcheck_bdd::failpoint::hit("store-read") {
+        if self.faults.hit("store-read") {
             return None;
         }
         let bytes = std::fs::read(self.path(&format!("{key}.reached"))).ok()?;
@@ -130,18 +133,17 @@ impl ResultStore {
         report: &SymbolicReport,
         reached: &BddCheckpoint,
     ) -> io::Result<()> {
-        write_atomically(&self.path(&format!("{key}.report")), report_to_text(report).as_bytes())?;
-        write_atomically(&self.path(&format!("{key}.reached")), &reached.to_bytes())?;
+        let write =
+            |file: String, bytes: &[u8]| write_atomically(&self.path(&file), bytes, &self.faults);
+        write(format!("{key}.report"), report_to_text(report).as_bytes())?;
+        write(format!("{key}.reached"), &reached.to_bytes())?;
         let declared = match stg.initial_code() {
             Some(c) => c.0.to_string(),
             None => "-".to_string(),
         };
         let snapshot = format!("# stgcheck-snapshot-v1 declared-code={declared}\n{}", write_g(stg));
-        write_atomically(&self.path(&format!("{hash:032x}.g")), snapshot.as_bytes())?;
-        write_atomically(
-            &self.path(&latest_pointer(stg.name(), key)),
-            format!("{hash:032x}").as_bytes(),
-        )
+        write(format!("{hash:032x}.g"), snapshot.as_bytes())?;
+        write(latest_pointer(stg.name(), key), format!("{hash:032x}").as_bytes())
     }
 
     /// Follows the `latest` pointer for this net name + option tag and
@@ -835,7 +837,7 @@ mod tests {
     fn evict_to_cap_drops_oldest_entries_first() {
         let dir = std::env::temp_dir().join(format!("stgcheck-evict-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).unwrap();
+        let store = ResultStore::open(&dir, FaultPlan::default()).unwrap();
         let old_hash = format!("{:032x}", 1u128);
         let new_hash = format!("{:032x}", 2u128);
         let kb = vec![b'x'; 1024];

@@ -16,7 +16,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stgcheck_bdd::{BddCheckpoint, BddOps, Budget, Literal, ResourceError};
+use stgcheck_bdd::{BddCheckpoint, BddOps, Budget, FaultPlan, Literal, ResourceError};
 use stgcheck_stg::{Code, FakeConflict, Implementability, PersistencyPolicy, SgError, Stg};
 
 use crate::consistency::ConsistencyViolation;
@@ -450,8 +450,8 @@ fn finish_verification(
 }
 
 /// Persistence knobs for [`verify_persistent`]: the `--cache-dir`,
-/// `--checkpoint`/`--checkpoint-every`/`--resume` and `--incremental`
-/// family. The default disables everything, making
+/// `--checkpoint`/`--checkpoint-every`/`--resume`, `--incremental` and
+/// `--failpoints` family. The default disables everything, making
 /// [`verify_persistent`] equivalent to [`verify`].
 #[derive(Clone, Debug, Default)]
 pub struct PersistOptions {
@@ -483,6 +483,10 @@ pub struct PersistOptions {
     /// handler, a supervisor) and the run stops at its next poll point
     /// with [`Outcome::Interrupted`] and a final checkpoint.
     pub cancel: Option<Arc<AtomicBool>>,
+    /// Failpoints armed for this run (`--failpoints`; disarmed by
+    /// default). Clones share hit counters, so one plan handed to
+    /// several runs counts `name=N` across all of them.
+    pub faults: FaultPlan,
 }
 
 /// How a [`verify_persistent`] run ended.
@@ -610,7 +614,7 @@ pub fn verify_persistent(
     check_dimensions(stg)?;
     let store = match &persist.cache_dir {
         Some(dir) => Some(
-            ResultStore::open(dir)
+            ResultStore::open(dir, persist.faults.clone())
                 .map_err(|e| VerifyError::Store(format!("cannot open {}: {e}", dir.display())))?,
         ),
         None => None,
@@ -635,7 +639,7 @@ pub fn verify_persistent(
     let mut sym = SymbolicStg::new(stg, opts.order);
     let mut engine = effective_engine(&opts);
     sym.set_engine(engine);
-    let mut budget = opts.budget.build(persist.cancel.clone());
+    let mut budget = opts.budget.build(persist.cancel.clone()).with_faults(persist.faults.clone());
     sym.manager_mut().set_budget(budget.clone());
     let phase1_start = Instant::now();
     let initial_code = match sym.effective_initial_code() {
@@ -827,7 +831,7 @@ pub fn verify_persistent(
                 &[("reached", reached), ("frontier", reached)],
                 &[("iterations".to_string(), report.traversal.iterations as u64)],
             );
-            match write_atomically(path, &ck.to_bytes()) {
+            match write_atomically(path, &ck.to_bytes(), &persist.faults) {
                 Ok(()) => checkpoint = Some(path.clone()),
                 Err(e) => {
                     notes.push(format!("checkpoint write to {}: {e}", path.display()));

@@ -29,9 +29,9 @@
 //!   --fallback           on node/arena exhaustion, checkpoint and retry
 //!                        the remaining fixpoint with the saturation
 //!                        engine plus forced sifting before giving up
-//!   --failpoints <spec>  arm deterministic fault injection, e.g.
-//!                        `store-rename` or `arena-alloc=3;store-write`
-//!                        (testing hook; also via STGCHECK_FAILPOINTS)
+//!   --failpoints <spec>  arm deterministic fault injection for this
+//!                        invocation, e.g. `store-rename` or
+//!                        `arena-alloc=3;store-write` (testing hook)
 //!   --cache-dir <dir>    content-addressed result cache: a rerun of an
 //!                        unchanged net (same options) returns the stored
 //!                        verdict without any fixpoint (see
@@ -83,7 +83,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stgcheck::core::{
-    failpoint, run_daemon, verify_persistent, Outcome, PersistOptions, ProcessExit, ServeOptions,
+    run_daemon, verify_persistent, FaultPlan, Outcome, PersistOptions, ProcessExit, ServeOptions,
     SymbolicReport, TraversalStrategy, VarOrder, VerifyOptions,
 };
 use stgcheck::stg::{parse_g, Implementability, PersistencyPolicy};
@@ -188,7 +188,9 @@ fn parse_serve(args: Vec<String>) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        if parse_verify_flag(&arg, &mut it, &mut opts.defaults)? {
+        if parse_verify_flag(&arg, &mut it, &mut opts.defaults)?
+            || parse_persist_flag(&arg, &mut it, &mut opts.persist)?
+        {
             continue;
         }
         match arg.as_str() {
@@ -208,14 +210,6 @@ fn parse_serve(args: Vec<String>) -> Result<ServeOptions, String> {
                     return Err("--queue-cap must be at least 1".to_string());
                 }
             }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a directory")?;
-                opts.cache_dir = Some(v.into());
-            }
-            "--cache-max-mb" => {
-                let v = it.next().ok_or("--cache-max-mb needs a value in megabytes")?;
-                opts.cache_max_bytes = Some(parse_cache_cap(&v)?);
-            }
             "--journal" => {
                 let v = it.next().ok_or("--journal needs a directory")?;
                 opts.journal_dir = Some(v.into());
@@ -224,10 +218,6 @@ fn parse_serve(args: Vec<String>) -> Result<ServeOptions, String> {
             "--listen" => {
                 let v = it.next().ok_or("--listen needs a socket path")?;
                 opts.listen = Some(v.into());
-            }
-            "--failpoints" => {
-                let v = it.next().ok_or("--failpoints needs a spec")?;
-                failpoint::arm(&v)?;
             }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("serve: unexpected argument `{other}`\n{}", usage())),
@@ -300,14 +290,38 @@ fn parse_verify_flag(
     Ok(true)
 }
 
-/// Parses `--cache-max-mb`: megabytes, strictly positive (a zero-byte
-/// cache is a misconfiguration, not a request to evict everything).
-fn parse_cache_cap(v: &str) -> Result<u64, String> {
-    let mb: u64 = v.parse().map_err(|_| format!("--cache-max-mb needs a number, got `{v}`"))?;
-    if mb == 0 {
-        return Err("--cache-max-mb must be > 0 (0 would evict every result)".to_string());
+/// Parses one persistence flag shared between one-shot mode and the
+/// serve template: `--cache-dir`, `--cache-max-mb` and `--failpoints`.
+/// Returns `Ok(false)` when `arg` is not one of them. A repeated
+/// `--failpoints` replaces the earlier plan.
+fn parse_persist_flag(
+    arg: &str,
+    it: &mut std::vec::IntoIter<String>,
+    persist: &mut PersistOptions,
+) -> Result<bool, String> {
+    match arg {
+        "--cache-dir" => {
+            let v = it.next().ok_or("--cache-dir needs a directory")?;
+            persist.cache_dir = Some(v.into());
+        }
+        "--cache-max-mb" => {
+            // Megabytes, strictly positive: a zero-byte cache is a
+            // misconfiguration, not a request to evict everything.
+            let v = it.next().ok_or("--cache-max-mb needs a value in megabytes")?;
+            let mb: u64 =
+                v.parse().map_err(|_| format!("--cache-max-mb needs a number, got `{v}`"))?;
+            if mb == 0 {
+                return Err("--cache-max-mb must be > 0 (0 would evict every result)".to_string());
+            }
+            persist.cache_max_bytes = Some(mb.saturating_mul(1024 * 1024));
+        }
+        "--failpoints" => {
+            let v = it.next().ok_or("--failpoints needs a spec")?;
+            persist.faults = FaultPlan::parse(&v)?;
+        }
+        _ => return Ok(false),
     }
-    Ok(mb * 1024 * 1024)
+    Ok(true)
 }
 
 fn parse_cli(args: Vec<String>) -> Result<Cli, String> {
@@ -320,23 +334,13 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, String> {
     let mut every_given = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        if parse_verify_flag(&arg, &mut it, &mut cli.options)? {
+        if parse_verify_flag(&arg, &mut it, &mut cli.options)?
+            || parse_persist_flag(&arg, &mut it, &mut cli.persist)?
+        {
             continue;
         }
         match arg.as_str() {
             "--quiet" => cli.quiet = true,
-            "--failpoints" => {
-                let v = it.next().ok_or("--failpoints needs a spec")?;
-                failpoint::arm(&v)?;
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a directory")?;
-                cli.persist.cache_dir = Some(v.into());
-            }
-            "--cache-max-mb" => {
-                let v = it.next().ok_or("--cache-max-mb needs a value in megabytes")?;
-                cli.persist.cache_max_bytes = Some(parse_cache_cap(&v)?);
-            }
             "--checkpoint" => {
                 let v = it.next().ok_or("--checkpoint needs a file")?;
                 cli.persist.checkpoint = Some(v.into());
@@ -427,10 +431,6 @@ fn print_full(report: &SymbolicReport, stg: &stgcheck::stg::Stg) {
 }
 
 fn main() -> ExitCode {
-    if let Err(e) = failpoint::arm_from_env() {
-        err!("STGCHECK_FAILPOINTS: {e}");
-        return ExitCode::from(ProcessExit::Usage.code() as u8);
-    }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("serve") {
         args.remove(0);

@@ -217,13 +217,22 @@ fn bad_budget_and_failpoint_specs_exit_2() {
             Command::new(bin()).args(&args).arg(fixture("smoke.g")).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
     }
-    // The environment variable goes through the same validation.
-    let out = Command::new(bin())
-        .env("STGCHECK_FAILPOINTS", "no-such-point")
-        .arg(fixture("smoke.g"))
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+}
+
+/// A repeated `--failpoints` replaces the earlier plan, like every other
+/// flag; one `;`-separated spec arms several points.
+#[test]
+fn repeated_failpoints_flag_replaces_the_plan() {
+    let exit = |spec: &[&str]| {
+        let mut cmd = Command::new(bin());
+        for s in spec {
+            cmd.args(["--failpoints", s]);
+        }
+        cmd.arg(fixture("smoke.g")).output().expect("binary runs").status.code()
+    };
+    assert_eq!(exit(&["arena-alloc"]), Some(4));
+    assert_eq!(exit(&["arena-alloc", "store-read"]), Some(0));
+    assert_eq!(exit(&["store-read;arena-alloc"]), Some(4));
 }
 
 /// An armed store-write failpoint degrades the run — the result cannot

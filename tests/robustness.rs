@@ -8,10 +8,10 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use stgcheck::core::{
-    failpoint, verify, verify_persistent, BudgetSpec, CacheStatus, EngineKind, PersistOptions,
+    verify, verify_persistent, BudgetSpec, CacheStatus, EngineKind, FaultPlan, PersistOptions,
     ReorderMode, ResourceError, VerifyError, VerifyOptions,
 };
 use stgcheck::stg::{parse_g, Stg};
@@ -40,9 +40,6 @@ fn bench_net(file: &str) -> Stg {
 /// All four engines under all three reorder modes.
 #[test]
 fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
-    // Failpoints are process-wide: hold the lock so an `arena-alloc`
-    // armed by a concurrently running test cannot fire inside this run.
-    let _guard = failpoint::exclusive();
     let stg = bench_net("master_read_2.g");
     let base = tmp("interrupt-anywhere");
     for kind in [
@@ -113,7 +110,6 @@ fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
 /// saturation engine plus forced sifting.
 #[test]
 fn fallback_ladder_completes_where_the_plain_budget_exhausts() {
-    let _guard = failpoint::exclusive(); // process-wide failpoints, see above
     let stg = bench_net("master_read_3.g");
     let scratch = verify(&stg, VerifyOptions::default()).unwrap();
 
@@ -142,7 +138,6 @@ fn fallback_ladder_completes_where_the_plain_budget_exhausts() {
 /// — instead of completing or erroring.
 #[test]
 fn external_cancel_flag_interrupts_the_run() {
-    let _guard = failpoint::exclusive(); // process-wide failpoints, see above
     let stg = bench_net("master_read_3.g");
     let flag = Arc::new(AtomicBool::new(true)); // pre-raised: trip at the first poll
     let persist = PersistOptions { cancel: Some(flag.clone()), ..PersistOptions::default() };
@@ -156,28 +151,57 @@ fn external_cancel_flag_interrupts_the_run() {
     assert!(run.report().is_some(), "notes: {:?}", run.notes);
 }
 
-/// Injected arena-allocation failures surface as typed
-/// `VerifyError::Exhausted(ArenaExhausted)` — never a panic — whether
-/// they hit the very first allocation or one deep inside the traversal.
+/// Injected arena-allocation failures surface as a typed
+/// `ArenaExhausted` exhaustion — never a panic — whether they hit the
+/// very first allocation or one deep inside the traversal.
 #[test]
 fn arena_allocation_faults_are_typed_errors_not_panics() {
-    let _guard = failpoint::exclusive();
-    failpoint::disarm_all();
     let stg = bench_net("master_read_2.g");
 
     for spec in ["arena-alloc", "arena-alloc=1", "arena-alloc=500"] {
-        failpoint::arm(spec).unwrap();
-        let err = verify(&stg, VerifyOptions::default())
-            .expect_err(&format!("{spec}: an injected alloc failure cannot complete"));
-        assert!(
-            matches!(err, VerifyError::Exhausted(ResourceError::ArenaExhausted)),
-            "{spec}: got {err}"
-        );
-        failpoint::disarm_all();
+        let persist =
+            PersistOptions { faults: FaultPlan::parse(spec).unwrap(), ..PersistOptions::default() };
+        let run = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
+        assert_eq!(run.exhausted(), Some(ResourceError::ArenaExhausted), "{spec}: {:?}", run.notes);
     }
 
-    // Disarmed again: the same net verifies cleanly in this process.
+    // Without a plan the same net verifies cleanly in this process.
     assert!(verify(&stg, VerifyOptions::default()).is_ok());
+}
+
+/// An armed and an unarmed verification running at the same time in one
+/// process: the fault plan belongs to the armed run alone, so the armed
+/// thread exhausts and the unarmed thread matches the scratch verdict.
+#[test]
+fn armed_and_unarmed_runs_in_one_process_do_not_interfere() {
+    let stg = bench_net("master_read_2.g");
+    let scratch = verify(&stg, VerifyOptions::default()).unwrap();
+    for round in 0..5 {
+        // Both runs leave the barrier together, so the armed run's faults
+        // fire while the unarmed run is encoding and traversing.
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            let armed = s.spawn(|| {
+                let persist = PersistOptions {
+                    faults: FaultPlan::parse("arena-alloc").unwrap(),
+                    ..PersistOptions::default()
+                };
+                start.wait();
+                verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap()
+            });
+            let unarmed = s.spawn(|| {
+                start.wait();
+                verify_persistent(&stg, VerifyOptions::default(), &PersistOptions::default())
+                    .unwrap()
+            });
+            let armed = armed.join().expect("armed run panicked");
+            let unarmed = unarmed.join().expect("unarmed run panicked");
+            assert_eq!(armed.exhausted(), Some(ResourceError::ArenaExhausted), "round {round}");
+            let report = unarmed.into_report().expect("the unarmed run completes");
+            assert_eq!(report.verdict, scratch.verdict, "round {round}");
+            assert_eq!(report.num_states, scratch.num_states, "round {round}");
+        });
+    }
 }
 
 /// Store write/rename faults never leave an artifact a later run
@@ -188,19 +212,16 @@ fn arena_allocation_faults_are_typed_errors_not_panics() {
 /// ignore the debris.
 #[test]
 fn store_faults_never_yield_an_accepted_partial_artifact() {
-    let _guard = failpoint::exclusive();
-    failpoint::disarm_all();
     let stg = bench_net("celement.g");
     let scratch = verify(&stg, VerifyOptions::default()).unwrap();
 
     for spec in ["store-write", "store-rename"] {
         let dir = tmp(&format!("store-fault-{spec}"));
         let persist = PersistOptions { cache_dir: Some(dir.clone()), ..PersistOptions::default() };
-        failpoint::arm(spec).unwrap();
-        let run = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
+        let armed = PersistOptions { faults: FaultPlan::parse(spec).unwrap(), ..persist.clone() };
+        let run = verify_persistent(&stg, VerifyOptions::default(), &armed).unwrap();
         let report = run.into_report().expect("a store fault must not sink the verification");
         assert_eq!(report.verdict, scratch.verdict, "{spec}");
-        failpoint::disarm_all();
 
         // Nothing usable was stored: the next run is cold, not warm.
         let run = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
@@ -217,10 +238,10 @@ fn store_faults_never_yield_an_accepted_partial_artifact() {
     // never parsed under a valid name.
     let dir = tmp("store-fault-second-rename");
     let persist = PersistOptions { cache_dir: Some(dir.clone()), ..PersistOptions::default() };
-    failpoint::arm("store-rename=2").unwrap();
-    let run = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
+    let armed =
+        PersistOptions { faults: FaultPlan::parse("store-rename=2").unwrap(), ..persist.clone() };
+    let run = verify_persistent(&stg, VerifyOptions::default(), &armed).unwrap();
     assert_eq!(run.into_report().unwrap().verdict, scratch.verdict);
-    failpoint::disarm_all();
     let debris: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -235,8 +256,6 @@ fn store_faults_never_yield_an_accepted_partial_artifact() {
 /// would-be warm hit to a cold recompute with the identical verdict.
 #[test]
 fn store_read_faults_degrade_to_a_clean_cold_recompute() {
-    let _guard = failpoint::exclusive();
-    failpoint::disarm_all();
     let stg = bench_net("celement.g");
     let dir = tmp("store-read-fault");
     let persist = PersistOptions { cache_dir: Some(dir), ..PersistOptions::default() };
@@ -246,11 +265,11 @@ fn store_read_faults_degrade_to_a_clean_cold_recompute() {
     let warm = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
     assert_eq!(warm.cache, CacheStatus::Warm);
 
-    failpoint::arm("store-read").unwrap();
-    let faulted = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
+    let armed =
+        PersistOptions { faults: FaultPlan::parse("store-read").unwrap(), ..persist.clone() };
+    let faulted = verify_persistent(&stg, VerifyOptions::default(), &armed).unwrap();
     assert_eq!(faulted.cache, CacheStatus::Cold, "unreadable store must recompute");
     assert_eq!(faulted.into_report().unwrap().verdict, cold.into_report().unwrap().verdict);
-    failpoint::disarm_all();
 
     let again = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
     assert_eq!(again.cache, CacheStatus::Warm, "store must be intact after the fault");

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use stgcheck::core::journal::Journal;
 use stgcheck::core::protocol::{parse_json, Json};
+use stgcheck::core::FaultPlan;
 use stgcheck::stg::{gen, write_g};
 
 fn bin() -> PathBuf {
@@ -369,7 +370,7 @@ fn recover_tolerates_unreadable_records() {
     let dir = scratch("corrupt");
     let journal_dir = dir.join("journal");
     let handshake = data("handshake.g");
-    let mut journal = Journal::open(&journal_dir).unwrap();
+    let mut journal = Journal::open(&journal_dir, FaultPlan::default()).unwrap();
     journal.record_accept("j1", &format!(r#"{{"id":"j1","net_path":"{handshake}"}}"#)).unwrap();
 
     // Every read fails: recovery degrades to an empty replay set.
