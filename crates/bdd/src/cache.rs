@@ -92,8 +92,8 @@ impl Hasher for CheapHasher {
 }
 
 /// Key word that no live probe ever uses (`u32::MAX` is outside the
-/// handle range — slots stop at 2³¹ — and is no `BinOp` discriminant),
-/// marking a cleared slot.
+/// handle range — the arena caps slots at 2²⁷, so tagged handles fit in
+/// 28 bits), marking a cleared slot.
 const EMPTY: u32 = u32::MAX;
 
 /// Index bits of a [`PackedCache`] — fixed, because the packing stores
@@ -102,7 +102,7 @@ const EMPTY: u32 = u32::MAX;
 const PACKED_BITS: u32 = 16;
 
 /// One entry of a [`PackedCache`]: two words that *each* pin the exact
-/// 62-bit key (48 stored bits + 16 index bits of the bijectively
+/// 63-bit key (48 stored bits + 16 index bits of the bijectively
 /// permuted key) plus 16 bits of the result, low half in `w1`, high half
 /// in `w2`. Aligned so an entry never straddles a cache line — a probe
 /// touches exactly one.
@@ -125,11 +125,11 @@ impl PackedSlot {
 
 /// The fully lock-free, CAS-free cache for the *binary* operations — the
 /// hottest probe site of the whole package (one probe per `and`/`xor`/
-/// `exists`/cofactor frame).
+/// `exists`/cofactor/flip frame).
 ///
 /// Thread-safety comes from two facts, not from any synchronisation:
 ///
-/// 1. **Each word pins the exact key.** The 62-bit key (2-bit op code
+/// 1. **Each word pins the exact key.** The 63-bit key (3-bit op code
 ///    plus two 30-bit handle fields — the arena caps slots at 2²⁷, so
 ///    every tagged handle fits 28 bits) is permuted by an odd-multiplier
 ///    multiplication, a *bijection* of `u64`: the permuted key's top 16
@@ -368,8 +368,8 @@ impl DirectCache {
 }
 
 /// The manager's operation caches, one direct-mapped array per shape:
-/// the binary connectives and quantifiers keyed by `(op, f, g)`, and the
-/// two ternary operations. There is no negation cache — with complement
+/// the binary connectives, quantifiers, cofactor and flip keyed by
+/// `(op, f, g)`, and the two ternary operations. There is no negation cache — with complement
 /// edges `not` is a tag flip and never probes anything. Keys are raw
 /// tagged handles *after* the operations' complement normalization
 /// (operand ordering, tag stripping where the op commutes with `¬`), so
@@ -390,7 +390,7 @@ impl Default for OpCaches {
     }
 }
 
-/// Packs a binary-op probe into the [`PackedCache`]'s 62-bit key space.
+/// Packs a binary-op probe into the [`PackedCache`]'s 63-bit key space.
 /// Sound because the arena caps slots at 2²⁷, so tagged handles occupy
 /// 28 of the 30 bits a field provides — checked here in debug builds.
 #[inline]

@@ -24,10 +24,11 @@
 //!   fixed-size direct-mapped lossy caches with complement-normalized
 //!   keys and cheap multiplicative hashing — no allocation on the apply
 //!   path;
-//! * *cube cofactors* and existential/universal abstraction — the exact
-//!   primitives from which the paper assembles the Petri-net transition
-//!   function (Section 4), plus the fused relational product
-//!   [`BddOps::and_exists`];
+//! * *cube cofactors* and existential/universal abstraction — the
+//!   primitives by which the paper defines the Petri-net transition
+//!   function (Section 4) — the one-pass image kernel
+//!   [`BddOps::flip_cube`] that computes it, and the fused relational
+//!   product [`BddOps::and_exists`];
 //! * satisfying-assignment counting and enumeration (the "# of states"
 //!   column of Table 1);
 //! * variable-ordering support: any static order at creation time, a

@@ -55,6 +55,10 @@ pub enum BinOp {
     Exists,
     /// Cube cofactor.
     CofactorCube,
+    /// Literal flip out of a cube's values ([`crate::BddOps::flip_cube`]).
+    FlipCube,
+    /// Literal flip into a cube's values (`flip_cube` with `back`).
+    FlipCubeBack,
 }
 
 /// Statistics snapshot of a [`BddManager`].

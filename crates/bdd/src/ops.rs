@@ -457,6 +457,44 @@ pub trait BddOps: sealed::Access + Sized {
         crate::quant::cofactor_rec(self, f.regular(), c).complement_if(tag)
     }
 
+    /// Flips the literals of cube `c` in `f`: keeps the assignments of
+    /// `f` in which every variable of `c` holds its literal's value (the
+    /// opposite value when `back`) and gives each of those variables the
+    /// other value. No other variable changes.
+    ///
+    /// This is `cofactor_cube(f, src) ∧ dst`, where `src` is `c` (its
+    /// literal-wise negation when `back`) and `dst` is the other of the
+    /// two, computed in one memoised pass without the intermediate
+    /// cofactor. With `c` the pre-firing values of the places and the
+    /// signal a safe-net transition changes, it is the image δ (and
+    /// δ⁻¹ when `back`) once self-loop places are filtered out.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stgcheck_bdd::{BddManager, BddOps, Literal};
+    /// let mut m = BddManager::new();
+    /// let p = m.new_var("p");
+    /// let q = m.new_var("q");
+    /// // A token moves from p to q: p ∧ ¬q becomes ¬p ∧ q.
+    /// let c = m.cube(&[Literal::positive(p), Literal::negative(q)]);
+    /// let moved = m.cube(&[Literal::negative(p), Literal::positive(q)]);
+    /// assert_eq!(m.flip_cube(c, c, false), moved);
+    /// assert_eq!(m.flip_cube(moved, c, true), c);
+    /// assert!(m.flip_cube(moved, c, false).is_false());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `c` is not a cube.
+    fn flip_cube(&mut self, f: Bdd, c: Bdd, back: bool) -> Bdd {
+        debug_assert!(
+            self.manager().inert() || self.manager().is_cube(c),
+            "flip_cube requires a cube"
+        );
+        crate::quant::flip_rec(self, f, c, back)
+    }
+
     /// Existential abstraction `∃ vars(c) . f` where `c` is a (positive)
     /// cube listing the variables to abstract.
     ///
@@ -496,35 +534,6 @@ pub trait BddOps: sealed::Access + Sized {
             "quantification prefix must be a cube"
         );
         crate::quant::and_exists_rec(self, f, g, c)
-    }
-
-    /// Level-bounded fused relational product: `∃ vars(c) . (f ∧ g)`
-    /// under the precondition that `g` and `c` touch only variables at
-    /// level `bound` or deeper (level numbers grow towards the
-    /// terminals, so "at or below `bound`" in the diagram).
-    ///
-    /// Above the bound the product cannot branch `g` or quantify
-    /// anything, so the recursion keeps `f`'s shape and descends it
-    /// structurally without re-peeking `g` and `c` at every node — the
-    /// fast path the saturation engine leans on: a transition cluster
-    /// whose home level is `bound` only ever rewrites the part of the
-    /// state set below its home level. The result is *exactly*
-    /// [`BddOps::and_exists`]`(f, g, c)` (the bounded and unbounded
-    /// recursions share one memo table), which
-    /// `crates/bdd/tests/props.rs` pins as a property.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `c` is not a cube or when `g`/`c`
-    /// reach above the bound.
-    fn and_exists_below(&mut self, f: Bdd, g: Bdd, c: Bdd, bound: usize) -> Bdd {
-        let m = self.manager();
-        debug_assert!(m.inert() || m.is_cube(c), "quantification prefix must be a cube");
-        debug_assert!(
-            m.support(g).iter().chain(m.support(c).iter()).all(|&v| m.level_of(v) >= bound),
-            "and_exists_below: operand support reaches above the bound"
-        );
-        crate::quant::and_exists_below_rec(self, f, g, c, bound as crate::node::Level)
     }
 
     /// N-ary generalisation of [`BddOps::and_exists`]:

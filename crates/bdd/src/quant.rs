@@ -1,10 +1,12 @@
 //! Quantification and cofactors: the workhorses of symbolic traversal.
 //!
-//! The paper's transition function (Section 4) is computed entirely from
-//! *cube cofactors* (`f_c`: restrict `f` by the literals of a cube `c` and
-//! drop those variables) and products. Reachability additionally needs
-//! existential abstraction `∃x.f` and the fused relational product
-//! [`BddOps::and_exists`].
+//! The paper's transition function (Section 4) is defined by *cube
+//! cofactors* (`f_c`: restrict `f` by the literals of a cube `c` and drop
+//! those variables) and products. For a safe net the cofactor/product
+//! pair always re-imposes the negation of the literals it removed, so the
+//! image is computed by one memoised recursion, [`BddOps::flip_cube`].
+//! The verification algorithms additionally need existential abstraction
+//! `∃x.f` and the fused relational product [`BddOps::and_exists`].
 //!
 //! Complement edges shape this module twice over: the cube cofactor
 //! commutes with negation (`(¬f)_c = ¬(f_c)`), so its cache is keyed on
@@ -222,39 +224,48 @@ pub(crate) fn and_exists_rec<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, c: Bdd) -> Bd
     r
 }
 
-/// Recursive level-bounded product (see [`BddOps::and_exists_below`]).
-pub(crate) fn and_exists_below_rec<M: BddOps>(
-    m: &mut M,
-    f: Bdd,
-    g: Bdd,
-    c: Bdd,
-    bound: Level,
-) -> Bdd {
-    let mgr = m.manager();
-    if mgr.level(f) >= bound {
-        // At (or past) the bound the operands may interact: fall
-        // back to the general fused recursion. Terminals land here
-        // too (their level is below every variable).
-        return and_exists_rec(m, f, g, c);
+/// Recursive literal flip (see [`BddOps::flip_cube`]).
+///
+/// Above the cube's top level the result keeps `f`'s shape; at a cube
+/// variable it takes the branch of `f` where the variable holds its
+/// source value and hangs it on the opposite branch. Flipping does not
+/// commute with negation (both `f` and `¬f` lose the assignments where
+/// a source value fails), so the memo key is the tagged `f`.
+pub(crate) fn flip_rec<M: BddOps>(m: &mut M, f: Bdd, c: Bdd, back: bool) -> Bdd {
+    if f.is_false() || c.is_false() {
+        return Bdd::FALSE;
     }
-    // f's root lies strictly above the bound, where g is constant
-    // along every path and c quantifies nothing: the product keeps
-    // f's branching structure.
-    let (a, b) = (f.min(g), f.max(g));
-    if let Some(r) = mgr.caches.and_exists_get(a, b, c) {
+    if c.is_true() {
+        return f;
+    }
+    let op = if back { BinOp::FlipCubeBack } else { BinOp::FlipCube };
+    let mgr = m.manager();
+    if let Some(r) = mgr.caches.bin_get(op, f, c) {
         return r;
     }
     if mgr.inert() {
         return Bdd::FALSE;
     }
-    let (fl, f0, f1) = mgr.peek(f);
-    let lo = and_exists_below_rec(m, f0, g, c, bound);
-    let hi = and_exists_below_rec(m, f1, g, c, bound);
-    let r = m.mk(Node { level: fl, lo, hi });
+    let (fl, flo, fhi) = mgr.peek(f);
+    let (cl, clo, chi) = mgr.peek(c);
+    let r = if fl < cl {
+        let lo = flip_rec(m, flo, c, back);
+        let hi = flip_rec(m, fhi, c, back);
+        m.mk(Node { level: fl, lo, hi })
+    } else {
+        // The top literal is positive when `clo` is FALSE; the source
+        // value is the literal's, or its opposite when `back`.
+        let from_hi = clo.is_false() != back;
+        let next = if clo.is_false() { chi } else { clo };
+        let (f0, f1) = if fl == cl { (flo, fhi) } else { (f, f) };
+        let moved = flip_rec(m, if from_hi { f1 } else { f0 }, next, back);
+        let (lo, hi) = if from_hi { (moved, Bdd::FALSE) } else { (Bdd::FALSE, moved) };
+        m.mk(Node { level: cl, lo, hi })
+    };
     if m.manager().inert() {
         return Bdd::FALSE;
     }
-    m.memo(Memo::AndExists(a, b, c), r);
+    m.memo(Memo::Bin(op, f, c), r);
     r
 }
 

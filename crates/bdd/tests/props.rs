@@ -53,12 +53,6 @@ fn op_script<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, h: Bdd, mask: u32) -> Vec<Bdd
         vars.iter().enumerate().map(|(i, &v)| Literal::new(v, i % 2 == 0)).collect();
     let q = m.vars_cube(&vars);
     let cube = m.cube(&lits);
-    // `g` projected onto the deepest variable: an operand that respects
-    // `and_exists_below`'s bound.
-    let above: Vec<Var> = (0..NVARS - 1).map(Var::from_index).collect();
-    let above = m.vars_cube(&above);
-    let g_deep = m.exists(g, above);
-    let q_deep = m.vars_cube(&[Var::from_index(NVARS - 1)]);
     vec![
         m.and(f, g),
         m.or(f, g),
@@ -76,7 +70,8 @@ fn op_script<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, h: Bdd, mask: u32) -> Vec<Bdd
         m.exists(f, q),
         m.forall(f, q),
         m.and_exists(f, g, q),
-        m.and_exists_below(f, g_deep, q_deep, NVARS - 1),
+        m.flip_cube(f, cube, false),
+        m.flip_cube(g, cube, true),
         m.and_exists_many(&[f, g, h], q),
     ]
 }
@@ -394,54 +389,33 @@ proptest! {
         }
     }
 
-    /// The level-bounded relational product of the saturation engine:
-    /// when `g` and the quantified cube only touch variables at or below
-    /// the bound, `and_exists_below` must equal plain `and_exists` (and
-    /// hence `exists(f ∧ g, c)`) for *every* `f` — including functions
-    /// whose support reaches above the bound, where the bounded recursion
-    /// takes its structural-descent fast path.
+    /// The image kernel is the paper's cofactor-then-product: flipping
+    /// the literals of cube `c` equals cofactoring by the source cube and
+    /// conjoining the destination cube (`c` and its literal-wise negation,
+    /// swapped when `back`), for `f` and `¬f` alike and in both
+    /// directions.
     #[test]
-    fn bounded_relational_product_matches_unbounded(
-        e1 in arb_expr(),
-        e2 in arb_expr(),
-        bound in 0..NVARS,
+    fn flip_cube_is_cofactor_then_product(
+        e in arb_expr(),
         mask in 0u32..(1 << NVARS),
+        pol in 0u32..(1 << NVARS),
     ) {
-        let (mut m, _) = compile(&e1);
-        let vars: Vec<Var> = (0..NVARS).map(Var::from_index).collect();
-        let resolve_all = |name: &str| -> Option<Var> {
-            let idx: usize = name[1..].parse().ok()?;
-            vars.get(idx).copied()
-        };
-        // Remap e2's variables into [bound, NVARS) so g respects the
-        // precondition; same for the quantified set.
-        let resolve_deep = |name: &str| -> Option<Var> {
-            let idx: usize = name[1..].parse().ok()?;
-            Some(vars[bound + idx % (NVARS - bound)])
-        };
-        let f = e1.to_bdd(&mut m, &resolve_all);
-        let g = e2.to_bdd(&mut m, &resolve_deep);
-        let quantified: Vec<Var> = (bound..NVARS)
+        let (mut m, f) = compile(&e);
+        let lits: Vec<Literal> = (0..NVARS)
             .filter(|i| mask & (1 << i) != 0)
-            .map(Var::from_index)
+            .map(|i| Literal::new(Var::from_index(i), pol & (1 << i) != 0))
             .collect();
-        let c = m.vars_cube(&quantified);
-        let bounded = m.and_exists_below(f, g, c, bound);
-        let unbounded = m.and_exists(f, g, c);
-        prop_assert_eq!(bounded, unbounded);
-        let conj = m.and(f, g);
-        let reference = m.exists(conj, c);
-        prop_assert_eq!(bounded, reference);
-        // Bound 0 imposes nothing: it must degenerate to and_exists for
-        // arbitrary operands.
-        let g_any = e2.to_bdd(&mut m, &resolve_all);
-        let c_any: Vec<Var> =
-            (0..NVARS).filter(|i| mask & (1 << i) != 0).map(Var::from_index).collect();
-        let c_any = m.vars_cube(&c_any);
-        prop_assert_eq!(
-            m.and_exists_below(f, g_any, c_any, 0),
-            m.and_exists(f, g_any, c_any)
-        );
+        let negated: Vec<Literal> = lits.iter().map(|l| l.negated()).collect();
+        let c = m.cube(&lits);
+        let c_neg = m.cube(&negated);
+        for g in [f, m.not(f)] {
+            for (back, src, dst) in [(false, c, c_neg), (true, c_neg, c)] {
+                let flipped = m.flip_cube(g, c, back);
+                let cofactor = m.cofactor_cube(g, src);
+                let reference = m.and(cofactor, dst);
+                prop_assert_eq!(flipped, reference, "back = {}", back);
+            }
+        }
     }
 
     /// Both instantiations of every operation are one function: on one

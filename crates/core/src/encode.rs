@@ -3,13 +3,15 @@
 //! cubes of Section 4 of the paper.
 //!
 //! A *full state* `(m, s)` is a valuation of one boolean variable per place
-//! (safe nets) plus one per signal. The paper's transition function needs,
-//! for every transition `t`:
+//! (safe nets) plus one per signal. The paper defines the transition
+//! function by the cubes `E(t)`, `NPM(t)`, `NSM(t)` and `ASM(t)` (see
+//! `image.rs`); this module keeps, for every transition `t`:
 //!
-//! * `E(t)   = ∧_{p∈•t} p`  — `t` enabled;
-//! * `NPM(t) = ∧_{p∈•t} p′` — no predecessor marked;
-//! * `NSM(t) = ∧_{p∈t•} p′` — no successor marked;
-//! * `ASM(t) = ∧_{p∈t•} p`  — all successors marked.
+//! * `E(t) = ∧_{p∈•t} p` — `t` enabled;
+//! * `L(t) = ∧_{p∈•t∩t•} p` — every self-loop place marked;
+//! * `c(t)` — the pre-firing value of every variable the firing changes:
+//!   `p` for `p ∈ •t∖t•`, `p′` for `p ∈ t•∖•t`, and `a′` (`a`) for a
+//!   transition labelled `a+` (`a−`).
 
 use stgcheck_bdd::{Bdd, BddCheckpoint, BddManager, BddOps, Literal, Var};
 use stgcheck_petri::{PlaceId, TransId};
@@ -45,15 +47,15 @@ pub enum VarOrder {
 pub struct TransCubes {
     /// `E(t)`: all predecessor places marked.
     pub enabled: Bdd,
-    /// `NPM(t)`: no predecessor place marked.
-    pub no_pred: Bdd,
-    /// `NSM(t)`: no successor place marked.
-    pub no_succ: Bdd,
-    /// `ASM(t)`: all successor places marked.
-    pub all_succ: Bdd,
-    /// The value the transition's signal holds right after it fires
-    /// (`a` for `a+`, `¬a` for `a−`); `None` for a dummy transition.
-    pub code_after: Option<Literal>,
+    /// `L(t)`: all self-loop places (`•t ∩ t•`) marked; `TRUE` when
+    /// there are none.
+    pub loops: Bdd,
+    /// `c(t)` on the place variables: predecessor places marked and
+    /// successor places empty, self-loop places left out.
+    pub flip_m: Bdd,
+    /// `c(t)`: `flip_m` plus the signal at its pre-firing value (`a′`
+    /// for `a+`, `a` for `a−`); equal to `flip_m` for a dummy.
+    pub flip: Bdd,
 }
 
 /// The symbolic context for one STG: a BDD manager populated with place
@@ -239,18 +241,25 @@ impl<'a> SymbolicStg<'a> {
             let pre: Vec<Var> = net.preset(t).iter().map(|&(p, _)| place_vars[p.index()]).collect();
             let post: Vec<Var> =
                 net.postset(t).iter().map(|&(p, _)| place_vars[p.index()]).collect();
-            let pos =
-                |vs: &[Var]| -> Vec<Literal> { vs.iter().map(|&v| Literal::positive(v)).collect() };
-            let neg =
-                |vs: &[Var]| -> Vec<Literal> { vs.iter().map(|&v| Literal::negative(v)).collect() };
-            let enabled = mgr.cube(&pos(&pre));
-            let no_pred = mgr.cube(&neg(&pre));
-            let no_succ = mgr.cube(&neg(&post));
-            let all_succ = mgr.cube(&pos(&post));
-            let code_after = stg
-                .label(t)
-                .map(|l| Literal::new(signal_vars[l.signal.index()], l.polarity.value_after()));
-            trans_cubes.push(TransCubes { enabled, no_pred, no_succ, all_succ, code_after });
+            let enabled: Vec<Literal> = pre.iter().map(|&v| Literal::positive(v)).collect();
+            let loops: Vec<Literal> =
+                pre.iter().filter(|v| post.contains(v)).map(|&v| Literal::positive(v)).collect();
+            let mut flip: Vec<Literal> = pre
+                .iter()
+                .filter(|v| !post.contains(v))
+                .map(|&v| Literal::positive(v))
+                .chain(post.iter().filter(|v| !pre.contains(v)).map(|&v| Literal::negative(v)))
+                .collect();
+            let flip_m = mgr.cube(&flip);
+            if let Some(l) = stg.label(t) {
+                flip.push(Literal::new(signal_vars[l.signal.index()], l.polarity.value_before()));
+            }
+            trans_cubes.push(TransCubes {
+                enabled: mgr.cube(&enabled),
+                loops: mgr.cube(&loops),
+                flip_m,
+                flip: mgr.cube(&flip),
+            });
         }
         let places_cube = mgr.vars_cube(&place_vars);
         let signals_cube = mgr.vars_cube(&signal_vars);
@@ -327,10 +336,7 @@ impl<'a> SymbolicStg<'a> {
     /// levels up with a checkpoint's order before the level-based bulk
     /// load.
     pub fn apply_var_order(&mut self, order: &[Var], extra: &mut [Bdd]) {
-        let mut roots: Vec<Bdd> = vec![self.places_cube, self.signals_cube];
-        for c in &self.trans_cubes {
-            roots.extend([c.enabled, c.no_pred, c.no_succ, c.all_succ]);
-        }
+        let mut roots = self.permanent_roots();
         roots.extend_from_slice(extra);
         let mapped = self.mgr.reorder(order, &roots);
         self.places_cube = mapped[0];
@@ -338,9 +344,9 @@ impl<'a> SymbolicStg<'a> {
         for (i, c) in self.trans_cubes.iter_mut().enumerate() {
             let b = 2 + 4 * i;
             c.enabled = mapped[b];
-            c.no_pred = mapped[b + 1];
-            c.no_succ = mapped[b + 2];
-            c.all_succ = mapped[b + 3];
+            c.loops = mapped[b + 1];
+            c.flip_m = mapped[b + 2];
+            c.flip = mapped[b + 3];
         }
         let base = 2 + 4 * self.trans_cubes.len();
         for (i, e) in extra.iter_mut().enumerate() {
@@ -445,7 +451,7 @@ impl<'a> SymbolicStg<'a> {
     pub fn permanent_roots(&self) -> Vec<Bdd> {
         let mut roots = vec![self.places_cube, self.signals_cube];
         for c in &self.trans_cubes {
-            roots.extend([c.enabled, c.no_pred, c.no_succ, c.all_succ]);
+            roots.extend([c.enabled, c.loops, c.flip_m, c.flip]);
         }
         roots
     }
@@ -540,7 +546,11 @@ mod tests {
         assert!(sym.manager().is_cube(c.enabled));
         assert_eq!(sym.manager().cube_literals(c.enabled).len(), 2);
         assert!(sym.manager().cube_literals(c.enabled).iter().all(|l| l.is_positive()));
-        assert!(sym.manager().cube_literals(c.no_pred).iter().all(|l| !l.is_positive()));
+        // No self-loops, and the firing flips the two predecessors, the
+        // successor and the signal.
+        assert!(c.loops.is_true());
+        assert_eq!(sym.manager().cube_literals(c.flip_m).len(), 3);
+        assert_eq!(sym.manager().cube_literals(c.flip).len(), 4);
         // E(a1*) covers exactly the one grant transition.
         let a1 = stg.signal_by_name("a1").unwrap();
         let e = sym.edge_enabled(a1, Polarity::Rise);

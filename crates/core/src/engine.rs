@@ -9,14 +9,12 @@
 //! ring recording) and an [`EngineOptions`] selecting *how* the frontier
 //! step is computed:
 //!
-//! * [`EngineKind::PerTransition`] — the baseline: one δ application per
-//!   transition, chained or strict-BFS, exactly the paper's formulation;
+//! * [`EngineKind::PerTransition`] — one δ application per transition,
+//!   chained or strict-BFS, in declaration order;
 //! * [`EngineKind::Clustered`] — transitions greedily grouped by support
-//!   overlap into partitioned relations (Burch/Clarke/Long style); each
-//!   transition's step collapses to one fused
-//!   [`stgcheck_bdd::BddOps::and_exists`] over a *before* cube plus
-//!   one product with an *after* cube, so the memoisation cache is shared
-//!   across the cluster's overlapping supports;
+//!   overlap into partitioned relations (Burch/Clarke/Long style); the
+//!   cluster's transitions all fire from the same accumulator, so their
+//!   images share memo entries;
 //! * [`EngineKind::ParallelSharded`] — transitions sharded across
 //!   `std::thread::scope` workers that all compute against **one**
 //!   concurrent [`stgcheck_bdd::BddManager`] (see
@@ -27,19 +25,21 @@
 //!   clustered engine's grouping: every cluster gets a *home level* in
 //!   the variable order (the topmost level its support touches, so the
 //!   firing stays at or below it — see [`saturation_homes`]) and is
-//!   fired to a *local fixpoint* there through the level-bounded
-//!   [`stgcheck_bdd::BddOps::and_exists_below`]; the schedule works
-//!   deepest homes first and re-saturates the deeper levels a growing
-//!   cluster re-enables before moving up, so the reached set grows in a
+//!   fired to a *local fixpoint* there; the schedule works deepest homes
+//!   first and re-saturates the deeper levels a growing cluster
+//!   re-enables before moving up, so the reached set grows in a
 //!   locality-coherent order instead of one global frontier per sweep.
 //!
-//! All four compute the same least fixpoint, so they return the same
-//! canonical `Reached` BDD — `tests/engines.rs` asserts this on every
-//! benchmark family and on random STGs.
+//! Every engine computes each image with the same kernel,
+//! [`TransCubes::fire`] (one [`stgcheck_bdd::BddOps::flip_cube`] pass;
+//! see `image.rs`); they differ only in the schedule. All four compute
+//! the same least fixpoint, so they return the same canonical `Reached`
+//! BDD — `tests/engines.rs` asserts this on every benchmark family and
+//! on random STGs.
 
 use std::collections::BTreeSet;
 
-use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, FaultPlan, Literal, ResourceError, Var};
+use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, FaultPlan, ResourceError, Var};
 use stgcheck_petri::TransId;
 
 use crate::encode::{SymbolicStg, TransCubes};
@@ -52,13 +52,14 @@ pub(crate) const GC_THRESHOLD: usize = 500_000;
 /// Selects the image engine that drives the fixed-point loops.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// One δ application per transition — the paper's formulation and the
-    /// byte-for-byte baseline. Honours [`TraversalStrategy`].
+    /// One δ application per transition, in declaration order — the
+    /// paper's Fig. 5 schedule and the default. Honours
+    /// [`TraversalStrategy`].
     #[default]
     PerTransition,
-    /// Transitions partitioned by support overlap; each step is a fused
-    /// `and_exists` over the cluster's enabling/update cubes. Always
-    /// chained (cluster by cluster).
+    /// Transitions partitioned by support overlap; the cluster's
+    /// transitions fire from one accumulator. Always chained (cluster by
+    /// cluster).
     Clustered,
     /// Transitions sharded across worker threads; partial frontier
     /// closures are OR-joined per iteration. Workers share the one
@@ -112,7 +113,7 @@ impl std::str::FromStr for EngineKind {
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum ReorderMode {
     /// Never reorder dynamically — the static [`crate::VarOrder`] stands.
-    /// The default, and the byte-for-byte baseline behaviour.
+    /// The default.
     #[default]
     None,
     /// Run a sifting pass between *every* outer fixed-point iteration.
@@ -336,9 +337,9 @@ impl FixpointCtl {
     /// which case a final snapshot has been written unconditionally.
     ///
     /// An abort is routed through the budget's cancellation latch so
-    /// every layer sharing the budget — parallel workers, in-flight
-    /// `and_exists` recursions — stops cooperatively, exactly as an
-    /// external cancel would.
+    /// every layer sharing the budget — parallel workers, in-flight BDD
+    /// recursions — stops cooperatively, exactly as an external cancel
+    /// would.
     fn tick(
         &mut self,
         sym: &SymbolicStg<'_>,
@@ -358,12 +359,13 @@ impl FixpointCtl {
     }
 
     /// Pre-commit budget check, called by every engine after computing an
-    /// iteration's frontier but *before* merging it into `reached`: once
-    /// the budget has tripped, every value computed since is inert
-    /// garbage (tripped boolean operations return `FALSE` without
-    /// publishing nodes — see [`stgcheck_bdd::Budget`]), so the engine
-    /// abandons the in-flight sets and returns the last-committed state,
-    /// which this hook captures in a final snapshot. Doubling as the
+    /// iteration's frontier and its union with `reached` but *before*
+    /// committing either: once the budget has tripped, every value
+    /// computed since is inert garbage (tripped boolean operations
+    /// return `FALSE` without publishing nodes — see
+    /// [`stgcheck_bdd::Budget`]), so the engine abandons the in-flight
+    /// sets and returns the last-committed state, which this hook
+    /// captures in a final snapshot. Doubling as the
     /// iteration-boundary coarse poll, it also observes the deadline and
     /// the cancel flag on allocation-free stretches.
     fn budget_stop(
@@ -483,22 +485,14 @@ fn apply_one<M: BddOps>(mgr: &mut M, spec: &FixpointSpec, cubes: &TransCubes, se
 
 /// Collects between steps when the manager has grown past
 /// [`GC_THRESHOLD`], protecting the permanent cubes, the loop's live
-/// sets, the recorded rings, the confinement set and the engine's own
-/// cubes.
-fn maybe_gc(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    live: &[Bdd],
-    rings: &[Bdd],
-    engine_roots: &[Bdd],
-) {
+/// sets, the recorded rings and the confinement set.
+fn maybe_gc(sym: &mut SymbolicStg<'_>, spec: &FixpointSpec, live: &[Bdd], rings: &[Bdd]) {
     if !spec.gc || !sym.manager().gc_due(GC_THRESHOLD) {
         return;
     }
     let mut roots = sym.permanent_roots();
     roots.extend_from_slice(live);
     roots.extend_from_slice(rings);
-    roots.extend_from_slice(engine_roots);
     if let Some(w) = spec.within {
         roots.push(w);
     }
@@ -519,7 +513,6 @@ fn maybe_reorder(
     spec: &FixpointSpec,
     live: &[Bdd],
     rings: &[Bdd],
-    engine_roots: &[Bdd],
 ) {
     if !spec.gc {
         return;
@@ -535,7 +528,6 @@ fn maybe_reorder(
     let mut roots = sym.permanent_roots();
     roots.extend_from_slice(live);
     roots.extend_from_slice(rings);
-    roots.extend_from_slice(engine_roots);
     if let Some(w) = spec.within {
         roots.push(w);
     }
@@ -543,7 +535,7 @@ fn maybe_reorder(
 }
 
 // ---------------------------------------------------------------------------
-// Per-transition engine (the baseline).
+// Per-transition engine.
 // ---------------------------------------------------------------------------
 
 fn run_per_transition(
@@ -568,7 +560,7 @@ fn run_per_transition(
                     // Intermediate sets inside one chained sweep are the
                     // memory peak on deep pipelines: collect eagerly,
                     // keeping only the running accumulator.
-                    maybe_gc(sym, spec, &[reached, acc], &rings, &[]);
+                    maybe_gc(sym, spec, &[reached, acc], &rings);
                 }
                 acc
             }
@@ -578,28 +570,31 @@ fn run_per_transition(
                     let cubes = *sym.cubes(t);
                     let img = apply_one(sym.manager_mut(), spec, &cubes, from);
                     acc = sym.manager_mut().or(acc, img);
-                    maybe_gc(sym, spec, &[reached, from, acc], &rings, &[]);
+                    maybe_gc(sym, spec, &[reached, from, acc], &rings);
                 }
                 acc
             }
         };
-        // Budget check *before* the convergence test: a mid-sweep trip
-        // makes `to` inert garbage whose diff is spuriously FALSE — the
-        // loop must report exhaustion, never fake convergence.
+        let new = sym.manager_mut().diff(to, reached);
+        let grown = sym.manager_mut().or(reached, new);
+        // Budget check *before* the convergence test and the commit: a
+        // trip in the sweep, the diff or the union leaves inert garbage
+        // (a tripped diff is spuriously FALSE, a tripped union TRUE) —
+        // the loop must report exhaustion, never fake convergence or
+        // commit garbage.
         if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
             return FixpointOutcome { reached, iterations: iterations - 1, rings, stop };
         }
-        let new = sym.manager_mut().diff(to, reached);
         if new.is_false() {
             break;
         }
-        reached = sym.manager_mut().or(reached, new);
+        reached = grown;
         if spec.record_rings {
             rings.push(new);
         }
         from = new;
-        maybe_gc(sym, spec, &[reached, from], &rings, &[]);
-        maybe_reorder(sym, opts, spec, &[reached, from], &rings, &[]);
+        maybe_gc(sym, spec, &[reached, from], &rings);
+        maybe_reorder(sym, opts, spec, &[reached, from], &rings);
         if ctl.tick(sym, reached, from, iterations) {
             return FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Interrupted };
         }
@@ -608,97 +603,26 @@ fn run_per_transition(
 }
 
 // ---------------------------------------------------------------------------
-// Clustered engine: partitioned transition relations via fused cubes.
+// Clustered engine: partitioned transition relations.
 // ---------------------------------------------------------------------------
 
-/// A transition's δ folded into three cubes (Section 4 algebra):
-///
-/// * `before` — what must hold pre-firing: predecessor places marked,
-///   strict successor places empty, the signal at its pre-firing value;
-/// * `after` — what holds post-firing: successor places marked, strict
-///   predecessor places empty, the signal at its post-firing value;
-/// * `quant` — the variables the firing touches.
-///
-/// Then `δ(M,t) = and_exists(M, before, quant) ∧ after` and the exact
-/// pre-image is the mirror `and_exists(M, after, quant) ∧ before` —
-/// equivalent to the four-step cofactor/product pipeline of
-/// [`SymbolicStg::image`], but one fused cache-friendly operation.
-pub(crate) struct FusedCubes {
-    pub(crate) before: Bdd,
-    pub(crate) after: Bdd,
-    pub(crate) quant: Bdd,
-}
-
-pub(crate) fn build_fused_cubes(
-    sym: &mut SymbolicStg<'_>,
+/// The variables each transition's step reads or writes: its places and,
+/// for a full-state step, its signal — the supports the clustered and
+/// saturation engines group transitions by.
+fn transition_supports(
+    sym: &SymbolicStg<'_>,
     marking_only: bool,
     transitions: &[TransId],
-) -> Vec<FusedCubes> {
-    let mut out = Vec::with_capacity(transitions.len());
-    for &t in transitions {
-        let net = sym.stg().net();
-        let pre: Vec<_> = net.preset(t).iter().map(|&(p, _)| p).collect();
-        let post: Vec<_> = net.postset(t).iter().map(|&(p, _)| p).collect();
-        let mut before = Vec::new();
-        let mut after = Vec::new();
-        let mut quant: Vec<Var> = Vec::new();
-        for &p in &pre {
-            let v = sym.place_var(p);
-            quant.push(v);
-            before.push(Literal::positive(v));
-            if !post.contains(&p) {
-                after.push(Literal::negative(v));
-            }
-        }
-        for &p in &post {
-            let v = sym.place_var(p);
-            if !pre.contains(&p) {
-                quant.push(v);
-                before.push(Literal::negative(v));
-            }
-            after.push(Literal::positive(v));
-        }
-        if !marking_only {
-            if let Some(label) = sym.stg().label(t) {
-                let v = sym.signal_var(label.signal);
-                quant.push(v);
-                before.push(Literal::new(v, label.polarity.value_before()));
-                after.push(Literal::new(v, label.polarity.value_after()));
-            }
-        }
-        let before = sym.manager_mut().cube(&before);
-        let after = sym.manager_mut().cube(&after);
-        let quant = sym.manager_mut().vars_cube(&quant);
-        out.push(FusedCubes { before, after, quant });
-    }
-    out
-}
-
-/// One fused δ application (forward or backward) confined to `within`,
-/// generic over the manager borrow like [`apply_one`].
-///
-/// `bound` is the firing cluster's home level under
-/// [`EngineKind::Saturation`]: the `and_exists` recursion then keeps the
-/// state set's shape above it instead of re-peeking the cubes at every
-/// node (see [`stgcheck_bdd::BddOps::and_exists_below`]). The result does
-/// not depend on the bound; `0` is the plain fused product.
-pub(crate) fn fused_apply<M: BddOps>(
-    mgr: &mut M,
-    spec: &FixpointSpec,
-    cubes: &FusedCubes,
-    set: Bdd,
-    bound: usize,
-) -> Bdd {
-    let (select, reimpose) = match spec.direction {
-        StepDirection::Forward => (cubes.before, cubes.after),
-        StepDirection::Backward => (cubes.after, cubes.before),
-    };
-    let moved = mgr.and_exists_below(set, select, cubes.quant, bound);
-    let img = mgr.and(moved, reimpose);
-    match spec.within {
-        Some(w) => mgr.and(img, w),
-        None => img,
-    }
+) -> Vec<BTreeSet<Var>> {
+    let mgr = sym.manager();
+    transitions
+        .iter()
+        .map(|&t| {
+            let c = sym.cubes(t);
+            let flip = if marking_only { c.flip_m } else { c.flip };
+            mgr.support(flip).into_iter().chain(mgr.support(c.loops)).collect()
+        })
+        .collect()
 }
 
 /// Greedy support-overlap clustering: seed a cluster with the first
@@ -745,28 +669,28 @@ fn run_clustered(
     init: Bdd,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
-    let fused = build_fused_cubes(sym, spec.marking_only, transitions);
-    let supports: Vec<BTreeSet<Var>> =
-        fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
+    let supports = transition_supports(sym, spec.marking_only, transitions);
     let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
-    let engine_roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     loop {
         iterations += 1;
         // Chained across clusters, breadth-first within each cluster: the
         // cluster's transitions all fire from the same accumulator, so
-        // their fused and_exists calls hit the same cache lines.
+        // their images share memo entries.
         let mut acc = from;
         for cluster in &clusters {
             let mut delta = Bdd::FALSE;
-            let mgr = sym.manager_mut();
             for &i in cluster {
-                let img = fused_apply(mgr, spec, &fused[i], acc, 0);
+                let cubes = *sym.cubes(transitions[i]);
+                let mgr = sym.manager_mut();
+                let img = apply_one(mgr, spec, &cubes, acc);
                 delta = mgr.or(delta, img);
             }
-            acc = mgr.or(acc, delta);
-            maybe_gc(sym, spec, &[reached, acc], &[], &engine_roots);
+            acc = sym.manager_mut().or(acc, delta);
+            maybe_gc(sym, spec, &[reached, acc], &[]);
         }
+        let new = sym.manager_mut().diff(acc, reached);
+        let grown = sym.manager_mut().or(reached, new);
         // Pre-commit budget check — see `run_per_transition`.
         if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
             return FixpointOutcome {
@@ -776,17 +700,13 @@ fn run_clustered(
                 stop,
             };
         }
-        let new = sym.manager_mut().diff(acc, reached);
         if new.is_false() {
             break;
         }
-        reached = sym.manager_mut().or(reached, new);
+        reached = grown;
         from = new;
-        maybe_gc(sym, spec, &[reached, from], &[], &engine_roots);
-        // The fused cubes are ordinary protected roots: in-place sifting
-        // keeps their handles valid, so the next iteration reuses them
-        // under the improved order.
-        maybe_reorder(sym, opts, spec, &[reached, from], &[], &engine_roots);
+        maybe_gc(sym, spec, &[reached, from], &[]);
+        maybe_reorder(sym, opts, spec, &[reached, from], &[]);
         if ctl.tick(sym, reached, from, iterations) {
             return FixpointOutcome {
                 reached,
@@ -808,9 +728,8 @@ fn run_clustered(
 /// from which its whole support union is still at or below — i.e. the
 /// topmost (smallest-index; levels grow towards the terminals) level any
 /// of its variables sits on. The cluster's support then lies entirely in
-/// `[home, n)`, so its firings can never build structure above the home
-/// and [`stgcheck_bdd::BddOps::and_exists_below`] may descend the
-/// state set structurally down to it.
+/// `[home, n)`, so its firings never build structure above the home:
+/// the image kernel descends the state set structurally down to it.
 ///
 /// The assignment is a pure, permutation-stable function of the variable
 /// order and the support sets: permuting the order (via
@@ -842,15 +761,14 @@ pub(crate) fn saturation_schedule(homes: &[usize]) -> Vec<usize> {
 ///
 /// The sweep walks the schedule (deepest homes first) and fires each
 /// cluster to a *local fixpoint*: its transitions chain from the full
-/// reached set until nothing new appears, every step bounded at the
-/// cluster's home level. When a cluster grows the reached set, the new
-/// states may re-enable transitions that were already saturated deeper
-/// down — but only in clusters whose support overlaps this one: a
-/// disjoint-support cluster's enabling valuations are untouched by the
-/// growth (its firings commute with this cluster's), so it provably
-/// stays at its fixpoint. The sweep therefore restarts at the deepest
-/// already-done *overlapping* cluster and re-saturates upward from
-/// there.
+/// reached set until nothing new appears. When a cluster grows the
+/// reached set, the new states may re-enable transitions that were
+/// already saturated deeper down — but only in clusters whose support
+/// overlaps this one: a disjoint-support cluster's enabling valuations
+/// are untouched by the growth (its firings commute with this
+/// cluster's), so it provably stays at its fixpoint. The sweep
+/// therefore restarts at the deepest already-done *overlapping* cluster
+/// and re-saturates upward from there.
 ///
 /// Termination: every restart is caused by a strict growth of the
 /// reached set (finite lattice), and between growths the schedule
@@ -873,16 +791,12 @@ fn run_saturation(
     init: Bdd,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
-    let mut fused = build_fused_cubes(sym, spec.marking_only, transitions);
-    let supports: Vec<BTreeSet<Var>> =
-        fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
+    let supports = transition_supports(sym, spec.marking_only, transitions);
     let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
     let cluster_supports: Vec<BTreeSet<Var>> = clusters
         .iter()
         .map(|c| c.iter().flat_map(|&i| supports[i].iter().copied()).collect())
         .collect();
-    let mut engine_roots: Vec<Bdd> =
-        fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
     let mut homes = saturation_homes(sym.manager(), &cluster_supports);
     let mut schedule = saturation_schedule(&homes);
     // Saturation has no global frontier; a resumed snapshot seeds the
@@ -893,16 +807,17 @@ fn run_saturation(
     while pos < schedule.len() {
         let c = schedule[pos];
         // Local fixpoint: the cluster's transitions chain from the full
-        // reached set, every and_exists bounded at the home level.
+        // reached set.
         let mut grew = false;
         loop {
             iterations += 1;
             let mut acc = reached;
             for &i in &clusters[c] {
+                let cubes = *sym.cubes(transitions[i]);
                 let mgr = sym.manager_mut();
-                let img = fused_apply(mgr, spec, &fused[i], acc, homes[c]);
+                let img = apply_one(mgr, spec, &cubes, acc);
                 acc = mgr.or(acc, img);
-                maybe_gc(sym, spec, &[reached, acc], &[], &engine_roots);
+                maybe_gc(sym, spec, &[reached, acc], &[]);
             }
             // A trip inside the sweep makes `acc` inert garbage (an OR of
             // tripped operands is TRUE, which `acc == reached` would
@@ -933,19 +848,14 @@ fn run_saturation(
             pos += 1;
             continue;
         }
-        // The cubes are deliberately *not* protected across the sift:
-        // they are cheap to rebuild and keeping 3·|T| cube roots live
-        // through every pass inflates the sift's transient peak on small
-        // nets. If a pass really ran, the sift-leading GC dangled them —
-        // rebuild from scratch, re-derive the now-stale home levels and
-        // restart the sweep on the new schedule (`reached` is protected
-        // and keeps its handle across the in-place sift; the cluster
-        // supports are variable sets, untouched by any reorder).
+        // If a pass really ran, the home levels are stale: re-derive them
+        // and restart the sweep on the new schedule (`reached` and the
+        // transition cubes are protected and keep their handles across
+        // the in-place sift; the cluster supports are variable sets,
+        // untouched by any reorder).
         let sift_before = sym.manager().stats().sift_runs;
-        maybe_reorder(sym, opts, spec, &[reached], &[], &[]);
+        maybe_reorder(sym, opts, spec, &[reached], &[]);
         if sym.manager().stats().sift_runs != sift_before {
-            fused = build_fused_cubes(sym, spec.marking_only, transitions);
-            engine_roots = fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
             homes = saturation_homes(sym.manager(), &cluster_supports);
             schedule = saturation_schedule(&homes);
             pos = 0;
@@ -1076,11 +986,17 @@ fn run_parallel(
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
         });
-        // Pre-commit budget check, with all workers joined: a trip during
-        // the fan-out makes their closures inert garbage (the closures
-        // themselves exit promptly — a tripped diff is FALSE, which reads
-        // as local convergence). Abandon the parts, keep the committed
-        // state.
+        // Workers are joined: the coordinator holds `&mut` again, so the
+        // join arithmetic runs the plain-store instantiation.
+        let mgr = sym.manager_mut();
+        let to = parts.into_iter().fold(from, |to, part| mgr.or(to, part));
+        let new = mgr.diff(to, reached);
+        let grown = mgr.or(reached, new);
+        // Pre-commit budget check: a trip during the fan-out makes the
+        // workers' closures inert garbage (the closures themselves exit
+        // promptly — a tripped diff is FALSE, which reads as local
+        // convergence), and so does one in the join. Abandon it all, keep
+        // the committed state.
         if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
             return FixpointOutcome {
                 reached,
@@ -1089,20 +1005,15 @@ fn run_parallel(
                 stop,
             };
         }
-        // Workers are joined: the coordinator holds `&mut` again, so the
-        // join/commit arithmetic runs the plain-store instantiation.
-        let mgr = sym.manager_mut();
-        let to = parts.into_iter().fold(from, |to, part| mgr.or(to, part));
-        let new = mgr.diff(to, reached);
         if new.is_false() {
             break;
         }
-        reached = mgr.or(reached, new);
+        reached = grown;
         from = new;
         // Stop-the-world quiesce point: workers are joined, the `&mut`
         // borrow is exclusive again.
-        maybe_gc(sym, spec, &[reached, from], &[], &[]);
-        maybe_reorder(sym, opts, spec, &[reached, from], &[], &[]);
+        maybe_gc(sym, spec, &[reached, from], &[]);
+        maybe_reorder(sym, opts, spec, &[reached, from], &[]);
         if ctl.tick(sym, reached, from, iterations) {
             return FixpointOutcome {
                 reached,
@@ -1119,85 +1030,14 @@ fn run_parallel(
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use stgcheck_stg::{gen, Code};
-
-    /// The fused before/after/quant formulation must agree with the
-    /// four-step cofactor/product pipeline on every transition, forward
-    /// and backward, full-state and marking-only.
-    #[test]
-    fn fused_cubes_match_sequential_images() {
-        for stg in [gen::mutex_element(), gen::muller_pipeline(4), gen::vme_read()] {
-            let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-            let code = sym.effective_initial_code().unwrap();
-            let t = sym.traverse(code, TraversalStrategy::Chained);
-            let transitions: Vec<_> = stg.net().transitions().collect();
-            for marking_only in [false, true] {
-                let fused = build_fused_cubes(&mut sym, marking_only, &transitions);
-                for direction in [StepDirection::Forward, StepDirection::Backward] {
-                    let spec = FixpointSpec {
-                        marking_only,
-                        direction,
-                        within: None,
-                        record_rings: false,
-                        gc: true,
-                    };
-                    for (i, &tr) in transitions.iter().enumerate() {
-                        let cubes = *sym.cubes(tr);
-                        let a = apply_one(sym.manager_mut(), &spec, &cubes, t.reached);
-                        let b = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, 0);
-                        assert_eq!(
-                            a,
-                            b,
-                            "{} t={} dir={direction:?} marking={marking_only}",
-                            stg.name(),
-                            stg.net().trans_name(tr)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Self-loop places exercise the pre ∩ post corner of the fused cubes.
-    #[test]
-    fn fused_cubes_handle_self_loops() {
-        let mut b = stgcheck_stg::StgBuilder::new("selfloop");
-        b.input("x");
-        let l = b.place("l", 1);
-        let src = b.place("src", 1);
-        let dst = b.place("dst", 0);
-        b.pt(l, "x+");
-        b.tp("x+", l);
-        b.pt(src, "x+");
-        b.tp("x+", dst);
-        b.initial_code_str("0");
-        let stg = b.build().unwrap();
-        let mut sym = SymbolicStg::new(&stg, VarOrder::PlacesThenSignals);
-        let init = sym.initial_state(Code::ZERO);
-        let transitions: Vec<_> = stg.net().transitions().collect();
-        let fused = build_fused_cubes(&mut sym, false, &transitions);
-        let spec = FixpointSpec::forward_full();
-        let xp = stg.net().trans_by_name("x+").unwrap();
-        let i = transitions.iter().position(|&t| t == xp).unwrap();
-        let cubes = *sym.cubes(xp);
-        let seq = apply_one(sym.manager_mut(), &spec, &cubes, init);
-        let fus = fused_apply(sym.manager_mut(), &spec, &fused[i], init, 0);
-        assert_eq!(seq, fus);
-        assert!(!fus.is_false());
-        // And backward inverts it exactly.
-        let back_spec = FixpointSpec { direction: StepDirection::Backward, ..spec };
-        let back = fused_apply(sym.manager_mut(), &back_spec, &fused[i], fus, 0);
-        assert_eq!(back, init);
-    }
+    use stgcheck_stg::gen;
 
     #[test]
     fn clustering_is_a_partition_and_respects_cap() {
         let stg = gen::muller_pipeline(6);
-        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
+        let sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let transitions: Vec<_> = stg.net().transitions().collect();
-        let fused = build_fused_cubes(&mut sym, false, &transitions);
-        let supports: Vec<BTreeSet<Var>> =
-            fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
+        let supports = transition_supports(&sym, false, &transitions);
         for cap in [1, 3, 8] {
             let clusters = cluster_by_support(&supports, cap);
             let mut seen = vec![false; transitions.len()];
@@ -1231,22 +1071,18 @@ mod tests {
         assert!("banana".parse::<EngineKind>().is_err());
     }
 
-    /// Derives the saturation clustering of an STG: per-cluster transition
-    /// groups and their support unions, exactly as `run_saturation` does.
-    fn saturation_clustering(
-        sym: &mut SymbolicStg<'_>,
+    /// Derives the saturation clustering of an STG: the support union of
+    /// each cluster, exactly as `run_saturation` does.
+    fn saturation_cluster_supports(
+        sym: &SymbolicStg<'_>,
         max_cluster: usize,
-    ) -> (Vec<FusedCubes>, Vec<Vec<usize>>, Vec<BTreeSet<Var>>) {
+    ) -> Vec<BTreeSet<Var>> {
         let transitions: Vec<_> = sym.stg().net().transitions().collect();
-        let fused = build_fused_cubes(sym, false, &transitions);
-        let supports: Vec<BTreeSet<Var>> =
-            fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
-        let clusters = cluster_by_support(&supports, max_cluster);
-        let cluster_supports = clusters
+        let supports = transition_supports(sym, false, &transitions);
+        cluster_by_support(&supports, max_cluster)
             .iter()
             .map(|c| c.iter().flat_map(|&i| supports[i].iter().copied()).collect())
-            .collect();
-        (fused, clusters, cluster_supports)
+            .collect()
     }
 
     /// The home assignment is a pure function of the variable order: each
@@ -1259,8 +1095,7 @@ mod tests {
     fn saturation_homes_are_a_permutation_stable_function_of_the_order() {
         let stg = gen::master_read(3);
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let (fused, _clusters, cluster_supports) = saturation_clustering(&mut sym, 8);
-        let mut roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
+        let cluster_supports = saturation_cluster_supports(&sym, 8);
 
         let check = |sym: &SymbolicStg<'_>| {
             let homes = saturation_homes(sym.manager(), &cluster_supports);
@@ -1280,21 +1115,20 @@ mod tests {
 
         // Identity permutation: homes and schedule must be bit-identical.
         let identity = sym.manager().order();
-        sym.apply_var_order(&identity, &mut roots);
+        sym.apply_var_order(&identity, &mut []);
         assert_eq!(check(&sym), before);
         assert_eq!(saturation_schedule(&before), schedule_before);
 
         // Reversal: every home moves, but stays the support's minimum
         // level under the new order.
         let reversed: Vec<Var> = sym.manager().order().into_iter().rev().collect();
-        sym.apply_var_order(&reversed, &mut roots);
+        sym.apply_var_order(&reversed, &mut []);
         let after = check(&sym);
         assert_ne!(after, before, "reversing the order must move some home");
 
         // An in-place sifting pass is just another permutation.
-        let mut all = sym.permanent_roots();
-        all.extend_from_slice(&roots);
-        sym.manager_mut().sift(&all);
+        let roots = sym.permanent_roots();
+        sym.manager_mut().sift(&roots);
         check(&sym);
     }
 
@@ -1309,26 +1143,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..homes.len()).collect::<Vec<_>>());
         assert_eq!(schedule, saturation_schedule(&homes), "must be deterministic");
-    }
-
-    /// The bounded fused apply agrees with the unbounded one (bound 0) at
-    /// the home level of the firing transition's cluster.
-    #[test]
-    fn bounded_fused_apply_matches_unbounded_at_the_home_level() {
-        let stg = gen::muller_pipeline(5);
-        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let code = sym.effective_initial_code().unwrap();
-        let t = sym.traverse(code, TraversalStrategy::Chained);
-        let (fused, clusters, cluster_supports) = saturation_clustering(&mut sym, 8);
-        let homes = saturation_homes(sym.manager(), &cluster_supports);
-        let spec = FixpointSpec::forward_full();
-        for (c, cluster) in clusters.iter().enumerate() {
-            for &i in cluster {
-                let free = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, 0);
-                let bounded = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, homes[c]);
-                assert_eq!(free, bounded, "cluster {c} transition {i} at home {}", homes[c]);
-            }
-        }
     }
 
     #[test]

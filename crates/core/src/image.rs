@@ -1,6 +1,6 @@
 //! The symbolic transition function δ and its inverse (Section 4).
 //!
-//! Forward, for a set of full states `M` and transition `t`:
+//! The paper defines, for a set of full states `M` and transition `t`:
 //!
 //! ```text
 //! δN(M,t) = ((M_{E(t)} · NPM(t))_{NSM(t)}) · ASM(t)          (markings)
@@ -11,13 +11,28 @@
 //! where `f_c` is the generalised cofactor by cube `c`. The cofactor both
 //! *selects* the states where the cube holds and *removes* its variables,
 //! so the subsequent product re-imposes the post-firing values. The same
-//! four steps mirrored give the exact pre-image. Self-loop places work
-//! unchanged because the cofactor/product pairs compose correctly.
+//! four steps mirrored give the exact pre-image.
+//!
+//! In a safe net every cofactor/product pair re-imposes the negation of
+//! the literals it removed, except on the self-loop places `•t ∩ t•`,
+//! which must be marked before and stay marked. So, with `L(t)` the cube
+//! of the self-loop places and `c(t)` the pre-firing values of every
+//! variable the firing changes (see `encode.rs`),
+//!
+//! ```text
+//! δ(M,t)   = flip(M ∧ L(t), c(t))
+//! δ⁻¹(M,t) = flip⁻¹(M ∧ L(t), c(t))
+//! ```
+//!
+//! where `flip` keeps the states in which `c(t)` holds and negates its
+//! literals ([`BddOps::flip_cube`]), and `flip⁻¹` is its mirror. This is
+//! one memoised recursion per image and no intermediate BDD; a unit test
+//! below checks it against the four-step formula on every transition.
 //!
 //! Note the complete absence of next-state variables: this is the paper's
 //! key encoding trick, and the ablation benchmarks measure what it buys.
 //!
-//! The pipeline is written once, in [`TransCubes::fire`], generic over the
+//! The image is written once, in [`TransCubes::fire`], generic over the
 //! manager borrow ([`BddOps`]): the parallel engine's workers run it on a
 //! shared `&BddManager`, everything else on `&mut BddManager`.
 
@@ -30,7 +45,7 @@ use crate::engine::StepDirection;
 impl TransCubes {
     /// Fires the transition on `set`: `δD` forward, its exact inverse
     /// backward, or the marking-only `δN` (and inverse) when
-    /// `marking_only` — the cofactor/product pipeline of the module docs.
+    /// `marking_only` — the identity of the module docs.
     pub(crate) fn fire<M: BddOps>(
         &self,
         mgr: &mut M,
@@ -38,24 +53,9 @@ impl TransCubes {
         direction: StepDirection,
         marking_only: bool,
     ) -> Bdd {
-        let [select, clear, vacate, mark] = match direction {
-            StepDirection::Forward => [self.enabled, self.no_pred, self.no_succ, self.all_succ],
-            StepDirection::Backward => [self.all_succ, self.no_succ, self.no_pred, self.enabled],
-        };
-        let r = mgr.cofactor_cube(set, select);
-        let r = mgr.and(r, clear);
-        let r = mgr.cofactor_cube(r, vacate);
-        let moved = mgr.and(r, mark);
-        let Some(after) = self.code_after.filter(|_| !marking_only) else { return moved };
-        // Forward `a+` selects `a = 0` and imposes `a = 1`; backward
-        // selects the post-firing value and restores the pre-firing one.
-        let after = mgr.manager().literal(after);
-        let (sel, put) = match direction {
-            StepDirection::Forward => (after.complement(), after),
-            StepDirection::Backward => (after, after.complement()),
-        };
-        let r = mgr.cofactor_cube(moved, sel);
-        mgr.and(r, put)
+        let flip = if marking_only { self.flip_m } else { self.flip };
+        let kept = mgr.and(set, self.loops);
+        mgr.flip_cube(kept, flip, direction == StepDirection::Backward)
     }
 }
 
@@ -64,8 +64,8 @@ impl SymbolicStg<'_> {
     ///
     /// States where `t` is not enabled contribute nothing; states where a
     /// successor place (other than a self-loop) is already marked are
-    /// dropped by the `NSM` cofactor — the safeness check reports those
-    /// separately.
+    /// dropped, as by the paper's `NSM` cofactor — the safeness check
+    /// reports those separately.
     pub fn image_marking(&mut self, m: Bdd, t: TransId) -> Bdd {
         let c = *self.cubes(t);
         c.fire(self.manager_mut(), m, StepDirection::Forward, true)
@@ -75,7 +75,7 @@ impl SymbolicStg<'_> {
     /// update for labelled transitions.
     ///
     /// States whose code is inconsistent with the label (e.g. `a+` fired
-    /// with `a = 1`) are silently dropped by the code cofactor; the
+    /// with `a = 1`) are silently dropped, as by the code cofactor; the
     /// consistency check detects them before they would matter.
     pub fn image(&mut self, m: Bdd, t: TransId) -> Bdd {
         let c = *self.cubes(t);
@@ -101,6 +101,8 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
+    use stgcheck_bdd::Literal;
+    use stgcheck_petri::PlaceId;
     use stgcheck_stg::{gen, Code, StgBuilder};
 
     #[test]
@@ -222,50 +224,107 @@ mod tests {
         assert_eq!(w.marked_places, vec!["q".to_string()]);
     }
 
-    /// The saturation engine's level-bounded fused step is a third
-    /// formulation of the same δ: for every transition it must agree
-    /// with this module's cofactor/product pipeline — forward and
-    /// backward — when bounded at the transition's own top support
-    /// level, the tightest bound its cluster home can ever take.
+    /// The paper's four-step pipeline, rebuilt from `cofactor_cube` and
+    /// `and` over the `E`/`NPM`/`NSM`/`ASM` cubes of the module docs.
+    fn paper_image(
+        sym: &mut SymbolicStg<'_>,
+        t: TransId,
+        set: Bdd,
+        direction: StepDirection,
+        marking_only: bool,
+    ) -> Bdd {
+        let stg = sym.stg();
+        let net = stg.net();
+        let cube = |sym: &mut SymbolicStg<'_>, places: &[(PlaceId, u32)], value: bool| {
+            let lits: Vec<Literal> =
+                places.iter().map(|&(p, _)| Literal::new(sym.place_var(p), value)).collect();
+            sym.manager_mut().cube(&lits)
+        };
+        let e = cube(sym, net.preset(t), true);
+        let npm = cube(sym, net.preset(t), false);
+        let nsm = cube(sym, net.postset(t), false);
+        let asm = cube(sym, net.postset(t), true);
+        let [select, clear, vacate, mark] = match direction {
+            StepDirection::Forward => [e, npm, nsm, asm],
+            StepDirection::Backward => [asm, nsm, npm, e],
+        };
+        let mgr = sym.manager_mut();
+        let r = mgr.cofactor_cube(set, select);
+        let r = mgr.and(r, clear);
+        let r = mgr.cofactor_cube(r, vacate);
+        let moved = mgr.and(r, mark);
+        let Some(label) = stg.label(t).filter(|_| !marking_only) else { return moved };
+        let after = Literal::new(sym.signal_var(label.signal), label.polarity.value_after());
+        let after = sym.manager().literal(after);
+        let (sel, put) = match direction {
+            StepDirection::Forward => (after.complement(), after),
+            StepDirection::Backward => (after, after.complement()),
+        };
+        let mgr = sym.manager_mut();
+        let r = mgr.cofactor_cube(moved, sel);
+        mgr.and(r, put)
+    }
+
+    /// The flip kernel computes exactly the paper's δ: every transition
+    /// of each net, forward and backward, full-state and marking-only,
+    /// on the reachable set, its complement and the whole state space
+    /// (where unsafe successor markings must be dropped).
     #[test]
-    fn bounded_fused_image_matches_cofactor_pipeline() {
-        use crate::engine::{build_fused_cubes, fused_apply, FixpointSpec, StepDirection};
-        for stg in [gen::mutex_element(), gen::muller_pipeline(4), gen::master_read(2)] {
-            let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
+    fn image_matches_the_paper_pipeline() {
+        let mut self_loop = StgBuilder::new("selfloop");
+        self_loop.input("x");
+        let l = self_loop.place("l", 1);
+        let src = self_loop.place("src", 1);
+        let dst = self_loop.place("dst", 0);
+        self_loop.pt(l, "x+");
+        self_loop.tp("x+", l);
+        self_loop.pt(src, "x+");
+        self_loop.tp("x+", dst);
+        self_loop.pt(dst, "x-");
+        self_loop.tp("x-", src);
+        self_loop.initial_code_str("0");
+        let mut dummy = StgBuilder::new("dummy");
+        dummy.input("a");
+        let p = dummy.place("p", 1);
+        let q = dummy.place("q", 0);
+        let r = dummy.place("r", 0);
+        dummy.dummy("eps");
+        dummy.pt(p, "eps");
+        dummy.tp("eps", q);
+        dummy.pt(q, "a+");
+        dummy.tp("a+", r);
+        dummy.initial_code_str("0");
+        let nets = [
+            gen::mutex_element(),
+            gen::muller_pipeline(4),
+            gen::master_read(2),
+            self_loop.build().unwrap(),
+            dummy.build().unwrap(),
+        ];
+        for stg in &nets {
+            let mut sym = SymbolicStg::new(stg, VarOrder::Interleaved);
             let code = sym.effective_initial_code().unwrap();
-            let t = sym.traverse(code, crate::traverse::TraversalStrategy::Chained);
-            let transitions: Vec<_> = stg.net().transitions().collect();
-            let fused = build_fused_cubes(&mut sym, false, &transitions);
-            for (i, &tr) in transitions.iter().enumerate() {
-                let home = sym
-                    .manager()
-                    .support(fused[i].quant)
-                    .into_iter()
-                    .map(|v| sym.manager().level_of(v))
-                    .min()
-                    .unwrap();
-                for direction in [StepDirection::Forward, StepDirection::Backward] {
-                    let spec = FixpointSpec { direction, ..FixpointSpec::forward_full() };
-                    let pipeline = match direction {
-                        StepDirection::Forward => sym.image(t.reached, tr),
-                        StepDirection::Backward => sym.preimage(t.reached, tr),
-                    };
-                    let (select, reimpose) = match direction {
-                        StepDirection::Forward => (fused[i].before, fused[i].after),
-                        StepDirection::Backward => (fused[i].after, fused[i].before),
-                    };
-                    let mgr = sym.manager_mut();
-                    let moved = mgr.and_exists_below(t.reached, select, fused[i].quant, home);
-                    let bounded = mgr.and(moved, reimpose);
-                    assert_eq!(
-                        bounded,
-                        pipeline,
-                        "{} t={} dir={direction:?}",
-                        stg.name(),
-                        stg.net().trans_name(tr)
-                    );
-                    let unbounded = fused_apply(sym.manager_mut(), &spec, &fused[i], t.reached, 0);
-                    assert_eq!(bounded, unbounded, "{} bounded vs fused", stg.name());
+            let reached = sym.traverse(code, crate::traverse::TraversalStrategy::Chained).reached;
+            for set in [reached, reached.complement(), Bdd::TRUE] {
+                for t in stg.net().transitions() {
+                    let name = stg.net().trans_name(t);
+                    for marking_only in [false, true] {
+                        for direction in [StepDirection::Forward, StepDirection::Backward] {
+                            let expected = paper_image(&mut sym, t, set, direction, marking_only);
+                            let got = match (direction, marking_only) {
+                                (StepDirection::Forward, false) => sym.image(set, t),
+                                (StepDirection::Forward, true) => sym.image_marking(set, t),
+                                (StepDirection::Backward, false) => sym.preimage(set, t),
+                                (StepDirection::Backward, true) => sym.preimage_marking(set, t),
+                            };
+                            assert_eq!(
+                                got,
+                                expected,
+                                "{} t={name} {direction:?} marking_only={marking_only}",
+                                stg.name()
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -9,14 +9,15 @@
 //!
 //! * [`SymbolicStg`] encodes an STG over one boolean variable per place
 //!   and per signal, with selectable [`VarOrder`] strategies (Section 4);
-//! * the transition function and its inverse are pure cofactor/product
-//!   pipelines — no next-state variables (Section 4);
+//! * the transition function and its inverse are the paper's
+//!   cofactor/product formula, computed as one literal flip per image
+//!   — no next-state variables (Section 4);
 //! * [`SymbolicStg::traverse`] is the fixed-point traversal of Fig. 5,
 //!   chained or strict-BFS, with peak/final BDD statistics;
 //! * a pluggable image-engine layer ([`EngineKind`], [`EngineOptions`])
-//!   behind one shared fixed-point loop: the per-transition baseline,
-//!   support-clustered partitioned relations with fused `and_exists`
-//!   steps, a parallel sharded engine that splits transitions across
+//!   behind one shared fixed-point loop and one image kernel: the
+//!   per-transition schedule, support-clustered partitioned relations,
+//!   a parallel sharded engine that splits transitions across
 //!   worker threads sharing one concurrent BDD manager, and a
 //!   Ciardo-style saturation engine (see `docs/traversal-engines.md`);
 //! * the checks of Section 5: safeness, consistency, transition and

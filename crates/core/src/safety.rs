@@ -1,8 +1,8 @@
 //! Symbolic safeness check (paper Section 5.1, via the technique of [9]).
 //!
 //! The safe-net encoding makes an unsafe firing *unrepresentable*: the
-//! `NSM(t)` cofactor in the image drops any state where a successor place
-//! is already marked. Such a state is still reachable (its safe prefix is
+//! image (the paper's `NSM(t)` cofactor, here the `p′` literals of the
+//! flip cube) drops any state where a successor place is already marked. Such a state is still reachable (its safe prefix is
 //! explored), so safeness is violated iff some reachable state enables a
 //! transition whose firing would add a token to an already-marked
 //! non-self-loop successor place.

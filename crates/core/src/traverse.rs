@@ -82,7 +82,7 @@ pub struct Traversal {
 
 impl SymbolicStg<'_> {
     /// Runs the symbolic traversal of Fig. 5 from `(m₀, code)` with the
-    /// per-transition baseline engine and the given frontier strategy.
+    /// per-transition engine and the given frontier strategy.
     ///
     /// Returns the set of reachable full states. Consistency is *not*
     /// checked here — [`SymbolicStg::check_consistency`] inspects the
