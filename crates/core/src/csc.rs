@@ -144,9 +144,11 @@ impl SymbolicStg<'_> {
             let l = mgr.diff(l, e_rise);
             mgr.or(h, l)
         };
-        let er_state = {
+        // The excited contradictory states the forward closure looks for.
+        let target = {
             let e = mgr.or(e_rise, e_fall);
-            mgr.and(reached, e)
+            let er_state = mgr.and(reached, e);
+            mgr.and(er_state, cont)
         };
         let start = mgr.and(qr_state, cont);
         if start.is_false() {
@@ -161,11 +163,12 @@ impl SymbolicStg<'_> {
             })
             .collect();
         // Backward frozen fixpoint, confined to the reachable set; then
-        // the forward frozen fixpoint from its result. Both run through
-        // the shared engine loop — with GC disabled, because the caller
-        // (and [`crate::verify`]'s CSC phase) holds handles like
-        // `er_state`, `cont` and its sibling signals' contradictory sets
-        // that a collection here would dangle.
+        // the forward frozen closure from its result, which stops at the
+        // first iteration that meets `target` (the answer is monotone in
+        // the set). Both run through the shared engine loop — with GC
+        // disabled, because the caller (and [`crate::verify`]'s CSC phase)
+        // holds handles like `cont` and its sibling signals'
+        // contradictory sets that a collection here would dangle.
         let opts = *self.engine();
         let backward = FixpointSpec {
             direction: StepDirection::Backward,
@@ -175,12 +178,10 @@ impl SymbolicStg<'_> {
         };
         let mut ctl = FixpointCtl::default();
         let set = run_fixpoint(self, &opts, &backward, &input_transitions, start, &mut ctl).reached;
-        let forward = FixpointSpec { gc: false, ..FixpointSpec::forward_full() };
+        let forward =
+            FixpointSpec { gc: false, until: Some(target), ..FixpointSpec::forward_full() };
         let set = run_fixpoint(self, &opts, &forward, &input_transitions, set, &mut ctl).reached;
-        let mgr = self.manager_mut();
-        let hit = mgr.and(set, er_state);
-        let hit = mgr.and(hit, cont);
-        !hit.is_false()
+        self.manager_mut().intersects(set, target)
     }
 
     /// Full CSC-reducibility verdict (Section 3.4): the state graph must be

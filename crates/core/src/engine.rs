@@ -1,4 +1,4 @@
-//! The pluggable image-engine layer: one shared fixed-point loop, three
+//! The pluggable image-engine layer: one shared fixed-point loop, four
 //! interchangeable ways to compute the per-iteration frontier step.
 //!
 //! The paper's Fig. 5 traversal, the frozen-marking traversal of Section
@@ -6,8 +6,8 @@
 //! the same loop: grow a set by (pre-)images until nothing new appears.
 //! [`run_fixpoint`] is that loop, parametrised by a [`FixpointSpec`]
 //! (direction, marking-only vs. full-state, optional confinement set,
-//! ring recording) and an [`EngineOptions`] selecting *how* the frontier
-//! step is computed:
+//! optional reachability query, ring recording) and an [`EngineOptions`]
+//! selecting *how* the frontier step is computed:
 //!
 //! * [`EngineKind::PerTransition`] — one δ application per transition,
 //!   chained or strict-BFS, in declaration order;
@@ -36,6 +36,14 @@
 //! the same least fixpoint, so they return the same canonical `Reached`
 //! BDD — `tests/engines.rs` asserts this on every benchmark family and
 //! on random STGs.
+//!
+//! A loop that only asks *whether* some set is reachable sets
+//! [`FixpointSpec::until`]: it then stops with [`FixpointStop::Met`] as
+//! soon as its committed reached set meets that set (the seed included).
+//! The test sits at the end-of-iteration seam every engine crosses
+//! (`FixpointCtl::tick`; after the iteration's GC and sifting, except
+//! that saturation sifts after it), so a stopped set is a sound
+//! under-approximation — and engine-dependent, unlike the fixpoint.
 
 use std::collections::BTreeSet;
 
@@ -211,6 +219,11 @@ pub(crate) struct FixpointSpec {
     /// Confine every per-transition step to this set (the Section 5.3
     /// backward fixpoint is confined to `Reached`).
     pub within: Option<Bdd>,
+    /// Stop with [`FixpointStop::Met`] once the committed reached set
+    /// meets this set, the seed included: a reachability query ends at
+    /// its first witness instead of at the fixpoint (initial-code
+    /// inference, the CSC-reducibility forward closure).
+    pub until: Option<Bdd>,
     /// Record the strict-BFS onion rings (`rings[0]` = init). Only
     /// supported by the per-transition engine under
     /// [`TraversalStrategy::Bfs`].
@@ -230,6 +243,7 @@ impl FixpointSpec {
             marking_only: false,
             direction: StepDirection::Forward,
             within: None,
+            until: None,
             record_rings: false,
             gc: true,
         }
@@ -246,6 +260,10 @@ impl FixpointSpec {
 pub(crate) enum FixpointStop {
     /// The least fixpoint was reached; `reached` is the full answer.
     Converged,
+    /// The committed reached set met [`FixpointSpec::until`]; `reached`
+    /// is that set, a subset of the fixpoint. No snapshot is written and
+    /// the budget is left untouched.
+    Met,
     /// Stopped cooperatively — [`FixpointCtl::abort_after`] or the
     /// budget's external cancel flag. `reached` is the last-committed
     /// sound under-approximation, captured in a final snapshot when a
@@ -332,9 +350,12 @@ impl FixpointCtl {
         }
     }
 
-    /// End-of-iteration hook: writes a periodic snapshot when due and
-    /// returns `true` when the run must stop (`abort_after` reached), in
-    /// which case a final snapshot has been written unconditionally.
+    /// End-of-iteration hook, run after the iteration's GC and (except in
+    /// saturation) its sifting: stops with [`FixpointStop::Met`] when the
+    /// committed `reached` set meets [`FixpointSpec::until`]; otherwise
+    /// writes a periodic snapshot when due and stops with
+    /// [`FixpointStop::Interrupted`] once `abort_after` is reached, after
+    /// writing a final snapshot unconditionally.
     ///
     /// An abort is routed through the budget's cancellation latch so
     /// every layer sharing the budget — parallel workers, in-flight BDD
@@ -342,11 +363,15 @@ impl FixpointCtl {
     /// would.
     fn tick(
         &mut self,
-        sym: &SymbolicStg<'_>,
+        sym: &mut SymbolicStg<'_>,
+        spec: &FixpointSpec,
         reached: Bdd,
         frontier: Bdd,
         iterations: usize,
-    ) -> bool {
+    ) -> Option<FixpointStop> {
+        if spec.until.is_some_and(|u| sym.manager_mut().intersects(reached, u)) {
+            return Some(FixpointStop::Met);
+        }
         let abort = self.abort_after > 0 && iterations >= self.abort_after;
         let due = self.every > 0 && iterations - self.last_snapshot >= self.every;
         if self.path.is_some() && (abort || due) {
@@ -355,7 +380,7 @@ impl FixpointCtl {
         if abort {
             self.budget.trip(ResourceError::Cancelled);
         }
-        abort
+        abort.then_some(FixpointStop::Interrupted)
     }
 
     /// Pre-commit budget check, called by every engine after computing an
@@ -442,8 +467,8 @@ pub(crate) fn run_fixpoint(
         "rings require the strict-BFS per-transition engine"
     );
     debug_assert!(
-        ctl.resume.is_none() || !spec.record_rings,
-        "resume cannot reconstruct strict-BFS rings"
+        ctl.resume.is_none() || (!spec.record_rings && spec.until.is_none()),
+        "resume cannot reconstruct strict-BFS rings or re-test the seed against `until`"
     );
     // A trip that predates the loop (during encoding, inference, or
     // initial-state construction) means `init` is inert garbage — and so
@@ -460,6 +485,14 @@ pub(crate) fn run_fixpoint(
                 ResourceError::Cancelled => FixpointStop::Interrupted,
                 other => FixpointStop::Exhausted(other),
             },
+        };
+    }
+    if spec.until.is_some_and(|u| sym.manager_mut().intersects(init, u)) {
+        return FixpointOutcome {
+            reached: init,
+            iterations: 0,
+            rings: Vec::new(),
+            stop: FixpointStop::Met,
         };
     }
     match opts.kind {
@@ -485,18 +518,23 @@ fn apply_one<M: BddOps>(mgr: &mut M, spec: &FixpointSpec, cubes: &TransCubes, se
 
 /// Collects between steps when the manager has grown past
 /// [`GC_THRESHOLD`], protecting the permanent cubes, the loop's live
-/// sets, the recorded rings and the confinement set.
+/// sets, the recorded rings, the confinement set and the query set.
 fn maybe_gc(sym: &mut SymbolicStg<'_>, spec: &FixpointSpec, live: &[Bdd], rings: &[Bdd]) {
     if !spec.gc || !sym.manager().gc_due(GC_THRESHOLD) {
         return;
     }
+    let roots = loop_roots(sym, spec, live, rings);
+    sym.manager_mut().gc(&roots);
+}
+
+/// Everything a collection or a sift inside the loop must keep alive.
+fn loop_roots(sym: &SymbolicStg<'_>, spec: &FixpointSpec, live: &[Bdd], rings: &[Bdd]) -> Vec<Bdd> {
     let mut roots = sym.permanent_roots();
     roots.extend_from_slice(live);
     roots.extend_from_slice(rings);
-    if let Some(w) = spec.within {
-        roots.push(w);
-    }
-    sym.manager_mut().gc(&roots);
+    roots.extend(spec.within);
+    roots.extend(spec.until);
+    roots
 }
 
 /// Runs an in-place sifting pass between fixed-point iterations when the
@@ -525,12 +563,7 @@ fn maybe_reorder(
     if !due {
         return;
     }
-    let mut roots = sym.permanent_roots();
-    roots.extend_from_slice(live);
-    roots.extend_from_slice(rings);
-    if let Some(w) = spec.within {
-        roots.push(w);
-    }
+    let roots = loop_roots(sym, spec, live, rings);
     sym.manager_mut().sift(&roots);
 }
 
@@ -595,8 +628,8 @@ fn run_per_transition(
         from = new;
         maybe_gc(sym, spec, &[reached, from], &rings);
         maybe_reorder(sym, opts, spec, &[reached, from], &rings);
-        if ctl.tick(sym, reached, from, iterations) {
-            return FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Interrupted };
+        if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
+            return FixpointOutcome { reached, iterations, rings, stop };
         }
     }
     FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Converged }
@@ -707,13 +740,8 @@ fn run_clustered(
         from = new;
         maybe_gc(sym, spec, &[reached, from], &[]);
         maybe_reorder(sym, opts, spec, &[reached, from], &[]);
-        if ctl.tick(sym, reached, from, iterations) {
-            return FixpointOutcome {
-                reached,
-                iterations,
-                rings: Vec::new(),
-                stop: FixpointStop::Interrupted,
-            };
+        if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
+            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
         }
     }
     FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
@@ -836,13 +864,8 @@ fn run_saturation(
         }
         // The snapshot's frontier *is* the reached set here — saturation
         // resumes by re-saturating, not by frontier replay.
-        if ctl.tick(sym, reached, reached, iterations) {
-            return FixpointOutcome {
-                reached,
-                iterations,
-                rings: Vec::new(),
-                stop: FixpointStop::Interrupted,
-            };
+        if let Some(stop) = ctl.tick(sym, spec, reached, reached, iterations) {
+            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
         }
         if !grew {
             pos += 1;
@@ -1014,13 +1037,8 @@ fn run_parallel(
         // borrow is exclusive again.
         maybe_gc(sym, spec, &[reached, from], &[]);
         maybe_reorder(sym, opts, spec, &[reached, from], &[]);
-        if ctl.tick(sym, reached, from, iterations) {
-            return FixpointOutcome {
-                reached,
-                iterations,
-                rings: Vec::new(),
-                stop: FixpointStop::Interrupted,
-            };
+        if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
+            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
         }
     }
     FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
@@ -1196,6 +1214,52 @@ mod tests {
             );
             assert_eq!(out.reached, base.reached, "{opts:?}");
             assert_eq!(out.stop, FixpointStop::Converged);
+        }
+    }
+
+    /// `until` ends every engine at a committed subset of the fixpoint that
+    /// meets it, the seed included; a query set the fixpoint never meets
+    /// changes nothing.
+    #[test]
+    fn until_stops_every_engine_at_a_subset_that_meets_it() {
+        let stg = gen::master_read(3);
+        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
+        let code = sym.effective_initial_code().unwrap();
+        let init = sym.initial_state(code);
+        let transitions: Vec<_> = stg.net().transitions().collect();
+        let run = |sym: &mut SymbolicStg<'_>, opts: &EngineOptions, until: Option<Bdd>| {
+            let spec = FixpointSpec { until, ..FixpointSpec::forward_full() };
+            run_fixpoint(sym, opts, &spec, &transitions, init, &mut FixpointCtl::default())
+        };
+        let full = run(&mut sym, &EngineOptions::default(), None).reached;
+        // Falling acknowledge: enabled only deep into the handshake.
+        let ack = stg.signal_by_name("ack").unwrap();
+        let deep = sym.edge_enabled(ack, stgcheck_stg::Polarity::Fall);
+        let deep = sym.manager_mut().and(deep, full);
+        assert!(!sym.manager_mut().intersects(init, deep));
+        for opts in [
+            EngineOptions::default(),
+            EngineOptions { strategy: TraversalStrategy::Bfs, ..EngineOptions::default() },
+            EngineOptions { kind: EngineKind::Clustered, ..EngineOptions::default() },
+            EngineOptions {
+                kind: EngineKind::ParallelSharded,
+                jobs: 2,
+                ..EngineOptions::default()
+            },
+            EngineOptions { kind: EngineKind::Saturation, ..EngineOptions::default() },
+        ] {
+            let out = run(&mut sym, &opts, Some(deep));
+            assert_eq!(out.stop, FixpointStop::Met, "{opts:?}");
+            assert!(out.iterations > 0, "{opts:?}");
+            assert!(sym.manager_mut().intersects(out.reached, deep), "{opts:?}");
+            assert!(sym.manager_mut().is_subset(out.reached, full), "{opts:?}");
+
+            let out = run(&mut sym, &opts, Some(init));
+            assert_eq!((out.stop, out.iterations, out.reached), (FixpointStop::Met, 0, init));
+
+            let out = run(&mut sym, &opts, Some(Bdd::FALSE));
+            assert_eq!(out.stop, FixpointStop::Converged, "{opts:?}");
+            assert_eq!(out.reached, full, "{opts:?}");
         }
     }
 }

@@ -141,6 +141,14 @@ impl SymbolicStg<'_> {
     /// the `GC_THRESHOLD` policy apply here exactly as they do to the
     /// main traversal.
     pub fn traverse_markings_frozen(&mut self, frozen: &[SignalId]) -> Bdd {
+        self.markings_frozen_until(frozen, None)
+    }
+
+    /// [`SymbolicStg::traverse_markings_frozen`] that stops at the first
+    /// iteration whose reached markings meet `until`
+    /// (`FixpointSpec::until`); the returned set is then a subset of the
+    /// frozen fixpoint.
+    fn markings_frozen_until(&mut self, frozen: &[SignalId], until: Option<Bdd>) -> Bdd {
         let net = self.stg().net();
         let m0 = net.initial_marking();
         let mut lits = Vec::new();
@@ -156,30 +164,50 @@ impl SymbolicStg<'_> {
             })
             .collect();
         let opts = *self.engine();
-        run_fixpoint(
-            self,
-            &opts,
-            &FixpointSpec::forward_markings(),
-            &transitions,
-            init,
-            &mut FixpointCtl::default(),
-        )
-        .reached
+        let spec = FixpointSpec { until, ..FixpointSpec::forward_markings() };
+        run_fixpoint(self, &opts, &spec, &transitions, init, &mut FixpointCtl::default()).reached
     }
 
     /// Symbolic initial-code inference (paper Section 5.1): for each
     /// signal, explore the markings reachable without firing any of its
-    /// edges; the polarity of the first enabled edge fixes the initial
-    /// value (signals that never fire default to 0).
+    /// edges, up to the first iteration that enables one of them; the
+    /// polarity of that edge fixes the initial value (signals that never
+    /// fire default to 0).
+    ///
+    /// Stopping early sees a subset of the frozen subspace, so it can
+    /// differ from the exhaustive loop only where that loop sees both
+    /// polarities of a signal. Such an STG is inconsistent under every
+    /// initial code: each polarity is reached along a path that never
+    /// fires the signal, so one of the two is enabled at the wrong value
+    /// or a guard on the way fails. Hence the code is exact whenever the
+    /// STG is consistent under it. [`crate::verify`] runs that
+    /// consistency check anyway and, when it fails on an STG without a
+    /// declared code, re-runs the exhaustive loop before its other
+    /// checks, so it reports [`SgError::AmbiguousInitialValue`] exactly
+    /// as that loop would (unless a budget trips first).
     ///
     /// # Errors
     ///
-    /// [`SgError::AmbiguousInitialValue`] when both polarities are enabled
-    /// in the frozen subspace.
+    /// [`SgError::AmbiguousInitialValue`] when a stopped frozen subspace
+    /// already enables both polarities. The exhaustive loop then names the
+    /// first ambiguous signal, which may come earlier.
     pub fn infer_initial_code(&mut self) -> Result<Code, SgError> {
+        self.infer_code(true).or_else(|_| self.infer_code(false))
+    }
+
+    /// The Section 5.1 loop over all signals. With `early_stop` each
+    /// frozen fixpoint ends at the first iteration that enables its
+    /// signal; without, every one runs to convergence, so any ambiguous
+    /// signal is reported, the first one in signal order.
+    pub(crate) fn infer_code(&mut self, early_stop: bool) -> Result<Code, SgError> {
         let mut code = Code::ZERO;
         for s in self.stg().signals() {
-            let frozen = self.traverse_markings_frozen(&[s]);
+            let until = early_stop.then(|| {
+                let rise = self.edge_enabled(s, Polarity::Rise);
+                let fall = self.edge_enabled(s, Polarity::Fall);
+                self.manager_mut().or(rise, fall)
+            });
+            let frozen = self.markings_frozen_until(&[s], until);
             let rise = self.edge_enabled(s, Polarity::Rise);
             let fall = self.edge_enabled(s, Polarity::Fall);
             let mgr = self.manager_mut();
@@ -196,7 +224,8 @@ impl SymbolicStg<'_> {
     }
 
     /// The code to start traversal from: the STG's declared initial code,
-    /// or the inferred one.
+    /// or the inferred one, which is exact whenever the STG is consistent
+    /// under it (see [`SymbolicStg::infer_initial_code`]).
     ///
     /// # Errors
     ///

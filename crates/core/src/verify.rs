@@ -293,7 +293,11 @@ fn check_dimensions(stg: &Stg) -> Result<(), VerifyError> {
 ///
 /// [`VerifyError::InitialCode`] when the STG carries no initial code and
 /// the Section 5.1 inference is ambiguous (which already implies an
-/// inconsistent specification); [`VerifyError::NotOrdinary`] /
+/// inconsistent specification): either the early-stopping inference sees
+/// it at once, or the consistency check fails and the exhaustive re-run
+/// finds it (see [`SymbolicStg::infer_initial_code`]), which a budget
+/// trip can pre-empt;
+/// [`VerifyError::NotOrdinary`] /
 /// [`VerifyError::TooManyVariables`] when the net does not fit the
 /// boolean encoding; [`VerifyError::Exhausted`] when a configured
 /// [`BudgetSpec`] limit tripped (use [`verify_persistent`] to get a
@@ -324,18 +328,53 @@ pub fn verify(stg: &Stg, opts: VerifyOptions) -> Result<SymbolicReport, VerifyEr
     let mut ctl = FixpointCtl { budget: budget.clone(), ..FixpointCtl::default() };
     let (traversal, stop) = sym.traverse_with_engine_ctl(initial_code, &engine, &mut ctl);
     match stop {
-        FixpointStop::Converged => {}
+        // The main traversal sets no `until`, so it never stops on `Met`.
+        FixpointStop::Converged | FixpointStop::Met => {}
         FixpointStop::Interrupted => return Err(VerifyError::Exhausted(ResourceError::Cancelled)),
         FixpointStop::Exhausted(r) => return Err(VerifyError::Exhausted(r)),
     }
     let report =
         finish_verification(&mut sym, &opts, &engine, initial_code, traversal, total_start, t0);
     // The post-traversal phases run fixpoints of their own on the same
-    // budgeted manager; a trip there leaves inert garbage in the report.
+    // budget; a trip there leaves inert garbage in the report.
     if let Some(r) = budget.tripped() {
         return Err(VerifyError::Exhausted(r));
     }
-    Ok(report)
+    report.map_err(VerifyError::InitialCode)
+}
+
+/// The certificate step of early-stopping inference, run when an STG
+/// without a declared code fails the consistency check: the inferred code
+/// is exact whenever the STG is consistent under it (see
+/// [`SymbolicStg::infer_initial_code`]), so re-run the exhaustive Section
+/// 5.1 loop, which reports [`SgError::AmbiguousInitialValue`] if the
+/// stopped loops missed it. It runs on a manager of its own, leaving the
+/// caller's manager and reached set untouched.
+///
+/// A tripped budget skips it and voids its answer: the caller reports
+/// the trip, so under a budget or a cancel an ambiguous STG can end
+/// exhausted or interrupted before its ambiguity is known.
+fn recheck_inferred_code(
+    stg: &Stg,
+    opts: &VerifyOptions,
+    budget: &Budget,
+    inferred: Code,
+) -> Result<(), SgError> {
+    if budget.is_tripped() || stg.initial_code().is_some() {
+        return Ok(());
+    }
+    let mut sym = SymbolicStg::new(stg, opts.order);
+    sym.set_engine(effective_engine(opts));
+    sym.manager_mut().set_budget(budget.clone());
+    let code = sym.infer_code(false);
+    if budget.is_tripped() {
+        return Ok(());
+    }
+    debug_assert!(
+        code.as_ref().map_or(true, |c| *c == inferred),
+        "an unambiguous exhaustive loop agrees with the stopped one"
+    );
+    code.map(|_| ())
 }
 
 /// The engine options [`verify`] actually runs: [`VerifyOptions::reorder`]
@@ -352,6 +391,12 @@ fn effective_engine(opts: &VerifyOptions) -> EngineOptions {
 /// safeness, deadlock), phases 2–4, the verdict and the report assembly.
 /// Shared by [`verify`] and [`verify_persistent`] so an incremental or
 /// resumed traversal feeds the identical checking pipeline.
+///
+/// # Errors
+///
+/// [`SgError::AmbiguousInitialValue`] from [`recheck_inferred_code`],
+/// which runs right after a failed consistency check, so an ambiguous
+/// STG skips phases 2–4.
 fn finish_verification(
     sym: &mut SymbolicStg<'_>,
     opts: &VerifyOptions,
@@ -360,10 +405,13 @@ fn finish_verification(
     traversal: Traversal,
     total_start: Instant,
     phase1_start: Instant,
-) -> SymbolicReport {
+) -> Result<SymbolicReport, SgError> {
     let stg = sym.stg();
     let reached = traversal.reached;
     let consistency = sym.check_consistency(reached);
+    if !consistency.is_empty() {
+        recheck_inferred_code(stg, opts, sym.manager().budget(), initial_code)?;
+    }
     let safety = sym.check_safeness(reached);
     let deadlock = sym.check_deadlock(reached);
     let t_tc = phase1_start.elapsed().as_secs_f64();
@@ -415,7 +463,7 @@ fn finish_verification(
 
     let total = total_start.elapsed().as_secs_f64();
     let bdd_stats = sym.manager().stats();
-    SymbolicReport {
+    Ok(SymbolicReport {
         name: stg.name().to_string(),
         engine: engine.kind.to_string(),
         places: stg.net().num_places(),
@@ -446,7 +494,7 @@ fn finish_verification(
             total,
         },
         verdict,
-    }
+    })
 }
 
 /// Persistence knobs for [`verify_persistent`]: the `--cache-dir`,
@@ -789,7 +837,7 @@ pub fn verify_persistent(
     // mislead the "rerun with --resume" guidance.
     let written = || persist.checkpoint.clone().filter(|p| p.exists());
     match stop {
-        FixpointStop::Converged => {}
+        FixpointStop::Converged | FixpointStop::Met => {}
         FixpointStop::Interrupted => {
             return Ok(VerifyRun {
                 outcome: Outcome::Interrupted { checkpoint: written() },
@@ -809,6 +857,7 @@ pub fn verify_persistent(
     }
 
     let reached = traversal.reached;
+    let iterations = traversal.stats.iterations as u64;
     let report = finish_verification(
         &mut sym,
         &opts,
@@ -818,18 +867,19 @@ pub fn verify_persistent(
         total_start,
         phase1_start,
     );
-    // The post-traversal phases (consistency, persistency, CSC) run
-    // fixpoints of their own on the same budgeted manager; a trip there
-    // leaves inert garbage in the report. The traversal itself completed,
-    // so checkpoint the full reached set — a --resume run with a larger
-    // budget converges in one iteration and goes straight to the checks.
+    // The post-traversal phases (consistency, the code re-check,
+    // persistency, CSC) run fixpoints of their own on the same budget; a
+    // trip there leaves inert garbage in the report. The traversal itself
+    // completed, so checkpoint the full reached set — a --resume run with
+    // a larger budget converges in one iteration and goes straight to the
+    // checks.
     if let Some(reason) = budget.tripped() {
         let mut checkpoint = None;
         if let Some(path) = &persist.checkpoint {
             let ck = sym.export_checkpoint(
                 hash,
                 &[("reached", reached), ("frontier", reached)],
-                &[("iterations".to_string(), report.traversal.iterations as u64)],
+                &[("iterations".to_string(), iterations)],
             );
             match write_atomically(path, &ck.to_bytes(), &persist.faults) {
                 Ok(()) => checkpoint = Some(path.clone()),
@@ -845,8 +895,14 @@ pub fn verify_persistent(
             notes,
         });
     }
+    if let Some(path) = &persist.checkpoint {
+        // The run converged: the mid-run checkpoint is obsolete (and
+        // would otherwise short-circuit a future --resume of an edited
+        // net into a stale-but-matching state).
+        let _ = std::fs::remove_file(path);
+    }
+    let report = report.map_err(VerifyError::InitialCode)?;
     if let Some(store) = &store {
-        let iterations = report.traversal.iterations as u64;
         let ck = sym.export_checkpoint(
             hash,
             &[("reached", reached)],
@@ -861,12 +917,6 @@ pub fn verify_persistent(
                 Err(e) => notes.push(format!("cache eviction failed: {e}")),
             }
         }
-    }
-    if let Some(path) = &persist.checkpoint {
-        // The run converged: the mid-run checkpoint is obsolete (and
-        // would otherwise short-circuit a future --resume of an edited
-        // net into a stale-but-matching state).
-        let _ = std::fs::remove_file(path);
     }
     Ok(VerifyRun { outcome: Outcome::Completed(report), cache, fell_back, notes })
 }

@@ -106,6 +106,29 @@ fn irreducible_file_fails_with_si_verdict() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("interface change needed"));
 }
 
+/// An STG whose initial value is ambiguous only deep in the frozen
+/// subspace (`a+` is enabled at once, `a-` after four other edges) exits
+/// 1 with the inference error, not with a verdict. Under a budget that
+/// the inference fits but the traversal does not, it exits 4 before the
+/// ambiguity is known.
+#[test]
+fn late_ambiguity_cannot_determine_the_initial_code() {
+    let out = Command::new(bin()).arg(fixture("ambiguous_late.g")).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot determine initial code"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+
+    let out = Command::new(bin())
+        .args(["--max-nodes", "110"])
+        .arg(fixture("ambiguous_late.g"))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(4));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("budget exhausted"), "{stdout}");
+}
+
 #[test]
 fn missing_file_exits_2() {
     let out = Command::new(bin()).arg("/nonexistent/never.g").output().expect("binary runs");

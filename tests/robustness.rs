@@ -111,21 +111,21 @@ fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
 ///
 /// The budget must trip inside the main traversal (a trip in inference
 /// or in the checks is not eligible for the retry) and leave the retry
-/// room to finish: on par-hs-6 (peak 8,101 live nodes) every budget from
-/// 5,200 to 7,200 does both, and 6,000 sits in the middle.
+/// room to finish: on par-hs-6 (peak 5,214 live nodes) every budget from
+/// 2,200 to 4,400 does both, and 3,300 sits in the middle.
 #[test]
 fn fallback_ladder_completes_where_the_plain_budget_exhausts() {
     let stg = bench_net("par_handshakes_6.g");
     let scratch = verify(&stg, VerifyOptions::default()).unwrap();
 
     let mut opts = VerifyOptions {
-        budget: BudgetSpec { max_nodes: 6000, ..BudgetSpec::default() },
+        budget: BudgetSpec { max_nodes: 3300, ..BudgetSpec::default() },
         ..VerifyOptions::default()
     };
     let run = verify_persistent(&stg, opts, &PersistOptions::default()).unwrap();
     assert_eq!(
         run.exhausted(),
-        Some(ResourceError::NodeBudget { limit: 6000 }),
+        Some(ResourceError::NodeBudget { limit: 3300 }),
         "notes: {:?}",
         run.notes
     );

@@ -40,13 +40,23 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Writes a deliberately expensive net (several seconds even in release
-/// builds) so a test can observe a request mid-run. Every user of this
-/// net pairs it with a `timeout_s` backstop so a broken cancel path
-/// fails the test instead of hanging it.
+/// Writes a deliberately expensive net (under a second in release
+/// builds, seconds in debug ones) so a test can observe a request
+/// mid-run. Every user of this net pairs it with a `timeout_s` backstop
+/// so a broken cancel path fails the test instead of hanging it.
 fn slow_net(dir: &Path) -> String {
     let path = dir.join("slow.g");
     std::fs::write(&path, write_g(&gen::master_read(12))).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+/// Writes a net that no build profile verifies within a test's fixed
+/// wait (master-read-16 runs well past 20 s in release builds), for a
+/// test that needs its request still running after that wait. It is only
+/// ever interrupted, never run to completion.
+fn endless_net(dir: &Path) -> String {
+    let path = dir.join("endless.g");
+    std::fs::write(&path, write_g(&gen::master_read(16))).unwrap();
     path.to_string_lossy().into_owned()
 }
 
@@ -446,7 +456,7 @@ fn failpoints_inject_typed_degradation() {
 #[test]
 fn sigterm_drains_serve_with_interrupted_responses() {
     let dir = scratch("sigterm");
-    let slow = slow_net(&dir);
+    let slow = endless_net(&dir);
     let mut serve = Serve::spawn(&["--workers", "1"]);
     serve.send(&format!(r#"{{"id":"s1","net_path":"{slow}","timeout_s":120}}"#));
     // Give the job time to get onto the worker before the signal.
