@@ -13,7 +13,7 @@
 //!   trip;
 //! * hot paths poll with a bounded stride (`note_alloc` checks the cheap
 //!   counters on every node allocation and the expensive clock only every
-//!   [`POLL_STRIDE`] allocations), so even a single giant `and_exists`
+//!   [`POLL_STRIDE`] allocations), so even a single giant `flip_cube`
 //!   terminates promptly after a limit is hit;
 //! * once tripped, boolean operations go *inert*: they return
 //!   [`crate::Bdd::FALSE`] — a valid canonical handle — without publishing

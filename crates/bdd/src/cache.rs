@@ -369,24 +369,20 @@ impl DirectCache {
 
 /// The manager's operation caches, one direct-mapped array per shape:
 /// the binary connectives, quantifiers, cofactor and flip keyed by
-/// `(op, f, g)`, and the two ternary operations. There is no negation cache — with complement
-/// edges `not` is a tag flip and never probes anything. Keys are raw
-/// tagged handles *after* the operations' complement normalization
-/// (operand ordering, tag stripping where the op commutes with `¬`), so
-/// one cache line serves a whole ¬-symmetry class of queries.
+/// `(op, f, g)`, and the ternary `ite`. There is no negation cache — with
+/// complement edges `not` is a tag flip and never probes anything. Keys
+/// are raw tagged handles *after* the operations' complement
+/// normalization (operand ordering, tag stripping where the op commutes
+/// with `¬`), so one cache line serves a whole ¬-symmetry class of
+/// queries.
 pub(crate) struct OpCaches {
     bin: PackedCache,
     ite: DirectCache,
-    and_exists: DirectCache,
 }
 
 impl Default for OpCaches {
     fn default() -> OpCaches {
-        OpCaches {
-            bin: PackedCache::new(),
-            ite: DirectCache::new(14),
-            and_exists: DirectCache::new(15),
-        }
+        OpCaches { bin: PackedCache::new(), ite: DirectCache::new(14) }
     }
 }
 
@@ -430,21 +426,6 @@ impl OpCaches {
         self.ite.insert_mut(f.0, g.0, h.0, r);
     }
 
-    #[inline]
-    pub(crate) fn and_exists_get(&self, f: Bdd, g: Bdd, c: Bdd) -> Option<Bdd> {
-        self.and_exists.get(f.0, g.0, c.0)
-    }
-
-    #[inline]
-    pub(crate) fn and_exists_insert(&self, f: Bdd, g: Bdd, c: Bdd, r: Bdd) {
-        self.and_exists.insert(f.0, g.0, c.0, r);
-    }
-
-    #[inline]
-    pub(crate) fn and_exists_insert_mut(&mut self, f: Bdd, g: Bdd, c: Bdd, r: Bdd) {
-        self.and_exists.insert_mut(f.0, g.0, c.0, r);
-    }
-
     /// Forgets every entry. Must run whenever node slots may be recycled
     /// (GC, sifting's dead-node reclamation, rebuild) — all of which
     /// take `&mut BddManager`, i.e. happen at a quiesce point with no
@@ -452,7 +433,6 @@ impl OpCaches {
     pub(crate) fn clear(&mut self) {
         self.bin.clear();
         self.ite.clear();
-        self.and_exists.clear();
     }
 }
 

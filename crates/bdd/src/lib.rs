@@ -26,9 +26,8 @@
 //!   path;
 //! * *cube cofactors* and existential/universal abstraction — the
 //!   primitives by which the paper defines the Petri-net transition
-//!   function (Section 4) — the one-pass image kernel
-//!   [`BddOps::flip_cube`] that computes it, and the fused relational
-//!   product [`BddOps::and_exists`];
+//!   function (Section 4) — and the one-pass image kernel
+//!   [`BddOps::flip_cube`] that computes it;
 //! * satisfying-assignment counting and enumeration (the "# of states"
 //!   column of Table 1);
 //! * variable-ordering support: any static order at creation time, a

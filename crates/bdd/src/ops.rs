@@ -44,8 +44,6 @@ pub enum Memo {
     Bin(BinOp, Bdd, Bdd),
     /// `ite(f, g, h)`.
     Ite(Bdd, Bdd, Bdd),
-    /// The fused product `∃c.(f ∧ g)`, keyed `(f, g, c)`.
-    AndExists(Bdd, Bdd, Bdd),
 }
 
 mod sealed {
@@ -79,7 +77,6 @@ impl sealed::Access for BddManager {
         match key {
             Memo::Bin(op, f, g) => self.caches.bin_insert_mut(op, f, g, r),
             Memo::Ite(f, g, h) => self.caches.ite_insert_mut(f, g, h, r),
-            Memo::AndExists(f, g, c) => self.caches.and_exists_insert_mut(f, g, c, r),
         }
     }
 }
@@ -95,7 +92,6 @@ impl sealed::Access for &BddManager {
         match key {
             Memo::Bin(op, f, g) => self.caches.bin_insert(op, f, g, r),
             Memo::Ite(f, g, h) => self.caches.ite_insert(f, g, h, r),
-            Memo::AndExists(f, g, c) => self.caches.and_exists_insert(f, g, c, r),
         }
     }
 }
@@ -522,41 +518,6 @@ pub trait BddOps: sealed::Access + Sized {
     /// `¬∃ vars(c) . ¬f` — no recursion or cache of its own.
     fn forall(&mut self, f: Bdd, c: Bdd) -> Bdd {
         self.exists(f.complement(), c).complement()
-    }
-
-    /// Fused relational product `∃ vars(c) . (f ∧ g)`.
-    ///
-    /// Avoids materialising the intermediate conjunction, which is the
-    /// classic optimisation for image computations.
-    fn and_exists(&mut self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(
-            self.manager().inert() || self.manager().is_cube(c),
-            "quantification prefix must be a cube"
-        );
-        crate::quant::and_exists_rec(self, f, g, c)
-    }
-
-    /// N-ary generalisation of [`BddOps::and_exists`]:
-    /// `∃ vars(c) . (f₀ ∧ f₁ ∧ … ∧ fₙ)`.
-    ///
-    /// The first `n − 1` conjuncts are combined pairwise; the final
-    /// product is fused with the quantification so the full conjunction is
-    /// never materialised. An empty slice yields `∃c.TRUE = TRUE`.
-    fn and_exists_many(&mut self, fs: &[Bdd], c: Bdd) -> Bdd {
-        match fs {
-            [] => Bdd::TRUE,
-            [f] => self.exists(*f, c),
-            [init @ .., last] => {
-                let mut acc = init[0];
-                for &f in &init[1..] {
-                    acc = self.and(acc, f);
-                    if acc.is_false() {
-                        return Bdd::FALSE;
-                    }
-                }
-                self.and_exists(acc, *last, c)
-            }
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! pair always re-imposes the negation of the literals it removed, so the
 //! image is computed by one memoised recursion, [`BddOps::flip_cube`].
 //! The verification algorithms additionally need existential abstraction
-//! `∃x.f` and the fused relational product [`BddOps::and_exists`].
+//! `∃x.f`.
 //!
 //! Complement edges shape this module twice over: the cube cofactor
 //! commutes with negation (`(¬f)_c = ¬(f_c)`), so its cache is keyed on
@@ -159,68 +159,6 @@ pub(crate) fn exists_rec<M: BddOps>(m: &mut M, f: Bdd, mut c: Bdd) -> Bdd {
         return Bdd::FALSE;
     }
     m.memo(Memo::Bin(BinOp::Exists, f, c), r);
-    r
-}
-
-/// Recursive fused relational product (see [`BddOps::and_exists`]).
-pub(crate) fn and_exists_rec<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-    if f.is_false() || g.is_false() || f == g.complement() {
-        return Bdd::FALSE;
-    }
-    if f.is_true() || f == g {
-        return exists_rec(m, g, c);
-    }
-    if g.is_true() {
-        return exists_rec(m, f, c);
-    }
-    if c.is_true() {
-        return m.and(f, g);
-    }
-    let (a, b) = (f.min(g), f.max(g));
-    let mgr = m.manager();
-    if let Some(r) = mgr.caches.and_exists_get(a, b, c) {
-        return r;
-    }
-    if mgr.inert() {
-        return Bdd::FALSE;
-    }
-    let (lf, fe0, fe1) = mgr.peek(f);
-    let (lg, ge0, ge1) = mgr.peek(g);
-    let top = lf.min(lg);
-    // Skip cube variables above both operands.
-    let mut c2 = c;
-    let (cl, ctail) = loop {
-        let (cl, tail) = mgr.cube_peek(c2);
-        if cl >= top {
-            break (cl, tail);
-        }
-        c2 = tail;
-    };
-    if c2.is_true() {
-        let r = m.and(f, g);
-        m.memo(Memo::AndExists(a, b, c), r);
-        return r;
-    }
-    let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-    let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-    let r = if cl == top {
-        let lo = and_exists_rec(m, f0, g0, ctail);
-        if lo.is_true() {
-            // Early termination: the disjunction is already TRUE.
-            Bdd::TRUE
-        } else {
-            let hi = and_exists_rec(m, f1, g1, ctail);
-            m.or(lo, hi)
-        }
-    } else {
-        let lo = and_exists_rec(m, f0, g0, c2);
-        let hi = and_exists_rec(m, f1, g1, c2);
-        m.mk(Node { level: top, lo, hi })
-    };
-    if m.manager().inert() {
-        return Bdd::FALSE;
-    }
-    m.memo(Memo::AndExists(a, b, c), r);
     r
 }
 
@@ -404,29 +342,6 @@ mod tests {
         let fa = m.forall(f, cx);
         let expected = m.and(f0, f1);
         assert_eq!(fa, expected);
-    }
-
-    #[test]
-    fn and_exists_equals_unfused() {
-        let (mut m, x, y, z) = setup3();
-        let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
-        let f = m.or(vx, vy);
-        let g = m.xor(vy, vz);
-        let c = m.vars_cube(&[y]);
-        let fused = m.and_exists(f, g, c);
-        let conj = m.and(f, g);
-        let unfused = m.exists(conj, c);
-        assert_eq!(fused, unfused);
-    }
-
-    #[test]
-    fn and_exists_of_complements_is_empty() {
-        let (mut m, x, y, _) = setup3();
-        let (vx, vy) = (m.var(x), m.var(y));
-        let f = m.or(vx, vy);
-        let nf = m.not(f);
-        let c = m.vars_cube(&[x]);
-        assert!(m.and_exists(f, nf, c).is_false());
     }
 
     #[test]

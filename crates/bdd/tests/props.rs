@@ -69,10 +69,8 @@ fn op_script<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, h: Bdd, mask: u32) -> Vec<Bdd
         m.cofactor_cube(f, cube),
         m.exists(f, q),
         m.forall(f, q),
-        m.and_exists(f, g, q),
         m.flip_cube(f, cube, false),
         m.flip_cube(g, cube, true),
-        m.and_exists_many(&[f, g, h], q),
     ]
 }
 
@@ -121,28 +119,6 @@ proptest! {
         let fa = m.forall(f, c);
         let fa_expected = m.and(f0, f1);
         prop_assert_eq!(fa, fa_expected);
-    }
-
-    /// and_exists(f, g, c) ≡ exists(f ∧ g, c).
-    #[test]
-    fn relational_product_fusion(e1 in arb_expr(), e2 in arb_expr(), mask in 0u32..(1 << NVARS)) {
-        let (mut m, _) = compile(&e1);
-        let vars: Vec<Var> = (0..NVARS).map(Var::from_index).collect();
-        let resolve = |name: &str| -> Option<Var> {
-            let idx: usize = name[1..].parse().ok()?;
-            vars.get(idx).copied()
-        };
-        let f = e1.to_bdd(&mut m, &resolve);
-        let g = e2.to_bdd(&mut m, &resolve);
-        let quantified: Vec<Var> = (0..NVARS)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(Var::from_index)
-            .collect();
-        let c = m.vars_cube(&quantified);
-        let fused = m.and_exists(f, g, c);
-        let conj = m.and(f, g);
-        let unfused = m.exists(conj, c);
-        prop_assert_eq!(fused, unfused);
     }
 
     /// Cofactor by a cube equals iterated single-variable restriction.

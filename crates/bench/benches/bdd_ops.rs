@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the BDD substrate: the operations the symbolic
 //! traversal is made of (conjunction, cube cofactor, existential
-//! abstraction, relational product).
+//! abstraction, and the `flip_cube` image kernel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stgcheck_bdd::{Bdd, BddManager, BddOps, Literal, Var};
@@ -70,23 +70,25 @@ fn bench_exists(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_and_exists(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bdd/and_exists");
-    for n in [16usize, 64] {
+/// The image kernel on the same cube as `bench_cofactor`: one pass that
+/// replaces the cofactor and the product with the flipped literals.
+fn bench_flip_cube(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bdd/flip_cube");
+    for n in [16usize, 64, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
             let (mut m, f, avars, bvars) = build_sum_of_products(n);
-            let mut g = m.zero();
-            for i in 0..n {
-                let (a, b) = (m.var(avars[i]), m.nvar(bvars[i]));
-                let t = m.and(a, b);
-                g = m.or(g, t);
-            }
-            let cube = m.vars_cube(&avars);
-            bencher.iter(|| std::hint::black_box(m.and_exists(f, g, cube)));
+            let lits: Vec<Literal> = avars
+                .iter()
+                .step_by(4)
+                .map(|&v| Literal::positive(v))
+                .chain(bvars.iter().step_by(8).map(|&v| Literal::negative(v)))
+                .collect();
+            let cube = m.cube(&lits);
+            bencher.iter(|| std::hint::black_box(m.flip_cube(f, cube, false)));
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_and, bench_cofactor, bench_exists, bench_and_exists);
+criterion_group!(benches, bench_and, bench_cofactor, bench_exists, bench_flip_cube);
 criterion_main!(benches);

@@ -1,12 +1,11 @@
-//! Image-engine comparison: the per-transition baseline vs. the clustered
-//! partitioned-relation engine vs. the parallel sharded engine vs. the
-//! saturation engine, on the workloads the acceptance story names
-//! (`muller_pipeline(10)` and the wider scalable families).
+//! Image-engine comparison: the per-transition baseline vs. the parallel
+//! sharded engine vs. the saturation engine, on the workloads the
+//! acceptance story names (`muller_pipeline(10)` and the wider scalable
+//! families).
 //!
-//! The four engines compute the identical `Reached` BDD
+//! The three engines compute the identical `Reached` BDD
 //! (`tests/engines.rs` asserts it); this bench measures what each one
-//! pays for it. Expectations: clustering amortises cache hits on nets
-//! with overlapping supports; the sharded engine needs real cores — on a
+//! pays for it. Expectations: the sharded engine needs real cores — on a
 //! single-CPU host its sync overhead makes it a regression, which is
 //! exactly the kind of fact the engine column exists to surface;
 //! saturation trades frontier breadth for cluster-local fixpoints and
@@ -19,7 +18,6 @@ use stgcheck_stg::{gen, Code};
 fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
     vec![
         ("per-transition", EngineOptions::default()),
-        ("clustered", EngineOptions { kind: EngineKind::Clustered, ..Default::default() }),
         (
             "parallel-2",
             EngineOptions { kind: EngineKind::ParallelSharded, jobs: 2, ..Default::default() },
@@ -63,27 +61,5 @@ fn bench_engines_master_read(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_clustered_cap_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engines/cluster_cap");
-    let stg = gen::muller_pipeline(12);
-    for cap in [1usize, 4, 8, 16] {
-        let opts =
-            EngineOptions { kind: EngineKind::Clustered, max_cluster: cap, ..Default::default() };
-        group.bench_with_input(BenchmarkId::from_parameter(cap), &cap, |bencher, _| {
-            bencher.iter(|| {
-                let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-                let t = sym.traverse_with_engine(Code::ZERO, &opts);
-                std::hint::black_box(t.stats.num_states)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_engines_muller10,
-    bench_engines_master_read,
-    bench_clustered_cap_sweep
-);
+criterion_group!(benches, bench_engines_muller10, bench_engines_master_read);
 criterion_main!(benches);

@@ -21,9 +21,10 @@
 //!   beats explicit enumeration as soon as the state space grows);
 //! * `--order interleaved|places|signals|declaration` selects the variable
 //!   ordering strategy (default: interleaved);
-//! * `--engine per-transition|clustered|parallel|saturation|all` selects
-//!   the image engine (default: per-transition); `all` prints one row per
-//!   engine so the engines can be compared line by line;
+//! * `--engine per-transition|parallel|saturation|all` selects the image
+//!   engine (default: per-transition); `all` prints one row per engine so
+//!   the engines can be compared line by line; `clustered` is accepted as
+//!   a spelling of saturation;
 //! * `--jobs <n>` sets the worker count for the parallel engine, whose
 //!   workers share one BDD arena; `0` (the default) auto-detects the
 //!   machine's available parallelism, and every row records the detected
@@ -126,12 +127,8 @@ fn order_name(o: VarOrder) -> &'static str {
     }
 }
 
-const ALL_ENGINES: [EngineKind; 4] = [
-    EngineKind::PerTransition,
-    EngineKind::Clustered,
-    EngineKind::ParallelSharded,
-    EngineKind::Saturation,
-];
+const ALL_ENGINES: [EngineKind; 3] =
+    [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation];
 
 const ALL_REORDERS: [ReorderMode; 3] = [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto];
 

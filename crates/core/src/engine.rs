@@ -1,4 +1,4 @@
-//! The pluggable image-engine layer: one shared fixed-point loop, four
+//! The pluggable image-engine layer: one shared fixed-point loop, three
 //! interchangeable ways to compute the per-iteration frontier step.
 //!
 //! The paper's Fig. 5 traversal, the frozen-marking traversal of Section
@@ -11,28 +11,26 @@
 //!
 //! * [`EngineKind::PerTransition`] — one δ application per transition,
 //!   chained or strict-BFS, in declaration order;
-//! * [`EngineKind::Clustered`] — transitions greedily grouped by support
-//!   overlap into partitioned relations (Burch/Clarke/Long style); the
-//!   cluster's transitions all fire from the same accumulator, so their
-//!   images share memo entries;
 //! * [`EngineKind::ParallelSharded`] — transitions sharded across
 //!   `std::thread::scope` workers that all compute against **one**
 //!   concurrent [`stgcheck_bdd::BddManager`] (see
 //!   `docs/concurrent-table.md`): shard closures and frontier joins pass
 //!   plain [`Bdd`] handles, and between iterations the workers are joined
 //!   so GC and `--reorder` sifting run at a stop-the-world quiesce point;
-//! * [`EngineKind::Saturation`] — Ciardo-style saturation over the
-//!   clustered engine's grouping: every cluster gets a *home level* in
-//!   the variable order (the topmost level its support touches, so the
-//!   firing stays at or below it — see [`saturation_homes`]) and is
-//!   fired to a *local fixpoint* there; the schedule works deepest homes
-//!   first and re-saturates the deeper levels a growing cluster
-//!   re-enables before moving up, so the reached set grows in a
-//!   locality-coherent order instead of one global frontier per sweep.
+//! * [`EngineKind::Saturation`] — Ciardo-style saturation: transitions
+//!   are greedily grouped by support overlap, at most 8 per cluster
+//!   (Burch/Clarke/Long-style partitioned relations), and every cluster
+//!   gets a *home level* in the variable order (the topmost level its
+//!   support touches, so the firing stays at or below it — see
+//!   [`saturation_homes`]) and is fired to a *local fixpoint* there; the
+//!   schedule works deepest homes first and re-saturates the deeper
+//!   levels a growing cluster re-enables before moving up, so the reached
+//!   set grows in a locality-coherent order instead of one global
+//!   frontier per sweep.
 //!
 //! Every engine computes each image with the same kernel,
 //! [`TransCubes::fire`] (one [`stgcheck_bdd::BddOps::flip_cube`] pass;
-//! see `image.rs`); they differ only in the schedule. All four compute
+//! see `image.rs`); they differ only in the schedule. All three compute
 //! the same least fixpoint, so they return the same canonical `Reached`
 //! BDD — `tests/engines.rs` asserts this on every benchmark family and
 //! on random STGs.
@@ -57,6 +55,9 @@ use crate::traverse::TraversalStrategy;
 /// by every engine).
 pub(crate) const GC_THRESHOLD: usize = 500_000;
 
+/// Most transitions saturation puts in one support-overlap cluster.
+const MAX_CLUSTER: usize = 8;
+
 /// Selects the image engine that drives the fixed-point loops.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
@@ -65,22 +66,21 @@ pub enum EngineKind {
     /// [`TraversalStrategy`].
     #[default]
     PerTransition,
-    /// Transitions partitioned by support overlap; the cluster's
-    /// transitions fire from one accumulator. Always chained (cluster by
-    /// cluster).
-    Clustered,
     /// Transitions sharded across worker threads; partial frontier
     /// closures are OR-joined per iteration. Workers share the one
     /// concurrent manager.
     ParallelSharded,
-    /// Ciardo-style saturation over the clustered engine's grouping:
-    /// each support-overlap cluster is assigned a *home level* (the
-    /// deepest level of the variable order from which its whole support
-    /// is still at or below — i.e. the topmost level its support
-    /// touches) and fired to a *local fixpoint* there, deepest homes
-    /// first; a cluster that grows the reached set re-saturates the
-    /// deeper levels its new states re-enable before the sweep moves
-    /// up. Exploits event locality instead of a global frontier.
+    /// Ciardo-style saturation: transitions are grouped by support
+    /// overlap, at most 8 per cluster, and each cluster is assigned a
+    /// *home level* (the deepest level of the variable order from which
+    /// its whole support is still at or below — i.e. the topmost level
+    /// its support touches) and fired to a *local fixpoint* there,
+    /// deepest homes first; a cluster that grows the reached set
+    /// re-saturates the deeper levels its new states re-enable before the
+    /// sweep moves up. Exploits event locality instead of a global
+    /// frontier. `clustered` and `cluster` parse to this engine: they
+    /// named the retired clustered engine, which ran the same clusters
+    /// without the local fixpoints.
     Saturation,
 }
 
@@ -88,7 +88,6 @@ impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             EngineKind::PerTransition => "per-transition",
-            EngineKind::Clustered => "clustered",
             EngineKind::ParallelSharded => "parallel",
             EngineKind::Saturation => "saturation",
         })
@@ -101,12 +100,12 @@ impl std::str::FromStr for EngineKind {
     fn from_str(s: &str) -> Result<EngineKind, String> {
         match s {
             "per-transition" | "per-trans" | "baseline" => Ok(EngineKind::PerTransition),
-            "clustered" | "cluster" => Ok(EngineKind::Clustered),
             "parallel" | "sharded" | "parallel-sharded" => Ok(EngineKind::ParallelSharded),
-            "saturation" | "saturate" | "sat" => Ok(EngineKind::Saturation),
+            "saturation" | "saturate" | "sat" | "clustered" | "cluster" => {
+                Ok(EngineKind::Saturation)
+            }
             other => Err(format!(
-                "unknown engine `{other}` (expected per-transition, clustered, parallel or \
-                 saturation)"
+                "unknown engine `{other}` (expected per-transition, parallel or saturation)"
             )),
         }
     }
@@ -163,16 +162,13 @@ impl std::str::FromStr for ReorderMode {
 pub struct EngineOptions {
     /// Which engine computes the frontier step.
     pub kind: EngineKind,
-    /// Frontier strategy for [`EngineKind::PerTransition`] (the clustered
-    /// and sharded engines always chain).
+    /// Frontier strategy for [`EngineKind::PerTransition`] (the sharded
+    /// engine always chains; saturation has no global frontier).
     pub strategy: TraversalStrategy,
     /// Worker threads for [`EngineKind::ParallelSharded`]; `0` (the
     /// default) means the machine's available parallelism, clamped by
     /// the work available (see `MIN_SHARD_TRANSITIONS`).
     pub jobs: usize,
-    /// Maximum transitions per cluster for [`EngineKind::Clustered`];
-    /// `0` means the default of 8.
-    pub max_cluster: usize,
     /// Dynamic variable reordering policy, consulted between outer
     /// fixed-point iterations by every engine.
     pub reorder: ReorderMode,
@@ -186,15 +182,6 @@ impl EngineOptions {
             self.jobs
         } else {
             std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-
-    /// The cluster-size cap after resolving `max_cluster == 0`.
-    pub fn effective_max_cluster(&self) -> usize {
-        if self.max_cluster > 0 {
-            self.max_cluster
-        } else {
-            8
         }
     }
 }
@@ -497,7 +484,6 @@ pub(crate) fn run_fixpoint(
     }
     match opts.kind {
         EngineKind::PerTransition => run_per_transition(sym, opts, spec, transitions, init, ctl),
-        EngineKind::Clustered => run_clustered(sym, opts, spec, transitions, init, ctl),
         EngineKind::ParallelSharded => run_parallel(sym, opts, spec, transitions, init, ctl),
         EngineKind::Saturation => run_saturation(sym, opts, spec, transitions, init, ctl),
     }
@@ -635,13 +621,9 @@ fn run_per_transition(
     FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Converged }
 }
 
-// ---------------------------------------------------------------------------
-// Clustered engine: partitioned transition relations.
-// ---------------------------------------------------------------------------
-
 /// The variables each transition's step reads or writes: its places and,
-/// for a full-state step, its signal — the supports the clustered and
-/// saturation engines group transitions by.
+/// for a full-state step, its signal — the supports saturation groups
+/// transitions by.
 fn transition_supports(
     sym: &SymbolicStg<'_>,
     marking_only: bool,
@@ -694,59 +676,6 @@ fn cluster_by_support(supports: &[BTreeSet<Var>], max_cluster: usize) -> Vec<Vec
     clusters
 }
 
-fn run_clustered(
-    sym: &mut SymbolicStg<'_>,
-    opts: &EngineOptions,
-    spec: &FixpointSpec,
-    transitions: &[TransId],
-    init: Bdd,
-    ctl: &mut FixpointCtl,
-) -> FixpointOutcome {
-    let supports = transition_supports(sym, spec.marking_only, transitions);
-    let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
-    let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
-    loop {
-        iterations += 1;
-        // Chained across clusters, breadth-first within each cluster: the
-        // cluster's transitions all fire from the same accumulator, so
-        // their images share memo entries.
-        let mut acc = from;
-        for cluster in &clusters {
-            let mut delta = Bdd::FALSE;
-            for &i in cluster {
-                let cubes = *sym.cubes(transitions[i]);
-                let mgr = sym.manager_mut();
-                let img = apply_one(mgr, spec, &cubes, acc);
-                delta = mgr.or(delta, img);
-            }
-            acc = sym.manager_mut().or(acc, delta);
-            maybe_gc(sym, spec, &[reached, acc], &[]);
-        }
-        let new = sym.manager_mut().diff(acc, reached);
-        let grown = sym.manager_mut().or(reached, new);
-        // Pre-commit budget check — see `run_per_transition`.
-        if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-            return FixpointOutcome {
-                reached,
-                iterations: iterations - 1,
-                rings: Vec::new(),
-                stop,
-            };
-        }
-        if new.is_false() {
-            break;
-        }
-        reached = grown;
-        from = new;
-        maybe_gc(sym, spec, &[reached, from], &[]);
-        maybe_reorder(sym, opts, spec, &[reached, from], &[]);
-        if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
-            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
-        }
-    }
-    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
-}
-
 // ---------------------------------------------------------------------------
 // Saturation engine: cluster-local fixpoints, deepest homes first.
 // ---------------------------------------------------------------------------
@@ -785,7 +714,8 @@ pub(crate) fn saturation_schedule(homes: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Ciardo-style saturation over the clustered engine's grouping.
+/// Ciardo-style saturation over support-overlap clusters
+/// ([`cluster_by_support`], at most [`MAX_CLUSTER`] transitions each).
 ///
 /// The sweep walks the schedule (deepest homes first) and fires each
 /// cluster to a *local fixpoint*: its transitions chain from the full
@@ -820,7 +750,7 @@ fn run_saturation(
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
     let supports = transition_supports(sym, spec.marking_only, transitions);
-    let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
+    let clusters = cluster_by_support(&supports, MAX_CLUSTER);
     let cluster_supports: Vec<BTreeSet<Var>> = clusters
         .iter()
         .map(|c| c.iter().flat_map(|&i| supports[i].iter().copied()).collect())
@@ -1078,26 +1008,25 @@ mod tests {
     fn engine_kind_parses_and_displays() {
         for (s, k) in [
             ("per-transition", EngineKind::PerTransition),
-            ("clustered", EngineKind::Clustered),
             ("parallel", EngineKind::ParallelSharded),
             ("saturation", EngineKind::Saturation),
             ("sat", EngineKind::Saturation),
+            ("clustered", EngineKind::Saturation),
+            ("cluster", EngineKind::Saturation),
         ] {
             assert_eq!(s.parse::<EngineKind>().unwrap(), k);
             assert_eq!(k.to_string().parse::<EngineKind>().unwrap(), k);
         }
+        assert_eq!(EngineKind::Saturation.to_string(), "saturation");
         assert!("banana".parse::<EngineKind>().is_err());
     }
 
     /// Derives the saturation clustering of an STG: the support union of
     /// each cluster, exactly as `run_saturation` does.
-    fn saturation_cluster_supports(
-        sym: &SymbolicStg<'_>,
-        max_cluster: usize,
-    ) -> Vec<BTreeSet<Var>> {
+    fn saturation_cluster_supports(sym: &SymbolicStg<'_>) -> Vec<BTreeSet<Var>> {
         let transitions: Vec<_> = sym.stg().net().transitions().collect();
         let supports = transition_supports(sym, false, &transitions);
-        cluster_by_support(&supports, max_cluster)
+        cluster_by_support(&supports, MAX_CLUSTER)
             .iter()
             .map(|c| c.iter().flat_map(|&i| supports[i].iter().copied()).collect())
             .collect()
@@ -1113,7 +1042,7 @@ mod tests {
     fn saturation_homes_are_a_permutation_stable_function_of_the_order() {
         let stg = gen::master_read(3);
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let cluster_supports = saturation_cluster_supports(&sym, 8);
+        let cluster_supports = saturation_cluster_supports(&sym);
 
         let check = |sym: &SymbolicStg<'_>| {
             let homes = saturation_homes(sym.manager(), &cluster_supports);
@@ -1182,12 +1111,6 @@ mod tests {
         for opts in [
             EngineOptions { strategy: TraversalStrategy::Bfs, ..EngineOptions::default() },
             EngineOptions {
-                kind: EngineKind::Clustered,
-                max_cluster: 1,
-                ..EngineOptions::default()
-            },
-            EngineOptions { kind: EngineKind::Clustered, ..EngineOptions::default() },
-            EngineOptions {
                 kind: EngineKind::ParallelSharded,
                 jobs: 1,
                 ..EngineOptions::default()
@@ -1198,11 +1121,6 @@ mod tests {
                 ..EngineOptions::default()
             },
             EngineOptions { kind: EngineKind::Saturation, ..EngineOptions::default() },
-            EngineOptions {
-                kind: EngineKind::Saturation,
-                max_cluster: 1,
-                ..EngineOptions::default()
-            },
         ] {
             let out = run_fixpoint(
                 &mut sym,
@@ -1240,7 +1158,6 @@ mod tests {
         for opts in [
             EngineOptions::default(),
             EngineOptions { strategy: TraversalStrategy::Bfs, ..EngineOptions::default() },
-            EngineOptions { kind: EngineKind::Clustered, ..EngineOptions::default() },
             EngineOptions {
                 kind: EngineKind::ParallelSharded,
                 jobs: 2,

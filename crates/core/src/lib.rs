@@ -16,10 +16,11 @@
 //!   chained or strict-BFS, with peak/final BDD statistics;
 //! * a pluggable image-engine layer ([`EngineKind`], [`EngineOptions`])
 //!   behind one shared fixed-point loop and one image kernel: the
-//!   per-transition schedule, support-clustered partitioned relations,
-//!   a parallel sharded engine that splits transitions across
-//!   worker threads sharing one concurrent BDD manager, and a
-//!   Ciardo-style saturation engine (see `docs/traversal-engines.md`);
+//!   per-transition schedule, a parallel sharded engine that splits
+//!   transitions across worker threads sharing one concurrent BDD
+//!   manager, and a Ciardo-style saturation engine over
+//!   support-clustered partitioned relations (see
+//!   `docs/traversal-engines.md`);
 //! * the checks of Section 5: safeness, consistency, transition and
 //!   signal persistency (Fig. 6), CSC via excitation/quiescent regions,
 //!   CSC-reducibility via frozen-input traversal, determinism, and fake

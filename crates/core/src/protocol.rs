@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! {"id":"r1","op":"verify","net_path":"benchmarks/par_join.g"}
-//! {"id":"r2","op":"verify","net":".model inline\n…","engine":"clustered",
+//! {"id":"r2","op":"verify","net":".model inline\n…","engine":"saturation",
 //!  "reorder":"auto","timeout_s":5,"max_nodes":100000,"fallback":true}
 //! {"op":"cancel","target":"r2"}
 //! {"op":"ping"}
@@ -549,7 +549,9 @@ mod tests {
         let Request::Verify(v) = req else { panic!("expected verify") };
         assert_eq!(v.id, "r1");
         assert_eq!(v.net.as_deref(), Some("x"));
-        assert_eq!(v.options.engine.kind, EngineKind::Clustered);
+        // `clustered` is the retired clustered engine's name, now a
+        // spelling of saturation.
+        assert_eq!(v.options.engine.kind, EngineKind::Saturation);
         assert_eq!(v.options.reorder, ReorderMode::Auto);
         assert_eq!(v.options.budget.timeout, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(v.options.budget.max_steps, 100);

@@ -279,7 +279,6 @@ fn opts_tag(opts: &VerifyOptions) -> String {
     let policy = if opts.policy.allow_arbitration { "arb" } else { "strict" };
     let kind = match engine.kind {
         EngineKind::PerTransition => "pt",
-        EngineKind::Clustered => "cl",
         EngineKind::ParallelSharded => "pa",
         EngineKind::Saturation => "sa",
     };
@@ -292,7 +291,7 @@ fn opts_tag(opts: &VerifyOptions) -> String {
         ReorderMode::Sift => "rs",
         ReorderMode::Auto => "ra",
     };
-    format!("{order}-{policy}-{kind}-{strategy}-j{}-c{}-{reorder}", engine.jobs, engine.max_cluster)
+    format!("{order}-{policy}-{kind}-{strategy}-j{}-{reorder}", engine.jobs)
 }
 
 /// File name of the `latest` pointer: sanitized net name plus the option
@@ -815,9 +814,17 @@ mod tests {
         let mut sift = base;
         sift.reorder = ReorderMode::Sift;
         assert_ne!(cache_key(7, &sift), k0);
-        let mut cl = base;
-        cl.engine.kind = EngineKind::Clustered;
-        assert_ne!(cache_key(7, &cl), k0);
+        let mut pa = base;
+        pa.engine.kind = EngineKind::ParallelSharded;
+        assert_ne!(cache_key(7, &pa), k0);
+        // `clustered` is a spelling of saturation, so it shares its key.
+        let with_engine = |name: &str| {
+            let mut o = base;
+            o.engine.kind = name.parse().unwrap();
+            cache_key(7, &o)
+        };
+        assert_eq!(with_engine("clustered"), with_engine("saturation"));
+        assert_ne!(with_engine("saturation"), k0);
         assert_ne!(cache_key(8, &base), k0);
         // The budget never reaches the key: a verdict cached by a
         // generous run serves a tightly-budgeted rerun of the same net.

@@ -249,9 +249,12 @@ pub enum VerifyError {
         /// The manager's ceiling ([`stgcheck_bdd::MAX_VARS`]).
         max: usize,
     },
-    /// A resource limit tripped before [`verify`] could finish. The
+    /// A resource limit tripped before [`verify`] could finish, after the
+    /// `--fallback` retry when [`BudgetSpec::fallback`] is set;
+    /// [`ResourceError::Cancelled`] for a cooperative interrupt. The
     /// checkpoint-aware sibling [`verify_persistent`] reports this as
-    /// [`Outcome::Exhausted`] instead, with a resumable snapshot.
+    /// [`Outcome::Exhausted`] or [`Outcome::Interrupted`] instead, with a
+    /// resumable snapshot.
     Exhausted(ResourceError),
 }
 
@@ -289,6 +292,12 @@ fn check_dimensions(stg: &Stg) -> Result<(), VerifyError> {
 
 /// Runs the full symbolic verification of `stg` and classifies it.
 ///
+/// This is [`verify_persistent`] with [`PersistOptions::default`] (no
+/// cache, no checkpoint), its [`Outcome`] turned into a `Result`. So
+/// [`BudgetSpec::fallback`] works here too: a node or arena exhaustion
+/// retries the remaining fixpoint with saturation and forced sifting
+/// before the run reports [`VerifyError::Exhausted`].
+///
 /// # Errors
 ///
 /// [`VerifyError::InitialCode`] when the STG carries no initial code and
@@ -300,47 +309,15 @@ fn check_dimensions(stg: &Stg) -> Result<(), VerifyError> {
 /// [`VerifyError::NotOrdinary`] /
 /// [`VerifyError::TooManyVariables`] when the net does not fit the
 /// boolean encoding; [`VerifyError::Exhausted`] when a configured
-/// [`BudgetSpec`] limit tripped (use [`verify_persistent`] to get a
-/// resumable checkpoint instead of a bare error).
+/// [`BudgetSpec`] limit tripped, with [`ResourceError::Cancelled`] for a
+/// cooperative interrupt (use [`verify_persistent`] to get a resumable
+/// checkpoint instead of a bare error).
 pub fn verify(stg: &Stg, opts: VerifyOptions) -> Result<SymbolicReport, VerifyError> {
-    let total_start = Instant::now();
-    check_dimensions(stg)?;
-    let mut sym = SymbolicStg::new(stg, opts.order);
-    let engine = effective_engine(&opts);
-    sym.set_engine(engine);
-    let budget = opts.budget.build(None);
-    sym.manager_mut().set_budget(budget.clone());
-
-    // Phase 1: traversal + consistency (+ safeness).
-    let t0 = Instant::now();
-    let initial_code = match sym.effective_initial_code() {
-        Ok(c) => c,
-        // A trip during inference can surface as a spurious inference
-        // failure (the frozen traversals converge on garbage): report the
-        // resource cause, not the bogus ambiguity.
-        Err(e) => {
-            return Err(match budget.tripped() {
-                Some(r) => VerifyError::Exhausted(r),
-                None => VerifyError::InitialCode(e),
-            });
-        }
-    };
-    let mut ctl = FixpointCtl { budget: budget.clone(), ..FixpointCtl::default() };
-    let (traversal, stop) = sym.traverse_with_engine_ctl(initial_code, &engine, &mut ctl);
-    match stop {
-        // The main traversal sets no `until`, so it never stops on `Met`.
-        FixpointStop::Converged | FixpointStop::Met => {}
-        FixpointStop::Interrupted => return Err(VerifyError::Exhausted(ResourceError::Cancelled)),
-        FixpointStop::Exhausted(r) => return Err(VerifyError::Exhausted(r)),
+    match verify_persistent(stg, opts, &PersistOptions::default())?.outcome {
+        Outcome::Completed(report) => Ok(report),
+        Outcome::Interrupted { .. } => Err(VerifyError::Exhausted(ResourceError::Cancelled)),
+        Outcome::Exhausted { reason, .. } => Err(VerifyError::Exhausted(reason)),
     }
-    let report =
-        finish_verification(&mut sym, &opts, &engine, initial_code, traversal, total_start, t0);
-    // The post-traversal phases run fixpoints of their own on the same
-    // budget; a trip there leaves inert garbage in the report.
-    if let Some(r) = budget.tripped() {
-        return Err(VerifyError::Exhausted(r));
-    }
-    report.map_err(VerifyError::InitialCode)
 }
 
 /// The certificate step of early-stopping inference, run when an STG
@@ -499,8 +476,8 @@ fn finish_verification(
 
 /// Persistence knobs for [`verify_persistent`]: the `--cache-dir`,
 /// `--checkpoint`/`--checkpoint-every`/`--resume`, `--incremental` and
-/// `--failpoints` family. The default disables everything, making
-/// [`verify_persistent`] equivalent to [`verify`].
+/// `--failpoints` family. The default disables everything: [`verify`] is
+/// [`verify_persistent`] run with it.
 #[derive(Clone, Debug, Default)]
 pub struct PersistOptions {
     /// Content-addressed result cache directory (`--cache-dir`).
@@ -637,12 +614,12 @@ fn stop_outcome(reason: ResourceError, checkpoint: Option<PathBuf>) -> Outcome {
     }
 }
 
-/// [`verify`] with a persistence layer around the traversal: a warm
-/// cache hit returns the stored report without running any fixpoint;
-/// otherwise the traversal may be seeded from an interrupted run's
-/// checkpoint (`resume`) or from a monotone predecessor's reached set
-/// (`incremental`), and the completed result is written back to the
-/// store.
+/// The verification pipeline behind [`verify`], with a persistence layer
+/// around the traversal: a warm cache hit returns the stored report
+/// without running any fixpoint; otherwise the traversal may be seeded
+/// from an interrupted run's checkpoint (`resume`) or from a monotone
+/// predecessor's reached set (`incremental`), and the completed result
+/// is written back to the store.
 ///
 /// # Errors
 ///
@@ -690,33 +667,11 @@ pub fn verify_persistent(
     let mut budget = opts.budget.build(persist.cancel.clone()).with_faults(persist.faults.clone());
     sym.manager_mut().set_budget(budget.clone());
     let phase1_start = Instant::now();
-    let initial_code = match sym.effective_initial_code() {
-        Ok(c) => c,
-        Err(e) => {
-            // As in `verify`: a trip during inference can masquerade as
-            // an inference failure.
-            if let Some(reason) = budget.tripped() {
-                let cache = if store.is_some() { CacheStatus::Cold } else { CacheStatus::Off };
-                return Ok(VerifyRun {
-                    outcome: stop_outcome(reason, None),
-                    cache,
-                    fell_back: false,
-                    notes,
-                });
-            }
-            return Err(VerifyError::InitialCode(e));
-        }
-    };
-    let mut ctl = FixpointCtl {
-        every: persist.checkpoint_every,
-        path: persist.checkpoint.clone(),
-        net_hash: hash,
-        abort_after: persist.abort_after,
-        budget: budget.clone(),
-        ..FixpointCtl::default()
-    };
     let mut cache = if store.is_some() { CacheStatus::Cold } else { CacheStatus::Off };
-    // Inference converged on garbage? Don't start the main traversal.
+    let initial_code = sym.effective_initial_code();
+    // A trip during inference can masquerade as an inference failure (the
+    // frozen traversals converge on garbage), and a code inferred from
+    // garbage must not start the main traversal: report the trip.
     if let Some(reason) = budget.tripped() {
         return Ok(VerifyRun {
             outcome: stop_outcome(reason, None),
@@ -725,6 +680,15 @@ pub fn verify_persistent(
             notes,
         });
     }
+    let initial_code = initial_code.map_err(VerifyError::InitialCode)?;
+    let mut ctl = FixpointCtl {
+        every: persist.checkpoint_every,
+        path: persist.checkpoint.clone(),
+        net_hash: hash,
+        abort_after: persist.abort_after,
+        budget: budget.clone(),
+        ..FixpointCtl::default()
+    };
     let mut fell_back = false;
 
     if persist.resume {

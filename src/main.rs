@@ -7,8 +7,9 @@
 //!
 //!   --arbitration        allow non-input/non-input disabling (arbiters)
 //!   --order <o>          interleaved|places|signals|declaration
-//!   --engine <e>         per-transition|clustered|parallel|saturation
-//!                        (default: per-transition; see
+//!   --engine <e>         per-transition|parallel|saturation (default:
+//!                        per-transition; `clustered` is accepted as a
+//!                        spelling of saturation; see
 //!                        docs/traversal-engines.md)
 //!   --jobs <n>           worker threads for --engine parallel (default:
 //!                        available parallelism); the workers race on one
@@ -171,7 +172,7 @@ struct Cli {
 
 fn usage() -> &'static str {
     "usage: stgcheck [--arbitration] [--order interleaved|places|signals|declaration] \
-     [--engine per-transition|clustered|parallel|saturation] [--jobs N] \
+     [--engine per-transition|parallel|saturation] [--jobs N] \
      [--reorder none|sift|auto] [--bfs] [--quiet] \
      [--timeout SECS] [--max-nodes N] [--max-steps N] [--fallback] \
      [--failpoints SPEC] \

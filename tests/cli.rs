@@ -146,6 +146,29 @@ fn bad_option_exits_2_with_usage() {
     }
 }
 
+/// `clustered` named the retired clustered engine and is now a spelling
+/// of saturation: the run succeeds and its row names the engine that ran.
+/// An unknown engine still exits 2.
+#[test]
+fn clustered_engine_spelling_runs_saturation() {
+    let out = Command::new(bin())
+        .args(["--engine", "clustered", &data("handshake.g")])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout.lines().find(|l| l.starts_with("handshake")).expect("a table row");
+    assert_eq!(row.split_whitespace().nth(1), Some("saturation"), "{stdout}");
+    assert!(!stdout.contains("clustered"), "{stdout}");
+
+    let bad = Command::new(bin())
+        .args(["--engine", "bogus", &data("handshake.g")])
+        .output()
+        .expect("binary runs");
+    assert_eq!(bad.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown engine"));
+}
+
 #[test]
 fn order_flag_accepted() {
     for order in ["interleaved", "places", "signals", "declaration"] {

@@ -12,7 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stgcheck::bdd::{Bdd, BddCheckpoint, BddManager, BddOps, Var};
+use stgcheck::bdd::{Bdd, BddCheckpoint, BddManager, BddOps, Literal, Var};
 use stgcheck::core::{verify, EngineKind, EngineOptions, ReorderMode, VerifyOptions};
 use stgcheck::stg::{gen, Stg};
 
@@ -30,8 +30,10 @@ enum Op {
     Exists(usize, u16),
     /// `∀ vars(mask) . pool[i]`
     Forall(usize, u16),
-    /// `and_exists(pool[i], pool[j], vars(mask))`
-    AndExists(usize, usize, u16),
+    /// `flip_cube(pool[i], cube, back)`, where `cube` has a literal on
+    /// each variable of `mask`, positive where `pol` has a 1 — the image
+    /// kernel the parallel engine's workers run
+    FlipCube(usize, u16, u16, bool),
 }
 
 const NVARS: usize = 12;
@@ -53,7 +55,12 @@ fn gen_script(seed: u64, len: usize) -> Vec<Op> {
             5 => Op::Ite(pick(&mut rng, pool), pick(&mut rng, pool), pick(&mut rng, pool)),
             6 => Op::Exists(pick(&mut rng, pool), mask(&mut rng)),
             7 => Op::Forall(pick(&mut rng, pool), mask(&mut rng)),
-            _ => Op::AndExists(pick(&mut rng, pool), pick(&mut rng, pool), mask(&mut rng)),
+            _ => Op::FlipCube(
+                pick(&mut rng, pool),
+                mask(&mut rng),
+                mask(&mut rng),
+                rng.gen_bool(0.5),
+            ),
         };
         script.push(op);
     }
@@ -83,9 +90,15 @@ fn run_script(mut m: &BddManager, vars: &[Var], script: &[Op], from: &[Bdd]) -> 
                 let c = cube(&mut m, mask);
                 m.forall(pool[i], c)
             }
-            Op::AndExists(i, j, mask) => {
-                let c = cube(&mut m, mask);
-                m.and_exists(pool[i], pool[j], c)
+            Op::FlipCube(i, mask, pol, back) => {
+                let lits: Vec<Literal> = vars
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask & (1 << i) != 0)
+                    .map(|(i, &v)| Literal::new(v, pol & (1 << i) != 0))
+                    .collect();
+                let c = m.cube(&lits);
+                m.flip_cube(pool[i], c, back)
             }
             Op::And(i, j) => m.and(pool[i], pool[j]),
             Op::Or(i, j) => m.or(pool[i], pool[j]),
@@ -196,7 +209,14 @@ fn algebraic_identities_hold_under_contention() {
                 for _ in 0..300 {
                     let f = pool[rng.gen_range(0..pool.len())];
                     let g = pool[rng.gen_range(0..pool.len())];
-                    let c = m.vars_cube(&vars[0..rng.gen_range(1..4usize)]);
+                    let pol = rng.gen_range(0u16..8);
+                    let lits: Vec<Literal> = vars[0..rng.gen_range(1..4usize)]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| Literal::new(v, pol & (1 << i) != 0))
+                        .collect();
+                    let negated: Vec<Literal> = lits.iter().map(|l| l.negated()).collect();
+                    let (c, c_neg) = (m.cube(&lits), m.cube(&negated));
                     // De Morgan through the shared caches.
                     let fg = m.and(f, g);
                     let lhs = m.not(fg);
@@ -205,10 +225,14 @@ fn algebraic_identities_hold_under_contention() {
                     // Complementation / excluded middle.
                     assert_eq!(m.and(f, f.complement()), Bdd::FALSE);
                     assert_eq!(m.or(f, f.complement()), Bdd::TRUE);
-                    // Fused relational product vs the unfused pipeline.
-                    let fused = m.and_exists(f, g, c);
-                    let unfused = m.exists(fg, c);
-                    assert_eq!(fused, unfused, "and_exists diverged under contention");
+                    // The one-pass image kernel vs the paper's
+                    // cofactor-then-product pipeline, both directions.
+                    for (back, src, dst) in [(false, c, c_neg), (true, c_neg, c)] {
+                        let flipped = m.flip_cube(f, c, back);
+                        let cofactor = m.cofactor_cube(f, src);
+                        let reference = m.and(cofactor, dst);
+                        assert_eq!(flipped, reference, "flip_cube diverged under contention");
+                    }
                 }
             });
         }

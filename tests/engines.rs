@@ -1,5 +1,5 @@
-//! Image-engine equivalence suite: `PerTransition`, `Clustered`,
-//! `ParallelSharded` and `Saturation` must produce the *identical*
+//! Image-engine equivalence suite: `PerTransition`, `ParallelSharded`
+//! and `Saturation` must produce the *identical*
 //! `Reached` BDD (the same canonical handle in the same manager) and the
 //! same state count on every benchmark family fixture, on the
 //! pathological generators, and on random STGs.
@@ -44,11 +44,6 @@ fn engines() -> Vec<(&'static str, EngineOptions)> {
             "per-transition/bfs",
             EngineOptions { strategy: TraversalStrategy::Bfs, ..Default::default() },
         ),
-        ("clustered", EngineOptions { kind: EngineKind::Clustered, ..Default::default() }),
-        (
-            "clustered/cap1",
-            EngineOptions { kind: EngineKind::Clustered, max_cluster: 1, ..Default::default() },
-        ),
         (
             "parallel/2",
             EngineOptions { kind: EngineKind::ParallelSharded, jobs: 2, ..Default::default() },
@@ -58,10 +53,6 @@ fn engines() -> Vec<(&'static str, EngineOptions)> {
             EngineOptions { kind: EngineKind::ParallelSharded, jobs: 4, ..Default::default() },
         ),
         ("saturation", EngineOptions { kind: EngineKind::Saturation, ..Default::default() }),
-        (
-            "saturation/cap1",
-            EngineOptions { kind: EngineKind::Saturation, max_cluster: 1, ..Default::default() },
-        ),
     ]
 }
 
@@ -135,7 +126,7 @@ fn engines_agree_on_frozen_marking_traversal() {
 fn full_verification_verdicts_are_engine_independent() {
     for stg in corpus() {
         let base = verify(&stg, VerifyOptions::default()).unwrap();
-        for kind in [EngineKind::Clustered, EngineKind::ParallelSharded, EngineKind::Saturation] {
+        for kind in [EngineKind::ParallelSharded, EngineKind::Saturation] {
             let opts = VerifyOptions {
                 engine: EngineOptions { kind, jobs: 2, ..Default::default() },
                 ..VerifyOptions::default()
@@ -168,12 +159,8 @@ fn full_verification_verdicts_are_engine_independent() {
 fn verdicts_and_counts_are_reorder_independent() {
     for stg in corpus() {
         let base = verify(&stg, VerifyOptions::default()).unwrap();
-        for kind in [
-            EngineKind::PerTransition,
-            EngineKind::Clustered,
-            EngineKind::ParallelSharded,
-            EngineKind::Saturation,
-        ] {
+        for kind in [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation]
+        {
             for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
                 let opts = VerifyOptions {
                     engine: EngineOptions { kind, jobs: 2, ..Default::default() },
@@ -198,7 +185,7 @@ fn verdicts_and_counts_are_reorder_independent() {
     }
 }
 
-/// The full four-engine matrix — every engine × `--reorder
+/// The full engine matrix — every engine × `--reorder
 /// {none,sift,auto}`, and for the parallel engine additionally × `jobs
 /// {2,4}` — must produce the *identical* `Reached` handle and state count
 /// on every benchmark family and on random safe STGs.
@@ -217,12 +204,8 @@ fn four_engine_reorder_matrix_agrees_on_reached() {
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
         let states = sym.traverse_with_engine(code, &EngineOptions::default()).stats.num_states;
-        for kind in [
-            EngineKind::PerTransition,
-            EngineKind::Clustered,
-            EngineKind::ParallelSharded,
-            EngineKind::Saturation,
-        ] {
+        for kind in [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation]
+        {
             let jobs: &[usize] = if kind == EngineKind::ParallelSharded { &[2, 4] } else { &[2] };
             for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
                 for &jobs in jobs {

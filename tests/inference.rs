@@ -174,12 +174,8 @@ fn inferred_codes_are_engine_and_reorder_independent() {
     nets.push(parse_g(FIRST_WINS).unwrap());
     for stg in &nets {
         let base = verified_code(stg, VerifyOptions::default());
-        for kind in [
-            EngineKind::PerTransition,
-            EngineKind::Clustered,
-            EngineKind::ParallelSharded,
-            EngineKind::Saturation,
-        ] {
+        for kind in [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation]
+        {
             for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
                 let opts = VerifyOptions {
                     engine: EngineOptions { kind, jobs: 2, ..EngineOptions::default() },

@@ -89,7 +89,7 @@ fn bulk_checkpoint_load_matches_ops_built_handle_on_corpus() {
 
 /// Interrupt a run after one iteration, resume it, and require the final
 /// reached set to be canonically equal to a scratch traversal — for all
-/// four engines under all three reorder modes.
+/// three engines under all three reorder modes.
 #[test]
 fn interrupted_runs_resume_to_the_scratch_fixpoint() {
     let source = std::fs::read_to_string(
@@ -98,12 +98,7 @@ fn interrupted_runs_resume_to_the_scratch_fixpoint() {
     .unwrap();
     let stg = parse_g(&source).unwrap();
     let base = tmp("resume");
-    for kind in [
-        EngineKind::PerTransition,
-        EngineKind::Clustered,
-        EngineKind::ParallelSharded,
-        EngineKind::Saturation,
-    ] {
+    for kind in [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation] {
         for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
             let tag = format!("{kind}-{reorder}");
             let cache = base.join(format!("cache-{tag}"));

@@ -37,17 +37,12 @@ fn bench_net(file: &str) -> Stg {
 /// deterministic allocation-step budgets trips the run at a different
 /// point each rung — then resume with the budget lifted and require the
 /// verdict and state count to be identical to an unbudgeted scratch run.
-/// All four engines under all three reorder modes.
+/// All three engines under all three reorder modes.
 #[test]
 fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
     let stg = bench_net("master_read_2.g");
     let base = tmp("interrupt-anywhere");
-    for kind in [
-        EngineKind::PerTransition,
-        EngineKind::Clustered,
-        EngineKind::ParallelSharded,
-        EngineKind::Saturation,
-    ] {
+    for kind in [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation] {
         for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
             let tag = format!("{kind}-{reorder}");
             let mut opts = VerifyOptions::default();
@@ -107,7 +102,8 @@ fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
 
 /// A tight live-node budget is a typed exhaustion, and `--fallback`
 /// rescues the same budget by re-running the remaining fixpoint with the
-/// saturation engine plus forced sifting.
+/// saturation engine plus forced sifting — through `verify_persistent`
+/// and through `verify` alike.
 ///
 /// The budget must trip inside the main traversal (a trip in inference
 /// or in the checks is not eligible for the retry) and leave the retry
@@ -129,11 +125,19 @@ fn fallback_ladder_completes_where_the_plain_budget_exhausts() {
         "notes: {:?}",
         run.notes
     );
+    assert!(matches!(
+        verify(&stg, opts),
+        Err(VerifyError::Exhausted(ResourceError::NodeBudget { limit: 3300 }))
+    ));
 
     opts.budget.fallback = true;
     let run = verify_persistent(&stg, opts, &PersistOptions::default()).unwrap();
     assert!(run.fell_back, "notes: {:?}", run.notes);
     let report = run.into_report().expect("fallback must complete this budget");
+    assert_eq!(report.verdict, scratch.verdict);
+    assert_eq!(report.num_states, scratch.num_states);
+
+    let report = verify(&stg, opts).expect("verify honours the fallback too");
     assert_eq!(report.verdict, scratch.verdict);
     assert_eq!(report.num_states, scratch.num_states);
 }

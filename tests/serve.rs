@@ -189,6 +189,28 @@ fn responses_match_one_shot_cli_verdicts() {
     assert_eq!(serve.finish(), 0);
 }
 
+/// `"clustered"` and `"cluster"`, the names of the retired clustered
+/// engine, are spellings of saturation: such a request is served from the
+/// entry a saturation request stored, and a per-transition one is not.
+#[test]
+fn clustered_engine_spelling_shares_the_saturation_cache_entry() {
+    let cache = scratch("clustered").join("cache");
+    let mut serve = Serve::spawn(&["--workers", "1", "--cache-dir", &cache.to_string_lossy()]);
+    let net = bench("master_read_3.g");
+    for (id, engine, status) in [
+        ("s", "saturation", "cold"),
+        ("c", "clustered", "warm"),
+        ("k", "cluster", "warm"),
+        ("p", "per-transition", "cold"),
+    ] {
+        serve.send(&format!(r#"{{"id":"{id}","net_path":"{net}","engine":"{engine}"}}"#));
+        let resp = serve.read_response();
+        assert_eq!(str_field(&resp, "status"), "ok", "{id}: {resp:?}");
+        assert_eq!(str_field(&resp, "cache"), status, "{id}: {resp:?}");
+    }
+    assert_eq!(serve.finish(), 0);
+}
+
 /// Concurrent unix-socket clients: cold runs fill the cache, an
 /// identical re-request hits it warm, and duplicate in-flight requests
 /// coalesce onto one computation. SIGTERM then drains the idle daemon
