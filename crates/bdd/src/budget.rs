@@ -180,7 +180,8 @@ impl Budget {
     ) -> Self {
         Budget {
             inner: Arc::new(BudgetInner {
-                deadline: timeout.map(|d| Instant::now() + d),
+                // A deadline past the clock's range never arrives.
+                deadline: timeout.and_then(|d| Instant::now().checked_add(d)),
                 timeout: timeout.unwrap_or_default(),
                 max_nodes,
                 max_steps,
@@ -397,5 +398,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         assert!(b.check_coarse());
         assert!(matches!(b.tripped(), Some(ResourceError::Deadline { .. })));
+    }
+
+    #[test]
+    fn deadline_past_the_clock_range_never_trips() {
+        let b = Budget::new(Some(Duration::MAX), 0, 0, None);
+        assert!(!b.check_coarse());
+        assert!(!b.is_tripped());
     }
 }

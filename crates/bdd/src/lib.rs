@@ -31,10 +31,10 @@
 //! * satisfying-assignment counting and enumeration (the "# of states"
 //!   column of Table 1);
 //! * variable-ordering support: any static order at creation time, a
-//!   rebuild-based [`BddManager::reorder`] used by the ordering
-//!   ablation, and **in-place dynamic reordering** — the handle-
-//!   preserving [`BddManager::swap_levels`] primitive, Rudell-style
-//!   grouped sifting ([`BddManager::sift`],
+//!   rebuild-based [`BddManager::reorder`] that lines a manager up with
+//!   a checkpoint's order before an import, and **in-place dynamic
+//!   reordering** — the handle-preserving [`BddManager::swap_levels`]
+//!   primitive, Rudell-style grouped sifting ([`BddManager::sift`],
 //!   [`BddManager::set_var_groups`]) and the automatic growth trigger
 //!   [`BddManager::reorder_due`] (see `docs/reordering.md`);
 //! * a durable, checksummed multi-root serialized form

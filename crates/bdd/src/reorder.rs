@@ -3,9 +3,9 @@
 //! The paper notes that "BDDs may have an exponential size if appropriate
 //! heuristics for variable ordering are not used". The encoding layer in
 //! `stgcheck-core` chooses good *static* orders; this module additionally
-//! lets a caller re-shape an existing manager under a different order, which
-//! the ordering ablation benchmark uses to compare strategies on identical
-//! functions.
+//! lets a caller re-shape an existing manager under a different order,
+//! which `SymbolicStg::apply_var_order` uses to line a manager up with a
+//! checkpoint's order before importing it.
 
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};

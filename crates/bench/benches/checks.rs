@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stgcheck_bench::quick_workloads;
-use stgcheck_core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck_core::{SymbolicStg, VarOrder};
 use stgcheck_stg::PersistencyPolicy;
 
 fn bench_phases(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_phases(c: &mut Criterion) {
             bencher.iter(|| {
                 let mut sym = SymbolicStg::new(&w.stg, VarOrder::Interleaved);
                 let code = sym.effective_initial_code().expect("code");
-                let t = sym.traverse(code, TraversalStrategy::Chained);
+                let t = sym.traverse(code);
                 let cons = sym.check_consistency(t.reached);
                 std::hint::black_box((t.stats.num_states, cons.len()))
             });
@@ -24,7 +24,7 @@ fn bench_phases(c: &mut Criterion) {
         // Pre-compute the reachable set once for the downstream phases.
         let mut sym = SymbolicStg::new(&w.stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().expect("code");
-        let t = sym.traverse(code, TraversalStrategy::Chained);
+        let t = sym.traverse(code);
         let reached = t.reached;
         let r_n = sym.project_markings(reached);
 

@@ -4,7 +4,7 @@
 //! the experimental claim of Section 6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stgcheck_core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck_core::{SymbolicStg, VarOrder};
 use stgcheck_stg::{build_state_graph, gen, Code, SgOptions};
 
 fn bench_crossover(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_crossover(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("symbolic", n), |bencher| {
             bencher.iter(|| {
                 let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-                let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+                let t = sym.traverse(Code::ZERO);
                 std::hint::black_box(t.stats.num_states)
             });
         });
@@ -41,7 +41,7 @@ fn bench_crossover_par(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("symbolic", n), |bencher| {
             bencher.iter(|| {
                 let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-                let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+                let t = sym.traverse(Code::ZERO);
                 std::hint::black_box(t.stats.num_states)
             });
         });

@@ -6,7 +6,7 @@
 //! the runtime; the companion test asserts the peak-size ranking.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stgcheck_core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck_core::{SymbolicStg, VarOrder};
 use stgcheck_stg::{gen, Code};
 
 const ORDERS: [(&str, VarOrder); 4] = [
@@ -23,7 +23,7 @@ fn bench_orders_muller(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
             bencher.iter(|| {
                 let mut sym = SymbolicStg::new(&stg, order);
-                let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+                let t = sym.traverse(Code::ZERO);
                 std::hint::black_box((t.stats.num_states, t.stats.peak_nodes))
             });
         });
@@ -38,7 +38,7 @@ fn bench_orders_par(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
             bencher.iter(|| {
                 let mut sym = SymbolicStg::new(&stg, order);
-                let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+                let t = sym.traverse(Code::ZERO);
                 std::hint::black_box((t.stats.num_states, t.stats.peak_nodes))
             });
         });

@@ -1,9 +1,7 @@
-//! Traversal benchmarks: the Fig. 5 fixed point on the scalable examples,
-//! plus the chained-vs-BFS frontier ablation (design decision A2 in
-//! DESIGN.md).
+//! Traversal benchmarks: the Fig. 5 fixed point on the scalable examples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stgcheck_core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck_core::{SymbolicStg, VarOrder};
 use stgcheck_stg::{gen, Code};
 
 fn bench_muller_scaling(c: &mut Criterion) {
@@ -13,7 +11,7 @@ fn bench_muller_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
             bencher.iter(|| {
                 let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-                let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+                let t = sym.traverse(Code::ZERO);
                 std::hint::black_box(t.stats.num_states)
             });
         });
@@ -28,7 +26,7 @@ fn bench_par_handshakes_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
             bencher.iter(|| {
                 let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-                let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+                let t = sym.traverse(Code::ZERO);
                 std::hint::black_box(t.stats.num_states)
             });
         });
@@ -36,22 +34,5 @@ fn bench_par_handshakes_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_chained_vs_bfs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("traversal/strategy");
-    let stg = gen::muller_pipeline(12);
-    for (name, strategy) in
-        [("chained", TraversalStrategy::Chained), ("bfs", TraversalStrategy::Bfs)]
-    {
-        group.bench_function(BenchmarkId::new("muller12", name), |bencher| {
-            bencher.iter(|| {
-                let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-                let t = sym.traverse(Code::ZERO, strategy);
-                std::hint::black_box(t.stats.iterations)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_muller_scaling, bench_par_handshakes_scaling, bench_chained_vs_bfs);
+criterion_group!(benches, bench_muller_scaling, bench_par_handshakes_scaling);
 criterion_main!(benches);

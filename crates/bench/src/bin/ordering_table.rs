@@ -1,6 +1,6 @@
 //! Prints the reachable-set BDD size per variable-ordering strategy —
 //! the data behind the paper's Section 6 remark on ordering heuristics.
-use stgcheck_core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck_core::{SymbolicStg, VarOrder};
 use stgcheck_stg::{gen, Code};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
             VarOrder::Declaration,
         ] {
             let mut sym = SymbolicStg::new(&stg, order);
-            let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+            let t = sym.traverse(Code::ZERO);
             states = t.stats.num_states;
             sizes.push(t.stats.final_nodes);
         }

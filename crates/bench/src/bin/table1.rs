@@ -76,29 +76,14 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use stgcheck_bench::{quick_workloads, table1_workloads, workloads_from_dir};
 use stgcheck_core::{
-    verify_persistent, CacheStatus, EngineKind, Outcome, PersistOptions, ProcessExit, ReorderMode,
-    SymbolicReport, VarOrder, VerifyOptions,
+    verify_persistent, BudgetSpec, CacheStatus, EngineKind, Outcome, PersistOptions, ProcessExit,
+    ReorderMode, SymbolicReport, VarOrder, VerifyOptions,
 };
 use stgcheck_stg::{build_state_graph, PersistencyPolicy, SgOptions};
-
-fn parse_order(s: &str) -> VarOrder {
-    match s {
-        "interleaved" => VarOrder::Interleaved,
-        "places" => VarOrder::PlacesThenSignals,
-        "signals" => VarOrder::SignalsThenPlaces,
-        "declaration" => VarOrder::Declaration,
-        other => {
-            eprintln!(
-                "unknown order `{other}` (expected interleaved, places, signals or declaration)"
-            );
-            std::process::exit(2);
-        }
-    }
-}
 
 /// Flags that stand alone, and flags that consume the next argument.
 const SWITCHES: [&str; 5] = ["--explicit", "--small", "--warm-rerun", "--batch", "--fallback"];
@@ -118,19 +103,19 @@ const VALUED: [&str; 13] = [
     "--max-steps",
 ];
 
-fn order_name(o: VarOrder) -> &'static str {
-    match o {
-        VarOrder::Interleaved => "interleaved",
-        VarOrder::PlacesThenSignals => "places",
-        VarOrder::SignalsThenPlaces => "signals",
-        VarOrder::Declaration => "declaration",
-    }
-}
-
 const ALL_ENGINES: [EngineKind; 3] =
     [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation];
 
 const ALL_REORDERS: [ReorderMode; 3] = [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto];
+
+/// Parses an `--order`/`--engine`/`--reorder` value with the parser the
+/// CLI and `serve` use, exiting 2 with its message on an unknown one.
+fn parse_or_exit<T: std::str::FromStr<Err = String>>(v: &str) -> T {
+    v.parse().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
 
 /// One verified row, kept for the `--json` report.
 struct JsonRow {
@@ -200,7 +185,7 @@ fn write_json(path: &PathBuf, rows: &[JsonRow]) -> std::io::Result<()> {
             json_escape(&r.name),
             r.engine,
             r.reorder,
-            order_name(r.order),
+            r.order,
             r.jobs,
             r.jobs_detected,
             r.states,
@@ -273,7 +258,7 @@ fn main() {
             })
         })
     };
-    let order = value_of("--order").map_or_else(VarOrder::default, |v| parse_order(v));
+    let order: VarOrder = value_of("--order").map_or_else(VarOrder::default, |v| parse_or_exit(v));
     let jobs: usize = value_of("--jobs").map_or(0, |v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("--jobs needs a number, got `{v}`");
@@ -325,36 +310,24 @@ fn main() {
         None if small => ALL_ENGINES.to_vec(),
         None => vec![EngineKind::PerTransition],
         Some("all") => ALL_ENGINES.to_vec(),
-        Some(s) => match s.parse() {
-            Ok(kind) => vec![kind],
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(s) => vec![parse_or_exit(s)],
     };
     let reorders: Vec<ReorderMode> = match value_of("--reorder").map(String::as_str) {
         None => vec![ReorderMode::None],
         Some("all") => ALL_REORDERS.to_vec(),
-        Some(s) => match s.parse() {
-            Ok(mode) => vec![mode],
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(s) => vec![parse_or_exit(s)],
     };
-    let mut budget = stgcheck_core::BudgetSpec::default();
+    let mut budget = BudgetSpec::default();
     if let Some(v) = value_of("--timeout") {
         let secs: f64 = v.parse().unwrap_or_else(|_| {
             eprintln!("--timeout needs a number of seconds, got `{v}`");
             std::process::exit(2);
         });
-        if !secs.is_finite() || secs <= 0.0 {
-            eprintln!("--timeout needs a positive number of seconds, got `{v}`");
+        let timeout = BudgetSpec::timeout_from_secs(secs).unwrap_or_else(|e| {
+            eprintln!("--timeout {e}, got `{v}`");
             std::process::exit(2);
-        }
-        budget.timeout = Some(Duration::from_secs_f64(secs));
+        });
+        budget.timeout = Some(timeout);
     }
     if let Some(v) = value_of("--max-nodes") {
         budget.max_nodes = v.parse().unwrap_or_else(|_| {

@@ -58,7 +58,6 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use crate::traverse::TraversalStrategy;
     use stgcheck_stg::{gen, Code};
 
     #[test]
@@ -72,7 +71,7 @@ mod tests {
         ] {
             let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
             let code = sym.effective_initial_code().unwrap();
-            let t = sym.traverse(code, TraversalStrategy::Chained);
+            let t = sym.traverse(code);
             assert!(sym.check_consistency(t.reached).is_empty(), "{}", stg.name());
         }
     }
@@ -81,7 +80,7 @@ mod tests {
     fn detects_inconsistency_with_witness() {
         let stg = gen::inconsistent_stg();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+        let t = sym.traverse(Code::ZERO);
         let violations = sym.check_consistency(t.reached);
         assert!(!violations.is_empty());
         let b = stg.signal_by_name("b").unwrap();
@@ -102,7 +101,7 @@ mod tests {
         b.cycle(&["r+", "a+", "r-", "a-"]);
         let stg = b.build().unwrap();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let t = sym.traverse(Code::from_bit_string("10").unwrap(), TraversalStrategy::Chained);
+        let t = sym.traverse(Code::from_bit_string("10").unwrap());
         let violations = sym.check_consistency(t.reached);
         assert!(!violations.is_empty());
     }

@@ -49,12 +49,11 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use crate::traverse::TraversalStrategy;
     use stgcheck_stg::{gen, StgBuilder};
 
     fn reached_of(sym: &mut SymbolicStg<'_>) -> Bdd {
         let code = sym.effective_initial_code().unwrap();
-        sym.traverse(code, TraversalStrategy::Chained).reached
+        sym.traverse(code).reached
     }
 
     #[test]

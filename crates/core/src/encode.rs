@@ -42,6 +42,33 @@ pub enum VarOrder {
     Declaration,
 }
 
+impl std::fmt::Display for VarOrder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            VarOrder::Interleaved => "interleaved",
+            VarOrder::PlacesThenSignals => "places",
+            VarOrder::SignalsThenPlaces => "signals",
+            VarOrder::Declaration => "declaration",
+        })
+    }
+}
+
+impl std::str::FromStr for VarOrder {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<VarOrder, String> {
+        match s {
+            "interleaved" => Ok(VarOrder::Interleaved),
+            "places" => Ok(VarOrder::PlacesThenSignals),
+            "signals" => Ok(VarOrder::SignalsThenPlaces),
+            "declaration" => Ok(VarOrder::Declaration),
+            other => Err(format!(
+                "unknown order `{other}` (expected interleaved, places, signals or declaration)"
+            )),
+        }
+    }
+}
+
 /// Per-transition characteristic cubes (Section 4).
 #[derive(Copy, Clone, Debug)]
 pub struct TransCubes {
@@ -516,6 +543,20 @@ impl std::fmt::Display for StateWitness {
 mod tests {
     use super::*;
     use stgcheck_stg::gen;
+
+    #[test]
+    fn var_order_parses_and_displays() {
+        for (s, o) in [
+            ("interleaved", VarOrder::Interleaved),
+            ("places", VarOrder::PlacesThenSignals),
+            ("signals", VarOrder::SignalsThenPlaces),
+            ("declaration", VarOrder::Declaration),
+        ] {
+            assert_eq!(s.parse::<VarOrder>().unwrap(), o);
+            assert_eq!(o.to_string(), s);
+        }
+        assert!("bogus".parse::<VarOrder>().unwrap_err().contains("unknown order `bogus`"));
+    }
 
     #[test]
     fn encodes_all_variables() {

@@ -6,11 +6,11 @@
 //! the same loop: grow a set by (pre-)images until nothing new appears.
 //! [`run_fixpoint`] is that loop, parametrised by a [`FixpointSpec`]
 //! (direction, marking-only vs. full-state, optional confinement set,
-//! optional reachability query, ring recording) and an [`EngineOptions`]
-//! selecting *how* the frontier step is computed:
+//! optional reachability query) and an [`EngineOptions`] selecting *how*
+//! the frontier step is computed:
 //!
 //! * [`EngineKind::PerTransition`] — one δ application per transition,
-//!   chained or strict-BFS, in declaration order;
+//!   chained, in declaration order;
 //! * [`EngineKind::ParallelSharded`] — transitions sharded across
 //!   `std::thread::scope` workers that all compute against **one**
 //!   concurrent [`stgcheck_bdd::BddManager`] (see
@@ -49,7 +49,6 @@ use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, FaultPlan, ResourceError, Va
 use stgcheck_petri::TransId;
 
 use crate::encode::{SymbolicStg, TransCubes};
-use crate::traverse::TraversalStrategy;
 
 /// How many live nodes trigger a garbage collection between steps (shared
 /// by every engine).
@@ -61,9 +60,9 @@ const MAX_CLUSTER: usize = 8;
 /// Selects the image engine that drives the fixed-point loops.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// One δ application per transition, in declaration order — the
-    /// paper's Fig. 5 schedule and the default. Honours
-    /// [`TraversalStrategy`].
+    /// One δ application per transition, in declaration order, each
+    /// firing from the states the earlier ones produced in the same sweep
+    /// — the paper's Fig. 5 schedule and the default.
     #[default]
     PerTransition,
     /// Transitions sharded across worker threads; partial frontier
@@ -162,9 +161,6 @@ impl std::str::FromStr for ReorderMode {
 pub struct EngineOptions {
     /// Which engine computes the frontier step.
     pub kind: EngineKind,
-    /// Frontier strategy for [`EngineKind::PerTransition`] (the sharded
-    /// engine always chains; saturation has no global frontier).
-    pub strategy: TraversalStrategy,
     /// Worker threads for [`EngineKind::ParallelSharded`]; `0` (the
     /// default) means the machine's available parallelism, clamped by
     /// the work available (see `MIN_SHARD_TRANSITIONS`).
@@ -211,10 +207,6 @@ pub(crate) struct FixpointSpec {
     /// its first witness instead of at the fixpoint (initial-code
     /// inference, the CSC-reducibility forward closure).
     pub until: Option<Bdd>,
-    /// Record the strict-BFS onion rings (`rings[0]` = init). Only
-    /// supported by the per-transition engine under
-    /// [`TraversalStrategy::Bfs`].
-    pub record_rings: bool,
     /// Allow threshold-triggered garbage collection during this loop.
     /// Must be `false` whenever the caller holds BDD handles that are
     /// not reachable from the permanent roots, the loop's live sets or
@@ -231,7 +223,6 @@ impl FixpointSpec {
             direction: StepDirection::Forward,
             within: None,
             until: None,
-            record_rings: false,
             gc: true,
         }
     }
@@ -271,8 +262,6 @@ pub(crate) struct FixpointOutcome {
     /// Outer iterations until convergence (engine-dependent; only the
     /// final set is engine-independent).
     pub iterations: usize,
-    /// Strict-BFS rings when requested, empty otherwise.
-    pub rings: Vec<Bdd>,
     /// Whether the loop converged, was interrupted or ran out of budget.
     pub stop: FixpointStop,
 }
@@ -449,13 +438,8 @@ pub(crate) fn run_fixpoint(
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
     debug_assert!(
-        !spec.record_rings
-            || (opts.kind == EngineKind::PerTransition && opts.strategy == TraversalStrategy::Bfs),
-        "rings require the strict-BFS per-transition engine"
-    );
-    debug_assert!(
-        ctl.resume.is_none() || (!spec.record_rings && spec.until.is_none()),
-        "resume cannot reconstruct strict-BFS rings or re-test the seed against `until`"
+        ctl.resume.is_none() || spec.until.is_none(),
+        "resume cannot re-test the seed against `until`"
     );
     // A trip that predates the loop (during encoding, inference, or
     // initial-state construction) means `init` is inert garbage — and so
@@ -467,7 +451,6 @@ pub(crate) fn run_fixpoint(
         return FixpointOutcome {
             reached: init,
             iterations: ctl.resume.as_ref().map_or(0, |r| r.iterations),
-            rings: Vec::new(),
             stop: match reason {
                 ResourceError::Cancelled => FixpointStop::Interrupted,
                 other => FixpointStop::Exhausted(other),
@@ -475,12 +458,7 @@ pub(crate) fn run_fixpoint(
         };
     }
     if spec.until.is_some_and(|u| sym.manager_mut().intersects(init, u)) {
-        return FixpointOutcome {
-            reached: init,
-            iterations: 0,
-            rings: Vec::new(),
-            stop: FixpointStop::Met,
-        };
+        return FixpointOutcome { reached: init, iterations: 0, stop: FixpointStop::Met };
     }
     match opts.kind {
         EngineKind::PerTransition => run_per_transition(sym, opts, spec, transitions, init, ctl),
@@ -504,20 +482,19 @@ fn apply_one<M: BddOps>(mgr: &mut M, spec: &FixpointSpec, cubes: &TransCubes, se
 
 /// Collects between steps when the manager has grown past
 /// [`GC_THRESHOLD`], protecting the permanent cubes, the loop's live
-/// sets, the recorded rings, the confinement set and the query set.
-fn maybe_gc(sym: &mut SymbolicStg<'_>, spec: &FixpointSpec, live: &[Bdd], rings: &[Bdd]) {
+/// sets, the confinement set and the query set.
+fn maybe_gc(sym: &mut SymbolicStg<'_>, spec: &FixpointSpec, live: &[Bdd]) {
     if !spec.gc || !sym.manager().gc_due(GC_THRESHOLD) {
         return;
     }
-    let roots = loop_roots(sym, spec, live, rings);
+    let roots = loop_roots(sym, spec, live);
     sym.manager_mut().gc(&roots);
 }
 
 /// Everything a collection or a sift inside the loop must keep alive.
-fn loop_roots(sym: &SymbolicStg<'_>, spec: &FixpointSpec, live: &[Bdd], rings: &[Bdd]) -> Vec<Bdd> {
+fn loop_roots(sym: &SymbolicStg<'_>, spec: &FixpointSpec, live: &[Bdd]) -> Vec<Bdd> {
     let mut roots = sym.permanent_roots();
     roots.extend_from_slice(live);
-    roots.extend_from_slice(rings);
     roots.extend(spec.within);
     roots.extend(spec.until);
     roots
@@ -536,7 +513,6 @@ fn maybe_reorder(
     opts: &EngineOptions,
     spec: &FixpointSpec,
     live: &[Bdd],
-    rings: &[Bdd],
 ) {
     if !spec.gc {
         return;
@@ -549,7 +525,7 @@ fn maybe_reorder(
     if !due {
         return;
     }
-    let roots = loop_roots(sym, spec, live, rings);
+    let roots = loop_roots(sym, spec, live);
     sym.manager_mut().sift(&roots);
 }
 
@@ -566,34 +542,18 @@ fn run_per_transition(
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
-    let mut rings = if spec.record_rings { vec![init] } else { Vec::new() };
     loop {
         iterations += 1;
-        let to = match opts.strategy {
-            TraversalStrategy::Chained => {
-                let mut acc = from;
-                for &t in transitions {
-                    let cubes = *sym.cubes(t);
-                    let img = apply_one(sym.manager_mut(), spec, &cubes, acc);
-                    acc = sym.manager_mut().or(acc, img);
-                    // Intermediate sets inside one chained sweep are the
-                    // memory peak on deep pipelines: collect eagerly,
-                    // keeping only the running accumulator.
-                    maybe_gc(sym, spec, &[reached, acc], &rings);
-                }
-                acc
-            }
-            TraversalStrategy::Bfs => {
-                let mut acc = from;
-                for &t in transitions {
-                    let cubes = *sym.cubes(t);
-                    let img = apply_one(sym.manager_mut(), spec, &cubes, from);
-                    acc = sym.manager_mut().or(acc, img);
-                    maybe_gc(sym, spec, &[reached, from, acc], &rings);
-                }
-                acc
-            }
-        };
+        let mut to = from;
+        for &t in transitions {
+            let cubes = *sym.cubes(t);
+            let img = apply_one(sym.manager_mut(), spec, &cubes, to);
+            to = sym.manager_mut().or(to, img);
+            // Intermediate sets inside one chained sweep are the memory
+            // peak on deep pipelines: collect eagerly, keeping only the
+            // running accumulator.
+            maybe_gc(sym, spec, &[reached, to]);
+        }
         let new = sym.manager_mut().diff(to, reached);
         let grown = sym.manager_mut().or(reached, new);
         // Budget check *before* the convergence test and the commit: a
@@ -602,23 +562,20 @@ fn run_per_transition(
         // the loop must report exhaustion, never fake convergence or
         // commit garbage.
         if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-            return FixpointOutcome { reached, iterations: iterations - 1, rings, stop };
+            return FixpointOutcome { reached, iterations: iterations - 1, stop };
         }
         if new.is_false() {
             break;
         }
         reached = grown;
-        if spec.record_rings {
-            rings.push(new);
-        }
         from = new;
-        maybe_gc(sym, spec, &[reached, from], &rings);
-        maybe_reorder(sym, opts, spec, &[reached, from], &rings);
+        maybe_gc(sym, spec, &[reached, from]);
+        maybe_reorder(sym, opts, spec, &[reached, from]);
         if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
-            return FixpointOutcome { reached, iterations, rings, stop };
+            return FixpointOutcome { reached, iterations, stop };
         }
     }
-    FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Converged }
+    FixpointOutcome { reached, iterations, stop: FixpointStop::Converged }
 }
 
 /// The variables each transition's step reads or writes: its places and,
@@ -775,7 +732,7 @@ fn run_saturation(
                 let mgr = sym.manager_mut();
                 let img = apply_one(mgr, spec, &cubes, acc);
                 acc = mgr.or(acc, img);
-                maybe_gc(sym, spec, &[reached, acc], &[]);
+                maybe_gc(sym, spec, &[reached, acc]);
             }
             // A trip inside the sweep makes `acc` inert garbage (an OR of
             // tripped operands is TRUE, which `acc == reached` would
@@ -790,12 +747,12 @@ fn run_saturation(
             reached = acc;
         }
         if let Some(stop) = ctl.budget_stop(sym, reached, reached, iterations) {
-            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
+            return FixpointOutcome { reached, iterations, stop };
         }
         // The snapshot's frontier *is* the reached set here — saturation
         // resumes by re-saturating, not by frontier replay.
         if let Some(stop) = ctl.tick(sym, spec, reached, reached, iterations) {
-            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
+            return FixpointOutcome { reached, iterations, stop };
         }
         if !grew {
             pos += 1;
@@ -807,7 +764,7 @@ fn run_saturation(
         // the in-place sift; the cluster supports are variable sets,
         // untouched by any reorder).
         let sift_before = sym.manager().stats().sift_runs;
-        maybe_reorder(sym, opts, spec, &[reached], &[]);
+        maybe_reorder(sym, opts, spec, &[reached]);
         if sym.manager().stats().sift_runs != sift_before {
             homes = saturation_homes(sym.manager(), &cluster_supports);
             schedule = saturation_schedule(&homes);
@@ -822,7 +779,7 @@ fn run_saturation(
             None => pos += 1,
         }
     }
-    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
+    FixpointOutcome { reached, iterations, stop: FixpointStop::Converged }
 }
 
 // ---------------------------------------------------------------------------
@@ -920,12 +877,7 @@ fn run_parallel(
     if jobs < 2 {
         // Degenerate shard count: the sequential chained loop computes
         // the same fixpoint without thread overhead.
-        let seq = EngineOptions {
-            kind: EngineKind::PerTransition,
-            strategy: TraversalStrategy::Chained,
-            ..*opts
-        };
-        return run_per_transition(sym, &seq, spec, transitions, init, ctl);
+        return run_per_transition(sym, opts, spec, transitions, init, ctl);
     }
     let shards = balance_shards(sym, transitions, jobs);
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
@@ -951,12 +903,7 @@ fn run_parallel(
         // convergence), and so does one in the join. Abandon it all, keep
         // the committed state.
         if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-            return FixpointOutcome {
-                reached,
-                iterations: iterations - 1,
-                rings: Vec::new(),
-                stop,
-            };
+            return FixpointOutcome { reached, iterations: iterations - 1, stop };
         }
         if new.is_false() {
             break;
@@ -965,13 +912,13 @@ fn run_parallel(
         from = new;
         // Stop-the-world quiesce point: workers are joined, the `&mut`
         // borrow is exclusive again.
-        maybe_gc(sym, spec, &[reached, from], &[]);
-        maybe_reorder(sym, opts, spec, &[reached, from], &[]);
+        maybe_gc(sym, spec, &[reached, from]);
+        maybe_reorder(sym, opts, spec, &[reached, from]);
         if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
-            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
+            return FixpointOutcome { reached, iterations, stop };
         }
     }
-    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
+    FixpointOutcome { reached, iterations, stop: FixpointStop::Converged }
 }
 
 #[cfg(test)]
@@ -1109,7 +1056,6 @@ mod tests {
             &mut FixpointCtl::default(),
         );
         for opts in [
-            EngineOptions { strategy: TraversalStrategy::Bfs, ..EngineOptions::default() },
             EngineOptions {
                 kind: EngineKind::ParallelSharded,
                 jobs: 1,
@@ -1157,7 +1103,6 @@ mod tests {
         assert!(!sym.manager_mut().intersects(init, deep));
         for opts in [
             EngineOptions::default(),
-            EngineOptions { strategy: TraversalStrategy::Bfs, ..EngineOptions::default() },
             EngineOptions {
                 kind: EngineKind::ParallelSharded,
                 jobs: 2,

@@ -92,12 +92,11 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use crate::traverse::TraversalStrategy;
     use stgcheck_stg::gen;
 
     fn markings_of(sym: &mut SymbolicStg<'_>) -> Bdd {
         let code = sym.effective_initial_code().unwrap();
-        let t = sym.traverse(code, TraversalStrategy::Chained);
+        let t = sym.traverse(code);
         sym.project_markings(t.reached)
     }
 

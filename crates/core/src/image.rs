@@ -304,7 +304,7 @@ mod tests {
         for stg in &nets {
             let mut sym = SymbolicStg::new(stg, VarOrder::Interleaved);
             let code = sym.effective_initial_code().unwrap();
-            let reached = sym.traverse(code, crate::traverse::TraversalStrategy::Chained).reached;
+            let reached = sym.traverse(code).reached;
             for set in [reached, reached.complement(), Bdd::TRUE] {
                 for t in stg.net().transitions() {
                     let name = stg.net().trans_name(t);

@@ -13,7 +13,9 @@
 //!   cofactor/product formula, computed as one literal flip per image
 //!   — no next-state variables (Section 4);
 //! * [`SymbolicStg::traverse`] is the fixed-point traversal of Fig. 5,
-//!   chained or strict-BFS, with peak/final BDD statistics;
+//!   with peak/final BDD statistics, and
+//!   [`SymbolicStg::extract_trace`] turns any engine's reachable set into
+//!   a shortest firing sequence to a target set;
 //! * a pluggable image-engine layer ([`EngineKind`], [`EngineOptions`])
 //!   behind one shared fixed-point loop and one image kernel: the
 //!   per-transition schedule, a parallel sharded engine that splits
@@ -76,10 +78,7 @@ pub use serve::{
     outcome_exit, run_daemon, JobError, JobResult, JobSpec, Scheduler, ServeOptions, Shed,
 };
 pub use store::{CacheStatus, ResultStore};
-pub use trace::RingTraversal;
-pub use traverse::{
-    cross_check_reachability, format_states, Traversal, TraversalStats, TraversalStrategy,
-};
+pub use traverse::{cross_check_reachability, format_states, Traversal, TraversalStats};
 pub use verify::{
     verify, verify_persistent, BudgetSpec, Outcome, PersistOptions, PhaseTimes, SymbolicReport,
     VerifyError, VerifyOptions, VerifyRun,

@@ -160,13 +160,12 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use crate::traverse::TraversalStrategy;
     use stgcheck_stg::{gen, StgBuilder};
 
     fn setup(stg: &stgcheck_stg::Stg) -> (SymbolicStg<'_>, Bdd) {
         let mut sym = SymbolicStg::new(stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
-        let t = sym.traverse(code, TraversalStrategy::Chained);
+        let t = sym.traverse(code);
         (sym, t.reached)
     }
 

@@ -142,11 +142,10 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use crate::traverse::TraversalStrategy;
     use stgcheck_stg::{gen, Code};
 
     fn reached_markings(sym: &mut SymbolicStg<'_>, code: Code) -> Bdd {
-        let t = sym.traverse(code, TraversalStrategy::Chained);
+        let t = sym.traverse(code);
         sym.project_markings(t.reached)
     }
 

@@ -26,11 +26,8 @@
 //! `--max-nodes`, `--max-steps` and `--fallback` CLI flags.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
-use crate::encode::VarOrder;
-use crate::traverse::TraversalStrategy;
-use crate::verify::VerifyOptions;
+use crate::verify::{BudgetSpec, VerifyOptions};
 
 /// A parsed JSON value — just enough of the data model for the protocol.
 #[derive(Clone, Debug, PartialEq)]
@@ -348,7 +345,6 @@ const VERIFY_FIELDS: &[&str] = &[
     "reorder",
     "order",
     "jobs",
-    "bfs",
     "arbitration",
     "timeout_s",
     "max_nodes",
@@ -472,32 +468,18 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
     let mut options = *defaults;
     opt_parse(json, "engine", &mut options.engine.kind)?;
     opt_parse(json, "reorder", &mut options.reorder)?;
-    if let Some(v) = json.get("order") {
-        let s = v.as_str().ok_or("`order` must be a string")?;
-        options.order = match s {
-            "interleaved" => VarOrder::Interleaved,
-            "places" => VarOrder::PlacesThenSignals,
-            "signals" => VarOrder::SignalsThenPlaces,
-            "declaration" => VarOrder::Declaration,
-            other => return Err(format!("unknown order `{other}`")),
-        };
-    }
+    opt_parse(json, "order", &mut options.order)?;
     if let Some(jobs) = opt_uint(json, "jobs")? {
         options.engine.jobs = jobs as usize;
-    }
-    if let Some(bfs) = opt_bool(json, "bfs")? {
-        options.engine.strategy =
-            if bfs { TraversalStrategy::Bfs } else { TraversalStrategy::Chained };
     }
     if let Some(arb) = opt_bool(json, "arbitration")? {
         options.policy.allow_arbitration = arb;
     }
     if let Some(v) = json.get("timeout_s") {
         let secs = v.as_num().ok_or("`timeout_s` must be a number")?;
-        if secs <= 0.0 {
-            return Err("`timeout_s` must be positive".to_string());
-        }
-        options.budget.timeout = Some(Duration::from_secs_f64(secs));
+        let timeout =
+            BudgetSpec::timeout_from_secs(secs).map_err(|e| format!("`timeout_s` {e}"))?;
+        options.budget.timeout = Some(timeout);
     }
     if let Some(n) = opt_uint(json, "max_nodes")? {
         options.budget.max_nodes = n as usize;
@@ -514,7 +496,9 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::VarOrder;
     use crate::engine::{EngineKind, ReorderMode};
+    use std::time::Duration;
 
     #[test]
     fn json_parses_and_rejects() {
@@ -540,7 +524,8 @@ mod tests {
         let defaults = VerifyOptions::default();
         let req = parse_request(
             r#"{"id":"r1","op":"verify","net":"x","engine":"clustered","reorder":"auto",
-                "timeout_s":2.5,"max_steps":100,"fallback":true,"arbitration":true}"#
+                "order":"declaration","timeout_s":2.5,"max_steps":100,"fallback":true,
+                "arbitration":true}"#
                 .replace('\n', " ")
                 .as_str(),
             &defaults,
@@ -553,6 +538,7 @@ mod tests {
         // spelling of saturation.
         assert_eq!(v.options.engine.kind, EngineKind::Saturation);
         assert_eq!(v.options.reorder, ReorderMode::Auto);
+        assert_eq!(v.options.order, VarOrder::Declaration);
         assert_eq!(v.options.budget.timeout, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(v.options.budget.max_steps, 100);
         assert!(v.options.budget.fallback);
@@ -577,6 +563,9 @@ mod tests {
             (r#"{"id":"a","op":"verify","net":"x","net_path":"y"}"#, "not both"),
             (r#"{"id":"a","net":"x","engine":"frob"}"#, "unknown engine"),
             (r#"{"id":"a","net":"x","timeout_s":-1}"#, "positive"),
+            (r#"{"id":"a","net":"x","timeout_s":1e300}"#, "`timeout_s` must be at most"),
+            (r#"{"id":"a","net":"x","timeout_s":1e400}"#, "non-finite number"),
+            (r#"{"id":"a","net":"x","order":"bogus"}"#, "`order`: unknown order `bogus`"),
             (r#"{"id":"a","net":"x","max_steps":1.5}"#, "non-negative integer"),
             (r#"{"op":"cancel"}"#, "needs a string `target`"),
             (r#"{"op":"frobnicate"}"#, "unknown op"),
@@ -589,6 +578,7 @@ mod tests {
                 r#"{"id":"a","net":"x","sharing":"private"}"#,
                 "unknown field `sharing` for op `verify`",
             ),
+            (r#"{"id":"a","net":"x","bfs":true}"#, "unknown field `bfs` for op `verify`"),
             (r#"{"op":"cancel","target":"r1","id":"c1"}"#, "unknown field `id` for op `cancel`"),
             (r#"{"op":"ping","id":"p","verbose":true}"#, "unknown field `verbose` for op `ping`"),
         ] {

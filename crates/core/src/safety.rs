@@ -58,14 +58,13 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use crate::traverse::TraversalStrategy;
     use stgcheck_stg::{gen, Code};
 
     #[test]
     fn safe_benchmarks_pass() {
         for stg in [gen::mutex_element(), gen::muller_pipeline(4), gen::master_read(2)] {
             let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-            let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+            let t = sym.traverse(Code::ZERO);
             assert!(sym.check_safeness(t.reached).is_empty(), "{}", stg.name());
         }
     }
@@ -74,7 +73,7 @@ mod tests {
     fn detects_unsafe_net() {
         let stg = gen::unsafe_stg();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+        let t = sym.traverse(Code::ZERO);
         let violations = sym.check_safeness(t.reached);
         assert!(!violations.is_empty());
         let q = stg.net().place_by_name("q").unwrap();
@@ -86,7 +85,7 @@ mod tests {
         // The unbounded fixture first violates safeness at its sink place.
         let stg = gen::unbounded_stg();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+        let t = sym.traverse(Code::ZERO);
         let violations = sym.check_safeness(t.reached);
         assert!(!violations.is_empty());
         let sink = stg.net().place_by_name("sink").unwrap();

@@ -39,8 +39,8 @@ use crate::encode::{StateWitness, VarOrder};
 use crate::engine::{write_atomically, EngineKind, ReorderMode};
 use crate::persistency::{SymSignalViolation, SymTransViolation};
 use crate::safety::SafetyViolation;
-use crate::traverse::{TraversalStats, TraversalStrategy};
-use crate::verify::{PhaseTimes, SymbolicReport, VerifyOptions};
+use crate::traverse::TraversalStats;
+use crate::verify::{effective_engine, PhaseTimes, SymbolicReport, VerifyOptions};
 
 /// Where a [`crate::verify_persistent`] result came from.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -266,10 +266,7 @@ pub(crate) fn cache_key(hash: u128, opts: &VerifyOptions) -> String {
 }
 
 fn opts_tag(opts: &VerifyOptions) -> String {
-    let mut engine = opts.engine;
-    if opts.reorder != ReorderMode::None {
-        engine.reorder = opts.reorder;
-    }
+    let engine = effective_engine(opts);
     let order = match opts.order {
         VarOrder::Interleaved => "iv",
         VarOrder::PlacesThenSignals => "ps",
@@ -282,16 +279,12 @@ fn opts_tag(opts: &VerifyOptions) -> String {
         EngineKind::ParallelSharded => "pa",
         EngineKind::Saturation => "sa",
     };
-    let strategy = match engine.strategy {
-        TraversalStrategy::Chained => "ch",
-        TraversalStrategy::Bfs => "bf",
-    };
     let reorder = match engine.reorder {
         ReorderMode::None => "rn",
         ReorderMode::Sift => "rs",
         ReorderMode::Auto => "ra",
     };
-    format!("{order}-{policy}-{kind}-{strategy}-j{}-{reorder}", engine.jobs)
+    format!("{order}-{policy}-{kind}-j{}-{reorder}", engine.jobs)
 }
 
 /// File name of the `latest` pointer: sanitized net name plus the option
@@ -810,10 +803,14 @@ mod tests {
     fn cache_keys_separate_options() {
         let base = VerifyOptions::default();
         let k0 = cache_key(7, &base);
-        assert!(k0.starts_with("00000000000000000000000000000007-"));
+        assert_eq!(k0, "00000000000000000000000000000007-iv-strict-pt-j0-rn");
         let mut sift = base;
         sift.reorder = ReorderMode::Sift;
         assert_ne!(cache_key(7, &sift), k0);
+        // Either reorder knob selects the same run, so the same entry.
+        let mut engine_sift = base;
+        engine_sift.engine.reorder = ReorderMode::Sift;
+        assert_eq!(cache_key(7, &engine_sift), cache_key(7, &sift));
         let mut pa = base;
         pa.engine.kind = EngineKind::ParallelSharded;
         assert_ne!(cache_key(7, &pa), k0);

@@ -1,112 +1,70 @@
-//! Counter-example *traces*: a firing sequence from the initial state to
-//! any state of a target set, reconstructed from the onion rings of the
-//! symbolic traversal.
+//! Counter-example *traces*: a shortest firing sequence from the initial
+//! state into a target set, computed on demand inside the reached set `R`
+//! of any engine.
 //!
-//! The traversal keeps its frontier rings `New₀ ⊂ New₁ ⊂ …`; to reach a
-//! target state in ring `k`, walk backwards: find a transition whose
-//! pre-image of the current goal intersects ring `k−1`, fix one state of
-//! that intersection, repeat. The result is a real firing sequence that
-//! the explicit token game replays.
+//! Backward rings grow from the target: `B₀ = target ∧ R`, and `Bᵢ₊₁`
+//! holds the states of `R` outside the earlier rings with a successor in
+//! `Bᵢ`, i.e. the reachable states `i + 1` firings from the target. From
+//! the first ring `Bₖ` that holds the initial state the trace walks
+//! forward, one image per step, through `Bₖ₋₁, …, B₀`.
 
-use stgcheck_bdd::{Bdd, BddOps, Literal};
+use stgcheck_bdd::{Bdd, BddOps};
 use stgcheck_petri::TransId;
 use stgcheck_stg::Code;
 
 use crate::encode::SymbolicStg;
-use crate::engine::{run_fixpoint, EngineKind, EngineOptions, FixpointCtl, FixpointSpec};
-use crate::traverse::{TraversalStats, TraversalStrategy};
-
-/// A traversal that retained its frontier rings for trace extraction.
-#[derive(Clone, Debug)]
-pub struct RingTraversal {
-    /// Characteristic function of all reachable full states.
-    pub reached: Bdd,
-    /// Strict-BFS frontier rings: `rings[0]` is the initial state.
-    pub rings: Vec<Bdd>,
-    /// Statistics of the traversal.
-    pub stats: TraversalStats,
-}
 
 impl SymbolicStg<'_> {
-    /// Strict-BFS traversal that records one ring per step (chaining would
-    /// skew the distance metric, so this always runs the per-transition
-    /// engine under the BFS frontier, whatever engine is selected).
-    pub fn traverse_with_rings(&mut self, code: Code) -> RingTraversal {
-        let start = std::time::Instant::now();
-        self.manager_mut().reset_peak();
-        let sift_runs_before = self.manager().stats().sift_runs;
-        let init = self.initial_state(code);
-        let transitions: Vec<_> = self.stg().net().transitions().collect();
-        let opts = EngineOptions {
-            kind: EngineKind::PerTransition,
-            strategy: TraversalStrategy::Bfs,
-            ..*self.engine()
-        };
-        let spec = FixpointSpec { record_rings: true, ..FixpointSpec::forward_full() };
-        let out = run_fixpoint(self, &opts, &spec, &transitions, init, &mut FixpointCtl::default());
-        let stats = TraversalStats {
-            iterations: out.iterations,
-            peak_nodes: self.manager().peak_live_nodes(),
-            final_nodes: self.manager().size(out.reached),
-            sift_passes: self.manager().stats().sift_runs - sift_runs_before,
-            num_states: self.manager().sat_count(out.reached),
-            seconds: start.elapsed().as_secs_f64(),
-        };
-        RingTraversal { reached: out.reached, rings: out.rings, stats }
-    }
-
-    /// Extracts a shortest firing sequence from the initial state to some
-    /// state of `target`, or `None` when `target` is unreachable.
+    /// Extracts a shortest firing sequence from the initial state
+    /// `(m₀, code)` to some state of `target`, or `None` when no state of
+    /// `target` lies in `reached`.
     ///
-    /// The returned transitions, fired in order from the initial state,
-    /// land in `target`.
-    pub fn extract_trace(
-        &mut self,
-        traversal: &RingTraversal,
-        target: Bdd,
-    ) -> Option<Vec<TransId>> {
-        // Find the earliest ring intersecting the target.
-        let mut k = None;
-        for (i, &ring) in traversal.rings.iter().enumerate() {
-            if self.manager_mut().intersects(ring, target) {
-                k = Some(i);
-                break;
-            }
-        }
-        let k = k?;
-        let transitions: Vec<_> = self.stg().net().transitions().collect();
-        // Fix one concrete goal state inside ring k ∩ target.
-        let mut goal = {
-            let mgr = self.manager_mut();
-            let g = mgr.and(traversal.rings[k], target);
-            let cube = mgr.pick_cube(g).expect("non-empty intersection");
-            let lits: Vec<Literal> = cube;
-            mgr.cube(&lits)
-        };
-        let mut path: Vec<TransId> = Vec::new();
-        for i in (1..=k).rev() {
-            let prev_ring = traversal.rings[i - 1];
-            let mut found = false;
+    /// `reached` is the reachable set of a traversal from the same initial
+    /// state, by any engine and under any reordering mode. The returned
+    /// transitions, fired in order from the initial state, land in
+    /// `target`. The call runs no garbage collection and no sifting, so
+    /// `reached` and `target` stay valid throughout.
+    pub fn extract_trace(&mut self, code: Code, reached: Bdd, target: Bdd) -> Option<Vec<TransId>> {
+        let init = self.initial_state(code);
+        let transitions: Vec<TransId> = self.stg().net().transitions().collect();
+        // `rings` holds B₀ … Bₖ₋₁; `ring` is the newest, Bₖ once it
+        // holds `init`.
+        let mut ring = self.manager_mut().and(target, reached);
+        let mut seen = ring;
+        let mut rings = Vec::new();
+        while !self.manager_mut().intersects(ring, init) {
+            let mut pre = Bdd::FALSE;
             for &t in &transitions {
-                let pre = self.preimage(goal, t);
-                let mgr = self.manager_mut();
-                let meet = mgr.and(pre, prev_ring);
-                if meet.is_false() {
-                    continue;
-                }
-                // Fix one predecessor state and continue from it.
-                let cube = mgr.pick_cube(meet).expect("non-empty");
-                goal = self.manager_mut().cube(&cube);
-                path.push(t);
-                found = true;
-                break;
+                let p = self.preimage(ring, t);
+                pre = self.manager_mut().or(pre, p);
             }
-            debug_assert!(found, "ring {i} state must have a ring {} predecessor", i - 1);
-            if !found {
+            let mgr = self.manager_mut();
+            let pre = mgr.and(pre, reached);
+            let next = mgr.diff(pre, seen);
+            if next.is_false() {
                 return None;
             }
+            seen = mgr.or(seen, next);
+            rings.push(ring);
+            ring = next;
         }
-        path.reverse();
+        // Every state of Bᵢ₊₁ has a successor in Bᵢ, and the image of one
+        // state is one state.
+        let mut state = init;
+        let mut path = Vec::with_capacity(rings.len());
+        for &ring in rings.iter().rev() {
+            let mut step = None;
+            for &t in &transitions {
+                let next = self.image(state, t);
+                if self.manager_mut().intersects(next, ring) {
+                    step = Some((t, next));
+                    break;
+                }
+            }
+            let (t, next) = step.expect("a ring state has a successor in the next ring");
+            path.push(t);
+            state = next;
+        }
         Some(path)
     }
 }
@@ -115,7 +73,7 @@ impl SymbolicStg<'_> {
 mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use stgcheck_stg::{gen, Polarity, SignalKind};
+    use stgcheck_stg::{gen, Polarity};
 
     /// Replays a trace on the explicit token game and returns the final
     /// full state.
@@ -139,12 +97,12 @@ mod tests {
         let stg = gen::mutex_element();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
-        let traversal = sym.traverse_with_rings(code);
+        let reached = sym.traverse(code).reached;
         // Target: a1 granted (a1 = 1).
         let a1 = stg.signal_by_name("a1").unwrap();
         let v = sym.signal_var(a1);
         let target = sym.manager_mut().var(v);
-        let trace = sym.extract_trace(&traversal, target).expect("grant reachable");
+        let trace = sym.extract_trace(code, reached, target).expect("grant reachable");
         // Shortest: r1+ then a1+.
         assert_eq!(trace.len(), 2);
         let (_, final_code) = replay(&stg, &trace);
@@ -156,24 +114,24 @@ mod tests {
         let stg = gen::mutex_element();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
-        let traversal = sym.traverse_with_rings(code);
+        let reached = sym.traverse(code).reached;
         // Both grants high simultaneously: excluded by the mutex.
         let a1 = sym.signal_var(stg.signal_by_name("a1").unwrap());
         let a2 = sym.signal_var(stg.signal_by_name("a2").unwrap());
         let mgr = sym.manager_mut();
         let (v1, v2) = (mgr.var(a1), mgr.var(a2));
         let both = mgr.and(v1, v2);
-        assert!(sym.extract_trace(&traversal, both).is_none());
+        assert!(sym.extract_trace(code, reached, both).is_none());
     }
 
     #[test]
     fn trace_to_consistency_violation() {
         let stg = gen::inconsistent_stg();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let traversal = sym.traverse_with_rings(Code::ZERO);
+        let reached = sym.traverse(Code::ZERO).reached;
         let b = stg.signal_by_name("b").unwrap();
         let bad = sym.inconsistent_set(b, Polarity::Rise);
-        let trace = sym.extract_trace(&traversal, bad).expect("violation reachable");
+        let trace = sym.extract_trace(Code::ZERO, reached, bad).expect("violation reachable");
         // b+ then a+ reaches the state where b+/2 is enabled with b = 1.
         assert_eq!(trace.len(), 2);
         let (m, code) = replay(&stg, &trace);
@@ -185,7 +143,7 @@ mod tests {
     #[test]
     fn traces_are_shortest() {
         // In the handshake cycle, reaching "r must fall next" takes
-        // exactly two firings.
+        // exactly two firings; the initial state itself takes none.
         let mut bld = stgcheck_stg::StgBuilder::new("hs");
         bld.input("r");
         bld.output("a");
@@ -193,31 +151,16 @@ mod tests {
         bld.initial_code_str("00");
         let stg = bld.build().unwrap();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let traversal = sym.traverse_with_rings(Code::ZERO);
+        let reached = sym.traverse(Code::ZERO).reached;
         let r = stg.signal_by_name("r").unwrap();
         let a = stg.signal_by_name("a").unwrap();
         let (rv, av) = (sym.signal_var(r), sym.signal_var(a));
         let mgr = sym.manager_mut();
         let (pr, pa) = (mgr.var(rv), mgr.var(av));
         let target = mgr.and(pr, pa); // code 11
-        let trace = sym.extract_trace(&traversal, target).unwrap();
+        let trace = sym.extract_trace(Code::ZERO, reached, target).unwrap();
         assert_eq!(trace.len(), 2);
-    }
-
-    #[test]
-    fn rings_partition_reached() {
-        let stg = gen::master_read(2);
-        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let code = sym.effective_initial_code().unwrap();
-        let traversal = sym.traverse_with_rings(code);
-        let mut union = Bdd::FALSE;
-        for &ring in &traversal.rings {
-            let mgr = sym.manager_mut();
-            assert!(!mgr.intersects(union, ring), "rings must be disjoint");
-            union = mgr.or(union, ring);
-        }
-        assert_eq!(union, traversal.reached);
-        // Sanity: input transitions exist in this workload (used below).
-        assert!(stg.signals().any(|s| stg.signal_kind(s) == SignalKind::Input));
+        let init = sym.initial_state(Code::ZERO);
+        assert_eq!(sym.extract_trace(Code::ZERO, reached, init), Some(Vec::new()));
     }
 }

@@ -9,23 +9,7 @@ use stgcheck_bdd::{Bdd, BddOps};
 use stgcheck_stg::{Code, Polarity, SgError, SgOptions, SignalId};
 
 use crate::encode::SymbolicStg;
-use crate::engine::{
-    run_fixpoint, EngineKind, EngineOptions, FixpointCtl, FixpointSpec, FixpointStop,
-};
-
-/// Frontier strategy for the fixed-point loop.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum TraversalStrategy {
-    /// The paper's Fig. 5: within one outer iteration, each transition
-    /// fires from the frontier *including* states produced by the
-    /// transitions already processed in this iteration (chaining). Usually
-    /// converges in far fewer iterations.
-    #[default]
-    Chained,
-    /// Strict breadth-first: all transitions fire from the same frontier;
-    /// their images are merged afterwards. The ablation baseline.
-    Bfs,
-}
+use crate::engine::{run_fixpoint, EngineOptions, FixpointCtl, FixpointSpec, FixpointStop};
 
 /// Statistics of one traversal, matching the columns of the paper's
 /// Table 1.
@@ -82,20 +66,14 @@ pub struct Traversal {
 
 impl SymbolicStg<'_> {
     /// Runs the symbolic traversal of Fig. 5 from `(m₀, code)` with the
-    /// per-transition engine and the given frontier strategy.
+    /// engine selected via [`SymbolicStg::set_engine`] (per-transition
+    /// unless set).
     ///
     /// Returns the set of reachable full states. Consistency is *not*
     /// checked here — [`SymbolicStg::check_consistency`] inspects the
     /// result, and [`crate::verify`] combines both exactly like the
     /// paper's "T+C" phase.
-    pub fn traverse(&mut self, code: Code, strategy: TraversalStrategy) -> Traversal {
-        let opts = EngineOptions { kind: EngineKind::PerTransition, strategy, ..*self.engine() };
-        self.traverse_with_engine(code, &opts)
-    }
-
-    /// Runs the Fig. 5 traversal with the engine currently selected via
-    /// [`SymbolicStg::set_engine`].
-    pub fn traverse_engine(&mut self, code: Code) -> Traversal {
+    pub fn traverse(&mut self, code: Code) -> Traversal {
         let opts = *self.engine();
         self.traverse_with_engine(code, &opts)
     }
@@ -270,7 +248,7 @@ pub fn cross_check_reachability(
         .map_err(|e| format!("explicit construction failed: {e}"))?;
     let mut sym = SymbolicStg::new(stg, order);
     let code = sym.effective_initial_code().map_err(|e| e.to_string())?;
-    let t = sym.traverse(code, TraversalStrategy::Chained);
+    let t = sym.traverse(code);
     if t.stats.num_states != explicit.len() as u128 {
         return Err(format!(
             "state counts differ: symbolic {} vs explicit {}",
@@ -327,23 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn chained_and_bfs_agree() {
-        let stg = gen::muller_pipeline(5);
-        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let chained = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
-        let bfs = sym.traverse(Code::ZERO, TraversalStrategy::Bfs);
-        assert_eq!(chained.reached, bfs.reached);
-        assert_eq!(chained.stats.num_states, bfs.stats.num_states);
-        // Chaining needs no more iterations than strict BFS.
-        assert!(chained.stats.iterations <= bfs.stats.iterations);
-    }
-
-    #[test]
     fn par_handshakes_counts_4_pow_n() {
         for n in [2, 4, 6] {
             let stg = gen::par_handshakes(n);
             let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-            let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+            let t = sym.traverse(Code::ZERO);
             assert_eq!(t.stats.num_states, 4u128.pow(n as u32));
         }
     }
@@ -353,7 +319,7 @@ mod tests {
         // The symbolic selling point: 4^10 states, BDD linear in n.
         let stg = gen::par_handshakes(10);
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+        let t = sym.traverse(Code::ZERO);
         assert_eq!(t.stats.num_states, 4u128.pow(10));
         assert!(
             t.stats.final_nodes < 400,
@@ -385,7 +351,7 @@ mod tests {
     fn projections_remove_their_variables() {
         let stg = gen::mutex_element();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+        let t = sym.traverse(Code::ZERO);
         let markings = sym.project_markings(t.reached);
         let codes = sym.project_codes(t.reached);
         let support_m = sym.manager().support(markings);

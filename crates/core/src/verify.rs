@@ -66,6 +66,21 @@ impl BudgetSpec {
     pub(crate) fn build(&self, cancel: Option<Arc<AtomicBool>>) -> Budget {
         Budget::new(self.timeout, self.max_nodes, self.max_steps, cancel)
     }
+
+    /// Reads a timeout in seconds (`--timeout`, `timeout_s`): the one
+    /// check the CLI, `table1` and `serve` share.
+    ///
+    /// # Errors
+    ///
+    /// `secs` is not positive or does not fit a [`Duration`]; the message
+    /// is for the caller to prefix with its flag or field.
+    pub fn timeout_from_secs(secs: f64) -> Result<Duration, String> {
+        if secs.is_nan() || secs <= 0.0 {
+            return Err("must be a positive number of seconds".to_string());
+        }
+        Duration::try_from_secs_f64(secs)
+            .map_err(|_| format!("must be at most {} seconds", Duration::MAX.as_secs()))
+    }
 }
 
 /// Options for [`verify`].
@@ -75,9 +90,7 @@ pub struct VerifyOptions {
     pub order: VarOrder,
     /// Persistency interpretation (arbitration points).
     pub policy: PersistencyPolicy,
-    /// Image engine driving every fixed-point loop, including the
-    /// frontier strategy of the per-transition engine
-    /// ([`EngineOptions::strategy`]).
+    /// Image engine driving every fixed-point loop.
     pub engine: EngineOptions,
     /// Dynamic variable reordering (in-place sifting) policy. When not
     /// [`ReorderMode::None`] it overrides [`EngineOptions::reorder`] for
@@ -356,7 +369,7 @@ fn recheck_inferred_code(
 
 /// The engine options [`verify`] actually runs: [`VerifyOptions::reorder`]
 /// overrides [`EngineOptions::reorder`] when set.
-fn effective_engine(opts: &VerifyOptions) -> EngineOptions {
+pub(crate) fn effective_engine(opts: &VerifyOptions) -> EngineOptions {
     let mut engine = opts.engine;
     if opts.reorder != ReorderMode::None {
         engine.reorder = opts.reorder;

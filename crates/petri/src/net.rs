@@ -211,7 +211,7 @@ impl PetriNet {
     pub fn add_arc_pt(&mut self, p: PlaceId, t: TransId, weight: u32) {
         assert!(weight > 0, "arc weight must be positive");
         assert!(
-            !self.pre[t.index()].iter().any(|&(q, _)| q == p),
+            !self.has_arc_pt(p, t),
             "duplicate arc {} -> {}",
             self.place_name(p),
             self.trans_name(t)
@@ -228,13 +228,23 @@ impl PetriNet {
     pub fn add_arc_tp(&mut self, t: TransId, p: PlaceId, weight: u32) {
         assert!(weight > 0, "arc weight must be positive");
         assert!(
-            !self.post[t.index()].iter().any(|&(q, _)| q == p),
+            !self.has_arc_tp(t, p),
             "duplicate arc {} -> {}",
             self.trans_name(t),
             self.place_name(p)
         );
         self.post[t.index()].push((p, weight));
         self.place_in[p.index()].push(t);
+    }
+
+    /// Whether the arc `p → t` exists.
+    pub fn has_arc_pt(&self, p: PlaceId, t: TransId) -> bool {
+        self.pre[t.index()].iter().any(|&(q, _)| q == p)
+    }
+
+    /// Whether the arc `t → p` exists.
+    pub fn has_arc_tp(&self, t: TransId, p: PlaceId) -> bool {
+        self.post[t.index()].iter().any(|&(q, _)| q == p)
     }
 
     /// Convenience: adds unit-weight arcs from every place in `inputs` to

@@ -181,21 +181,38 @@ fn add_arc(
 ) -> Result<(), String> {
     let src_is_t = token_is_transition(src, dummies);
     let dst_is_t = token_is_transition(dst, dummies);
+    // A repeated arc is an input error here; `PetriNet` treats it as a
+    // programming error and panics.
+    let duplicate = || Err(format!("duplicate arc `{src}` -> `{dst}`"));
     match (src_is_t, dst_is_t) {
         (true, true) => {
-            b.arc(src, dst);
             let pname = format!("<{src},{dst}>");
+            if let Some(p) = b.place_by_name(&pname) {
+                let (tf, tt) = (b.trans(src), b.trans(dst));
+                if b.net().has_arc_tp(tf, p) || b.net().has_arc_pt(p, tt) {
+                    return duplicate();
+                }
+            }
+            b.arc(src, dst);
             let p = b.place_by_name(&pname).expect("builder just created the implicit place");
             places.insert(pname, p);
             Ok(())
         }
         (true, false) => {
             let p = *places.entry(dst.to_string()).or_insert_with(|| b.place(dst, 0));
+            let t = b.trans(src);
+            if b.net().has_arc_tp(t, p) {
+                return duplicate();
+            }
             b.tp(src, p);
             Ok(())
         }
         (false, true) => {
             let p = *places.entry(src.to_string()).or_insert_with(|| b.place(src, 0));
+            let t = b.trans(dst);
+            if b.net().has_arc_pt(p, t) {
+                return duplicate();
+            }
             b.pt(p, dst);
             Ok(())
         }
@@ -404,6 +421,37 @@ a- p
         assert!(parse_g(".model m\n.inputs a\n.graph\na+ a-\n.marking missing\n.end\n").is_err());
         let e = parse_g("junk\n").unwrap_err();
         assert!(e.to_string().contains("line 1"));
+        // An undeclared label next to a dummy spelled like its
+        // placeholder transition, in either order.
+        for graph in [
+            ".dummy <invalid:x+>\n.graph\n<invalid:x+> x+\n",
+            ".graph\nx+ p\n.dummy <invalid:x+>\n",
+        ] {
+            assert!(parse_g(&format!(".model m\n{graph}.end\n")).is_err(), "{graph:?}");
+        }
+    }
+
+    /// A repeated arc, on one line or across two, is a parse error at the
+    /// line that repeats it — for transition→transition,
+    /// transition→place and place→transition arcs alike.
+    #[test]
+    fn rejects_repeated_arcs_with_their_line() {
+        let head = ".model m\n.inputs a b\n.graph\n";
+        for (graph, line, arc) in [
+            ("a+ b+ b+\n", 4, "`a+` -> `b+`"),
+            ("a+ b+\nb+ a-\na+ b+\n", 6, "`a+` -> `b+`"),
+            ("a+ p p\n", 4, "`a+` -> `p`"),
+            ("a+ p\np b+\na+ p\n", 6, "`a+` -> `p`"),
+            ("p a+ a+\n", 4, "`p` -> `a+`"),
+            ("p a+\na+ p\np b+ a+\n", 6, "`p` -> `a+`"),
+            // An explicit place spelled like the implicit one.
+            ("a+ <a+,b+>\na+ b+\n", 5, "`a+` -> `b+`"),
+        ] {
+            let src = format!("{head}{graph}.end\n");
+            let e = parse_g(&src).unwrap_err();
+            assert_eq!(e.line, line, "{graph:?}: {e}");
+            assert!(e.message.contains(&format!("duplicate arc {arc}")), "{graph:?}: {e}");
+        }
     }
 
     #[test]

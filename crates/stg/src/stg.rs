@@ -472,8 +472,9 @@ impl StgBuilder {
             Err(e) => {
                 self.fail(e);
                 // Keep indices valid with an unlabelled placeholder;
-                // build() will fail with the recorded error.
-                let t = self.net.add_transition(format!("<invalid:{label}>"));
+                // build() will fail with the recorded error. The space
+                // keeps its name apart from every `.g` dummy name.
+                let t = self.net.add_transition(format!("<invalid {label}>"));
                 self.labels.push(None);
                 self.label_to_trans.insert(label.to_string(), t);
                 t
@@ -512,6 +513,11 @@ impl StgBuilder {
     /// Looks up a place created so far (explicit or implicit).
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
         self.net.place_by_name(name)
+    }
+
+    /// The net built so far.
+    pub fn net(&self) -> &PetriNet {
+        &self.net
     }
 
     /// Overwrites the initial token count of a place.

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example csc_violation`
 
-use stgcheck::core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck::core::{SymbolicStg, VarOrder};
 use stgcheck::stg::gen;
 use stgcheck::stg::Stg;
 
@@ -27,7 +27,7 @@ fn analyse(stg: &Stg) {
 
     let mut sym = SymbolicStg::new(stg, VarOrder::Interleaved);
     let code = sym.effective_initial_code().expect("consistent fixture");
-    let traversal = sym.traverse(code, TraversalStrategy::Chained);
+    let traversal = sym.traverse(code);
     println!("  reachable full states: {}", traversal.stats.num_states);
 
     for analysis in sym.check_csc(traversal.reached) {

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example fake_conflicts`
 
-use stgcheck::core::{verify, SymbolicStg, TraversalStrategy, VarOrder, VerifyOptions};
+use stgcheck::core::{verify, SymbolicStg, VarOrder, VerifyOptions};
 use stgcheck::stg::gen;
 use stgcheck::stg::{build_state_graph, SgOptions, Stg};
 
@@ -20,7 +20,7 @@ fn show(stg: &Stg) {
 
     let mut sym = SymbolicStg::new(stg, VarOrder::Interleaved);
     let code = sym.effective_initial_code().expect("fixture has a code");
-    let traversal = sym.traverse(code, TraversalStrategy::Chained);
+    let traversal = sym.traverse(code);
     let r_n = sym.project_markings(traversal.reached);
 
     let conflicts = sym.check_fake_conflicts(r_n);

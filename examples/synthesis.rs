@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --example synthesis`
 
-use stgcheck::core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck::core::{SymbolicStg, VarOrder};
 use stgcheck::stg::gen;
 use stgcheck::stg::{Stg, StgBuilder};
 
@@ -21,7 +21,7 @@ fn synthesise(stg: &Stg) {
     println!("== {} ==", stg.name());
     let mut sym = SymbolicStg::new(stg, VarOrder::Interleaved);
     let code = sym.effective_initial_code().expect("code available");
-    let traversal = sym.traverse(code, TraversalStrategy::Chained);
+    let traversal = sym.traverse(code);
     match sym.derive_all_functions(traversal.reached) {
         Ok(functions) => {
             for f in &functions {

@@ -17,7 +17,6 @@
 //!                        docs/concurrent-table.md)
 //!   --reorder <m>        none|sift|auto — dynamic variable reordering
 //!                        (in-place sifting; see docs/reordering.md)
-//!   --bfs                strict breadth-first traversal (default: chained)
 //!   --quiet              only print the verdict line per file
 //!   --timeout <secs>     wall-clock deadline for the whole verification;
 //!                        on expiry the run stops at the next poll point,
@@ -81,11 +80,10 @@
 //! drain and 3 after a SIGTERM/SIGINT drain.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use stgcheck::core::{
-    run_daemon, verify_persistent, FaultPlan, Outcome, PersistOptions, ProcessExit, ServeOptions,
-    SymbolicReport, TraversalStrategy, VarOrder, VerifyOptions,
+    run_daemon, verify_persistent, BudgetSpec, FaultPlan, Outcome, PersistOptions, ProcessExit,
+    ServeOptions, SymbolicReport, VerifyOptions,
 };
 use stgcheck::stg::{parse_g, Implementability, PersistencyPolicy};
 
@@ -173,7 +171,7 @@ struct Cli {
 fn usage() -> &'static str {
     "usage: stgcheck [--arbitration] [--order interleaved|places|signals|declaration] \
      [--engine per-transition|parallel|saturation] [--jobs N] \
-     [--reorder none|sift|auto] [--bfs] [--quiet] \
+     [--reorder none|sift|auto] [--quiet] \
      [--timeout SECS] [--max-nodes N] [--max-steps N] [--fallback] \
      [--failpoints SPEC] \
      [--cache-dir DIR] [--cache-max-mb N] [--incremental] \
@@ -242,16 +240,9 @@ fn parse_verify_flag(
         "--arbitration" => {
             options.policy = PersistencyPolicy { allow_arbitration: true };
         }
-        "--bfs" => options.engine.strategy = TraversalStrategy::Bfs,
         "--order" => {
             let v = it.next().ok_or("--order needs a value")?;
-            options.order = match v.as_str() {
-                "interleaved" => VarOrder::Interleaved,
-                "places" => VarOrder::PlacesThenSignals,
-                "signals" => VarOrder::SignalsThenPlaces,
-                "declaration" => VarOrder::Declaration,
-                other => return Err(format!("unknown order `{other}`")),
-            };
+            options.order = v.parse()?;
         }
         "--engine" => {
             let v = it.next().ok_or("--engine needs a value")?;
@@ -270,10 +261,9 @@ fn parse_verify_flag(
             let v = it.next().ok_or("--timeout needs a value in seconds")?;
             let secs: f64 =
                 v.parse().map_err(|_| format!("--timeout needs a number of seconds, got `{v}`"))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(format!("--timeout needs a positive number of seconds, got `{v}`"));
-            }
-            options.budget.timeout = Some(Duration::from_secs_f64(secs));
+            let timeout = BudgetSpec::timeout_from_secs(secs)
+                .map_err(|e| format!("--timeout {e}, got `{v}`"))?;
+            options.budget.timeout = Some(timeout);
         }
         "--max-nodes" => {
             let v = it.next().ok_or("--max-nodes needs a value")?;

@@ -137,9 +137,12 @@ fn missing_file_exits_2() {
 
 #[test]
 fn bad_option_exits_2_with_usage() {
-    // `--sharing` was removed and must fail like any unknown option.
+    // `--sharing` and `--bfs` were removed and must fail like any unknown
+    // option.
     let handshake = data("handshake.g");
-    for args in [vec!["--frobnicate"], vec!["--sharing", "private", &handshake]] {
+    for args in
+        [vec!["--frobnicate"], vec!["--sharing", "private", &handshake], vec!["--bfs", &handshake]]
+    {
         let out = Command::new(bin()).args(&args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{args:?}");
@@ -254,6 +257,9 @@ fn bad_budget_and_failpoint_specs_exit_2() {
     for args in [
         vec!["--timeout", "bogus"],
         vec!["--timeout", "-1"],
+        vec!["--timeout", "NaN"],
+        vec!["--timeout", "inf"],
+        vec!["--timeout", "1e300"],
         vec!["--max-nodes", "many"],
         vec!["--max-steps", "few"],
         vec!["--failpoints", "no-such-point"],
@@ -263,6 +269,30 @@ fn bad_budget_and_failpoint_specs_exit_2() {
             Command::new(bin()).args(&args).arg(fixture("smoke.g")).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
     }
+}
+
+/// A timeout too long for the clock, yet within a `Duration`, means no
+/// deadline: the run completes instead of panicking.
+#[test]
+fn timeout_beyond_the_clock_range_runs_to_completion() {
+    let out = Command::new(bin())
+        .args(["--quiet", "--timeout", "1e19", &data("handshake.g")])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// A repeated arc is a parse error with its line number (exit 2), not a
+/// panic.
+#[test]
+fn repeated_arc_exits_2_with_line_number() {
+    let dir = scratch("dup-arc");
+    let path = dir.join("dup.g");
+    std::fs::write(&path, ".model dup\n.inputs a\n.graph\na+ a-\na- a+ a+\n.end\n").unwrap();
+    let out = Command::new(bin()).arg(&path).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 5") && stderr.contains("duplicate arc"), "{stderr}");
 }
 
 /// A repeated `--failpoints` replaces the earlier plan, like every other

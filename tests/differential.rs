@@ -12,7 +12,7 @@ mod common;
 use common::{fixture, fixture_corpus, imported_corpus};
 use stgcheck::core::{
     cross_check_reachability, verify, EngineKind, EngineOptions, ReorderMode, SymbolicStg,
-    TraversalStrategy, VarOrder, VerifyOptions,
+    VarOrder, VerifyOptions,
 };
 use stgcheck::stg::gen;
 use stgcheck::stg::{
@@ -71,7 +71,7 @@ fn persistency_agrees_on_corpus() {
             let explicit = signal_persistency_violations(&stg, &sg, policy);
             let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
             let code = sym.effective_initial_code().unwrap();
-            let t = sym.traverse(code, TraversalStrategy::Chained);
+            let t = sym.traverse(code);
             let r_n = sym.project_markings(t.reached);
             let symbolic = sym.check_signal_persistency(r_n, policy);
             assert_eq!(
@@ -90,7 +90,7 @@ fn csc_and_reducibility_agree_on_corpus() {
         let sg = build_state_graph(&stg, SgOptions::default()).unwrap();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
-        let t = sym.traverse(code, TraversalStrategy::Chained);
+        let t = sym.traverse(code);
         for a in stg.noninput_signals() {
             let analysis = sym.check_csc_signal(t.reached, a);
             assert_eq!(
@@ -143,7 +143,7 @@ fn dead_transitions_agree_between_engines() {
         let explicit = stgcheck::stg::dead_transitions(&stg, &sg);
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
-        let t = sym.traverse(code, TraversalStrategy::Chained);
+        let t = sym.traverse(code);
         let mut symbolic = sym.dead_transitions(t.reached);
         symbolic.sort();
         let mut explicit = explicit;
@@ -214,7 +214,7 @@ fn random_stgs_agree_between_engines() {
             let sg = build_state_graph(&stg, SgOptions::default()).unwrap();
             let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
             let code = sym.effective_initial_code().unwrap();
-            let t = sym.traverse(code, TraversalStrategy::Chained);
+            let t = sym.traverse(code);
             let analysis = sym.check_csc_signal(t.reached, a);
             assert_eq!(
                 csc_holds_for_signal(&stg, &sg, a),

@@ -12,8 +12,7 @@ mod common;
 
 use common::{fixture, fixture_corpus, imported_corpus};
 use stgcheck::core::{
-    verify, EngineKind, EngineOptions, ReorderMode, SymbolicStg, TraversalStrategy, VarOrder,
-    VerifyOptions,
+    verify, EngineKind, EngineOptions, ReorderMode, SymbolicStg, VarOrder, VerifyOptions,
 };
 use stgcheck::stg::{gen, Stg};
 
@@ -39,11 +38,7 @@ fn corpus() -> Vec<Stg> {
 /// sharding even on single-CPU hosts.
 fn engines() -> Vec<(&'static str, EngineOptions)> {
     vec![
-        ("per-transition/chained", EngineOptions::default()),
-        (
-            "per-transition/bfs",
-            EngineOptions { strategy: TraversalStrategy::Bfs, ..Default::default() },
-        ),
+        ("per-transition", EngineOptions::default()),
         (
             "parallel/2",
             EngineOptions { kind: EngineKind::ParallelSharded, jobs: 2, ..Default::default() },
@@ -209,7 +204,7 @@ fn four_engine_reorder_matrix_agrees_on_reached() {
             let jobs: &[usize] = if kind == EngineKind::ParallelSharded { &[2, 4] } else { &[2] };
             for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
                 for &jobs in jobs {
-                    let opts = EngineOptions { kind, jobs, reorder, ..Default::default() };
+                    let opts = EngineOptions { kind, jobs, reorder };
                     let t = sym.traverse_with_engine(code, &opts);
                     let base = sym.traverse_with_engine(code, &EngineOptions::default());
                     let ctx = format!("{}: {kind} reorder {reorder} jobs {jobs}", stg.name());

@@ -1,7 +1,7 @@
 //! Integration tests reproducing the paper's illustrative figures
 //! (experiment index F1–F6 in DESIGN.md).
 
-use stgcheck::core::{verify, SymbolicStg, TraversalStrategy, VarOrder, VerifyOptions};
+use stgcheck::core::{verify, SymbolicStg, VarOrder, VerifyOptions};
 use stgcheck::petri::ReachOptions;
 use stgcheck::stg::gen;
 use stgcheck::stg::{
@@ -43,7 +43,7 @@ fn fig2_three_state_models() {
     // And the symbolic count agrees.
     let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
     let code = sym.effective_initial_code().unwrap();
-    let t = sym.traverse(code, TraversalStrategy::Chained);
+    let t = sym.traverse(code);
     assert_eq!(t.stats.num_states, sg.len() as u128);
 }
 
@@ -78,24 +78,22 @@ fn fig4_fake_conflict_taxonomy() {
 
     let mut sym = SymbolicStg::new(&d1, VarOrder::Interleaved);
     let code = sym.effective_initial_code().unwrap();
-    let t = sym.traverse(code, TraversalStrategy::Chained);
+    let t = sym.traverse(code);
     let r_n = sym.project_markings(t.reached);
     let symbolic = sym.check_fake_conflicts(r_n);
     assert_eq!(explicit, symbolic);
 }
 
-/// F5: Fig. 5 — the traversal algorithm reaches the same fixpoint under
-/// both frontier strategies and matches the explicit enumeration.
+/// F5: Fig. 5 — the traversal algorithm reaches a fixpoint that matches
+/// the explicit enumeration.
 #[test]
 fn fig5_traversal_fixpoint() {
     for stg in [gen::mutex(3), gen::master_read(3), gen::vme_read()] {
         let sg = build_state_graph(&stg, SgOptions::default()).unwrap();
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
-        let chained = sym.traverse(code, TraversalStrategy::Chained);
-        let bfs = sym.traverse(code, TraversalStrategy::Bfs);
-        assert_eq!(chained.reached, bfs.reached, "{}", stg.name());
-        assert_eq!(chained.stats.num_states, sg.len() as u128, "{}", stg.name());
+        let t = sym.traverse(code);
+        assert_eq!(t.stats.num_states, sg.len() as u128, "{}", stg.name());
     }
 }
 
@@ -108,14 +106,14 @@ fn fig6_persistency_algorithms() {
     assert!(mg.net().conflict_places().is_empty());
     let mut sym = SymbolicStg::new(&mg, VarOrder::Interleaved);
     let code = sym.effective_initial_code().unwrap();
-    let t = sym.traverse(code, TraversalStrategy::Chained);
+    let t = sym.traverse(code);
     let r_n = sym.project_markings(t.reached);
     assert!(sym.check_transition_persistency(r_n).is_empty());
 
     let mutex = gen::mutex_element();
     let mut sym = SymbolicStg::new(&mutex, VarOrder::Interleaved);
     let code = sym.effective_initial_code().unwrap();
-    let t = sym.traverse(code, TraversalStrategy::Chained);
+    let t = sym.traverse(code);
     let r_n = sym.project_markings(t.reached);
     let tv = sym.check_transition_persistency(r_n);
     assert_eq!(tv.len(), 2); // a1+ disabled by a2+ and vice versa

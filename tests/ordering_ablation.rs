@@ -3,13 +3,13 @@
 //! reachable-set BDD small on the scalable families; the naive separated
 //! orders are measurably worse.
 
-use stgcheck::core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck::core::{SymbolicStg, VarOrder};
 use stgcheck::stg::gen;
 use stgcheck::stg::Code;
 
 fn peak_and_final(stg: &stgcheck::stg::Stg, order: VarOrder) -> (usize, usize) {
     let mut sym = SymbolicStg::new(stg, order);
-    let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+    let t = sym.traverse(Code::ZERO);
     (t.stats.peak_nodes, t.stats.final_nodes)
 }
 
@@ -49,7 +49,7 @@ fn all_orders_agree_on_semantics() {
         VarOrder::Declaration,
     ] {
         let mut sym = SymbolicStg::new(&stg, order);
-        let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+        let t = sym.traverse(Code::ZERO);
         counts.push(t.stats.num_states);
     }
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -62,7 +62,7 @@ fn muller_bdd_stays_polynomial_under_interleaved_order() {
     for n in [6usize, 10, 14, 18] {
         let stg = gen::muller_pipeline(n);
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let t = sym.traverse(Code::ZERO, TraversalStrategy::Chained);
+        let t = sym.traverse(Code::ZERO);
         assert!(t.stats.num_states > prev_states);
         prev_states = t.stats.num_states;
         assert!(

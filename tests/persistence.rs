@@ -54,7 +54,7 @@ fn bulk_checkpoint_load_matches_ops_built_handle_on_corpus() {
     for stg in corpus() {
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
-        let reached = sym.traverse_engine(code).reached;
+        let reached = sym.traverse(code).reached;
         let hash = stg.content_hash();
         let ck =
             sym.export_checkpoint(hash, &[("reached", reached)], &[("iterations".to_string(), 7)]);
@@ -74,7 +74,7 @@ fn bulk_checkpoint_load_matches_ops_built_handle_on_corpus() {
         // built there.
         let mut twin = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let twin_code = twin.effective_initial_code().unwrap();
-        let built = twin.traverse_engine(twin_code).reached;
+        let built = twin.traverse(twin_code).reached;
         let bulk = find_root(&twin.import_checkpoint(&ck).unwrap(), "reached");
         assert_eq!(bulk, built, "{}", stg.name());
         twin.manager_mut().check_invariants();
@@ -150,7 +150,7 @@ fn interrupted_runs_resume_to_the_scratch_fixpoint() {
             let mut fresh = SymbolicStg::new(&stg, VarOrder::Interleaved);
             let stored = find_root(&fresh.import_checkpoint(&ck).unwrap(), "reached");
             let code = fresh.effective_initial_code().unwrap();
-            let direct = fresh.traverse_engine(code).reached;
+            let direct = fresh.traverse(code).reached;
             assert_eq!(stored, direct, "{tag}: resumed reached set diverges");
         }
     }

@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use stgcheck::core::journal::Journal;
-use stgcheck::core::protocol::{parse_json, Json};
+use stgcheck::core::protocol::{json_escape, parse_json, Json};
 use stgcheck::core::FaultPlan;
 use stgcheck::stg::{gen, write_g};
 
@@ -162,6 +162,41 @@ fn protocol_errors_are_typed_and_nonfatal() {
     assert_eq!(str_field(&cancel, "op"), "cancel");
     assert_eq!(cancel.get("cancelled").and_then(Json::as_bool), Some(false));
 
+    assert_eq!(serve.finish(), 0);
+}
+
+/// Requests that once killed the daemon or that name a retired option —
+/// an inline net with a repeated arc, a `timeout_s` too large for a
+/// deadline, the `bfs` field — are each refused as `bad_request`, and the
+/// daemon goes on to answer the request behind them.
+#[test]
+fn hostile_requests_are_refused_and_the_daemon_keeps_serving() {
+    let mut serve = Serve::spawn(&["--workers", "1"]);
+    let dup = json_escape(".model dup\n.inputs a\n.graph\na+ a-\na- a+ a+\n.end\n");
+    let handshake = data("handshake.g");
+    for (id, line, needle) in [
+        ("dup", format!(r#"{{"id":"dup","net":"{dup}"}}"#), "duplicate arc `a-` -> `a+`"),
+        (
+            "huge",
+            format!(r#"{{"id":"huge","net_path":"{handshake}","timeout_s":1e300}}"#),
+            "`timeout_s` must be at most",
+        ),
+        (
+            "bfs",
+            format!(r#"{{"id":"bfs","net_path":"{handshake}","bfs":true}}"#),
+            "unknown field `bfs`",
+        ),
+    ] {
+        serve.send(&line);
+        let resp = serve.read_response();
+        assert_eq!(str_field(&resp, "id"), id, "{resp:?}");
+        assert_eq!(str_field(&resp, "reason"), "bad_request", "{resp:?}");
+        assert!(str_field(&resp, "error").contains(needle), "{id}: {resp:?}");
+    }
+    serve.send(r#"{"op":"ping","id":"after"}"#);
+    let pong = serve.read_response();
+    assert_eq!(str_field(&pong, "id"), "after");
+    assert_eq!(str_field(&pong, "status"), "ok");
     assert_eq!(serve.finish(), 0);
 }
 

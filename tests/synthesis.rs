@@ -2,14 +2,14 @@
 //! equations must agree between independently computed forms and be
 //! consistent with the explicit state graph.
 
-use stgcheck::core::{SymbolicStg, TraversalStrategy, VarOrder};
+use stgcheck::core::{SymbolicStg, VarOrder};
 use stgcheck::stg::gen;
 use stgcheck::stg::{build_state_graph, SgOptions, SignalId, Stg};
 
 fn functions_of(stg: &Stg) -> (SymbolicStg<'_>, Vec<stgcheck::core::SignalFunction>) {
     let mut sym = SymbolicStg::new(stg, VarOrder::Interleaved);
     let code = sym.effective_initial_code().unwrap();
-    let t = sym.traverse(code, TraversalStrategy::Chained);
+    let t = sym.traverse(code);
     let fs = sym.derive_all_functions(t.reached).expect("CSC holds");
     (sym, fs)
 }
