@@ -36,8 +36,9 @@ use std::sync::Arc;
 ///
 /// The `journal-*`/`serve-*`/`worker-panic` names fault the `stgcheck
 /// serve` daemon seams: journal record writes and recovery reads, the
-/// admission path, and the worker job body (an injected panic that the
-/// pool must isolate to one `internal_error` response).
+/// admission path, the net parse on the admission thread and the worker
+/// job body (the last two inject a panic that the daemon must isolate
+/// to one `internal_error` response).
 pub const KNOWN: &[&str] = &[
     "arena-alloc",
     "store-write",
@@ -46,6 +47,7 @@ pub const KNOWN: &[&str] = &[
     "journal-write",
     "journal-read",
     "serve-accept",
+    "serve-parse",
     "worker-panic",
 ];
 

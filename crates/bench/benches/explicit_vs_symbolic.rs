@@ -1,5 +1,5 @@
-//! The paper's motivation quantified (design decision A3 in DESIGN.md):
-//! explicit state enumeration versus symbolic traversal as the state space
+//! The paper's motivation quantified: explicit state enumeration
+//! (`build_state_graph`) versus symbolic traversal as the state space
 //! grows. The crossover — where the symbolic method starts winning — is
 //! the experimental claim of Section 6.
 

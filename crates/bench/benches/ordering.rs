@@ -1,9 +1,10 @@
-//! Variable-ordering ablation (design decision A1 in DESIGN.md).
+//! Variable-ordering ablation, the timing half of
+//! `tests/ordering_ablation.rs`.
 //!
 //! The paper: "we have found that BDDs may have an exponential size if
 //! appropriate heuristics for variable ordering are not used". This bench
 //! traverses the same nets under each [`VarOrder`] strategy and reports
-//! the runtime; the companion test asserts the peak-size ranking.
+//! the runtime; that test asserts the peak-size ranking.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stgcheck_core::{SymbolicStg, VarOrder};

@@ -10,7 +10,7 @@
 //! cargo run --release -p stgcheck-bench --bin table1 [--explicit] \
 //!     [--order <strategy>] [--engine <engine>|all] [--jobs <n>] \
 //!     [--jobs-matrix <n,n,…>] [--repeat <n>] [--reorder <mode>|all] \
-//!     [--from-dir <dir>] [--json <path>] [--small]
+//!     [--from-dir <dir>] [--json <path>] [--compare <old.json>] [--small]
 //! ```
 //!
 //! An unknown flag or an unknown `--order`/`--engine`/`--reorder` value
@@ -48,6 +48,13 @@
 //!   JSON (per net: states, peak live nodes, wall time, engine, reorder
 //!   mode, cache status, …) so the perf trajectory is recorded across
 //!   PRs — the checked-in `BENCH_table1.json` is produced this way;
+//! * `--compare <old.json>` matches every row of this run to the row of
+//!   an earlier `--json` file with the same name, engine, order, reorder
+//!   mode and jobs, prints the peak-live-node and wall ratios (this run
+//!   over the old one) per row with their medians, and exits 1 when a
+//!   row's `verdict`, `states`, `outcome`, `final_nodes` or `sift_passes`
+//!   differ or a row has no counterpart (rows only in the old file are
+//!   ignored) — the check that a change moved costs, not answers;
 //! * `--cache-dir <dir>` routes every row through the persistent result
 //!   store (see `docs/persistent-store.md`): a rerun of an unchanged
 //!   corpus reports `cache: warm` rows served without any fixpoint;
@@ -79,6 +86,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use stgcheck_bench::{quick_workloads, table1_workloads, workloads_from_dir};
+use stgcheck_core::protocol::{parse_json, Json};
 use stgcheck_core::{
     verify_persistent, BudgetSpec, CacheStatus, EngineKind, Outcome, PersistOptions, ProcessExit,
     ReorderMode, SymbolicReport, VarOrder, VerifyOptions,
@@ -87,7 +95,8 @@ use stgcheck_stg::{build_state_graph, PersistencyPolicy, SgOptions};
 
 /// Flags that stand alone, and flags that consume the next argument.
 const SWITCHES: [&str; 5] = ["--explicit", "--small", "--warm-rerun", "--batch", "--fallback"];
-const VALUED: [&str; 13] = [
+const VALUED: [&str; 14] = [
+    "--compare",
     "--order",
     "--engine",
     "--jobs",
@@ -169,7 +178,7 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn write_json(path: &PathBuf, rows: &[JsonRow]) -> std::io::Result<()> {
+fn render_json(rows: &[JsonRow]) -> String {
     let mut out = String::from("{\n  \"generated_by\": \"table1\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -209,7 +218,90 @@ fn write_json(path: &PathBuf, rows: &[JsonRow]) -> std::io::Result<()> {
         ));
     }
     out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
+    out
+}
+
+/// The columns that say what a row answered; `--compare` fails when one
+/// of them moves.
+const ANSWER_COLUMNS: [&str; 5] = ["verdict", "states", "outcome", "final_nodes", "sift_passes"];
+
+/// The columns that identify a row across runs.
+const KEY_COLUMNS: [&str; 5] = ["name", "engine", "order", "reorder", "jobs"];
+
+/// A row cell as text: strings as they are, numbers in their shortest
+/// form, anything else (a missing column) as `?`.
+fn cell(row: &Json, column: &str) -> String {
+    match row.get(column) {
+        Some(Json::Str(s)) => s.clone(),
+        Some(Json::Num(n)) => n.to_string(),
+        _ => "?".to_string(),
+    }
+}
+
+/// The `rows` array of a `--json` document.
+fn rows_of(text: &str) -> Result<Vec<Json>, String> {
+    match parse_json(text)?.get("rows") {
+        Some(Json::Arr(rows)) => Ok(rows.clone()),
+        _ => Err("no `rows` array".to_string()),
+    }
+}
+
+/// `--compare`: matches each row of `new` to the row of `old` with the
+/// same [`KEY_COLUMNS`], prints its peak and wall ratios (new over old)
+/// and the medians, and returns the number of rows whose
+/// [`ANSWER_COLUMNS`] drifted or that have no counterpart in `old`.
+fn compare(old: &[Json], new: &[Json]) -> usize {
+    let key = |row: &Json| KEY_COLUMNS.map(|c| cell(row, c)).join(" ");
+    let old_rows: HashMap<String, &Json> = old.iter().map(|row| (key(row), row)).collect();
+    let ratio = |a: &Json, b: &Json, column: &str| {
+        let (a, b) = (a.get(column)?.as_num()?, b.get(column)?.as_num()?);
+        (a > 0.0).then(|| b / a)
+    };
+    let (mut peaks, mut walls, mut drifted) = (Vec::new(), Vec::new(), 0);
+    println!();
+    println!(
+        "{:<60} {:>10} {:>10}",
+        "compared row (name engine order reorder jobs)", "peak", "wall"
+    );
+    for row in new {
+        let k = key(row);
+        let Some(old_row) = old_rows.get(&k) else {
+            println!("{k:<60} DRIFT: no row of the old file");
+            drifted += 1;
+            continue;
+        };
+        let peak = ratio(old_row, row, "peak_live_nodes");
+        let wall = ratio(old_row, row, "wall_s");
+        peaks.extend(peak);
+        walls.extend(wall);
+        let show = |r: Option<f64>| r.map_or_else(|| "—".to_string(), |r| format!("{r:.3}"));
+        print!("{k:<60} {:>10} {:>10}", show(peak), show(wall));
+        let drift: Vec<String> = ANSWER_COLUMNS
+            .iter()
+            .filter(|c| cell(old_row, c) != cell(row, c))
+            .map(|c| format!("{c} {} -> {}", cell(old_row, c), cell(row, c)))
+            .collect();
+        if drift.is_empty() {
+            println!();
+        } else {
+            println!("  DRIFT: {}", drift.join(", "));
+            drifted += 1;
+        }
+    }
+    let show_median = |v: &mut Vec<f64>| {
+        if v.is_empty() {
+            "—".to_string()
+        } else {
+            format!("{:.3}", median(v))
+        }
+    };
+    println!(
+        "median ratio (new/old): peak {}, wall {} over {} rows; {drifted} drifted",
+        show_median(&mut peaks),
+        show_median(&mut walls),
+        new.len(),
+    );
+    drifted
 }
 
 /// Process peak resident set (`VmHWM`) in kB from `/proc/self/status`;
@@ -287,6 +379,17 @@ fn main() {
         n
     });
     let json_path: Option<PathBuf> = value_of("--json").map(PathBuf::from);
+    // Read the baseline before the run, so a bad path fails fast.
+    let baseline: Option<(&String, Vec<Json>)> = value_of("--compare").map(|path| {
+        let rows = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| rows_of(&text))
+            .unwrap_or_else(|e| {
+                eprintln!("--compare {path}: {e}");
+                std::process::exit(2);
+            });
+        (path, rows)
+    });
     let from_dir: Option<PathBuf> = value_of("--from-dir").map(PathBuf::from);
     let cache_dir: Option<PathBuf> = value_of("--cache-dir").map(PathBuf::from);
     let warm_rerun = args.iter().any(|a| a == "--warm-rerun");
@@ -675,12 +778,21 @@ fn main() {
             pass_wall[0] / pass_wall[1].max(1e-9),
         );
     }
+    let json = render_json(&json_rows);
     if let Some(path) = &json_path {
-        if let Err(e) = write_json(path, &json_rows) {
+        if let Err(e) = std::fs::write(path, &json) {
             eprintln!("{}: {e}", path.display());
             std::process::exit(2);
         }
         eprintln!("wrote {} rows to {}", json_rows.len(), path.display());
+    }
+    if let Some((path, old)) = &baseline {
+        let new = rows_of(&json).expect("table1 writes valid JSON");
+        let drifted = compare(old, &new);
+        if drifted > 0 {
+            eprintln!("--compare {path}: {drifted} rows drifted");
+            exit = exit.worst(ProcessExit::Violation);
+        }
     }
     println!();
     println!("Shape expectations (paper Section 6): state counts grow exponentially in n");

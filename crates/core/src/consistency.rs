@@ -7,6 +7,11 @@
 //! ```
 //!
 //! The STG is inconsistent iff `R(D) ∩ Inconsistent(D) ≠ ∅`.
+//!
+//! The check tests one set per signal, `R · (Inconsistent(a+) +
+//! Inconsistent(a−))`, and splits it into the two per-edge sets only when
+//! it is non-empty; on a consistent STG that is one conjunction with `R`
+//! per signal instead of two.
 
 use stgcheck_bdd::{Bdd, BddOps, Literal};
 use stgcheck_stg::{Polarity, SignalId};
@@ -37,12 +42,21 @@ impl SymbolicStg<'_> {
 
     /// Checks state-assignment consistency of `reached` (Def. 3.1 via the
     /// Section 5.1 characteristic functions). Returns one witness per
-    /// violating signal edge.
+    /// violating signal edge, decoded from `R · Inconsistent(a±)`.
+    ///
+    /// Each signal costs one test of `R` against `Inconsistent(a+) +
+    /// Inconsistent(a−)`; only a hit computes the two per-edge sets.
     pub fn check_consistency(&mut self, reached: Bdd) -> Vec<ConsistencyViolation> {
         let mut out = Vec::new();
         for s in self.stg().signals() {
-            for polarity in [Polarity::Rise, Polarity::Fall] {
-                let inc = self.inconsistent_set(s, polarity);
+            let rise = self.inconsistent_set(s, Polarity::Rise);
+            let fall = self.inconsistent_set(s, Polarity::Fall);
+            let mgr = self.manager_mut();
+            let either = mgr.or(rise, fall);
+            if !mgr.intersects(reached, either) {
+                continue;
+            }
+            for (polarity, inc) in [(Polarity::Rise, rise), (Polarity::Fall, fall)] {
                 let bad = self.manager_mut().and(reached, inc);
                 if !bad.is_false() {
                     let witness = self.decode_witness(bad).expect("non-empty set");
@@ -89,6 +103,34 @@ mod tests {
         // The witness state has b = 1 (b+ enabled again while high).
         let bit = v.witness.code.as_bytes()[b.index()];
         assert_eq!(bit, b'1');
+    }
+
+    /// The one-test-per-signal check returns exactly the paper's per-edge
+    /// list: every non-empty `R · Inconsistent(a±)` in signal and edge
+    /// order, with the witness decoded from that set.
+    #[test]
+    fn one_test_per_signal_matches_the_per_edge_sets() {
+        let mut violations = 0;
+        crate::csc::tests::for_each_reference_case(|sym, reached| {
+            let mut reference = Vec::new();
+            for s in sym.stg().signals() {
+                for polarity in [Polarity::Rise, Polarity::Fall] {
+                    let inc = sym.inconsistent_set(s, polarity);
+                    let bad = sym.manager_mut().and(reached, inc);
+                    if let Some(witness) = sym.decode_witness(bad) {
+                        reference.push((s, polarity, witness));
+                    }
+                }
+            }
+            let got: Vec<_> = sym
+                .check_consistency(reached)
+                .into_iter()
+                .map(|v| (v.signal, v.polarity, v.witness))
+                .collect();
+            assert_eq!(got, reference, "{}", sym.stg().name());
+            violations += got.len();
+        });
+        assert!(violations > 0, "no net exercises the split");
     }
 
     #[test]

@@ -2,29 +2,36 @@
 //! excitation/quiescent regions, the CSC condition, determinism, and the
 //! frozen-traversal check for CSC-*irreducibility* (mutually complementary
 //! input sequences).
+//!
+//! The paper defines `CSC(a)` through four code-projected regions,
+//! `ER(a±) = ∃p (R · E(a±))`, `QR(a+) = ∃p (R · a · ¬E(a−))` and
+//! `QR(a−) = ∃p (R · a′ · ¬E(a+))`, and asks for
+//! `CONT(a) = ER(a+)·QR(a−) + ER(a−)·QR(a+) = ∅`. This module computes
+//! the same set from two projections. Let
+//!
+//! ```text
+//! X(a) = a′ · E(a+) + a · E(a−)      (a is excited in the direction its value allows)
+//! ¬X(a) = a · ¬E(a−) + a′ · ¬E(a+)   (a is quiescent)
+//! ```
+//!
+//! `QR(a−) ⊆ a′` and `a′` is a code literal, outside the `∃p`, so
+//! `ER(a+)·QR(a−) = ∃p(R·a′·E(a+)) · ∃p(R·a′·¬E(a+))`, and likewise for
+//! the `a` half. `∃p(R·X)` and `∃p(R·¬X)` are the sums of those `a′` and
+//! `a` halves, and the cross terms of their product hold `a′·a = 0`:
+//!
+//! ```text
+//! CONT(a) = ∃p (R · X(a)) · ∃p (R · ¬X(a))
+//! ```
+//!
+//! The result is the same canonical BDD, so the witness decoded from it
+//! is the same too. The test module keeps the four-region formula as the
+//! reference it is checked against.
 
 use stgcheck_bdd::{Bdd, BddOps, Literal};
 use stgcheck_stg::{Polarity, SignalId, SignalKind};
 
 use crate::encode::{StateWitness, SymbolicStg};
 use crate::engine::{run_fixpoint, FixpointCtl, FixpointSpec, StepDirection};
-
-/// The four characteristic regions of one signal, projected to binary
-/// codes (`∃p` applied, paper notation):
-///
-/// * `ER(a+)`, `ER(a−)` — codes of states where an edge is excited;
-/// * `QR(a+)`, `QR(a−)` — codes of quiescent states at 1 resp. 0.
-#[derive(Clone, Debug)]
-pub struct CodeRegions {
-    /// `ER(a+) = ∃p (R(D) · E(a+))`.
-    pub er_rise: Bdd,
-    /// `ER(a−) = ∃p (R(D) · E(a−))`.
-    pub er_fall: Bdd,
-    /// `QR(a+) = ∃p (R(D) · a · ¬E(a−))`.
-    pub qr_high: Bdd,
-    /// `QR(a−) = ∃p (R(D) · a′ · ¬E(a+))`.
-    pub qr_low: Bdd,
-}
 
 /// Outcome of the per-signal CSC analysis.
 #[derive(Clone, Debug)]
@@ -40,41 +47,32 @@ pub struct CscAnalysis {
 }
 
 impl SymbolicStg<'_> {
-    /// Computes the code-projected excitation and quiescent regions of
-    /// signal `a` over the reachable full states.
-    pub fn code_regions(&mut self, reached: Bdd, a: SignalId) -> CodeRegions {
+    /// `X(a) = a′·E(a+) + a·E(a−)`: the full states where `a` is excited
+    /// in the direction its current value allows. Its complement is the
+    /// quiescent set `a·¬E(a−) + a′·¬E(a+)` (see the module docs).
+    fn excited(&mut self, a: SignalId) -> Bdd {
         let e_rise = self.edge_enabled(a, Polarity::Rise);
         let e_fall = self.edge_enabled(a, Polarity::Fall);
         let v = self.signal_var(a);
         let mgr = self.manager_mut();
         let high = mgr.literal(Literal::positive(v));
         let low = mgr.literal(Literal::negative(v));
-        let er_rise_states = mgr.and(reached, e_rise);
-        let er_fall_states = mgr.and(reached, e_fall);
-        let qr_high_states = {
-            let s0 = mgr.and(reached, high);
-            mgr.diff(s0, e_fall)
-        };
-        let qr_low_states = {
-            let s0 = mgr.and(reached, low);
-            mgr.diff(s0, e_rise)
-        };
-        CodeRegions {
-            er_rise: self.project_codes(er_rise_states),
-            er_fall: self.project_codes(er_fall_states),
-            qr_high: self.project_codes(qr_high_states),
-            qr_low: self.project_codes(qr_low_states),
-        }
+        let rising = mgr.and(low, e_rise);
+        let falling = mgr.and(high, e_fall);
+        mgr.or(rising, falling)
     }
 
     /// Checks `CSC(a)` (Section 5.3):
-    /// `ER(a+) ∩ QR(a−) = ∅  ∧  ER(a−) ∩ QR(a+) = ∅`.
+    /// `ER(a+) ∩ QR(a−) = ∅  ∧  ER(a−) ∩ QR(a+) = ∅`, computed as
+    /// `CONT(a) = ∃p (R · X(a)) · ∃p (R · ¬X(a))` — two projections
+    /// instead of the four regions (the identity is in the module docs).
     pub fn check_csc_signal(&mut self, reached: Bdd, a: SignalId) -> CscAnalysis {
-        let r = self.code_regions(reached, a);
-        let mgr = self.manager_mut();
-        let c1 = mgr.and(r.er_rise, r.qr_low);
-        let c2 = mgr.and(r.er_fall, r.qr_high);
-        let contradictory = mgr.or(c1, c2);
+        let x = self.excited(a);
+        let excited_states = self.manager_mut().and(reached, x);
+        let quiescent_states = self.manager_mut().diff(reached, x);
+        let excited_codes = self.project_codes(excited_states);
+        let quiescent_codes = self.project_codes(quiescent_states);
+        let contradictory = self.manager_mut().and(excited_codes, quiescent_codes);
         let holds = contradictory.is_false();
         let witness = if holds { None } else { self.decode_witness(contradictory) };
         CscAnalysis { signal: a, holds, contradictory, witness }
@@ -130,20 +128,14 @@ impl SymbolicStg<'_> {
         if cont.is_false() {
             return false;
         }
+        // State-level quiescent set `R · ¬X(a)`: the very conjunction
+        // [`Self::check_csc_signal`] projected, which the operation cache
+        // usually still holds.
+        let x = self.excited(a);
         let e_rise = self.edge_enabled(a, Polarity::Rise);
         let e_fall = self.edge_enabled(a, Polarity::Fall);
-        let v = self.signal_var(a);
         let mgr = self.manager_mut();
-        let high = mgr.literal(Literal::positive(v));
-        let low = mgr.literal(Literal::negative(v));
-        // State-level quiescent and excited sets.
-        let qr_state = {
-            let h = mgr.and(reached, high);
-            let h = mgr.diff(h, e_fall);
-            let l = mgr.and(reached, low);
-            let l = mgr.diff(l, e_rise);
-            mgr.or(h, l)
-        };
+        let qr_state = mgr.diff(reached, x);
         // The excited contradictory states the forward closure looks for.
         let target = {
             let e = mgr.or(e_rise, e_fall);
@@ -202,14 +194,104 @@ impl SymbolicStg<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::encode::VarOrder;
-    use stgcheck_stg::{gen, Stg};
+    use stgcheck_stg::{gen, Code, Stg};
 
     fn reached_of(sym: &mut SymbolicStg<'_>) -> Bdd {
         let code = sym.effective_initial_code().unwrap();
         sym.traverse(code).reached
+    }
+
+    /// The paper's four characteristic regions of one signal, projected
+    /// to binary codes — the reference the two-projection
+    /// [`SymbolicStg::check_csc_signal`] is checked against.
+    struct CodeRegions {
+        /// `ER(a+) = ∃p (R · E(a+))`.
+        er_rise: Bdd,
+        /// `ER(a−) = ∃p (R · E(a−))`.
+        er_fall: Bdd,
+        /// `QR(a+) = ∃p (R · a · ¬E(a−))`.
+        qr_high: Bdd,
+        /// `QR(a−) = ∃p (R · a′ · ¬E(a+))`.
+        qr_low: Bdd,
+    }
+
+    fn code_regions(sym: &mut SymbolicStg<'_>, reached: Bdd, a: SignalId) -> CodeRegions {
+        let e_rise = sym.edge_enabled(a, Polarity::Rise);
+        let e_fall = sym.edge_enabled(a, Polarity::Fall);
+        let v = sym.signal_var(a);
+        let mgr = sym.manager_mut();
+        let high = mgr.literal(Literal::positive(v));
+        let low = mgr.literal(Literal::negative(v));
+        let er_rise_states = mgr.and(reached, e_rise);
+        let er_fall_states = mgr.and(reached, e_fall);
+        let qr_high_states = {
+            let s0 = mgr.and(reached, high);
+            mgr.diff(s0, e_fall)
+        };
+        let qr_low_states = {
+            let s0 = mgr.and(reached, low);
+            mgr.diff(s0, e_rise)
+        };
+        CodeRegions {
+            er_rise: sym.project_codes(er_rise_states),
+            er_fall: sym.project_codes(er_fall_states),
+            qr_high: sym.project_codes(qr_high_states),
+            qr_low: sym.project_codes(qr_low_states),
+        }
+    }
+
+    /// Runs `check` on the reached set of every net the rewritten checks
+    /// are pinned on — the violation fixtures and 200 random safe STGs —
+    /// under the interleaved and the declaration order. A net whose code
+    /// cannot be inferred starts from the all-zero code.
+    pub(crate) fn for_each_reference_case(mut check: impl FnMut(&mut SymbolicStg<'_>, Bdd)) {
+        let mut nets = vec![
+            gen::vme_read(),
+            gen::csc_violation_stg(),
+            gen::irreducible_csc_stg(),
+            gen::inconsistent_stg(),
+            gen::unsafe_stg(),
+            gen::nonpersistent_stg(),
+            gen::fig3_d1(),
+            gen::fig3_d2(),
+            gen::mutex_element(),
+        ];
+        nets.extend((0..200).map(gen::random_safe_stg));
+        for stg in &nets {
+            for order in [VarOrder::Interleaved, VarOrder::Declaration] {
+                let mut sym = SymbolicStg::new(stg, order);
+                let code = sym.effective_initial_code().unwrap_or(Code::ZERO);
+                let reached = sym.traverse(code).reached;
+                check(&mut sym, reached);
+            }
+        }
+    }
+
+    /// `CONT(a)` from two projections is the paper's
+    /// `ER(a+)·QR(a−) + ER(a−)·QR(a+)`, handle for handle, so the
+    /// witness decoded from it is the same too.
+    #[test]
+    fn two_projections_match_the_four_regions() {
+        let mut violations = 0;
+        for_each_reference_case(|sym, reached| {
+            for a in sym.stg().noninput_signals() {
+                let analysis = sym.check_csc_signal(reached, a);
+                let r = code_regions(sym, reached, a);
+                let mgr = sym.manager_mut();
+                let c1 = mgr.and(r.er_rise, r.qr_low);
+                let c2 = mgr.and(r.er_fall, r.qr_high);
+                let reference = mgr.or(c1, c2);
+                let name = format!("{}: signal {}", sym.stg().name(), sym.stg().signal_name(a));
+                assert_eq!(analysis.contradictory, reference, "{name}");
+                assert_eq!(analysis.holds, reference.is_false(), "{name}");
+                assert_eq!(analysis.witness, sym.decode_witness(reference), "{name}");
+                violations += usize::from(!analysis.holds);
+            }
+        });
+        assert!(violations >= 100, "only {violations} CSC conflicts exercise the witnesses");
     }
 
     #[test]

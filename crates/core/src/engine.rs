@@ -551,8 +551,9 @@ fn run_per_transition(
             to = sym.manager_mut().or(to, img);
             // Intermediate sets inside one chained sweep are the memory
             // peak on deep pipelines: collect eagerly, keeping only the
-            // running accumulator.
-            maybe_gc(sym, spec, &[reached, to]);
+            // running accumulator — and the frontier, which a budget
+            // trip later in this iteration snapshots.
+            maybe_gc(sym, spec, &[reached, from, to]);
         }
         let new = sym.manager_mut().diff(to, reached);
         let grown = sym.manager_mut().or(reached, new);

@@ -67,7 +67,7 @@ mod traverse;
 mod verify;
 
 pub use consistency::ConsistencyViolation;
-pub use csc::{CodeRegions, CscAnalysis};
+pub use csc::CscAnalysis;
 pub use encode::{StateWitness, SymbolicStg, TransCubes, VarOrder};
 pub use engine::{EngineKind, EngineOptions, ReorderMode};
 pub use exit::ProcessExit;

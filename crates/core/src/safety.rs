@@ -6,9 +6,13 @@
 //! explored), so safeness is violated iff some reachable state enables a
 //! transition whose firing would add a token to an already-marked
 //! non-self-loop successor place.
+//!
+//! The check conjoins `R` once per transition `t`, with
+//! `E(t) · Σ_{p ∈ t•∖•t} p`, and splits that set per place only when it
+//! is non-empty: `R·E(t)·Σp · p = R·E(t)·p`, the paper's per-place set.
 
 use stgcheck_bdd::{Bdd, BddOps, Literal};
-use stgcheck_petri::TransId;
+use stgcheck_petri::{PlaceId, TransId};
 
 use crate::encode::{StateWitness, SymbolicStg};
 
@@ -18,7 +22,7 @@ pub struct SafetyViolation {
     /// The transition whose firing would unsafely mark a place.
     pub transition: TransId,
     /// The place that would receive a second token.
-    pub place: stgcheck_petri::PlaceId,
+    pub place: PlaceId,
     /// A reachable state exhibiting the violation.
     pub witness: StateWitness,
 }
@@ -28,22 +32,38 @@ impl SymbolicStg<'_> {
     /// `t` enabled in `reached`, no successor place outside `•t` may
     /// already hold a token.
     ///
-    /// Returns all violating `(transition, place)` pairs with witnesses.
+    /// Returns all violating `(transition, place)` pairs with witnesses,
+    /// each decoded from `R · E(t) · p`. One conjunction with `R` per
+    /// transition decides whether any of its places needs that split.
     pub fn check_safeness(&mut self, reached: Bdd) -> Vec<SafetyViolation> {
         let net = self.stg().net();
         let mut out = Vec::new();
         for t in net.transitions() {
             let pre: Vec<_> = net.preset(t).iter().map(|&(p, _)| p).collect();
-            for &(p, _) in net.postset(t) {
-                if pre.contains(&p) {
-                    continue; // self-loop: token count unchanged
-                }
-                let enabled = self.cubes(t).enabled;
-                let pv = self.place_var(p);
-                let marked = self.manager_mut().literal(Literal::positive(pv));
-                let mgr = self.manager_mut();
-                let bad0 = mgr.and(reached, enabled);
-                let bad = mgr.and(bad0, marked);
+            // Self-loop places keep their token count: only the rest can
+            // receive a second token.
+            let places: Vec<PlaceId> =
+                net.postset(t).iter().map(|&(p, _)| p).filter(|p| !pre.contains(p)).collect();
+            if places.is_empty() {
+                continue;
+            }
+            let marked: Vec<Bdd> = places
+                .iter()
+                .map(|&p| {
+                    let pv = self.place_var(p);
+                    self.manager_mut().literal(Literal::positive(pv))
+                })
+                .collect();
+            let enabled = self.cubes(t).enabled;
+            let mgr = self.manager_mut();
+            let any_marked = mgr.or_many(&marked);
+            let risky = mgr.and(enabled, any_marked);
+            let bad_t = mgr.and(reached, risky);
+            if bad_t.is_false() {
+                continue;
+            }
+            for (p, lit) in places.into_iter().zip(marked) {
+                let bad = self.manager_mut().and(bad_t, lit);
                 if !bad.is_false() {
                     let witness = self.decode_witness(bad).expect("non-empty set");
                     out.push(SafetyViolation { transition: t, place: p, witness });
@@ -78,6 +98,41 @@ mod tests {
         assert!(!violations.is_empty());
         let q = stg.net().place_by_name("q").unwrap();
         assert!(violations.iter().any(|v| v.place == q));
+    }
+
+    /// The one-conjunction-per-transition check returns exactly the
+    /// paper's per-place list: every non-empty `R · E(t) · p` for
+    /// `p ∈ t•∖•t`, in transition and postset order, with the witness
+    /// decoded from that set.
+    #[test]
+    fn one_conjunction_per_transition_matches_the_per_place_sets() {
+        let mut violations = 0;
+        crate::csc::tests::for_each_reference_case(|sym, reached| {
+            let net = sym.stg().net();
+            let mut reference = Vec::new();
+            for t in net.transitions() {
+                let pre: Vec<_> = net.preset(t).iter().map(|&(p, _)| p).collect();
+                for &(p, _) in net.postset(t).iter().filter(|(p, _)| !pre.contains(p)) {
+                    let enabled = sym.cubes(t).enabled;
+                    let pv = sym.place_var(p);
+                    let mgr = sym.manager_mut();
+                    let marked = mgr.literal(Literal::positive(pv));
+                    let bad0 = mgr.and(reached, enabled);
+                    let bad = mgr.and(bad0, marked);
+                    if let Some(witness) = sym.decode_witness(bad) {
+                        reference.push((t, p, witness));
+                    }
+                }
+            }
+            let got: Vec<_> = sym
+                .check_safeness(reached)
+                .into_iter()
+                .map(|v| (v.transition, v.place, v.witness))
+                .collect();
+            assert_eq!(got, reference, "{}", sym.stg().name());
+            violations += got.len();
+        });
+        assert!(violations > 0, "no net exercises the split");
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //!
 //! The robustness invariants the fault-injection suite holds this module
 //! to: no injected fault (`journal-write`, `journal-read`,
-//! `serve-accept`, `worker-panic`; armed by the [`crate::FaultPlan`] in
-//! [`ServeOptions::persist`]) may produce a wrong verdict, a torn
-//! journal record, or a hung drain; admission is bounded
-//! ([`ServeOptions::queue_cap`]), so a request flood degrades into
-//! explicit `queue_full` rejections instead of unbounded memory. See
-//! `docs/serve.md` for the protocol and the operational runbook.
+//! `serve-accept`, `serve-parse`, `worker-panic`; armed by the
+//! [`crate::FaultPlan`] in [`ServeOptions::persist`]) may produce a
+//! wrong verdict, a torn journal record, or a hung drain; admission is
+//! bounded ([`ServeOptions::queue_cap`]), so a request flood degrades
+//! into explicit `queue_full` rejections instead of unbounded memory.
+//! See `docs/serve.md` for the protocol and the operational runbook.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write as _};
@@ -534,7 +534,9 @@ fn render_result(id: &str, result: &JobResult) -> String {
 }
 
 /// A `status:"rejected"` / `status:"error"` response outside the job
-/// path (shed, bad request, admission fault).
+/// path (shed, bad request, admission fault, a panic while parsing the
+/// net). Its exit code is 2, except 5 for an `internal_error`, the code
+/// a worker panic gets.
 fn render_refusal(id: Option<&str>, status: &str, reason: &str, detail: &str) -> String {
     let mut fields = Vec::new();
     if let Some(id) = id {
@@ -545,7 +547,8 @@ fn render_refusal(id: Option<&str>, status: &str, reason: &str, detail: &str) ->
     if !detail.is_empty() {
         fields.push(format!("\"error\":\"{}\"", json_escape(detail)));
     }
-    fields.push(format!("\"exit_code\":{}", ProcessExit::Usage.code()));
+    let exit = if reason == "internal_error" { ProcessExit::Internal } else { ProcessExit::Usage };
+    fields.push(format!("\"exit_code\":{}", exit.code()));
     format!("{{{}}}", fields.join(","))
 }
 
@@ -638,10 +641,26 @@ impl Daemon {
                 return;
             }
         }
-        let stg = match load_net(&req) {
-            Ok(stg) => stg,
-            Err(msg) => {
+        // The parse runs here, on the admission thread, outside the
+        // workers' panic isolation: a parser panic — or the injected
+        // `serve-parse` fault — costs this one request an
+        // `internal_error` refusal, and admission goes on.
+        let faults = &self.opts.persist.faults;
+        let parsed = catch_unwind(AssertUnwindSafe(|| {
+            if faults.hit("serve-parse") {
+                panic!("failpoint serve-parse armed");
+            }
+            load_net(&req)
+        }));
+        let stg = match parsed {
+            Ok(Ok(stg)) => stg,
+            Ok(Err(msg)) => {
                 self.answer_refusal(&id, replay_seq, &sink, "error", "bad_request", &msg);
+                return;
+            }
+            Err(payload) => {
+                let msg = panic_message(payload);
+                self.answer_refusal(&id, replay_seq, &sink, "error", "internal_error", &msg);
                 return;
             }
         };

@@ -13,7 +13,9 @@
 //! * [`master_read`] — a master forking `n` concurrent read channels and
 //!   joining their acknowledgements (marked graph). The authors' original
 //!   `master-read` file is not redistributable; this reproduces the same
-//!   shape: scalable fork/join four-phase handshakes. See DESIGN.md.
+//!   shape: scalable fork/join four-phase handshakes (the checked-in
+//!   `benchmarks/master_read_*.g` files are written from it; see
+//!   `benchmarks/README.md`).
 //! * [`par_handshakes`] — `n` fully independent handshakes: `4ⁿ` states
 //!   with tiny BDDs, the extreme concurrency stress case.
 //! * [`vme_read`] — the classic VME bus controller read cycle, the

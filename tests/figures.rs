@@ -1,5 +1,6 @@
-//! Integration tests reproducing the paper's illustrative figures
-//! (experiment index F1–F6 in DESIGN.md).
+//! Integration tests reproducing the paper's illustrative figures: one
+//! test per figure, F1–F6 for Figs. 1–6 (named `fig1_…` to `fig6_…`),
+//! plus the Def. 2.6 implementability hierarchy.
 
 use stgcheck::core::{verify, SymbolicStg, VarOrder, VerifyOptions};
 use stgcheck::petri::ReachOptions;

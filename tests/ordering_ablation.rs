@@ -1,4 +1,4 @@
-//! Ablation A1 (DESIGN.md): variable ordering matters — the paper's
+//! Variable-ordering ablation: ordering matters — the paper's
 //! Section 6 remark made executable. The interleaved (DFS) order keeps the
 //! reachable-set BDD small on the scalable families; the naive separated
 //! orders are measurably worse.

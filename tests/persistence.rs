@@ -5,13 +5,14 @@
 //! edits.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use stgcheck::bdd::BddCheckpoint;
 use stgcheck::core::{
-    verify, verify_persistent, CacheStatus, EngineKind, PersistOptions, ReorderMode, SymbolicStg,
-    VarOrder, VerifyOptions,
+    verify, verify_persistent, CacheStatus, EngineKind, Outcome, PersistOptions, ReorderMode,
+    SymbolicStg, VarOrder, VerifyOptions,
 };
-use stgcheck::stg::{parse_g, Stg};
+use stgcheck::stg::{gen, parse_g, write_g, Stg};
 
 /// A fresh per-test scratch directory (tests share one process).
 fn tmp(name: &str) -> PathBuf {
@@ -154,6 +155,45 @@ fn interrupted_runs_resume_to_the_scratch_fixpoint() {
             assert_eq!(stored, direct, "{tag}: resumed reached set diverges");
         }
     }
+}
+
+/// A budget trip late in an iteration checkpoints that iteration's
+/// frontier. On master-read-12 (written as `.g`, so its code is
+/// inferred) the per-transition sweep collects garbage in the middle of
+/// an iteration, past the GC threshold; unless the frontier is a root of
+/// that collection, the checkpoint holds freed nodes and the resume
+/// either rejects it or runs on garbage. The resume runs under a
+/// deadline, so a run on garbage fails instead of hanging.
+#[test]
+fn budget_checkpoint_after_a_mid_sweep_collection_resumes() {
+    let stg = parse_g(&write_g(&gen::master_read(12))).unwrap();
+    let ck_path = tmp("mid-sweep-gc").join("ck.bin");
+    let mut opts = VerifyOptions::default();
+    opts.budget.max_steps = 1_200_000;
+    let exhaust = PersistOptions {
+        checkpoint: Some(ck_path.clone()),
+        checkpoint_every: 1000,
+        ..PersistOptions::default()
+    };
+    let run1 = verify_persistent(&stg, opts, &exhaust).unwrap();
+    assert!(matches!(run1.outcome, Outcome::Exhausted { .. }), "notes = {:?}", run1.notes);
+    assert!(ck_path.exists(), "an exhausted run must leave a checkpoint");
+
+    let mut opts = VerifyOptions::default();
+    opts.budget.timeout = Some(Duration::from_secs(300));
+    let resume = PersistOptions {
+        checkpoint: Some(ck_path.clone()),
+        resume: true,
+        ..PersistOptions::default()
+    };
+    let run2 = verify_persistent(&stg, opts, &resume).unwrap();
+    assert!(
+        run2.notes.iter().any(|n| n.contains("resumed from checkpoint")),
+        "notes = {:?}",
+        run2.notes
+    );
+    let report = run2.into_report().expect("the resumed run completes");
+    assert_eq!(report.num_states, 2 * 3u128.pow(12) + 2);
 }
 
 /// A warm hit returns the stored verdict without a fixpoint and agrees

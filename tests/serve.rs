@@ -508,6 +508,29 @@ fn failpoints_inject_typed_degradation() {
     assert_eq!(serve.finish(), 0);
 }
 
+/// A panic while the admission thread parses a net (the `serve-parse`
+/// fault) costs that one request an `internal_error` refusal: the ping
+/// behind it is answered, the next net verifies, and EOF drains clean.
+#[test]
+fn parse_panic_on_admission_is_one_internal_error() {
+    let handshake = data("handshake.g");
+    let mut serve = Serve::spawn(&["--workers", "1", "--failpoints", "serve-parse=1"]);
+    serve.send(&format!(r#"{{"id":"x1","net_path":"{handshake}"}}"#));
+    serve.send(r#"{"op":"ping","id":"x2"}"#);
+    let refused = serve.read_response();
+    assert_eq!(str_field(&refused, "id"), "x1", "{refused:?}");
+    assert_eq!(str_field(&refused, "status"), "error", "{refused:?}");
+    assert_eq!(str_field(&refused, "reason"), "internal_error", "{refused:?}");
+    assert_eq!(num_field(&refused, "exit_code"), 5.0, "{refused:?}");
+    let pong = serve.read_response();
+    assert_eq!(str_field(&pong, "id"), "x2", "{pong:?}");
+    assert_eq!(str_field(&pong, "op"), "ping", "{pong:?}");
+    serve.send(&format!(r#"{{"id":"x3","net_path":"{handshake}"}}"#));
+    let ok = serve.read_response();
+    assert_eq!(str_field(&ok, "verdict"), "gate-implementable", "{ok:?}");
+    assert_eq!(serve.finish(), 0);
+}
+
 /// SIGTERM mid-run: in-flight work is answered as interrupted and the
 /// daemon exits 3, mirroring the one-shot CLI's signal contract.
 #[test]
