@@ -11,7 +11,7 @@
 //!   published (inserted into a unique table under its level lock, stored
 //!   into an operation cache, or linked as a child edge);
 //! * published data is never mutated until the next *quiesce point* — a
-//!   `&mut BddManager` operation (GC, sifting, rebuild), which Rust's
+//!   `&mut BddManager` operation (GC, sifting, bulk import), which Rust's
 //!   borrow rules guarantee cannot overlap any shared-reference use.
 //!
 //! Storage is a sequence of lazily allocated fixed-size segments, so

@@ -1,35 +1,31 @@
-//! The hot lookup structures of the manager: lossy-atomic direct-mapped
-//! operation caches and the cheap multiplicative hasher shared with the
-//! per-level unique tables.
+//! The hot lookup structures of the manager: the lossy-atomic
+//! direct-mapped operation cache and the cheap multiplicative hasher
+//! shared with the per-level unique tables.
 //!
-//! The recursive algorithms (`and`, `ite`, `exists`, …) probe a cache on
-//! every call, so the cache is the single hottest data structure after
+//! The recursive algorithms (`and`, `exists`, `flip_cube`, …) probe the
+//! cache on every call, so it is the single hottest data structure after
 //! the unique tables. A general-purpose `HashMap` pays for open
 //! addressing metadata, SipHash, growth and tombstones on that path; a
 //! BDD operation cache needs none of it, because memoisation is *lossy
 //! by design* — forgetting an entry costs a recomputation, never
-//! correctness. Each cache is therefore a fixed-size power-of-two array
-//! indexed by a multiplicative (Fibonacci) hash: a probe is one multiply,
-//! one shift and a key compare, an insert overwrites whatever lives in
-//! the slot, and neither ever allocates once the array exists.
+//! correctness. The cache is therefore a fixed-size power-of-two array
+//! indexed by a multiplicative (Fibonacci) permutation of the key: a
+//! probe is one multiply, one shift and a key compare, an insert
+//! overwrites whatever lives in the slot, and neither ever allocates once
+//! the array exists.
 //!
-//! Since the concurrent-unique-table rework the caches are additionally
-//! **thread-safe without locks**: every entry is a tiny seqlock (a
-//! version word plus two atomic data words). Writers claim the version
-//! with one CAS — losing the race simply drops the insert, which lossy
-//! memoisation permits — and readers validate the version around their
-//! two data loads, so a torn read (data words from two different racing
-//! writers) can never pass validation and return a wrong result. This is
-//! what the ISSUE calls "racy read / racy overwrite is safe because
-//! entries are self-validating"; `docs/concurrent-table.md` has the full
-//! atomicity argument.
+//! The cache is also **thread-safe without locks or CAS**: every entry
+//! word pins the exact key it was written for, and all writers of one
+//! key write identical words, so a racy read either fails validation or
+//! reconstructs the one correct result (see [`PackedCache`];
+//! `docs/concurrent-table.md` has the full atomicity argument).
 //!
 //! The per-level unique tables *cannot* be lossy (they guarantee
 //! canonicity), so they stay exact maps — lock-sharded by level, see
 //! [`crate::BddManager`] — but they share the same [`CheapHasher`],
 //! replacing SipHash with the multiplicative mix.
 //!
-//! All caches are cleared on garbage collection and after sifting: both
+//! The cache is cleared on garbage collection and after sifting: both
 //! can reclaim node slots, and a stale entry holding a recycled handle
 //! would alias an unrelated function. Both are quiesce-time (`&mut`)
 //! operations, so clearing needs no synchronisation. In-place level
@@ -38,7 +34,7 @@
 //! order-level.
 
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::manager::BinOp;
@@ -90,11 +86,6 @@ impl Hasher for CheapHasher {
         self.write_u64(v as u64);
     }
 }
-
-/// Key word that no live probe ever uses (`u32::MAX` is outside the
-/// handle range — the arena caps slots at 2²⁷, so tagged handles fit in
-/// 28 bits), marking a cleared slot.
-const EMPTY: u32 = u32::MAX;
 
 /// Index bits of a [`PackedCache`] — fixed, because the packing stores
 /// exactly the `64 - PACKED_BITS = 48` non-index bits of the permuted
@@ -237,152 +228,20 @@ impl PackedCache {
     }
 }
 
-/// One entry of a [`DirectCache`]: a per-entry seqlock. `seq` is even
-/// when the entry is stable and odd while a writer owns it; `ab` packs
-/// the first two key words, `cr` the third key word and the result.
-/// Padded to 32 bytes so an entry never straddles a cache line — a probe
-/// touches exactly one line.
-#[repr(align(32))]
-struct Slot {
-    seq: AtomicU32,
-    ab: AtomicU64,
-    cr: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU32::new(0),
-            ab: AtomicU64::new((EMPTY as u64) << 32 | EMPTY as u64),
-            cr: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A fixed-size, direct-mapped, lossy, thread-safe memoisation cache.
-///
-/// * power-of-two slot count, chosen at construction and never resized;
-/// * one multiplicative hash per probe, no secondary probing;
-/// * insert overwrites whatever lives in the slot (no tombstones, no
-///   collision chains, no allocation on the apply path); under
-///   contention an insert may be dropped entirely — lossiness covers
-///   both eviction *and* racing writers;
-/// * reads validate the entry's seqlock version, so a probe returns
-///   either a value some writer actually stored for exactly that key, or
-///   a miss — never a torn mixture;
-/// * the backing array is allocated lazily on the first insert, so idle
-///   managers (short-lived test managers) stay cheap.
-pub(crate) struct DirectCache {
-    slots: OnceLock<Box<[Slot]>>,
-    bits: u32,
-}
-
-impl DirectCache {
-    /// A cache with `1 << bits` slots (allocated on first use).
-    pub(crate) fn new(bits: u32) -> DirectCache {
-        DirectCache { slots: OnceLock::new(), bits }
-    }
-
-    #[inline]
-    fn index(&self, a: u32, b: u32, c: u32) -> usize {
-        // One odd-constant multiply per word; the products' high bits are
-        // already well mixed, so xor-combining and taking the top slice
-        // spreads dense arena indices evenly.
-        let h = (a as u64).wrapping_mul(FIB)
-            ^ (b as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ (c as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
-        (h >> (64 - self.bits)) as usize
-    }
-
-    #[inline]
-    fn get(&self, a: u32, b: u32, c: u32) -> Option<Bdd> {
-        let slots = self.slots.get()?;
-        let s = &slots[self.index(a, b, c)];
-        // Seqlock read: an even version sampled before AND after the data
-        // loads proves the two words belong to one completed write. The
-        // acquire orderings pin the loads between the two version reads
-        // and synchronise with the writer's release stores. Mismatching
-        // key words may fail fast — reporting a miss is always safe, so
-        // only a *hit* needs the closing version check.
-        let v1 = s.seq.load(Ordering::Acquire);
-        if v1 & 1 != 0 {
-            return None;
-        }
-        if s.ab.load(Ordering::Acquire) != ((a as u64) << 32 | b as u64) {
-            return None;
-        }
-        let cr = s.cr.load(Ordering::Acquire);
-        if (cr >> 32) as u32 != c || s.seq.load(Ordering::Acquire) != v1 {
-            return None;
-        }
-        Some(Bdd(cr as u32))
-    }
-
-    #[inline]
-    fn insert(&self, a: u32, b: u32, c: u32, r: Bdd) {
-        debug_assert!(a != EMPTY, "cache key collides with the empty sentinel");
-        let slots =
-            self.slots.get_or_init(|| (0..1usize << self.bits).map(|_| Slot::empty()).collect());
-        let s = &slots[self.index(a, b, c)];
-        let v = s.seq.load(Ordering::Relaxed);
-        if v & 1 != 0 {
-            return; // another writer owns the entry — drop, lossily
-        }
-        // Claim the entry; a lost race is a dropped insert, never a wait.
-        if s.seq
-            .compare_exchange(v, v.wrapping_add(1), Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        s.ab.store((a as u64) << 32 | b as u64, Ordering::Release);
-        s.cr.store((c as u64) << 32 | r.0 as u64, Ordering::Release);
-        s.seq.store(v.wrapping_add(2), Ordering::Release);
-    }
-
-    /// The `&mut` counterpart of [`DirectCache::insert`]: plain stores through
-    /// `&mut self` — no CAS claim (there is nobody to race) and the
-    /// version word stays even, so the entry reads as stable to any
-    /// later shared-mode probe.
-    #[inline]
-    fn insert_mut(&mut self, a: u32, b: u32, c: u32, r: Bdd) {
-        debug_assert!(a != EMPTY, "cache key collides with the empty sentinel");
-        if self.slots.get().is_none() {
-            self.slots.get_or_init(|| (0..1usize << self.bits).map(|_| Slot::empty()).collect());
-        }
-        let idx = self.index(a, b, c);
-        let s = &mut self.slots.get_mut().expect("initialized above")[idx];
-        debug_assert!(*s.seq.get_mut() & 1 == 0, "entry left claimed across a quiesce point");
-        *s.ab.get_mut() = (a as u64) << 32 | b as u64;
-        *s.cr.get_mut() = (c as u64) << 32 | r.0 as u64;
-    }
-
-    /// Quiesce-time wipe; see [`OpCaches::clear`].
-    fn clear(&mut self) {
-        if let Some(slots) = self.slots.get_mut() {
-            for s in slots.iter_mut() {
-                *s = Slot::empty();
-            }
-        }
-    }
-}
-
-/// The manager's operation caches, one direct-mapped array per shape:
-/// the binary connectives, quantifiers, cofactor and flip keyed by
-/// `(op, f, g)`, and the ternary `ite`. There is no negation cache — with
-/// complement edges `not` is a tag flip and never probes anything. Keys
-/// are raw tagged handles *after* the operations' complement
-/// normalization (operand ordering, tag stripping where the op commutes
-/// with `¬`), so one cache line serves a whole ¬-symmetry class of
-/// queries.
+/// The manager's operation cache: one direct-mapped array for the binary
+/// connectives, quantifiers, cofactor and flip, keyed by `(op, f, g)`.
+/// There is no negation cache — with complement edges `not` is a tag flip
+/// and never probes anything. Keys are raw tagged handles *after* the
+/// operations' complement normalization (operand ordering, tag stripping
+/// where the op commutes with `¬`), so one cache line serves a whole
+/// ¬-symmetry class of queries.
 pub(crate) struct OpCaches {
     bin: PackedCache,
-    ite: DirectCache,
 }
 
 impl Default for OpCaches {
     fn default() -> OpCaches {
-        OpCaches { bin: PackedCache::new(), ite: DirectCache::new(14) }
+        OpCaches { bin: PackedCache::new() }
     }
 }
 
@@ -411,53 +270,44 @@ impl OpCaches {
         self.bin.insert_mut(bin_key(op, f, g), r);
     }
 
-    #[inline]
-    pub(crate) fn ite_get(&self, f: Bdd, g: Bdd, h: Bdd) -> Option<Bdd> {
-        self.ite.get(f.0, g.0, h.0)
-    }
-
-    #[inline]
-    pub(crate) fn ite_insert(&self, f: Bdd, g: Bdd, h: Bdd, r: Bdd) {
-        self.ite.insert(f.0, g.0, h.0, r);
-    }
-
-    #[inline]
-    pub(crate) fn ite_insert_mut(&mut self, f: Bdd, g: Bdd, h: Bdd, r: Bdd) {
-        self.ite.insert_mut(f.0, g.0, h.0, r);
-    }
-
     /// Forgets every entry. Must run whenever node slots may be recycled
-    /// (GC, sifting's dead-node reclamation, rebuild) — all of which
-    /// take `&mut BddManager`, i.e. happen at a quiesce point with no
-    /// concurrent readers.
+    /// (GC, sifting's dead-node reclamation) — both of which take `&mut
+    /// BddManager`, i.e. happen at a quiesce point with no concurrent
+    /// readers.
     pub(crate) fn clear(&mut self) {
         self.bin.clear();
-        self.ite.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn direct_cache_round_trip_and_lossiness() {
-        let mut c = DirectCache::new(4); // 16 slots — collisions guaranteed
-        assert_eq!(c.get(1, 2, 3), None);
-        c.insert(1, 2, 3, Bdd(7));
-        assert_eq!(c.get(1, 2, 3), Some(Bdd(7)));
-        // Same slot, different key: the old entry is lossily evicted and
-        // the probe for it misses rather than aliasing.
-        for k in 0..64u32 {
-            c.insert(k, k + 1, k + 2, Bdd(k + 10));
+        let mut c = PackedCache::new();
+        assert_eq!(c.get(bin_key(BinOp::And, Bdd(2), Bdd(3))), None);
+        c.insert(bin_key(BinOp::And, Bdd(2), Bdd(3)), Bdd(7));
+        assert_eq!(c.get(bin_key(BinOp::And, Bdd(2), Bdd(3))), Some(Bdd(7)));
+        // The op code is part of the key.
+        assert_eq!(c.get(bin_key(BinOp::Xor, Bdd(2), Bdd(3))), None);
+        // More keys than slots: colliding entries are lossily evicted,
+        // and a probe for an evicted key misses rather than aliasing.
+        let n = 3u32 << PACKED_BITS;
+        for k in 0..n {
+            c.insert(bin_key(BinOp::And, Bdd(k), Bdd(k + 1)), Bdd(k + 10));
         }
-        for k in 0..64u32 {
-            let got = c.get(k, k + 1, k + 2);
+        let mut hits = 0;
+        for k in 0..n {
+            let got = c.get(bin_key(BinOp::And, Bdd(k), Bdd(k + 1)));
             assert!(got.is_none() || got == Some(Bdd(k + 10)));
+            hits += usize::from(got.is_some());
         }
+        assert!(hits <= 1 << PACKED_BITS, "{hits} hits from a {}-slot cache", 1 << PACKED_BITS);
         c.clear();
-        for k in 0..64u32 {
-            assert_eq!(c.get(k, k + 1, k + 2), None);
+        for k in 0..n {
+            assert_eq!(c.get(bin_key(BinOp::And, Bdd(k), Bdd(k + 1))), None);
         }
     }
 
@@ -465,54 +315,59 @@ mod tests {
     fn exclusive_inserts_are_visible_to_shared_probes() {
         // The mode split promises bit-identical entry layout: whatever
         // the `&mut` path writes, the shared probe must read back.
-        let mut d = DirectCache::new(6);
         let mut p = PackedCache::new();
         for k in 0..200u32 {
-            d.insert_mut(k, k + 1, k + 2, Bdd(k ^ 5));
             p.insert_mut((k as u64) << 30 | (k + 1) as u64, Bdd(k ^ 9));
         }
         for k in 0..200u32 {
-            let got = d.get(k, k + 1, k + 2);
-            assert!(got.is_none() || got == Some(Bdd(k ^ 5)));
             let got = p.get((k as u64) << 30 | (k + 1) as u64);
             assert!(got.is_none() || got == Some(Bdd(k ^ 9)));
         }
         // And the last write per slot definitely sticks.
-        d.insert_mut(7, 8, 9, Bdd(42));
-        assert_eq!(d.get(7, 8, 9), Some(Bdd(42)));
-        d.insert(7, 8, 9, Bdd(43)); // shared overwrite of a mut entry
-        assert_eq!(d.get(7, 8, 9), Some(Bdd(43)));
+        p.insert_mut(7 << 30 | 8, Bdd(42));
+        assert_eq!(p.get(7 << 30 | 8), Some(Bdd(42)));
+        p.insert(7 << 30 | 8, Bdd(43)); // shared overwrite of a mut entry
+        assert_eq!(p.get(7 << 30 | 8), Some(Bdd(43)));
     }
 
     #[test]
     fn cheap_hasher_spreads_dense_keys() {
-        // Dense small integers (arena indices) must not collapse onto a
-        // handful of slots.
-        let mut buckets = std::collections::HashSet::new();
-        let cache = DirectCache::new(10);
+        // Dense small integers (arena indices), hashed the way a
+        // unique-table key `(lo, hi)` is, must not collapse onto a
+        // handful of buckets — neither in the low bits that pick a
+        // `HashMap` bucket nor in the high bits.
+        let mut low = std::collections::HashSet::new();
+        let mut high = std::collections::HashSet::new();
         for i in 0..1024u32 {
-            buckets.insert(cache.index(i, i / 2, 0));
+            let mut h = CheapHasher::default();
+            (Bdd(i), Bdd(i / 2)).hash(&mut h);
+            let x = h.finish();
+            low.insert(x & 1023);
+            high.insert(x >> 54);
         }
-        assert!(buckets.len() > 512, "only {} distinct buckets", buckets.len());
+        assert!(low.len() > 512, "only {} distinct low buckets", low.len());
+        assert!(high.len() > 512, "only {} distinct high buckets", high.len());
     }
 
     #[test]
     fn concurrent_probes_never_return_torn_entries() {
-        // Many threads hammer one tiny cache with a *functional* key→value
-        // map (value derived from the key). Any hit must agree with the
-        // function — a torn read or misvalidated entry would not.
-        let cache = DirectCache::new(3); // 8 slots: maximal collision rate
-        let value_of = |a: u32, b: u32, c: u32| Bdd(a.wrapping_mul(31) ^ b ^ c.rotate_left(7));
+        // Many threads hammer one cache with a *functional* key→value map
+        // (value derived from the key), over more keys than fit without
+        // collisions. Any hit must agree with the function — a torn read
+        // or misvalidated entry would not.
+        let cache = PackedCache::new();
+        let key_of = |a: u32, b: u32| bin_key(BinOp::And, Bdd(a), Bdd(b));
+        let value_of = |a: u32, b: u32| Bdd((a.wrapping_mul(31) ^ b.rotate_left(7)) & 0x0FFF_FFFF);
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let cache = &cache;
                 scope.spawn(move || {
                     for i in 0..20_000u32 {
-                        let (a, b, c) = (i % 97 + t, i % 89, i % 83);
-                        cache.insert(a, b, c, value_of(a, b, c));
-                        let (a, b, c) = ((i * 7) % 97, (i * 5) % 89, (i * 3) % 83);
-                        if let Some(r) = cache.get(a, b, c) {
-                            assert_eq!(r, value_of(a, b, c), "torn or aliased cache hit");
+                        let (a, b) = (i % 997 + t, i % 883);
+                        cache.insert(key_of(a, b), value_of(a, b));
+                        let (a, b) = ((i * 7) % 997, (i * 5) % 883);
+                        if let Some(r) = cache.get(key_of(a, b)) {
+                            assert_eq!(r, value_of(a, b), "torn or aliased cache hit");
                         }
                     }
                 });

@@ -20,8 +20,8 @@
 //!   carry a tag bit, so [`BddManager::not`] is O(1), a function and its
 //!   negation share every node, and `∨`/`∀`/`→`/`−` resolve through the
 //!   `∧`/`∃` caches by De Morgan duality;
-//! * memoised boolean operations (`and`, `or`, `xor`, `ite`, …) backed by
-//!   fixed-size direct-mapped lossy caches with complement-normalized
+//! * memoised boolean operations (`and`, `or`, `xor`, …) backed by a
+//!   fixed-size direct-mapped lossy cache with complement-normalized
 //!   keys and cheap multiplicative hashing — no allocation on the apply
 //!   path;
 //! * *cube cofactors* and existential/universal abstraction — the
@@ -30,11 +30,11 @@
 //!   [`BddOps::flip_cube`] that computes it;
 //! * satisfying-assignment counting and enumeration (the "# of states"
 //!   column of Table 1);
-//! * variable-ordering support: any static order at creation time, a
-//!   rebuild-based [`BddManager::reorder`] that lines a manager up with
-//!   a checkpoint's order before an import, and **in-place dynamic
-//!   reordering** — the handle-preserving [`BddManager::swap_levels`]
-//!   primitive, Rudell-style grouped sifting ([`BddManager::sift`],
+//! * variable-ordering support: any static order at creation time and
+//!   **in-place dynamic reordering** — the handle-preserving
+//!   [`BddManager::swap_levels`] primitive, [`BddManager::permute_levels`]
+//!   that lines a manager up with a checkpoint's order before an import,
+//!   Rudell-style grouped sifting ([`BddManager::sift`],
 //!   [`BddManager::set_var_groups`]) and the automatic growth trigger
 //!   [`BddManager::reorder_due`] (see `docs/reordering.md`);
 //! * a durable, checksummed multi-root serialized form
@@ -67,14 +67,12 @@ mod analysis;
 mod arena;
 mod budget;
 mod cache;
-mod dot;
 mod expr;
 pub mod failpoint;
 mod manager;
 mod node;
 mod ops;
 mod quant;
-mod reorder;
 mod serialize;
 mod sift;
 

@@ -19,7 +19,7 @@
 //! per level, a natural shard key because sifting rewires whole levels),
 //! the node arena is append-only with atomic publication, and the
 //! operation caches are lossy-atomic. *Structural* operations — variable
-//! declaration, GC, sifting, rebuild — take `&mut self`, so Rust's
+//! declaration, GC, sifting, bulk import — take `&mut self`, so Rust's
 //! borrow rules make every one of them a stop-the-world quiesce point:
 //! no thread can hold `&BddManager` across them.
 
@@ -88,8 +88,8 @@ pub struct ManagerStats {
     pub num_vars: usize,
     /// Number of in-place sifting passes ([`BddManager::sift`]) performed.
     pub sift_runs: usize,
-    /// Total adjacent-level swaps executed by sifting and
-    /// [`BddManager::swap_levels`].
+    /// Total adjacent-level swaps executed by sifting,
+    /// [`BddManager::swap_levels`] and [`BddManager::permute_levels`].
     pub sift_swaps: usize,
 }
 
@@ -268,8 +268,8 @@ impl BddManager {
 
     /// Declares a fresh variable placed at the bottom of the current order.
     ///
-    /// The name is used only for diagnostics and DOT export; it need not be
-    /// unique.
+    /// The name is used for diagnostics and checkpoint headers; it need
+    /// not be unique.
     ///
     /// # Panics
     ///
@@ -881,22 +881,6 @@ impl BddManager {
         *self.peak_live.get_mut() = *self.live.get_mut();
     }
 
-    /// Forces the peak counter to at least `peak` (used when merging
-    /// statistics across a rebuild).
-    pub(crate) fn force_peak(&mut self, peak: usize) {
-        if peak > *self.peak_live.get_mut() {
-            *self.peak_live.get_mut() = peak;
-        }
-    }
-
-    /// Moves variable `v` to `level`. Only legal while the manager holds no
-    /// decision nodes (used by the rebuild-based reorder).
-    pub(crate) fn set_var_level(&mut self, v: Var, level: usize) {
-        assert_eq!(*self.live.get_mut(), 0, "cannot re-level variables of a non-empty manager");
-        self.level_of_var[v.index()] = level as Level;
-        self.var_at_level[level] = v;
-    }
-
     /// Garbage collection — a quiesce-point operation: the `&mut`
     /// receiver guarantees no thread is concurrently reading or growing
     /// the manager.
@@ -1074,10 +1058,9 @@ impl BddManager {
 
     /// Invalidates the generational watermark: the next collection will
     /// be a full one. Must be called by every structural operation that
-    /// rewires or relabels old-space slots outside a collection (sifting
-    /// swaps, rebuild-based reordering, bulk imports recycling free
-    /// slots) — after it, "old survivor's children are old survivors" no
-    /// longer holds.
+    /// rewires or relabels old-space slots outside a collection (level
+    /// swaps, sifting, bulk imports recycling free slots) — after it,
+    /// "old survivor's children are old survivors" no longer holds.
     pub(crate) fn invalidate_generation(&mut self) {
         self.gc_watermark = 0;
         self.minors_since_full = 0;

@@ -93,7 +93,7 @@ impl Bdd {
 
     /// Arena slot of this node, with the complement tag stripped — `f` and
     /// `¬f` share one slot and report the same index. Exposed for
-    /// diagnostics and DOT export; never a raw tagged word.
+    /// diagnostics and serialization; never a raw tagged word.
     #[inline]
     pub fn index(self) -> usize {
         (self.0 >> 1) as usize

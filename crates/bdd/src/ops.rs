@@ -1,5 +1,5 @@
-//! Boolean operations on BDDs: negation, the binary connectives and `ite`,
-//! and the [`BddOps`] trait that every node-creating operation lives on.
+//! Boolean operations on BDDs: negation, the binary connectives, and the
+//! [`BddOps`] trait that every node-creating operation lives on.
 //!
 //! With complement edges, negation is a tag flip — no traversal, no cache,
 //! no arena growth — and the connectives collapse onto a small core:
@@ -36,18 +36,8 @@ impl BddManager {
     }
 }
 
-/// The memo-table line a finished recursion step publishes its result
-/// under (keys after complement normalization).
-#[derive(Copy, Clone, Debug)]
-pub enum Memo {
-    /// A binary connective or quantifier, keyed `(op, f, g)`.
-    Bin(BinOp, Bdd, Bdd),
-    /// `ite(f, g, h)`.
-    Ite(Bdd, Bdd, Bdd),
-}
-
 mod sealed {
-    use super::{Bdd, Memo, Node};
+    use super::{Bdd, BinOp, Node};
 
     /// The two steps of a recursion that differ between a shared and an
     /// exclusive manager borrow. Their argument types are private to the
@@ -57,15 +47,16 @@ mod sealed {
         /// Hash-conses `node` (`lo` may be complemented; see
         /// `BddManager::mk`).
         fn mk(&mut self, node: Node) -> Bdd;
-        /// Publishes `r` as the result memoised under `key`.
-        fn memo(&mut self, key: Memo, r: Bdd);
+        /// Publishes `r` as the result memoised under the key `(op, f,
+        /// g)`, taken after complement normalization.
+        fn memo(&mut self, op: BinOp, f: Bdd, g: Bdd, r: Bdd);
     }
 }
 
 // `inline(always)` on both implementations: the recursions are
 // instantiated in the calling crate, where plain `#[inline]` left `memo`
-// out of line, so every memo publication paid a call and a `Memo` match
-// instead of one direct cache insert.
+// out of line, so every memo publication paid a call instead of one
+// direct cache insert.
 impl sealed::Access for BddManager {
     #[inline(always)]
     fn mk(&mut self, n: Node) -> Bdd {
@@ -73,11 +64,8 @@ impl sealed::Access for BddManager {
     }
 
     #[inline(always)]
-    fn memo(&mut self, key: Memo, r: Bdd) {
-        match key {
-            Memo::Bin(op, f, g) => self.caches.bin_insert_mut(op, f, g, r),
-            Memo::Ite(f, g, h) => self.caches.ite_insert_mut(f, g, h, r),
-        }
+    fn memo(&mut self, op: BinOp, f: Bdd, g: Bdd, r: Bdd) {
+        self.caches.bin_insert_mut(op, f, g, r);
     }
 }
 
@@ -88,11 +76,8 @@ impl sealed::Access for &BddManager {
     }
 
     #[inline(always)]
-    fn memo(&mut self, key: Memo, r: Bdd) {
-        match key {
-            Memo::Bin(op, f, g) => self.caches.bin_insert(op, f, g, r),
-            Memo::Ite(f, g, h) => self.caches.ite_insert(f, g, h, r),
-        }
+    fn memo(&mut self, op: BinOp, f: Bdd, g: Bdd, r: Bdd) {
+        self.caches.bin_insert(op, f, g, r);
     }
 }
 
@@ -182,7 +167,7 @@ pub trait BddOps: sealed::Access + Sized {
         if self.manager().inert() {
             return Bdd::FALSE;
         }
-        self.memo(Memo::Bin(BinOp::And, a, b), r);
+        self.memo(BinOp::And, a, b, r);
         r
     }
 
@@ -229,7 +214,7 @@ pub trait BddOps: sealed::Access + Sized {
         if self.manager().inert() {
             return Bdd::FALSE;
         }
-        self.memo(Memo::Bin(BinOp::Xor, a, b), r);
+        self.memo(BinOp::Xor, a, b, r);
         r.complement_if(parity)
     }
 
@@ -248,81 +233,6 @@ pub trait BddOps: sealed::Access + Sized {
     /// Biconditional `f ↔ g = ¬(f ⊕ g)`.
     fn iff(&mut self, f: Bdd, g: Bdd) -> Bdd {
         self.xor(f, g).complement()
-    }
-
-    /// If-then-else `(f ∧ g) ∨ (¬f ∧ h)`, the universal connective.
-    ///
-    /// Normalized before the cache probe: a complemented condition swaps
-    /// the branches (`ite(¬f,g,h) = ite(f,h,g)`) and a complemented then
-    /// branch factors out (`ite(f,¬g,¬h) = ¬ite(f,g,h)`), so the cached
-    /// key always has a regular `f` and a regular `g`.
-    fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        // Terminal cases.
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == h.complement() {
-            // ite(f, g, ¬g) = f ↔ g.
-            return self.iff(f, g);
-        }
-        // Operand coincidences route into the shared and-cache.
-        if f == g {
-            return self.or(f, h); // ite(f, f, h)
-        }
-        if f == g.complement() {
-            return self.and(f.complement(), h); // ite(f, ¬f, h)
-        }
-        if f == h {
-            return self.and(f, g); // ite(f, g, f)
-        }
-        if f == h.complement() {
-            return self.or(f.complement(), g); // ite(f, g, ¬f)
-        }
-        if g.is_true() {
-            return self.or(f, h);
-        }
-        if g.is_false() {
-            return self.and(f.complement(), h);
-        }
-        if h.is_false() {
-            return self.and(f, g);
-        }
-        if h.is_true() {
-            return self.or(f.complement(), g);
-        }
-        // Normalization 1: regular condition.
-        let (f, g, h) = if f.is_complemented() { (f.complement(), h, g) } else { (f, g, h) };
-        // Normalization 2: regular then-branch; the tag moves to the result.
-        let flip = g.is_complemented();
-        let (g, h) = if flip { (g.complement(), h.complement()) } else { (g, h) };
-        let m = self.manager();
-        if let Some(r) = m.caches.ite_get(f, g, h) {
-            return r.complement_if(flip);
-        }
-        if m.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = m.peek(f);
-        let (lg, ge0, ge1) = m.peek(g);
-        let (lh, he0, he1) = m.peek(h);
-        let top = lf.min(lg).min(lh);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let (h0, h1) = if lh == top { (he0, he1) } else { (h, h) };
-        let lo = self.ite(f0, g0, h0);
-        let hi = self.ite(f1, g1, h1);
-        let r = self.mk(Node { level: top, lo, hi });
-        if self.manager().inert() {
-            return Bdd::FALSE;
-        }
-        self.memo(Memo::Ite(f, g, h), r);
-        r.complement_if(flip)
     }
 
     /// Conjunction of many functions. Returns `TRUE` for an empty slice.
@@ -347,29 +257,6 @@ pub trait BddOps: sealed::Access + Sized {
             }
         }
         acc
-    }
-
-    /// Functional composition: substitutes `g` for variable `v` in `f`
-    /// (`f[v := g]`), by Shannon expansion `ite(g, f|ᵥ₌₁, f|ᵥ₌₀)`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stgcheck_bdd::{BddManager, BddOps};
-    /// let mut m = BddManager::new();
-    /// let x = m.new_var("x");
-    /// let y = m.new_var("y");
-    /// let z = m.new_var("z");
-    /// let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
-    /// let f = m.and(vx, vy);
-    /// let g = m.or(vy, vz);
-    /// let h = m.compose(f, x, g); // (y∨z) ∧ y = y
-    /// assert_eq!(h, vy);
-    /// ```
-    fn compose(&mut self, f: Bdd, v: Var, g: Bdd) -> Bdd {
-        let f1 = self.restrict(f, v, true);
-        let f0 = self.restrict(f, v, false);
-        self.ite(g, f1, f0)
     }
 
     /// Tests whether `f ∧ g` is satisfiable without necessarily building the
@@ -593,34 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn ite_equals_definition() {
-        let (mut m, f, g, h) = setup();
-        let ite = m.ite(f, g, h);
-        let fg = m.and(f, g);
-        let nf = m.not(f);
-        let nfh = m.and(nf, h);
-        let by_def = m.or(fg, nfh);
-        assert_eq!(ite, by_def);
-    }
-
-    #[test]
-    fn ite_normalizations() {
-        let (mut m, f, g, h) = setup();
-        let base = m.ite(f, g, h);
-        // ite(¬f, h, g) == ite(f, g, h).
-        let nf = m.not(f);
-        assert_eq!(m.ite(nf, h, g), base);
-        // ite(f, ¬g, ¬h) == ¬ite(f, g, h).
-        let (ng, nh) = (m.not(g), m.not(h));
-        assert_eq!(m.ite(f, ng, nh), base.complement());
-        // ite(f, g, ¬g) == f ↔ g.
-        let ng = m.not(g);
-        let lhs = m.ite(f, g, ng);
-        let rhs = m.iff(f, g);
-        assert_eq!(lhs, rhs);
-    }
-
-    #[test]
     fn implies_and_iff() {
         let (mut m, x, y, _) = setup();
         let imp = m.implies(x, y);
@@ -659,29 +518,6 @@ mod tests {
         let expected = m.or(xoy, z);
         assert_eq!(any, expected);
         assert_eq!(m.or_many(&[]), Bdd::FALSE);
-    }
-
-    #[test]
-    fn compose_laws() {
-        let mut m = BddManager::new();
-        let x = m.new_var("x");
-        let y = m.new_var("y");
-        let z = m.new_var("z");
-        let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
-        let f = m.xor(vx, vy);
-        // Identity substitution.
-        assert_eq!(m.compose(f, x, vx), f);
-        // Constant substitution equals restriction.
-        let t = m.one();
-        let composed = m.compose(f, x, t);
-        let restricted = m.restrict(f, x, true);
-        assert_eq!(composed, restricted);
-        // Substituting z for x: x⊕y becomes z⊕y.
-        let h = m.compose(f, x, vz);
-        let expected = m.xor(vz, vy);
-        assert_eq!(h, expected);
-        // Variables not in the support are untouched.
-        assert_eq!(m.compose(f, z, vy), f);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::manager::{BddManager, BinOp};
 use crate::node::{Bdd, Level, Literal, Node, TERMINAL_LEVEL};
-use crate::ops::{BddOps, Memo};
+use crate::ops::BddOps;
 
 impl BddManager {
     /// Returns `true` if `f` is a cube: a single path to `TRUE`.
@@ -113,7 +113,7 @@ pub(crate) fn cofactor_rec<M: BddOps>(m: &mut M, f: Bdd, c: Bdd) -> Bdd {
     if m.manager().inert() {
         return Bdd::FALSE;
     }
-    m.memo(Memo::Bin(BinOp::CofactorCube, f, c), r);
+    m.memo(BinOp::CofactorCube, f, c, r);
     r
 }
 
@@ -158,7 +158,7 @@ pub(crate) fn exists_rec<M: BddOps>(m: &mut M, f: Bdd, mut c: Bdd) -> Bdd {
     if m.manager().inert() {
         return Bdd::FALSE;
     }
-    m.memo(Memo::Bin(BinOp::Exists, f, c), r);
+    m.memo(BinOp::Exists, f, c, r);
     r
 }
 
@@ -203,7 +203,7 @@ pub(crate) fn flip_rec<M: BddOps>(m: &mut M, f: Bdd, c: Bdd, back: bool) -> Bdd 
     if m.manager().inert() {
         return Bdd::FALSE;
     }
-    m.memo(Memo::Bin(op, f, c), r);
+    m.memo(op, f, c, r);
     r
 }
 

@@ -5,9 +5,9 @@
 //! heuristics for variable ordering are not used". Static orders from the
 //! encoding layer only help until the reachable-set shape drifts away
 //! from the net shape mid-traversal; at that point the order must change
-//! *without* rebuilding the manager (the rebuild-based
-//! [`BddManager::reorder`] is far too expensive to run between fixpoint
-//! iterations, and it invalidates every outstanding handle).
+//! *without* rebuilding the manager — a rebuild is far too expensive to
+//! run between fixpoint iterations, and it would invalidate every
+//! outstanding handle.
 //!
 //! The machinery here is the classic alternative:
 //!
@@ -16,6 +16,9 @@
 //!   tables. Every node keeps its arena slot, so every [`Bdd`] handle
 //!   keeps denoting the same boolean function — no caller cooperation
 //!   needed.
+//! * [`BddManager::permute_levels`] installs a whole target order by
+//!   such swaps — how a fresh context is lined up with a checkpoint's
+//!   order before the import.
 //! * [`BddManager::sift`] moves each variable (or each declared *group*
 //!   of variables, see [`BddManager::set_var_groups`]) through the whole
 //!   order by repeated adjacent swaps and parks it at the position that
@@ -67,7 +70,10 @@ impl BddManager {
     /// rewrote them away) and can create nodes at the sinking level. An
     /// orphan stays canonically registered and is reclaimed by the next
     /// [`BddManager::gc`]; during [`BddManager::sift`] the internal
-    /// reference counter reclaims it immediately instead.
+    /// reference counter reclaims it immediately instead. That next
+    /// collection is a full one: the rewritten nodes keep their old slots
+    /// but may now point at nodes allocated by the swap, which a minor
+    /// collection would not reach through old space.
     ///
     /// # Panics
     ///
@@ -75,6 +81,36 @@ impl BddManager {
     pub fn swap_levels(&mut self, level: usize) {
         assert!(level + 1 < self.num_vars(), "swap_levels({level}) needs two adjacent levels");
         self.swap_adjacent(level, &mut None);
+        self.invalidate_generation();
+    }
+
+    /// Moves the variables in place so that `order[k]` sits at level `k`:
+    /// for each target level in turn, the wanted variable is swapped up
+    /// from its current level by [`BddManager::swap_levels`]' primitive.
+    /// Every handle keeps denoting the same function, and what the swaps
+    /// orphan is left to the next (full) [`BddManager::gc`].
+    ///
+    /// A variable passes every level between its current and its target
+    /// position, rewriting the nodes there, so this suits lightly
+    /// populated managers: a fresh context holding only its permanent
+    /// cubes, lined up with a checkpoint's order before the import.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of all declared variables.
+    pub fn permute_levels(&mut self, order: &[Var]) {
+        let n = self.num_vars();
+        assert_eq!(order.len(), n, "order must be a permutation of all variables");
+        let mut seen = vec![false; n];
+        for v in order {
+            assert!(!std::mem::replace(&mut seen[v.index()], true), "duplicate variable in order");
+        }
+        for (target, &v) in order.iter().enumerate() {
+            for l in (target..self.level_of(v)).rev() {
+                self.swap_adjacent(l, &mut None);
+            }
+        }
+        self.invalidate_generation();
     }
 
     /// The swap primitive, optionally maintaining sifting ref-counts.
@@ -496,6 +532,60 @@ mod tests {
     }
 
     #[test]
+    fn in_place_reorder_invalidates_nothing_kept() {
+        let mut m = BddManager::new();
+        let vars = m.new_vars("x", 3);
+        let (v0, v1) = (m.var(vars[0]), m.var(vars[1]));
+        let f = m.and(v0, v1);
+        let order = vec![vars[2], vars[1], vars[0]];
+        m.permute_levels(&order);
+        assert_eq!(m.order(), order);
+        assert_eq!(m.sat_count(f), 2); // x0∧x1 over 3 vars, same handle
+        m.check_invariants();
+    }
+
+    #[test]
+    fn interleaved_order_shrinks_multiplier_pattern() {
+        // The classic (a1∧b1)∨(a2∧b2)∨…: grouped order is linear,
+        // separated order is exponential.
+        let n = 6;
+        let mut m = BddManager::new();
+        let avars = m.new_vars("a", n);
+        let bvars = m.new_vars("b", n);
+        let mut f = m.zero();
+        for i in 0..n {
+            let (ai, bi) = (m.var(avars[i]), m.var(bvars[i]));
+            let t = m.and(ai, bi);
+            f = m.or(f, t);
+        }
+        let bad_size = m.size(f);
+        let tt = truth_table(&m, f, 2 * n);
+        let order: Vec<Var> = (0..n).flat_map(|i| [avars[i], bvars[i]]).collect();
+        m.permute_levels(&order);
+        m.check_invariants();
+        assert_eq!(truth_table(&m, f, 2 * n), tt);
+        assert!(m.size(f) < bad_size, "interleaving should shrink the BDD");
+        // Linear in n for the good order: one a-node and one b-node per term.
+        assert_eq!(m.size(f), 2 * n);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn rejects_incomplete_order() {
+        let mut m = BddManager::new();
+        let vars = m.new_vars("x", 3);
+        m.permute_levels(&vars[..2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate")]
+    fn rejects_duplicate_order() {
+        let mut m = BddManager::new();
+        let vars = m.new_vars("x", 2);
+        m.permute_levels(&[vars[0], vars[0]]);
+    }
+
+    #[test]
     fn sift_shrinks_the_separated_multiplier_pattern() {
         // (a0∧b0)∨(a1∧b1)∨… under the separated order is exponential;
         // sifting must find an interleaving-quality order.
@@ -526,17 +616,22 @@ mod tests {
 
     #[test]
     fn sift_agrees_with_semantic_rebuild() {
-        let (mut m, _, f) = three_var_setup();
+        let (mut m, vars, f) = three_var_setup();
         let before = truth_table(&m, f, 3);
         m.sift(&[f]);
         assert_eq!(truth_table(&m, f, 3), before);
-        // Rebuilding under the sifted order in a fresh manager yields a
-        // function of identical size and semantics: the in-place result
-        // is canonical for the order it found.
-        let order = m.order();
-        let (m2, roots) = m.rebuild_with_order(&order, &[f]);
-        assert_eq!(m2.size(roots[0]), m.size(f));
-        assert_eq!(truth_table(&m2, roots[0], 3), before);
+        // Building the same function from scratch in a fresh manager
+        // under the sifted order yields a graph of identical size and
+        // semantics: the in-place result is canonical for the order it
+        // found.
+        let mut m2 = BddManager::new();
+        m2.new_vars("x", 3);
+        m2.permute_levels(&m.order());
+        let (v0, v1, v2) = (m2.var(vars[0]), m2.var(vars[1]), m2.var(vars[2]));
+        let a = m2.and(v0, v1);
+        let g = m2.or(a, v2);
+        assert_eq!(m2.size(g), m.size(f));
+        assert_eq!(truth_table(&m2, g, 3), before);
     }
 
     #[test]
@@ -577,8 +672,8 @@ mod tests {
             order.push(avars[i]);
             order.push(bvars[i]);
         }
-        let roots = m.reorder(&order, &[f]);
-        let f = roots[0];
+        m.permute_levels(&order);
+        assert_eq!(m.order(), order);
         let tt = truth_table(&m, f, 2 * n);
         m.sift_grouped(&[f], &groups);
         m.check_invariants();

@@ -1,6 +1,8 @@
 //! Property-based tests: the BDD engine against truth-table reference
 //! semantics, plus the algebraic laws the symbolic algorithms rely on.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use stgcheck_bdd::{Bdd, BddCheckpoint, BddManager, BddOps, BoolExpr, Literal, Var};
 
@@ -43,6 +45,51 @@ fn assignment_from_bits(bits: u32) -> Vec<bool> {
     (0..NVARS).map(|i| bits & (1 << i) != 0).collect()
 }
 
+/// Test-only reference for reordering: rebuilds `roots` of `m` into a
+/// fresh manager by Shannon expansion with `var`, `and` and `or`, with
+/// the variables declared in `m`'s current order, so that the copy's
+/// variable `k` is the one at level `k` of `m`. Read the copies through
+/// [`by_level`] assignments.
+fn rebuild_in_current_order(m: &BddManager, roots: &[Bdd]) -> (BddManager, Vec<Bdd>) {
+    fn transfer(
+        src: &BddManager,
+        dst: &mut BddManager,
+        image: &[Var],
+        f: Bdd,
+        memo: &mut HashMap<Bdd, Bdd>,
+    ) -> Bdd {
+        if f.is_terminal() {
+            return f;
+        }
+        if let Some(&r) = memo.get(&f) {
+            return r;
+        }
+        let lo = transfer(src, dst, image, src.low(f), memo);
+        let hi = transfer(src, dst, image, src.high(f), memo);
+        let v = image[src.root_var(f).index()];
+        let (x, nx) = (dst.var(v), dst.nvar(v));
+        let then = dst.and(x, hi);
+        let other = dst.and(nx, lo);
+        let r = dst.or(then, other);
+        memo.insert(f, r);
+        r
+    }
+    let mut dst = BddManager::new();
+    let mut image = vec![Var::from_index(0); m.num_vars()];
+    for v in m.order() {
+        image[v.index()] = dst.new_var(m.var_name(v));
+    }
+    let mut memo = HashMap::new();
+    let copies = roots.iter().map(|&r| transfer(m, &mut dst, &image, r, &mut memo)).collect();
+    (dst, copies)
+}
+
+/// The assignment `a` (indexed by variable) re-indexed by `m`'s levels,
+/// as the copies of [`rebuild_in_current_order`] read it.
+fn by_level(m: &BddManager, a: &[bool]) -> Vec<bool> {
+    m.order().iter().map(|v| a[v.index()]).collect()
+}
+
 /// Every node-creating [`BddOps`] operation once, on operands `f`, `g`,
 /// `h` and the variable mask `mask`, through whichever instantiation `m`
 /// selects. Generic so that one script runs on `&BddManager` (atomic
@@ -60,10 +107,8 @@ fn op_script<M: BddOps>(m: &mut M, f: Bdd, g: Bdd, h: Bdd, mask: u32) -> Vec<Bdd
         m.diff(f, g),
         m.implies(f, g),
         m.iff(f, g),
-        m.ite(f, g, h),
         m.and_many(&[f, g, h]),
         m.or_many(&[f, g, h]),
-        m.compose(f, Var::from_index(0), g),
         q,
         cube,
         m.cofactor_cube(f, cube),
@@ -138,24 +183,53 @@ proptest! {
         prop_assert_eq!(via_cube, acc);
     }
 
-    /// Rebuilding under a random permutation preserves semantics and
-    /// invariants.
+    /// Permuting the levels in place to a random order installs exactly
+    /// that order, keeps every handle and its truth table, and keeps the
+    /// invariants; an order of the wrong length or with a repeated
+    /// variable panics.
     #[test]
-    fn reorder_preserves_semantics(e in arb_expr(), perm in Just(()).prop_perturb(|_, mut rng| {
+    fn reorder_preserves_semantics(e1 in arb_expr(), e2 in arb_expr(), perm in Just(()).prop_perturb(|_, mut rng| {
         let mut p: Vec<usize> = (0..NVARS).collect();
         for i in (1..NVARS).rev() {
             let j = (rng.next_u32() as usize) % (i + 1);
             p.swap(i, j);
         }
         p
-    })) {
-        let (m, f) = compile(&e);
+    }), cut in 0..NVARS) {
+        let (mut m, f) = compile(&e1);
+        let vars: Vec<Var> = (0..NVARS).map(Var::from_index).collect();
+        let g = e2.to_bdd(&mut m, &|name| {
+            let idx: usize = name[1..].parse().ok()?;
+            vars.get(idx).copied()
+        });
+        let roots = [f, m.not(f), g];
+        let tables: Vec<Vec<bool>> = roots
+            .iter()
+            .map(|&r| (0..1u32 << NVARS).map(|b| m.eval(r, &assignment_from_bits(b))).collect())
+            .collect();
         let order: Vec<Var> = perm.into_iter().map(Var::from_index).collect();
-        let (mut m2, roots) = m.rebuild_with_order(&order, &[f]);
-        m2.check_invariants();
-        for bits in 0..(1u32 << NVARS) {
-            let a = assignment_from_bits(bits);
-            prop_assert_eq!(m.eval(f, &a), m2.eval(roots[0], &a));
+        m.permute_levels(&order);
+        prop_assert_eq!(m.order(), order.clone());
+        m.check_invariants();
+        for (&r, table) in roots.iter().zip(&tables) {
+            for bits in 0..(1u32 << NVARS) {
+                prop_assert_eq!(m.eval(r, &assignment_from_bits(bits)), table[bits as usize]);
+            }
+        }
+        // The kept handles survive a collection under the new order.
+        m.gc(&roots);
+        m.check_invariants();
+        prop_assert_eq!(m.not(roots[0]), roots[1]);
+        let truncated = order[..cut].to_vec();
+        let mut repeated = order.clone();
+        repeated[cut] = order[(cut + 1) % NVARS];
+        for bad in [truncated, repeated] {
+            let mut fresh = BddManager::new();
+            fresh.new_vars("x", NVARS);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fresh.permute_levels(&bad);
+            }));
+            prop_assert!(outcome.is_err(), "order {:?} was accepted", bad);
         }
     }
 
@@ -213,9 +287,9 @@ proptest! {
     }
 
     /// In-place sifting preserves the root handle and its semantics, and
-    /// the result agrees with a semantic rebuild under the sifted order:
-    /// same size (i.e. the in-place graph is canonical for that order)
-    /// and the same function.
+    /// the result agrees with a semantic rebuild under the sifted order
+    /// (the test-only [`rebuild_in_current_order`]): same size (i.e. the
+    /// in-place graph is canonical for that order) and the same function.
     #[test]
     fn sift_agrees_with_rebuild_with_order(e in arb_expr()) {
         let (mut m, f) = compile(&e);
@@ -227,8 +301,7 @@ proptest! {
         // Nothing dead survives a sift: its internal refcounting reclaims
         // orphans eagerly.
         prop_assert_eq!(m.gc(&[f]), 0);
-        let order = m.order();
-        let (mut m2, roots) = m.rebuild_with_order(&order, &[f]);
+        let (mut m2, roots) = rebuild_in_current_order(&m, &[f]);
         m2.check_invariants();
         prop_assert_eq!(m2.size(roots[0]), m.size(f));
         for bits in 0..(1u32 << NVARS) {
@@ -238,7 +311,7 @@ proptest! {
                 a.get(idx).copied()
             });
             prop_assert_eq!(m.eval(f, &a), expected);
-            prop_assert_eq!(m2.eval(roots[0], &a), expected);
+            prop_assert_eq!(m2.eval(roots[0], &by_level(&m, &a)), expected);
         }
     }
 
@@ -332,15 +405,15 @@ proptest! {
         // Nothing dead survives: the complement tags never confuse the
         // sift-internal refcounts.
         prop_assert_eq!(m.gc(&[nf, d]), 0);
-        let order = m.order();
-        let (mut m2, mapped) = m.rebuild_with_order(&order, &[nf, d]);
+        let (mut m2, mapped) = rebuild_in_current_order(&m, &[nf, d]);
         m2.check_invariants();
         prop_assert_eq!(m2.size(mapped[0]), m.size(nf));
         prop_assert_eq!(m2.size(mapped[1]), m.size(d));
         for bits in 0..(1u32 << NVARS) {
             let a = assignment_from_bits(bits);
-            prop_assert_eq!(m2.eval(mapped[0], &a), m.eval(nf, &a));
-            prop_assert_eq!(m2.eval(mapped[1], &a), m.eval(d, &a));
+            let b = by_level(&m, &a);
+            prop_assert_eq!(m2.eval(mapped[0], &b), m.eval(nf, &a));
+            prop_assert_eq!(m2.eval(mapped[1], &b), m.eval(d, &a));
         }
     }
 
@@ -508,5 +581,81 @@ proptest! {
         let mut mutated = bytes.clone();
         mutated[pos] ^= flip;
         prop_assert!(BddCheckpoint::from_bytes(&mutated).is_err());
+    }
+}
+
+/// Variables of the swap-between-collections property, small enough for
+/// a truth table to fit one `u32` (bit `b` = the value under assignment
+/// `b`, variable `i` = bit `i` of `b`).
+const SWAP_VARS: usize = 5;
+
+/// One random step over a pool of `(handle, truth table)` pairs: an
+/// operation code and two operand indices, taken modulo the pool size.
+type Step = (u8, usize, usize);
+
+fn arb_steps(n: usize) -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u8..5, 0usize..64, 0usize..64), n)
+}
+
+/// Applies `step` and appends its result with the reference table.
+fn apply_step(m: &mut BddManager, pool: &mut Vec<(Bdd, u32)>, (op, i, j): Step) {
+    let (f, tf) = pool[i % pool.len()];
+    let (g, tg) = pool[j % pool.len()];
+    let r = match op {
+        0 => (m.and(f, g), tf & tg),
+        1 => (m.or(f, g), tf | tg),
+        2 => (m.xor(f, g), tf ^ tg),
+        3 => (m.diff(f, g), tf & !tg),
+        _ => (m.not(f), !tf),
+    };
+    pool.push(r);
+}
+
+/// The truth table of `f` over `SWAP_VARS` variables.
+fn table_of(m: &BddManager, f: Bdd) -> u32 {
+    (0..1u32 << SWAP_VARS)
+        .filter(|&b| m.eval(f, &(0..SWAP_VARS).map(|i| b & (1 << i) != 0).collect::<Vec<_>>()))
+        .fold(0, |t, b| t | 1 << b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// A bare level swap between two collections. After a full `gc`,
+    /// `swap_levels` rewrites old-space nodes onto nodes it allocates
+    /// now, so the next collection must not be a minor one that stops
+    /// descending at old space: every kept root keeps its truth table,
+    /// the invariants hold, and later operations still build correct
+    /// functions.
+    #[test]
+    fn swap_between_collections_keeps_roots(
+        first in arb_steps(12),
+        then in arb_steps(12),
+        level in 0..SWAP_VARS - 1,
+    ) {
+        let mut m = BddManager::new();
+        let vars = m.new_vars("x", SWAP_VARS);
+        let mut pool: Vec<(Bdd, u32)> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (m.var(v), (0..32u32).filter(|b| b >> i & 1 == 1).fold(0, |t, b| t | 1 << b)))
+            .collect();
+        for step in first {
+            apply_step(&mut m, &mut pool, step);
+        }
+        // Keeping every result leaves few free slots, so the swap
+        // allocates above the survivor watermark of the full collection.
+        let roots: Vec<Bdd> = pool.iter().map(|&(f, _)| f).collect();
+        m.gc_full(&roots);
+        m.swap_levels(level);
+        m.gc(&roots);
+        m.check_invariants();
+        for step in then {
+            apply_step(&mut m, &mut pool, step);
+        }
+        m.check_invariants();
+        for &(f, t) in &pool {
+            prop_assert_eq!(table_of(&m, f), t);
+        }
     }
 }

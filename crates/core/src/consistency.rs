@@ -58,8 +58,7 @@ impl SymbolicStg<'_> {
             }
             for (polarity, inc) in [(Polarity::Rise, rise), (Polarity::Fall, fall)] {
                 let bad = self.manager_mut().and(reached, inc);
-                if !bad.is_false() {
-                    let witness = self.decode_witness(bad).expect("non-empty set");
+                if let Some(witness) = self.decode_witness(bad) {
                     out.push(ConsistencyViolation { signal: s, polarity, witness });
                 }
             }

@@ -353,34 +353,6 @@ impl<'a> SymbolicStg<'a> {
         self.mgr.var_groups()
     }
 
-    /// Rebuilds this context's manager under `order` (a permutation of
-    /// all variables), remapping the internal cubes and the handles in
-    /// `extra` in place.
-    ///
-    /// Every handle *not* in `extra` and not internal to the context is
-    /// invalidated, exactly as by [`stgcheck_bdd::BddManager::reorder`].
-    /// Used by [`SymbolicStg::import_checkpoint`] to line this context's
-    /// levels up with a checkpoint's order before the level-based bulk
-    /// load.
-    pub fn apply_var_order(&mut self, order: &[Var], extra: &mut [Bdd]) {
-        let mut roots = self.permanent_roots();
-        roots.extend_from_slice(extra);
-        let mapped = self.mgr.reorder(order, &roots);
-        self.places_cube = mapped[0];
-        self.signals_cube = mapped[1];
-        for (i, c) in self.trans_cubes.iter_mut().enumerate() {
-            let b = 2 + 4 * i;
-            c.enabled = mapped[b];
-            c.loops = mapped[b + 1];
-            c.flip_m = mapped[b + 2];
-            c.flip = mapped[b + 3];
-        }
-        let base = 2 + 4 * self.trans_cubes.len();
-        for (i, e) in extra.iter_mut().enumerate() {
-            *e = mapped[base + i];
-        }
-    }
-
     /// Exports named roots as a durable v3 checkpoint artifact stamped
     /// with `net_hash` (see `docs/persistent-store.md`).
     pub fn export_checkpoint(
@@ -395,15 +367,16 @@ impl<'a> SymbolicStg<'a> {
     /// Imports a v3 checkpoint into this context by *name*: every
     /// checkpoint variable must exist here (place/signal variables are
     /// named `p:…`/`s:…`, so names are stable across runs), and the
-    /// manager is re-ordered so its top levels line up with the
-    /// checkpoint's level semantics before the one-pass bulk load.
-    /// Variables of this context that the checkpoint does not mention
-    /// (a monotone edit's new places) keep their relative order below
-    /// the imported block.
+    /// manager's levels are permuted in place
+    /// ([`stgcheck_bdd::BddManager::permute_levels`]) so its top levels
+    /// line up with the checkpoint's level semantics before the one-pass
+    /// bulk load. Variables of this context that the checkpoint does not
+    /// mention (a monotone edit's new places) keep their relative order
+    /// below the imported block.
     ///
-    /// Reordering invalidates every caller-held handle, exactly like
-    /// [`SymbolicStg::apply_var_order`] — call this before computing
-    /// anything else against the context.
+    /// Every handle stays valid across the permutation, but the swaps
+    /// cost time in proportion to the nodes they pass, so call this on a
+    /// fresh context, before computing anything else against it.
     ///
     /// # Errors
     ///
@@ -430,7 +403,7 @@ impl<'a> SymbolicStg<'a> {
         let in_ck: std::collections::HashSet<Var> = order.iter().copied().collect();
         order.extend(self.mgr.order().into_iter().filter(|v| !in_ck.contains(v)));
         if order != self.mgr.order() {
-            self.apply_var_order(&order, &mut []);
+            self.mgr.permute_levels(&order);
         }
         self.mgr.bulk_import_checkpoint(ck)
     }

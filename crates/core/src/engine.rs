@@ -648,7 +648,7 @@ fn cluster_by_support(supports: &[BTreeSet<Var>], max_cluster: usize) -> Vec<Vec
 ///
 /// The assignment is a pure, permutation-stable function of the variable
 /// order and the support sets: permuting the order (via
-/// `apply_var_order` or a sifting pass) changes each home exactly to the
+/// `permute_levels` or a sifting pass) changes each home exactly to the
 /// minimum of the *new* levels of the same variables — nothing else
 /// about the schedule's derivation looks at the manager. The engine
 /// re-derives homes after every actual sift; the unit tests below pin
@@ -982,7 +982,7 @@ mod tests {
 
     /// The home assignment is a pure function of the variable order: each
     /// home is the minimum level of the cluster's support, nothing else.
-    /// Permuting the order — whether through `apply_var_order` or an
+    /// Permuting the order — whether through `permute_levels` or an
     /// in-place sifting pass — must re-derive exactly the minimum of the
     /// *new* levels of the *same* variables, and an order-preserving
     /// permutation must leave every home (and the schedule) unchanged.
@@ -1010,14 +1010,14 @@ mod tests {
 
         // Identity permutation: homes and schedule must be bit-identical.
         let identity = sym.manager().order();
-        sym.apply_var_order(&identity, &mut []);
+        sym.manager_mut().permute_levels(&identity);
         assert_eq!(check(&sym), before);
         assert_eq!(saturation_schedule(&before), schedule_before);
 
         // Reversal: every home moves, but stays the support's minimum
         // level under the new order.
         let reversed: Vec<Var> = sym.manager().order().into_iter().rev().collect();
-        sym.apply_var_order(&reversed, &mut []);
+        sym.manager_mut().permute_levels(&reversed);
         let after = check(&sym);
         assert_ne!(after, before, "reversing the order must move some home");
 

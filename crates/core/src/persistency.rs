@@ -66,7 +66,9 @@ impl SymbolicStg<'_> {
                     // Walk back to the marking where both were enabled.
                     let src = self.preimage_marking(bad_after, tj);
                     let src = self.manager_mut().and(src, enabled);
-                    let witness = self.decode_witness(src).expect("source is non-empty");
+                    // Empty only after a budget trip made the operations
+                    // inert; the caller reports the trip.
+                    let Some(witness) = self.decode_witness(src) else { return out };
                     out.push(SymTransViolation { fired: tj, disabled: ti, witness });
                 }
             }
@@ -129,7 +131,7 @@ impl SymbolicStg<'_> {
                     }
                     let src = self.preimage_marking(bad_after, tj);
                     let src = self.manager_mut().and(src, enabled);
-                    let witness = self.decode_witness(src).expect("source is non-empty");
+                    let Some(witness) = self.decode_witness(src) else { return out };
                     out.push(SymSignalViolation { fired: tj, disabled: a, witness });
                 }
             }

@@ -64,8 +64,7 @@ impl SymbolicStg<'_> {
             }
             for (p, lit) in places.into_iter().zip(marked) {
                 let bad = self.manager_mut().and(bad_t, lit);
-                if !bad.is_false() {
-                    let witness = self.decode_witness(bad).expect("non-empty set");
+                if let Some(witness) = self.decode_witness(bad) {
                     out.push(SafetyViolation { transition: t, place: p, witness });
                 }
             }

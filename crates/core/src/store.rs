@@ -8,8 +8,8 @@
 //! store holds four artifacts (see `docs/persistent-store.md`):
 //!
 //! * `<key>.report` — the full [`SymbolicReport`] in a line-based text
-//!   format; any malformed or truncated file is a cache miss, never an
-//!   error;
+//!   format; any malformed or truncated file, or one whose dimensions or
+//!   indices do not fit the net, is a cache miss, never an error;
 //! * `<key>.reached` — the final reached set as a v3
 //!   [`BddCheckpoint`], so a warm hit can materialize the BDD without
 //!   re-running the fixpoint;
@@ -97,15 +97,17 @@ impl ResultStore {
         self.dir.join(file)
     }
 
-    /// Loads a cached report; any unreadable or malformed artifact is a
-    /// miss. The `store-read` failpoint injects the unreadable case: an
-    /// armed run must degrade to a clean cold recompute, never an error.
-    pub(crate) fn load_report(&self, key: &str) -> Option<SymbolicReport> {
+    /// Loads the cached report for `key`, which was computed for `stg`;
+    /// any unreadable or malformed artifact is a miss, and so is a report
+    /// that does not fit `stg` ([`report_fits`]). The `store-read`
+    /// failpoint injects the unreadable case: an armed run must degrade
+    /// to a clean cold recompute, never an error.
+    pub(crate) fn load_report(&self, key: &str, stg: &Stg) -> Option<SymbolicReport> {
         if self.faults.hit("store-read") {
             return None;
         }
         let text = std::fs::read_to_string(self.path(&format!("{key}.report"))).ok()?;
-        report_from_text(&text)
+        report_from_text(&text).filter(|r| report_fits(r, stg))
     }
 
     /// Loads the stored reached-set checkpoint for `key`.
@@ -563,7 +565,25 @@ pub(crate) fn report_to_text(r: &SymbolicReport) -> String {
     out
 }
 
-/// Parses [`report_to_text`] output; `None` on any malformation.
+/// `true` when `r` has `stg`'s dimensions and every place, transition
+/// and signal index in it names one of `stg`'s: the check that keeps a
+/// corrupted report from reaching code that indexes the net with it.
+fn report_fits(r: &SymbolicReport, stg: &Stg) -> bool {
+    let net = stg.net();
+    let t = |t: TransId| t.index() < net.num_transitions();
+    let s = |s: SignalId| s.index() < stg.num_signals();
+    (r.places, r.signals) == (net.num_places(), stg.num_signals())
+        && r.safety.iter().all(|v| t(v.transition) && v.place.index() < net.num_places())
+        && r.consistency.iter().all(|v| s(v.signal))
+        && r.persistency.iter().all(|v| t(v.fired) && s(v.disabled))
+        && r.transition_persistency.iter().all(|v| t(v.fired) && t(v.disabled))
+        && r.fake_violations.iter().all(|v| t(v.t1) && t(v.t2))
+        && r.csc.iter().all(|a| s(a.signal))
+        && r.irreducible_signals.iter().all(|&x| s(x))
+}
+
+/// Parses [`report_to_text`] output; `None` on any malformation. Whether
+/// the indices fit a net is [`report_fits`]' question.
 ///
 /// Loaded [`CscAnalysis`] entries carry a *placeholder* `contradictory`
 /// BDD — `FALSE` when CSC holds (which is exact: `holds` is defined as
@@ -775,6 +795,28 @@ mod tests {
         let f: Vec<&str> = trav.split(' ').collect();
         let seven = format!("{} {} {} 0 {}", f[0], f[1], f[2], f[3..].join(" "));
         assert!(report_from_text(&text.replace(trav, &seven)).is_none());
+    }
+
+    #[test]
+    fn reports_that_do_not_fit_the_net_are_misses() {
+        let stg = gen::nonpersistent_stg();
+        let report = crate::verify(&stg, VerifyOptions::default()).unwrap();
+        assert!(report_fits(&report, &stg));
+        let text = report_to_text(&report);
+        let line = text.lines().find(|l| l.starts_with("persistency ")).unwrap();
+        let f: Vec<&str> = line.split(' ').collect();
+        let nt = stg.net().num_transitions();
+        let ns = stg.num_signals();
+        let dims = format!("dims {} {}", report.places, report.signals);
+        for edited in [
+            text.replace(line, &format!("persistency {} {ns} {}", f[1], f[3])),
+            text.replace(line, &format!("persistency {nt} {} {}", f[2], f[3])),
+            text.replace(&dims, &format!("dims {} {}", report.places + 1, report.signals)),
+        ] {
+            // Well-formed text, so only the fit against the net rejects it.
+            let parsed = report_from_text(&edited).expect("syntactically valid");
+            assert!(!report_fits(&parsed, &stg), "{edited}");
+        }
     }
 
     #[test]

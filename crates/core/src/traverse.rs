@@ -32,19 +32,6 @@ pub struct TraversalStats {
     pub seconds: f64,
 }
 
-impl TraversalStats {
-    /// `true` when [`TraversalStats::num_states`] hit the `u128` ceiling
-    /// and only records a lower bound.
-    pub fn states_saturated(&self) -> bool {
-        self.num_states == u128::MAX
-    }
-
-    /// The state count rendered with an explicit saturation marker.
-    pub fn states_display(&self) -> String {
-        format_states(self.num_states)
-    }
-}
-
 /// Renders a saturating state count: the exact number, or `>2^128` when
 /// the `u128` counter saturated (systems with more than 128 variables).
 pub fn format_states(n: u128) -> String {

@@ -661,7 +661,7 @@ pub fn verify_persistent(
     let key = cache_key(hash, &opts);
     let mut notes = Vec::new();
     if let Some(store) = &store {
-        if let Some(mut report) = store.load_report(&key) {
+        if let Some(mut report) = store.load_report(&key, stg) {
             // The content hash ignores the model name; report the name
             // the caller used, not the one cached under.
             report.name = stg.name().to_string();
@@ -942,7 +942,7 @@ fn incremental_seed(
         return Err("the previous version is not a monotone restriction of this net".to_string());
     }
     let old_key = format!("{old_hash:032x}{}", &key[32..]);
-    let old_report = store.load_report(&old_key).ok_or("predecessor report missing")?;
+    let old_report = store.load_report(&old_key, &old).ok_or("predecessor report missing")?;
     if old_report.initial_code != initial_code {
         return Err("the effective initial code changed".to_string());
     }

@@ -3,9 +3,9 @@
 //! This crate provides the net-theoretic substrate of the paper *"Checking
 //! Signal Transition Graph Implementability by Symbolic BDD Traversal"*
 //! (ED&TC 1995): place/transition nets with weighted arcs, the token game,
-//! explicit reachability with boundedness/safeness analysis, structural
-//! classification (marked graphs, state machines, free choice) and place
-//! invariants.
+//! explicit reachability with boundedness/safeness analysis, and the
+//! structural queries the checks use (conflict places, direct-conflict
+//! pairs, the marked-graph test).
 //!
 //! Signal Transition Graphs — Petri nets with signal-labelled transitions —
 //! live one layer up in `stgcheck-stg`; the symbolic (BDD) counterparts of
@@ -34,13 +34,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod invariant;
 mod net;
 mod reach;
-mod siphon;
 mod structure;
-mod tinvariant;
 
 pub use net::{Marking, PetriNet, PlaceId, TransId};
 pub use reach::{ReachError, ReachOptions, ReachabilityGraph};
-pub use structure::NetClass;

@@ -1,4 +1,4 @@
-//! Structural analysis: net subclasses and conflict places.
+//! Structural queries: conflict places and the marked-graph test.
 //!
 //! Persistency checking (paper Section 5.2) only needs to inspect
 //! transitions that share an input place — a *conflict place*. Marked graphs
@@ -6,20 +6,6 @@
 //! the master-read and Muller-pipeline examples.
 
 use crate::net::{PetriNet, PlaceId, TransId};
-
-/// Structural subclass of a net, in increasing generality.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum NetClass {
-    /// Every place has at most one input and one output transition.
-    MarkedGraph,
-    /// Every transition has at most one input and one output place.
-    StateMachine,
-    /// Conflicts only in free-choice form (shared input places imply equal
-    /// presets).
-    FreeChoice,
-    /// None of the above.
-    General,
-}
 
 impl PetriNet {
     /// Places with more than one consumer (`|p•| > 1`) — the only possible
@@ -52,54 +38,6 @@ impl PetriNet {
     /// transition (no choice, no merging): a marked graph.
     pub fn is_marked_graph(&self) -> bool {
         self.places().all(|p| self.place_postset(p).len() <= 1 && self.place_preset(p).len() <= 1)
-    }
-
-    /// `true` if every transition has at most one input and one output
-    /// place: a state machine.
-    pub fn is_state_machine(&self) -> bool {
-        self.transitions().all(|t| self.preset(t).len() <= 1 && self.postset(t).len() <= 1)
-    }
-
-    /// `true` if the net is (extended) free choice: any two transitions
-    /// sharing an input place have identical presets.
-    pub fn is_free_choice(&self) -> bool {
-        self.direct_conflict_pairs().iter().all(|&(ti, tj)| {
-            let mut a: Vec<PlaceId> = self.preset(ti).iter().map(|&(p, _)| p).collect();
-            let mut b: Vec<PlaceId> = self.preset(tj).iter().map(|&(p, _)| p).collect();
-            a.sort();
-            b.sort();
-            a == b
-        })
-    }
-
-    /// Most specific structural class of this net.
-    pub fn classify(&self) -> NetClass {
-        if self.is_marked_graph() {
-            NetClass::MarkedGraph
-        } else if self.is_state_machine() {
-            NetClass::StateMachine
-        } else if self.is_free_choice() {
-            NetClass::FreeChoice
-        } else {
-            NetClass::General
-        }
-    }
-
-    /// Places with no producer (`•p = ∅`): tokens only drain.
-    pub fn source_places(&self) -> Vec<PlaceId> {
-        self.places().filter(|&p| self.place_preset(p).is_empty()).collect()
-    }
-
-    /// Places with no consumer (`p• = ∅`): tokens only accumulate.
-    pub fn sink_places(&self) -> Vec<PlaceId> {
-        self.places().filter(|&p| self.place_postset(p).is_empty()).collect()
-    }
-
-    /// Transitions with an empty preset (always enabled — a modelling
-    /// smell for STGs and a guaranteed source of unboundedness if they
-    /// produce anywhere).
-    pub fn source_transitions(&self) -> Vec<TransId> {
-        self.transitions().filter(|&t| self.preset(t).is_empty()).collect()
     }
 }
 
@@ -139,50 +77,16 @@ mod tests {
         assert!(net.is_marked_graph());
         assert!(net.conflict_places().is_empty());
         assert!(net.direct_conflict_pairs().is_empty());
-        assert_eq!(net.classify(), NetClass::MarkedGraph);
     }
 
     #[test]
     fn choice_classification() {
         let net = choice();
         assert!(!net.is_marked_graph());
-        assert!(net.is_state_machine());
-        assert!(net.is_free_choice());
-        assert_eq!(net.classify(), NetClass::StateMachine);
         let p = net.place_by_name("p").unwrap();
         assert_eq!(net.conflict_places(), vec![p]);
         let ta = net.trans_by_name("ta").unwrap();
         let tb = net.trans_by_name("tb").unwrap();
         assert_eq!(net.direct_conflict_pairs(), vec![(ta, tb)]);
-    }
-
-    #[test]
-    fn non_free_choice_detection() {
-        // ta needs {p, q}, tb needs {p}: shared place, different presets.
-        let mut net = PetriNet::new();
-        let p = net.add_place("p", 1);
-        let q = net.add_place("q", 1);
-        let a = net.add_place("a", 0);
-        let ta = net.add_transition("ta");
-        let tb = net.add_transition("tb");
-        net.connect(&[p, q], ta, &[a]);
-        net.connect(&[p], tb, &[a]);
-        assert!(!net.is_free_choice());
-        assert_eq!(net.classify(), NetClass::General);
-    }
-
-    #[test]
-    fn sources_and_sinks() {
-        let net = pipeline();
-        let p0 = net.place_by_name("p0").unwrap();
-        let p2 = net.place_by_name("p2").unwrap();
-        assert_eq!(net.source_places(), vec![p0]);
-        assert_eq!(net.sink_places(), vec![p2]);
-        assert!(net.source_transitions().is_empty());
-        let mut with_src = PetriNet::new();
-        let p = with_src.add_place("p", 0);
-        let t = with_src.add_transition("gen");
-        with_src.add_arc_tp(t, p, 1);
-        assert_eq!(with_src.source_transitions(), vec![t]);
     }
 }

@@ -58,7 +58,7 @@ pub use checks::{
     PersistencyPolicy, PersistencyViolation, SignalRegions, TransPersistencyViolation,
 };
 pub use fake::{fake_conflicts, fake_freedom_violations, is_fake_free, FakeConflict};
-pub use liveness::{dead_transitions, home_states, non_live_transitions, sccs, SccDecomposition};
+pub use liveness::dead_transitions;
 pub use parser::{parse_g, write_g, ParseGError};
 pub use signal::{Polarity, SignalId, SignalKind, TransLabel};
 pub use state_graph::{

@@ -1,103 +1,15 @@
-//! Liveness analysis on the explicit state graph: strongly connected
-//! components, dead transitions, transition liveness and home states.
+//! Dead transitions on the explicit state graph.
 //!
 //! The paper requires *finite* behaviour (boundedness); specifications are
-//! usually also expected to be live (every transition remains fireable)
-//! and reversible enough to have home states. These diagnostics catch
-//! specification bugs that the implementability conditions alone do not
-//! (a dead output transition vacuously passes every CSC check).
+//! usually also expected to have no dead transitions. This diagnostic
+//! catches specification bugs that the implementability conditions alone
+//! do not (a dead output transition vacuously passes every CSC check), and
+//! it is the explicit reference for the symbolic dead-transition check.
 
 use stgcheck_petri::TransId;
 
 use crate::state_graph::StateGraph;
 use crate::stg::Stg;
-
-/// SCC decomposition of a state graph.
-#[derive(Clone, Debug)]
-pub struct SccDecomposition {
-    /// Component id per vertex (0-based, reverse topological order:
-    /// component 0 has no outgoing inter-component edges... ids follow
-    /// Tarjan completion order).
-    pub component: Vec<usize>,
-    /// Number of components.
-    pub count: usize,
-    /// Components with no outgoing edges to other components
-    /// (terminal/bottom SCCs).
-    pub terminal: Vec<usize>,
-}
-
-/// Computes the strongly connected components of the state graph with an
-/// iterative Tarjan algorithm.
-pub fn sccs(sg: &StateGraph) -> SccDecomposition {
-    let n = sg.len();
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut component = vec![UNSEEN; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut comp_count = 0usize;
-
-    // Iterative DFS frames: (vertex, next-edge-position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNSEEN {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            if *pos < sg.successors(v).len() {
-                let (_, w) = sg.successors(v)[*pos];
-                *pos += 1;
-                if index[w] == UNSEEN {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&mut (parent, _)) = frames.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    // v is an SCC root: pop its members.
-                    loop {
-                        let w = stack.pop().expect("stack holds the component");
-                        on_stack[w] = false;
-                        component[w] = comp_count;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp_count += 1;
-                }
-            }
-        }
-    }
-
-    // Terminal components: no edge leaving the component.
-    let mut has_exit = vec![false; comp_count];
-    for v in 0..n {
-        for &(_, w) in sg.successors(v) {
-            if component[v] != component[w] {
-                has_exit[component[v]] = true;
-            }
-        }
-    }
-    let terminal = (0..comp_count).filter(|&c| !has_exit[c]).collect();
-    SccDecomposition { component, count: comp_count, terminal }
-}
 
 /// Transitions that never fire anywhere in the state graph.
 pub fn dead_transitions(stg: &Stg, sg: &StateGraph) -> Vec<TransId> {
@@ -108,38 +20,6 @@ pub fn dead_transitions(stg: &Stg, sg: &StateGraph) -> Vec<TransId> {
         }
     }
     stg.net().transitions().filter(|t| !fires[t.index()]).collect()
-}
-
-/// Transitions that are *live*: fireable again from every reachable state.
-/// A transition is live iff every terminal SCC contains an edge labelled
-/// with it. Returns the non-live transitions (dead ones included).
-pub fn non_live_transitions(stg: &Stg, sg: &StateGraph) -> Vec<TransId> {
-    let scc = sccs(sg);
-    let nt = stg.net().num_transitions();
-    // fires_in[c] = bitset of transitions firing inside component c.
-    let mut fires_in: Vec<Vec<bool>> = vec![vec![false; nt]; scc.count];
-    for v in 0..sg.len() {
-        for &(t, w) in sg.successors(v) {
-            if scc.component[v] == scc.component[w] {
-                fires_in[scc.component[v]][t.index()] = true;
-            }
-        }
-    }
-    stg.net()
-        .transitions()
-        .filter(|t| !scc.terminal.iter().all(|&c| fires_in[c][t.index()]))
-        .collect()
-}
-
-/// Home states: states reachable from every reachable state. Non-empty
-/// iff the graph has exactly one terminal SCC, and then equal to it.
-pub fn home_states(sg: &StateGraph) -> Vec<usize> {
-    let scc = sccs(sg);
-    if scc.terminal.len() != 1 {
-        return Vec::new();
-    }
-    let home = scc.terminal[0];
-    (0..sg.len()).filter(|&v| scc.component[v] == home).collect()
 }
 
 #[cfg(test)]
@@ -154,23 +34,17 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_benchmarks_are_live_with_all_home_states() {
+    fn cyclic_benchmarks_have_no_dead_transitions() {
         for stg in [gen::mutex_element(), gen::muller_pipeline(4), gen::vme_read()] {
             let sg = sg_of(&stg);
-            let scc = sccs(&sg);
-            // Fully reversible: one component containing everything.
-            assert_eq!(scc.count, 1, "{}", stg.name());
-            assert_eq!(scc.terminal.len(), 1);
             assert!(dead_transitions(&stg, &sg).is_empty(), "{}", stg.name());
-            assert!(non_live_transitions(&stg, &sg).is_empty(), "{}", stg.name());
-            assert_eq!(home_states(&sg).len(), sg.len(), "{}", stg.name());
         }
     }
 
     #[test]
     fn oneshot_spec_has_dead_tail() {
-        // r+ ; a+ and then nothing: no transition is live, the dead state
-        // is the single home state.
+        // r+ ; a+ and then nothing: the final state is dead, but each
+        // transition fires once, so none is a dead transition.
         let mut b = StgBuilder::new("oneshot");
         b.input("r");
         b.output("a");
@@ -181,12 +55,7 @@ mod tests {
         let stg = b.build().unwrap();
         let sg = sg_of(&stg);
         assert_eq!(sg.len(), 3);
-        let scc = sccs(&sg);
-        assert_eq!(scc.count, 3, "a chain of singleton components");
-        assert_eq!(scc.terminal.len(), 1);
         assert!(dead_transitions(&stg, &sg).is_empty(), "both fire once");
-        assert_eq!(non_live_transitions(&stg, &sg).len(), 2, "neither fires forever");
-        assert_eq!(home_states(&sg).len(), 1);
     }
 
     #[test]
@@ -203,27 +72,6 @@ mod tests {
         let dead = dead_transitions(&stg, &sg);
         assert_eq!(dead.len(), 1);
         assert_eq!(stg.label_string(dead[0]), "x+");
-        // Dead implies non-live.
-        assert!(non_live_transitions(&stg, &sg).contains(&dead[0]));
-        // The r-cycle itself is live and a home component.
-        assert_eq!(home_states(&sg).len(), sg.len());
-    }
-
-    #[test]
-    fn choice_with_two_terminal_branches_has_no_home_states() {
-        // A one-shot choice between two dead-end branches.
-        let mut b = StgBuilder::new("fork");
-        b.input("u");
-        b.input("v");
-        let p = b.place("p", 1);
-        b.pt(p, "u+");
-        b.pt(p, "v+");
-        b.initial_code_str("00");
-        let stg = b.build().unwrap();
-        let sg = sg_of(&stg);
-        let scc = sccs(&sg);
-        assert_eq!(scc.terminal.len(), 2);
-        assert!(home_states(&sg).is_empty());
     }
 
     #[test]

@@ -250,6 +250,57 @@ fn abort_after_exits_3_with_resumable_checkpoint() {
     assert!(String::from_utf8_lossy(&resumed.stdout).contains("gate-implementable"));
 }
 
+/// A step budget that trips inside the persistency check, after the
+/// traversal converged, is an exhaustion like any other: exit 4, not a
+/// panic on a witness set the inert operations left empty.
+#[test]
+fn budget_trip_inside_the_checks_exits_4() {
+    let out = Command::new(bin())
+        .args(["--max-steps", "700", &bench("mutex_3.g")])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(4), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("budget exhausted"), "{stdout}");
+}
+
+/// A stored report whose indices no longer fit the net is a cache miss:
+/// the rerun recomputes cold and prints the violations of the first run,
+/// instead of indexing the net with a corrupted transition or signal.
+#[test]
+fn corrupted_stored_report_is_a_cold_miss() {
+    let dir = scratch("corrupt-report");
+    let run = || {
+        let out = Command::new(bin())
+            .arg("--cache-dir")
+            .arg(&dir)
+            .arg(bench("mutex_3.g"))
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        stdout
+    };
+    let violations = |stdout: &str| {
+        stdout.lines().filter(|l| l.contains("disabled by")).collect::<Vec<_>>().join("\n")
+    };
+    let first = run();
+    assert!(!violations(&first).is_empty(), "{first}");
+    let report = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "report"))
+        .expect("the first run stored a report");
+    let text = std::fs::read_to_string(&report).unwrap();
+    // Signal 93 does not exist: mutex-3 has six.
+    let edited = text.replacen("\npersistency 4 3 ", "\npersistency 4 93 ", 1);
+    assert_ne!(edited, text, "{text}");
+    std::fs::write(&report, edited).unwrap();
+    let second = run();
+    assert!(second.contains("cache:       cold"), "{second}");
+    assert_eq!(violations(&second), violations(&first));
+}
+
 /// Budget and fault-injection flags validate their arguments: garbage
 /// is a usage error (exit 2), never a silently ignored knob.
 #[test]

@@ -8,6 +8,7 @@
 
 use std::path::Path;
 
+use stgcheck::core::SymbolicReport;
 use stgcheck::stg::{gen, parse_g, Stg};
 
 /// Parses one checked-in fixture from `benchmarks/`.
@@ -27,4 +28,19 @@ pub fn fixture_corpus() -> Vec<Stg> {
 /// are the source of truth — see `benchmarks/README.md`).
 pub fn imported_corpus() -> Vec<Stg> {
     ["celement.g", "fd_latch_simple.g", "par_join.g"].into_iter().map(fixture).collect()
+}
+
+/// What a verification answered, without the timings: the verdict, the
+/// state count and every violation by index.
+pub fn answer(r: &SymbolicReport) -> String {
+    let pers: Vec<_> = r.persistency.iter().map(|v| (v.fired, v.disabled)).collect();
+    let trans: Vec<_> = r.transition_persistency.iter().map(|v| (v.fired, v.disabled)).collect();
+    let safety: Vec<_> = r.safety.iter().map(|v| (v.transition, v.place)).collect();
+    let consistency: Vec<_> = r.consistency.iter().map(|v| (v.signal, v.polarity)).collect();
+    let fake: Vec<_> = r.fake_violations.iter().map(|v| (v.t1, v.t2)).collect();
+    let csc: Vec<_> = r.csc.iter().map(|a| (a.signal, a.holds)).collect();
+    format!(
+        "{:?} {} {pers:?} {trans:?} {safety:?} {consistency:?} {fake:?} {csc:?} {:?}",
+        r.verdict, r.num_states, r.irreducible_signals
+    )
 }

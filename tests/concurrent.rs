@@ -25,7 +25,6 @@ enum Op {
     Xor(usize, usize),
     Diff(usize, usize),
     Not(usize),
-    Ite(usize, usize, usize),
     /// `∃ vars(mask) . pool[i]`
     Exists(usize, u16),
     /// `∀ vars(mask) . pool[i]`
@@ -46,15 +45,14 @@ fn gen_script(seed: u64, len: usize) -> Vec<Op> {
     for pool in 2 * NVARS..2 * NVARS + len {
         let pick = |rng: &mut StdRng, pool: usize| rng.gen_range(0..pool);
         let mask = |rng: &mut StdRng| rng.gen_range(1u16..(1 << NVARS.min(16)) as u16);
-        let op = match rng.gen_range(0..9u32) {
+        let op = match rng.gen_range(0..8u32) {
             0 => Op::And(pick(&mut rng, pool), pick(&mut rng, pool)),
             1 => Op::Or(pick(&mut rng, pool), pick(&mut rng, pool)),
             2 => Op::Xor(pick(&mut rng, pool), pick(&mut rng, pool)),
             3 => Op::Diff(pick(&mut rng, pool), pick(&mut rng, pool)),
             4 => Op::Not(pick(&mut rng, pool)),
-            5 => Op::Ite(pick(&mut rng, pool), pick(&mut rng, pool), pick(&mut rng, pool)),
-            6 => Op::Exists(pick(&mut rng, pool), mask(&mut rng)),
-            7 => Op::Forall(pick(&mut rng, pool), mask(&mut rng)),
+            5 => Op::Exists(pick(&mut rng, pool), mask(&mut rng)),
+            6 => Op::Forall(pick(&mut rng, pool), mask(&mut rng)),
             _ => Op::FlipCube(
                 pick(&mut rng, pool),
                 mask(&mut rng),
@@ -105,7 +103,6 @@ fn run_script(mut m: &BddManager, vars: &[Var], script: &[Op], from: &[Bdd]) -> 
             Op::Xor(i, j) => m.xor(pool[i], pool[j]),
             Op::Diff(i, j) => m.diff(pool[i], pool[j]),
             Op::Not(i) => m.not(pool[i]),
-            Op::Ite(i, j, k) => m.ite(pool[i], pool[j], pool[k]),
         };
         pool.push(r);
     }

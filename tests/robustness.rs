@@ -16,6 +16,8 @@ use stgcheck::core::{
 };
 use stgcheck::stg::{parse_g, Stg};
 
+mod common;
+
 /// A fresh per-test scratch directory (tests share one process).
 fn tmp(name: &str) -> PathBuf {
     let dir =
@@ -97,6 +99,41 @@ fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
                 "{tag}: the ladder never tripped — budgets too generous to test anything"
             );
         }
+    }
+}
+
+/// A step budget that trips inside the Section 5 checks — where inert
+/// operations can leave a set empty right after a non-emptiness test —
+/// ends the run as a typed exhaustion, never a panic. mutex-3 has
+/// persistency violations, so its checks decode witnesses; the dense
+/// rungs from 690 to 750 trip them at the points that once panicked.
+/// Every rung, under every engine, is an exhaustion or the scratch
+/// answer.
+#[test]
+fn step_budget_trips_inside_the_checks_are_exhaustions() {
+    let stg = bench_net("mutex_3.g");
+    for kind in [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation] {
+        let mut opts = VerifyOptions::default();
+        opts.engine.kind = kind;
+        opts.engine.jobs = 2;
+        let scratch = common::answer(&verify(&stg, opts).unwrap());
+        let mut exhausted = 0;
+        for max_steps in (600..690).step_by(10).chain(690..=750).chain((760..=1300).step_by(20)) {
+            let mut budgeted = opts;
+            budgeted.budget = BudgetSpec { max_steps, ..BudgetSpec::default() };
+            let run = verify_persistent(&stg, budgeted, &PersistOptions::default()).unwrap();
+            match run.exhausted() {
+                Some(reason) => {
+                    assert_eq!(reason, ResourceError::StepBudget { limit: max_steps }, "{kind}");
+                    exhausted += 1;
+                }
+                None => {
+                    let report = run.into_report().expect("a run that did not trip completes");
+                    assert_eq!(common::answer(&report), scratch, "{kind}/{max_steps}");
+                }
+            }
+        }
+        assert!(exhausted > 0, "{kind}: no rung tripped the budget");
     }
 }
 

@@ -1,21 +1,31 @@
 //! Untrusted input never panics. Seeded mutations of every
 //! `benchmarks/*.g` net go into `parse_g`, and every net that still
 //! parses goes on to `verify` under a small budget; mutated valid request
-//! lines go into the `serve` protocol parser.
+//! lines go into the `serve` protocol parser. The same edits applied to
+//! on-disk artifacts — stored reports of the result cache and `serve`
+//! journal records — must leave a miss (a cold recompute, a skipped
+//! record) or an artifact that is safe to use.
 //!
-//! A case fails on a panic only: an error result is the right answer to
-//! garbage. The vendored proptest derives every case from the test name
-//! and the case index, so a failure reproduces exactly.
+//! A case fails on a panic only, or on a wrong answer from an artifact:
+//! an error result is the right answer to garbage. The vendored proptest
+//! derives every case from the test name and the case index, so a
+//! failure reproduces exactly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use stgcheck::core::journal::{unanswered, Journal};
 use stgcheck::core::protocol::parse_request;
-use stgcheck::core::{verify, BudgetSpec, VerifyOptions};
-use stgcheck::stg::parse_g;
+use stgcheck::core::{
+    verify, verify_persistent, BudgetSpec, CacheStatus, FaultPlan, PersistOptions, SymbolicReport,
+    VerifyOptions,
+};
+use stgcheck::stg::{gen, parse_g, Stg};
+
+mod common;
 
 /// The `.g` files of `benchmarks/`, in name order.
 fn g_corpus() -> &'static [Vec<u8>] {
@@ -83,13 +93,18 @@ fn mutate_once(text: &mut Vec<u8>, rng: &mut TestRng, words: bool) {
     }
 }
 
-/// One to three random edits of `seed`, as text.
-fn mutated(seed: &[u8], mut rng: TestRng, words: bool) -> String {
+/// One to three random edits of `seed`.
+fn mutated_bytes(seed: &[u8], mut rng: TestRng, words: bool) -> Vec<u8> {
     let mut text = seed.to_vec();
     for _ in 0..1 + below(&mut rng, 3) {
         mutate_once(&mut text, &mut rng, words);
     }
-    String::from_utf8_lossy(&text).into_owned()
+    text
+}
+
+/// One to three random edits of `seed`, as text.
+fn mutated(seed: &[u8], rng: TestRng, words: bool) -> String {
+    String::from_utf8_lossy(&mutated_bytes(seed, rng, words)).into_owned()
 }
 
 fn mutated_g() -> impl Strategy<Value = String> {
@@ -129,5 +144,156 @@ proptest! {
     fn mutated_request_lines_never_panic(line in mutated_request()) {
         let parsed = catch_unwind(|| parse_request(&line, &VerifyOptions::default()));
         prop_assert!(parsed.is_ok(), "parse_request panicked on {line:?}");
+    }
+}
+
+/// A fresh scratch directory per artifact kind (tests share one process).
+fn tmp(name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("stgcheck-untrusted-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `true` when every index in `r` names a place, transition or signal of
+/// `stg`, and the dimensions are `stg`'s.
+fn indices_fit(r: &SymbolicReport, stg: &Stg) -> bool {
+    let (np, nt, ns) = (stg.net().num_places(), stg.net().num_transitions(), stg.num_signals());
+    (r.places, r.signals) == (np, ns)
+        && r.safety.iter().all(|v| v.transition.index() < nt && v.place.index() < np)
+        && r.consistency.iter().all(|v| v.signal.index() < ns)
+        && r.persistency.iter().all(|v| v.fired.index() < nt && v.disabled.index() < ns)
+        && r.transition_persistency.iter().all(|v| v.fired.index() < nt && v.disabled.index() < nt)
+        && r.fake_violations.iter().all(|v| v.t1.index() < nt && v.t2.index() < nt)
+        && r.csc.iter().all(|a| a.signal.index() < ns)
+        && r.irreducible_signals.iter().all(|s| s.index() < ns)
+}
+
+/// A net whose stored report is edited, with its cache directory, the
+/// report file the first (cold) run stored there, that file's bytes and
+/// the scratch answer.
+struct StoredReport {
+    stg: Stg,
+    persist: PersistOptions,
+    path: PathBuf,
+    text: Vec<u8>,
+    answer: String,
+}
+
+/// Nets whose reports between them carry every kind of index line:
+/// mutex-3 (persistency), an unsafe net (safety), a non-persistent one,
+/// and two with CSC conflicts (one irreducible).
+fn stored_reports() -> &'static [StoredReport] {
+    static REPORTS: OnceLock<Vec<StoredReport>> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        let nets = [
+            common::fixture("mutex_3.g"),
+            gen::unsafe_stg(),
+            gen::nonpersistent_stg(),
+            gen::vme_read(),
+            gen::irreducible_csc_stg(),
+        ];
+        let base = tmp("reports");
+        nets.into_iter()
+            .enumerate()
+            .map(|(i, stg)| {
+                let dir = base.join(i.to_string());
+                let persist = PersistOptions { cache_dir: Some(dir.clone()), ..Default::default() };
+                let cold = verify_persistent(&stg, VerifyOptions::default(), &persist).unwrap();
+                assert_eq!(cold.cache, CacheStatus::Cold);
+                let answer = common::answer(cold.report().expect("completes"));
+                let path = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .find(|p| p.extension().is_some_and(|x| x == "report"))
+                    .expect("the cold run stored a report");
+                // Zero the wall-clock fields so that the seed of every edit,
+                // and so every case, is the same on every run.
+                let text: String = std::fs::read_to_string(&path)
+                    .unwrap()
+                    .lines()
+                    .map(|line| match line.split(' ').collect::<Vec<_>>().as_mut_slice() {
+                        ["times", ..] => "times 0 0 0 0 0\n".to_string(),
+                        [tag @ ("trav" | "gc"), fields @ ..] => {
+                            *fields.last_mut().unwrap() = "0";
+                            format!("{tag} {}\n", fields.join(" "))
+                        }
+                        _ => format!("{line}\n"),
+                    })
+                    .collect();
+                std::fs::write(&path, &text).unwrap();
+                let text = text.into_bytes();
+                StoredReport { stg, persist, path, text, answer }
+            })
+            .collect()
+    })
+}
+
+fn edited_report() -> impl Strategy<Value = (usize, Vec<u8>)> {
+    (0..stored_reports().len())
+        .prop_perturb(|i, rng| (i, mutated_bytes(&stored_reports()[i].text, rng, true)))
+}
+
+/// A `serve` journal holding one accepted request, and that record's
+/// path and bytes.
+fn journal_record() -> &'static (PathBuf, PathBuf, Vec<u8>) {
+    static RECORD: OnceLock<(PathBuf, PathBuf, Vec<u8>)> = OnceLock::new();
+    RECORD.get_or_init(|| {
+        let dir = tmp("journal");
+        let mut journal = Journal::open(&dir, FaultPlan::default()).unwrap();
+        journal.record_accept("r3", REQUESTS[4]).unwrap();
+        let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let bytes = std::fs::read(&path).unwrap();
+        (dir, path, bytes)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Seeded edits of a stored report: the rerun either loads it as a
+    /// warm hit whose every index fits the net, or treats it as a miss
+    /// and recomputes the scratch answer cold — never a panic.
+    #[test]
+    fn edited_stored_reports_are_misses_or_fit_the_net(case in edited_report()) {
+        let (i, text) = case;
+        let stored = &stored_reports()[i];
+        std::fs::write(&stored.path, &text).unwrap();
+        let run = catch_unwind(|| {
+            verify_persistent(&stored.stg, VerifyOptions::default(), &stored.persist)
+        });
+        prop_assert!(run.is_ok(), "verify panicked on {:?}", String::from_utf8_lossy(&text));
+        let run = run.unwrap().unwrap();
+        let report = run.report().expect("completes");
+        match run.cache {
+            CacheStatus::Warm => prop_assert!(
+                indices_fit(report, &stored.stg),
+                "a warm hit out of range: {:?}", String::from_utf8_lossy(&text)
+            ),
+            CacheStatus::Cold => prop_assert_eq!(common::answer(report), stored.answer.clone()),
+            other => prop_assert!(false, "unexpected cache status {other}"),
+        }
+    }
+
+    /// Seeded edits of a journal record: the checksum trailer rejects
+    /// every edit that changes a byte, so recovery skips the record with
+    /// a note; an edit that changes nothing replays the request.
+    #[test]
+    fn edited_journal_records_are_skipped(bytes in Just(()).prop_perturb(|_, rng| {
+        mutated_bytes(&journal_record().2, rng, false)
+    })) {
+        let (dir, path, original) = journal_record();
+        std::fs::write(path, &bytes).unwrap();
+        let recovered = catch_unwind(|| unanswered(dir, &FaultPlan::default()));
+        prop_assert!(recovered.is_ok(), "recovery panicked on {:?}", bytes);
+        let (records, notes) = recovered.unwrap();
+        if bytes == *original {
+            prop_assert_eq!(records.len(), 1);
+            prop_assert_eq!(records[0].line.as_str(), REQUESTS[4]);
+        } else {
+            prop_assert!(records.is_empty(), "an edited record was replayed: {:?}", bytes);
+            prop_assert_eq!(notes.len(), 1);
+        }
     }
 }
