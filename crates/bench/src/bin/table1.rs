@@ -8,9 +8,11 @@
 //!
 //! ```text
 //! cargo run --release -p stgcheck-bench --bin table1 [--explicit] \
-//!     [--order <strategy>] [--engine <engine>|all] [--jobs <n>] \
-//!     [--jobs-matrix <n,n,…>] [--repeat <n>] [--reorder <mode>|all] \
-//!     [--from-dir <dir>] [--json <path>] [--compare <old.json>] [--small]
+//!     [--order <strategy>] [--engine <engine>|all] [--jobs <n,n,…>] \
+//!     [--repeat <n>] [--reorder <mode>|all] [--from-dir <dir>] \
+//!     [--json <path>] [--compare <old.json>] [--cache-dir <dir>] \
+//!     [--timeout <secs>] [--max-nodes <n>] [--max-steps <n>] \
+//!     [--fallback] [--small]
 //! ```
 //!
 //! An unknown flag or an unknown `--order`/`--engine`/`--reorder` value
@@ -25,14 +27,13 @@
 //!   engine (default: per-transition); `all` prints one row per engine so
 //!   the engines can be compared line by line; `clustered` is accepted as
 //!   a spelling of saturation;
-//! * `--jobs <n>` sets the worker count for the parallel engine, whose
-//!   workers share one BDD arena; `0` (the default) auto-detects the
-//!   machine's available parallelism, and every row records the detected
-//!   value as `jobs_detected`;
-//! * `--jobs-matrix <n,n,…>` (e.g. `1,2,4,8`) prints one parallel-engine
-//!   row per jobs value so the single-worker wall sits next to the
-//!   multi-worker scaling curve in one table; overrides `--jobs`. The
-//!   other engines ignore `jobs` and get one row each, at `jobs` 1;
+//! * `--jobs <n,n,…>` sets the worker count for the parallel engine,
+//!   whose workers share one BDD arena; `0` (the default) auto-detects
+//!   the machine's available parallelism, and every row records the
+//!   detected value as `jobs_detected`. A comma list (e.g. `1,2,4,8`)
+//!   prints one parallel-engine row per value, so the single-worker wall
+//!   sits next to the multi-worker scaling curve in one table; the other
+//!   engines ignore `jobs` and get one row each, at the first value;
 //! * `--repeat <n>` verifies every row `n` times and reports the median
 //!   wall time (min/max land in the JSON as `wall_min_s`/`wall_max_s`) —
 //!   the checked-in `BENCH_table1.json` uses `--repeat 3`; note that with
@@ -58,28 +59,22 @@
 //! * `--cache-dir <dir>` routes every row through the persistent result
 //!   store (see `docs/persistent-store.md`): a rerun of an unchanged
 //!   corpus reports `cache: warm` rows served without any fixpoint;
-//! * `--warm-rerun` (requires `--cache-dir`) runs the whole table twice
-//!   in one invocation — a cold pass then a warm pass — asserting that
-//!   both passes agree on every verdict and state count and printing the
-//!   aggregate cold/warm wall times and the speedup;
 //! * `--timeout <secs>` / `--max-nodes <n>` / `--max-steps <n>` put a
-//!   resource budget on every row; a row that exhausts its budget is
-//!   recorded with `outcome: "exhausted"` (zeroed stats) instead of
+//!   resource budget on every row, parsed by [`BudgetSpec::set_flag`] as
+//!   in the CLI; a row that exhausts its budget is recorded with
+//!   `outcome: "exhausted"` (`?` answers, zeroed stats) instead of
 //!   aborting the table, and the process exits 4 (see
 //!   `docs/robustness.md`);
 //! * `--fallback` arms the degradation ladder: on node/arena exhaustion a
 //!   row retries the remaining fixpoint with the saturation engine plus
 //!   forced sifting and, when that completes, is recorded with
 //!   `outcome: "fallback"`;
-//! * `--batch` drives every row through the `stgcheck serve` scheduler
-//!   ([`stgcheck_core::Scheduler`]) instead of calling the verifier
-//!   inline: rows are submitted up front and run on a fixed worker pool
-//!   (`--workers <n>`, default 2) with the same coalescing path the
-//!   daemon uses, and every row records its `queue_wait_ms`. Rows still
-//!   print in table order. Incompatible with `--explicit`,
-//!   `--warm-rerun` and `--repeat` (the pool owns the timing);
 //! * `--small` runs the quick workload set across **all** engines — the
 //!   CI smoke configuration that keeps the engine column honest.
+//!
+//! The process exits 1 on a verification error or on `--compare` drift,
+//! 3 when a row was interrupted and 4 when one exhausted its budget; a
+//! rejecting verdict is a row of the table, not a failure.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -88,25 +83,24 @@ use std::time::Instant;
 use stgcheck_bench::{quick_workloads, table1_workloads, workloads_from_dir};
 use stgcheck_core::protocol::{parse_json, Json};
 use stgcheck_core::{
-    verify_persistent, BudgetSpec, CacheStatus, EngineKind, Outcome, PersistOptions, ProcessExit,
-    ReorderMode, SymbolicReport, VarOrder, VerifyOptions,
+    format_states, verify_persistent, BudgetSpec, EngineKind, EngineOptions, Outcome,
+    PersistOptions, ProcessExit, ReorderMode, SymbolicReport, VarOrder, VerifyError, VerifyOptions,
+    VerifyRun,
 };
-use stgcheck_stg::{build_state_graph, PersistencyPolicy, SgOptions};
+use stgcheck_stg::{build_state_graph, Implementability, PersistencyPolicy, SgOptions, Stg};
 
 /// Flags that stand alone, and flags that consume the next argument.
-const SWITCHES: [&str; 5] = ["--explicit", "--small", "--warm-rerun", "--batch", "--fallback"];
-const VALUED: [&str; 14] = [
+const SWITCHES: [&str; 3] = ["--explicit", "--small", "--fallback"];
+const VALUED: [&str; 12] = [
     "--compare",
     "--order",
     "--engine",
     "--jobs",
-    "--jobs-matrix",
     "--repeat",
     "--reorder",
     "--from-dir",
     "--json",
     "--cache-dir",
-    "--workers",
     "--timeout",
     "--max-nodes",
     "--max-steps",
@@ -149,9 +143,6 @@ struct JsonRow {
     /// Fastest and slowest repeat (equal to `wall_s` without `--repeat`).
     wall_min_s: f64,
     wall_max_s: f64,
-    /// Milliseconds the row waited in the scheduler queue before a
-    /// worker picked it up (`--batch` only; 0 for inline rows).
-    queue_wait_ms: f64,
     /// Garbage collections the row ran (minor + full) and the total
     /// stop-the-world pause they cost, in milliseconds.
     gc_collections: usize,
@@ -186,7 +177,6 @@ fn render_json(rows: &[JsonRow]) -> String {
              \"order\": \"{}\", \"jobs\": {}, \"jobs_detected\": {}, \"states\": \"{}\", \
              \"peak_live_nodes\": {}, \"final_nodes\": {}, \"sift_passes\": {}, \
              \"wall_s\": {:.6}, \"wall_min_s\": {:.6}, \"wall_max_s\": {:.6}, \
-             \"queue_wait_ms\": {:.3}, \
              \"gc_collections\": {}, \"gc_pause_ms\": {:.3}, \"peak_rss_kb\": {}, \
              \"cache\": \"{}\", \"verdict\": \"{}\", \
              \"outcome\": \"{}\", \"timeout_s\": {}, \"max_nodes\": {}, \
@@ -204,7 +194,6 @@ fn render_json(rows: &[JsonRow]) -> String {
             r.wall_s,
             r.wall_min_s,
             r.wall_max_s,
-            r.queue_wait_ms,
             r.gc_collections,
             r.gc_pause_ms,
             r.peak_rss_kb,
@@ -325,6 +314,32 @@ fn median(walls: &mut [f64]) -> f64 {
     walls[walls.len() / 2]
 }
 
+/// Verifies one row `repeat` times and returns the first run with the
+/// sorted walls of every run. Repeats are result-deterministic, so only
+/// the wall needs them, and a run that does not complete ends the row:
+/// repeating an exhausted row is pure waste.
+fn run_row(
+    stg: &Stg,
+    opts: VerifyOptions,
+    persist: &PersistOptions,
+    repeat: usize,
+) -> Result<(VerifyRun, Vec<f64>), VerifyError> {
+    let mut walls = Vec::with_capacity(repeat);
+    let mut first = None;
+    for _ in 0..repeat {
+        let start = Instant::now();
+        let run = verify_persistent(stg, opts, persist)?;
+        walls.push(start.elapsed().as_secs_f64());
+        let done = run.report().is_some();
+        first.get_or_insert(run);
+        if !done {
+            break;
+        }
+    }
+    walls.sort_by(f64::total_cmp);
+    Ok((first.expect("`--repeat` is at least 1"), walls))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut rest = args.iter();
@@ -351,17 +366,11 @@ fn main() {
         })
     };
     let order: VarOrder = value_of("--order").map_or_else(VarOrder::default, |v| parse_or_exit(v));
-    let jobs: usize = value_of("--jobs").map_or(0, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs needs a number, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let jobs_matrix: Option<Vec<usize>> = value_of("--jobs-matrix").map(|v| {
+    let jobs: Vec<usize> = value_of("--jobs").map_or(vec![0], |v| {
         v.split(',')
             .map(|p| {
                 p.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs-matrix needs comma-separated numbers, got `{v}`");
+                    eprintln!("--jobs needs a number or comma-separated numbers, got `{v}`");
                     std::process::exit(2);
                 })
             })
@@ -391,24 +400,10 @@ fn main() {
         (path, rows)
     });
     let from_dir: Option<PathBuf> = value_of("--from-dir").map(PathBuf::from);
-    let cache_dir: Option<PathBuf> = value_of("--cache-dir").map(PathBuf::from);
-    let warm_rerun = args.iter().any(|a| a == "--warm-rerun");
-    if warm_rerun && cache_dir.is_none() {
-        eprintln!("--warm-rerun requires --cache-dir");
-        std::process::exit(2);
-    }
-    let batch = args.iter().any(|a| a == "--batch");
-    let batch_workers: usize = value_of("--workers").map_or(2, |v| {
-        let n = v.parse().unwrap_or_else(|_| {
-            eprintln!("--workers needs a number, got `{v}`");
-            std::process::exit(2);
-        });
-        if n == 0 {
-            eprintln!("--workers needs at least 1, got `{v}`");
-            std::process::exit(2);
-        }
-        n
-    });
+    let persist = PersistOptions {
+        cache_dir: value_of("--cache-dir").map(PathBuf::from),
+        ..Default::default()
+    };
     let engines: Vec<EngineKind> = match value_of("--engine").map(String::as_str) {
         None if small => ALL_ENGINES.to_vec(),
         None => vec![EngineKind::PerTransition],
@@ -420,36 +415,17 @@ fn main() {
         Some("all") => ALL_REORDERS.to_vec(),
         Some(s) => vec![parse_or_exit(s)],
     };
-    let mut budget = BudgetSpec::default();
-    if let Some(v) = value_of("--timeout") {
-        let secs: f64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("--timeout needs a number of seconds, got `{v}`");
-            std::process::exit(2);
-        });
-        let timeout = BudgetSpec::timeout_from_secs(secs).unwrap_or_else(|e| {
-            eprintln!("--timeout {e}, got `{v}`");
-            std::process::exit(2);
-        });
-        budget.timeout = Some(timeout);
+    let mut budget =
+        BudgetSpec { fallback: args.iter().any(|a| a == "--fallback"), ..Default::default() };
+    for flag in ["--timeout", "--max-nodes", "--max-steps"] {
+        if let Some(v) = value_of(flag) {
+            budget.set_flag(flag, v).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            });
+        }
     }
-    if let Some(v) = value_of("--max-nodes") {
-        budget.max_nodes = v.parse().unwrap_or_else(|_| {
-            eprintln!("--max-nodes needs a number, got `{v}`");
-            std::process::exit(2);
-        });
-    }
-    if let Some(v) = value_of("--max-steps") {
-        budget.max_steps = v.parse().unwrap_or_else(|_| {
-            eprintln!("--max-steps needs a number, got `{v}`");
-            std::process::exit(2);
-        });
-    }
-    budget.fallback = args.iter().any(|a| a == "--fallback");
     let timeout_s = budget.timeout.map_or(0.0, |d| d.as_secs_f64());
-    if batch && (explicit || warm_rerun || repeat > 1) {
-        eprintln!("--batch is incompatible with --explicit, --warm-rerun and --repeat");
-        std::process::exit(2);
-    }
 
     println!("stgcheck — Table 1 reproduction (order: {order:?})");
     println!("columns: example, engine, places, signals, reachable states, BDD peak/final");
@@ -462,12 +438,7 @@ fn main() {
     if explicit {
         header.push_str(&format!(" {:>10}", "explicit"));
     }
-    header.push_str(&format!(" {:>7}", "reorder"));
-    header.push_str(&format!(" {:>7}", "jobs"));
-    header.push_str(&format!(" {:>10}", "verdict"));
-    if batch {
-        header.push_str(&format!(" {:>8}", "q-wait"));
-    }
+    header.push_str(&format!(" {:>7} {:>7} {:>10}", "reorder", "jobs", "verdict"));
     println!("{header}");
     println!("{}", "-".repeat(header.len()));
 
@@ -479,304 +450,114 @@ fn main() {
         None if small => quick_workloads(),
         None => table1_workloads(),
     };
-    let mut json_rows: Vec<JsonRow> = Vec::new();
-    let persist = PersistOptions { cache_dir: cache_dir.clone(), ..PersistOptions::default() };
     // One row per (engine, reorder, jobs) combination, jobs innermost so
     // the scaling curve of one configuration reads as consecutive lines.
-    // Only the parallel engine reads `jobs`, so only it is multiplied by
-    // the matrix; a bare `--jobs N` is the 1-element matrix of every engine.
+    // Only the parallel engine reads `jobs`, so only it gets a row per
+    // value; every other engine runs at the first.
     let mut combos: Vec<(EngineKind, ReorderMode, usize)> = Vec::new();
     for &kind in &engines {
-        let jobs_of_kind = match &jobs_matrix {
-            Some(matrix) if kind == EngineKind::ParallelSharded => matrix.clone(),
-            Some(_) => vec![1],
-            None => vec![jobs],
-        };
+        let kind_jobs = if kind == EngineKind::ParallelSharded { &jobs[..] } else { &jobs[..1] };
         for &reorder in &reorders {
-            for &j in &jobs_of_kind {
-                combos.push((kind, reorder, j));
-            }
+            combos.extend(kind_jobs.iter().map(|&j| (kind, reorder, j)));
         }
     }
-    let make_opts =
-        |arbitration: bool, kind: EngineKind, reorder: ReorderMode, j: usize| VerifyOptions {
-            order,
-            policy: PersistencyPolicy { allow_arbitration: arbitration },
-            engine: stgcheck_core::EngineOptions { kind, jobs: j, ..Default::default() },
-            reorder,
-            budget,
-        };
-    // `--batch`: submit every (net, combo) row to the serve scheduler up
-    // front, then consume the results from this map in table order — the
-    // same worker pool + coalescing path `stgcheck serve` uses.
-    let mut batch_results: HashMap<(usize, usize), stgcheck_core::JobResult> = HashMap::new();
-    if batch {
-        let scheduler =
-            stgcheck_core::Scheduler::new(batch_workers, workloads.len() * combos.len() + 1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut submitted = 0;
-        for (wi, w) in workloads.iter().enumerate() {
-            for (ci, &(kind, reorder, j)) in combos.iter().enumerate() {
-                let spec = stgcheck_core::JobSpec {
-                    stg: w.stg.clone(),
-                    options: make_opts(w.arbitration, kind, reorder, j),
-                    persist: persist.clone(),
-                };
-                let tx = tx.clone();
-                scheduler
-                    .submit(
-                        spec,
-                        Box::new(move |r| {
-                            let _ = tx.send(((wi, ci), r));
-                        }),
-                    )
-                    .expect("batch queue is sized to fit every row");
-                submitted += 1;
-            }
-        }
-        for _ in 0..submitted {
-            let (key, result) = rx.recv().expect("batch row result");
-            batch_results.insert(key, result);
-        }
-        scheduler.drain();
-    }
-    let passes = if warm_rerun { 2 } else { 1 };
-    // Cold-pass verdict + state count per (net, engine, reorder), checked
-    // against the warm pass: a cache hit must be byte-identical on the
-    // columns that matter.
-    let mut cold_results: HashMap<(String, String, String), (&'static str, String)> =
-        HashMap::new();
-    let mut pass_wall = [0.0f64; 2];
+    let mut json_rows: Vec<JsonRow> = Vec::new();
     let mut exit = ProcessExit::Success;
-    for (pass, pass_wall_slot) in pass_wall.iter_mut().enumerate().take(passes) {
-        if warm_rerun {
-            println!();
-            println!("-- pass {}: {} --", pass + 1, if pass == 0 { "cold" } else { "warm" });
-        }
-        for (wi, w) in workloads.iter().enumerate() {
-            // The explicit baseline is engine- and reorder-independent:
-            // time it once per workload (cold pass only), outside the row
-            // loops.
-            let explicit_cell: Option<Result<(f64, usize), String>> =
-                (explicit && w.explicit_feasible && pass == 0).then(|| {
-                    let start = Instant::now();
-                    let sg = build_state_graph(&w.stg, SgOptions::default());
-                    let secs = start.elapsed().as_secs_f64();
-                    sg.map(|sg| (secs, sg.len())).map_err(|e| e.to_string())
-                });
-            for (ci, &(kind, reorder, j)) in combos.iter().enumerate() {
-                {
-                    let opts = make_opts(w.arbitration, kind, reorder, j);
-                    let jobs_detected = opts.engine.effective_jobs();
-                    // `--repeat`: the reported wall is the median over all
-                    // repeats; stats and verdict come from the first run
-                    // (repeats are result-deterministic).
-                    let mut walls: Vec<f64> = Vec::with_capacity(repeat);
-                    let mut first = None;
-                    let mut aborted = false;
-                    let mut queue_wait_ms = 0.0;
-                    for _ in 0..repeat {
-                        let start = Instant::now();
-                        // `--batch`: the row already ran on the scheduler's
-                        // worker pool; consume its result instead of
-                        // verifying inline.
-                        let row_run = if batch {
-                            let jr = batch_results
-                                .remove(&(wi, ci))
-                                .expect("each batch row is consumed exactly once");
-                            queue_wait_ms = jr.queue_wait.as_secs_f64() * 1e3;
-                            walls.push(jr.wall.as_secs_f64());
-                            jr.run.map_err(|e| match e {
-                                stgcheck_core::JobError::Verify(msg) => msg,
-                                stgcheck_core::JobError::Panic(msg) => {
-                                    format!("worker panic: {msg}")
-                                }
-                            })
-                        } else {
-                            let r = verify_persistent(&w.stg, opts, &persist)
-                                .map_err(|e| e.to_string());
-                            if r.is_ok() {
-                                walls.push(start.elapsed().as_secs_f64());
-                            }
-                            r
-                        };
-                        match row_run {
-                            Ok(r) => {
-                                let done = matches!(r.outcome, Outcome::Completed(_));
-                                if first.is_none() {
-                                    first = Some(r);
-                                }
-                                if !done {
-                                    break; // repeating an exhausted row is pure waste
-                                }
-                            }
-                            Err(e) => {
-                                println!("{:<16} verification aborted: {e}", w.name);
-                                exit = exit.worst(ProcessExit::Violation);
-                                aborted = true;
-                                break;
-                            }
-                        }
-                    }
-                    if aborted || first.is_none() {
-                        continue;
-                    }
-                    let run = first.expect("row ran at least once");
-                    let wall_s = median(&mut walls);
-                    let wall_min_s = walls.first().copied().unwrap_or(wall_s);
-                    let wall_max_s = walls.last().copied().unwrap_or(wall_s);
-                    *pass_wall_slot += wall_s;
-                    let report = match run.outcome {
-                        Outcome::Completed(report) => report,
-                        Outcome::Exhausted { reason, .. } => {
-                            println!("{:<16} {kind:>14} budget exhausted: {reason}", w.name);
-                            exit = exit.worst(ProcessExit::Exhausted);
-                            json_rows.push(JsonRow {
-                                name: w.name.clone(),
-                                engine: kind.to_string(),
-                                reorder,
-                                order,
-                                jobs: j,
-                                jobs_detected,
-                                states: "?".to_string(),
-                                peak_live_nodes: 0,
-                                final_nodes: 0,
-                                sift_passes: 0,
-                                wall_s,
-                                wall_min_s,
-                                wall_max_s,
-                                queue_wait_ms,
-                                gc_collections: 0,
-                                gc_pause_ms: 0.0,
-                                peak_rss_kb: peak_rss_kb(),
-                                cache: run.cache.to_string(),
-                                verdict: "?",
-                                outcome: "exhausted",
-                                timeout_s,
-                                max_nodes: budget.max_nodes,
-                                max_steps: budget.max_steps,
-                            });
-                            continue;
-                        }
-                        Outcome::Interrupted { .. } => {
-                            println!("{:<16} {kind:>14} interrupted", w.name);
-                            exit = exit.worst(ProcessExit::Interrupted);
-                            json_rows.push(JsonRow {
-                                name: w.name.clone(),
-                                engine: kind.to_string(),
-                                reorder,
-                                order,
-                                jobs: j,
-                                jobs_detected,
-                                states: "?".to_string(),
-                                peak_live_nodes: 0,
-                                final_nodes: 0,
-                                sift_passes: 0,
-                                wall_s,
-                                wall_min_s,
-                                wall_max_s,
-                                queue_wait_ms,
-                                gc_collections: 0,
-                                gc_pause_ms: 0.0,
-                                peak_rss_kb: peak_rss_kb(),
-                                cache: run.cache.to_string(),
-                                verdict: "?",
-                                outcome: "interrupted",
-                                timeout_s,
-                                max_nodes: budget.max_nodes,
-                                max_steps: budget.max_steps,
-                            });
-                            continue;
-                        }
-                    };
-                    let mut row = report.table1_row();
-                    if explicit {
-                        match &explicit_cell {
-                            Some(Ok((secs, len))) => {
-                                assert_eq!(
-                                    *len as u128, report.num_states,
-                                    "{}: explicit and symbolic disagree",
-                                    w.name
-                                );
-                                row.push_str(&format!(" {secs:>10.3}"));
-                            }
-                            Some(Err(e)) => row.push_str(&format!(" {e:>10}")),
-                            None => row.push_str(&format!(" {:>10}", "—")),
-                        }
-                    }
-                    row.push_str(&format!(" {reorder:>7}"));
-                    row.push_str(&format!(" {:>7}", format!("{j}/{jobs_detected}")));
-                    let verdict = match report.verdict {
-                        stgcheck_stg::Implementability::Gate => "gate",
-                        stgcheck_stg::Implementability::InputOutput => "i/o",
-                        stgcheck_stg::Implementability::SpeedIndependent => "si-only",
-                        stgcheck_stg::Implementability::NotImplementable => "reject",
-                    };
-                    row.push_str(&format!(" {verdict:>10}"));
-                    if batch {
-                        row.push_str(&format!(" {queue_wait_ms:>8.1}"));
-                    }
-                    println!("{row}");
-                    let states = stgcheck_core::format_states(report.num_states);
-                    if warm_rerun {
-                        let key =
-                            (w.name.clone(), report.engine.clone(), format!("{reorder}-j{j}"));
-                        if pass == 0 {
-                            cold_results.insert(key, (verdict, states.clone()));
-                        } else {
+    for w in &workloads {
+        // The explicit baseline is engine- and reorder-independent: time
+        // it once per workload, outside the row loop.
+        let explicit_cell: Option<Result<(f64, usize), String>> = (explicit && w.explicit_feasible)
+            .then(|| {
+                let start = Instant::now();
+                let sg = build_state_graph(&w.stg, SgOptions::default());
+                let secs = start.elapsed().as_secs_f64();
+                sg.map(|sg| (secs, sg.len())).map_err(|e| e.to_string())
+            });
+        for &(kind, reorder, j) in &combos {
+            let opts = VerifyOptions {
+                order,
+                policy: PersistencyPolicy { allow_arbitration: w.arbitration },
+                engine: EngineOptions { kind, jobs: j, ..Default::default() },
+                reorder,
+                budget,
+            };
+            let jobs_detected = opts.engine.effective_jobs();
+            let (run, walls) = match run_row(&w.stg, opts, &persist, repeat) {
+                Ok(row) => row,
+                Err(e) => {
+                    println!("{:<16} verification aborted: {e}", w.name);
+                    exit = exit.worst(ProcessExit::Violation);
+                    continue;
+                }
+            };
+            let report = run.report();
+            let outcome = match &run.outcome {
+                Outcome::Completed(_) if run.fell_back => "fallback",
+                Outcome::Completed(_) => "ok",
+                Outcome::Exhausted { reason, .. } => {
+                    println!("{:<16} {kind:>14} budget exhausted: {reason}", w.name);
+                    exit = exit.worst(ProcessExit::Exhausted);
+                    "exhausted"
+                }
+                Outcome::Interrupted { .. } => {
+                    println!("{:<16} {kind:>14} interrupted", w.name);
+                    exit = exit.worst(ProcessExit::Interrupted);
+                    "interrupted"
+                }
+            };
+            let verdict = report.map_or("?", |r| match r.verdict {
+                Implementability::Gate => "gate",
+                Implementability::InputOutput => "i/o",
+                Implementability::SpeedIndependent => "si-only",
+                Implementability::NotImplementable => "reject",
+            });
+            if let Some(report) = report {
+                let mut row = report.table1_row();
+                if explicit {
+                    row.push_str(&match &explicit_cell {
+                        Some(Ok((secs, len))) => {
                             assert_eq!(
-                                run.cache,
-                                CacheStatus::Warm,
-                                "{}: warm pass missed the cache",
+                                *len as u128, report.num_states,
+                                "{}: explicit and symbolic disagree",
                                 w.name
                             );
-                            let (cold_verdict, cold_states) =
-                                cold_results.get(&key).expect("cold row for warm row");
-                            assert_eq!(
-                                (*cold_verdict, cold_states),
-                                (verdict, &states),
-                                "{}: warm result diverges from cold",
-                                w.name
-                            );
+                            format!(" {secs:>10.3}")
                         }
-                    }
-                    json_rows.push(JsonRow {
-                        name: w.name.clone(),
-                        engine: report.engine.clone(),
-                        reorder,
-                        order,
-                        jobs: j,
-                        jobs_detected,
-                        states,
-                        peak_live_nodes: report.bdd_peak,
-                        final_nodes: report.bdd_final,
-                        sift_passes: report.sift_passes,
-                        wall_s,
-                        wall_min_s,
-                        wall_max_s,
-                        queue_wait_ms,
-                        gc_collections: report.gc_collections,
-                        gc_pause_ms: report.gc_pause_ms,
-                        peak_rss_kb: peak_rss_kb(),
-                        cache: run.cache.to_string(),
-                        verdict,
-                        outcome: if run.fell_back { "fallback" } else { "ok" },
-                        timeout_s,
-                        max_nodes: budget.max_nodes,
-                        max_steps: budget.max_steps,
+                        Some(Err(e)) => format!(" {e:>10}"),
+                        None => format!(" {:>10}", "—"),
                     });
                 }
+                let jobs_cell = format!("{j}/{jobs_detected}");
+                println!("{row} {reorder:>7} {jobs_cell:>7} {verdict:>10}");
             }
+            // An exhausted or interrupted row has no report: its answer
+            // columns read `?` and its sizes 0. A completed row names the
+            // engine that ran, which is saturation after a fallback.
+            json_rows.push(JsonRow {
+                name: w.name.clone(),
+                engine: report.map_or_else(|| kind.to_string(), |r| r.engine.clone()),
+                reorder,
+                order,
+                jobs: j,
+                jobs_detected,
+                states: report.map_or_else(|| "?".to_string(), |r| format_states(r.num_states)),
+                peak_live_nodes: report.map_or(0, |r| r.bdd_peak),
+                final_nodes: report.map_or(0, |r| r.bdd_final),
+                sift_passes: report.map_or(0, |r| r.sift_passes),
+                wall_s: walls[walls.len() / 2],
+                wall_min_s: walls[0],
+                wall_max_s: walls[walls.len() - 1],
+                gc_collections: report.map_or(0, |r| r.gc_collections),
+                gc_pause_ms: report.map_or(0.0, |r| r.gc_pause_ms),
+                peak_rss_kb: peak_rss_kb(),
+                cache: run.cache.to_string(),
+                verdict,
+                outcome,
+                timeout_s,
+                max_nodes: budget.max_nodes,
+                max_steps: budget.max_steps,
+            });
         }
-    }
-    if warm_rerun {
-        println!();
-        println!(
-            "cache: cold pass {:.3}s, warm pass {:.3}s ({:.1}x speedup), verdicts identical",
-            pass_wall[0],
-            pass_wall[1],
-            pass_wall[0] / pass_wall[1].max(1e-9),
-        );
     }
     let json = render_json(&json_rows);
     if let Some(path) = &json_path {

@@ -1,7 +1,38 @@
 //! `table1` refuses what it does not understand instead of silently
-//! running its defaults, and `--compare` fails a run whose answers moved.
+//! running its defaults, `--compare` fails a run whose answers moved, and
+//! every row — completed or exhausted — lands in the `--json` report.
 
 use std::process::{Command, Output};
+
+use stgcheck_core::protocol::{parse_json, Json};
+
+/// Runs `table1` with `args` plus `--json` into a scratch file named
+/// `tag`, and returns the output with the parsed rows.
+fn json_run(tag: &str, args: &[&str]) -> (Output, Vec<Json>) {
+    let path = std::env::temp_dir().join(format!("table1-{tag}-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(args)
+        .arg("--json")
+        .arg(&path)
+        .output()
+        .expect("runs");
+    let text = std::fs::read_to_string(&path).expect("table1 wrote its rows");
+    let _ = std::fs::remove_file(&path);
+    match parse_json(&text).expect("valid JSON").get("rows") {
+        Some(Json::Arr(rows)) => (out, rows.clone()),
+        _ => panic!("no `rows` array: {text}"),
+    }
+}
+
+/// A row's text column.
+fn text<'a>(row: &'a Json, column: &str) -> &'a str {
+    row.get(column).and_then(Json::as_str).unwrap_or_else(|| panic!("no `{column}`"))
+}
+
+/// A row's number column.
+fn number(row: &Json, column: &str) -> f64 {
+    row.get(column).and_then(Json::as_num).unwrap_or_else(|| panic!("no `{column}`"))
+}
 
 #[test]
 fn unknown_flags_and_values_exit_2() {
@@ -14,6 +45,13 @@ fn unknown_flags_and_values_exit_2() {
         &["--small", "--timeout", "1e300"],
         &["--small", "--timeout", "0"],
         &["--small", "--compare", "/nonexistent/table1.json"],
+        // Retired flags: the serve scheduler, the warm pass and the jobs
+        // matrix, which `--jobs 1,2` now spells.
+        &["--small", "--batch"],
+        &["--small", "--workers", "2"],
+        &["--small", "--warm-rerun"],
+        &["--small", "--jobs-matrix", "1,2"],
+        &["--small", "--jobs", "1,x"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_table1")).args(args).output().expect("runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -51,4 +89,36 @@ fn compare_exits_1_on_answer_drift() {
     let unmatched = run(&["--engine", "saturation", "--compare", base]);
     assert_eq!(unmatched.status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--jobs 1,2` gives the parallel engine one row per value and the other
+/// engines one row at the first: 5 nets × (2 + 1 + 1) rows.
+#[test]
+fn jobs_list_multiplies_only_the_parallel_engine() {
+    let (out, rows) = json_run("jobs", &["--small", "--jobs", "1,2"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(rows.len(), 20);
+    let count = |engine: &str, jobs: f64| {
+        rows.iter().filter(|r| text(r, "engine") == engine && number(r, "jobs") == jobs).count()
+    };
+    assert_eq!((count("parallel", 1.0), count("parallel", 2.0)), (5, 5));
+    for engine in ["per-transition", "saturation"] {
+        assert_eq!((count(engine, 1.0), count(engine, 2.0)), (5, 0), "{engine}");
+    }
+}
+
+/// A row that exhausts its budget is still a row: `?` answers, zero
+/// sizes, outcome `exhausted`, and the table exits 4.
+#[test]
+fn exhausted_rows_are_recorded_and_exit_4() {
+    let args = ["--small", "--engine", "per-transition", "--max-steps", "300"];
+    let (out, rows) = json_run("exhausted", &args);
+    assert_eq!(out.status.code(), Some(4), "{}", String::from_utf8_lossy(&out.stdout));
+    assert_eq!(rows.len(), 5);
+    for row in &rows {
+        assert_eq!(text(row, "outcome"), "exhausted");
+        assert_eq!((text(row, "states"), text(row, "verdict")), ("?", "?"));
+        assert_eq!((number(row, "peak_live_nodes"), number(row, "final_nodes")), (0.0, 0.0));
+        assert_eq!(number(row, "max_steps"), 300.0);
+    }
 }

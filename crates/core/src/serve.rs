@@ -7,8 +7,7 @@
 //!   [`verify_persistent`] jobs with per-job cancellation latches,
 //!   coalescing of in-flight duplicate nets, and panic isolation (a
 //!   worker panic becomes one [`JobError::Panic`] result, never a dead
-//!   worker or a crashed daemon). The bench binary drives this layer
-//!   directly for `table1 --batch`.
+//!   worker or a crashed daemon).
 //! * [`run_daemon`] — the JSON-lines request loop (stdin/stdout by
 //!   default, a unix socket with `--listen`) with load shedding, a
 //!   crash-safe request journal ([`crate::journal`]) behind `--journal`,

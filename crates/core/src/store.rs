@@ -8,8 +8,9 @@
 //! store holds four artifacts (see `docs/persistent-store.md`):
 //!
 //! * `<key>.report` — the full [`SymbolicReport`] in a line-based text
-//!   format; any malformed or truncated file, or one whose dimensions or
-//!   indices do not fit the net, is a cache miss, never an error;
+//!   format, sealed by a last `sum` line; any edited, malformed or
+//!   truncated file, or one whose dimensions or indices do not fit the
+//!   net, is a cache miss, never an error;
 //! * `<key>.reached` — the final reached set as a v3
 //!   [`BddCheckpoint`], so a warm hit can materialize the BDD without
 //!   re-running the fixpoint;
@@ -27,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use stgcheck_bdd::{Bdd, BddCheckpoint, FaultPlan};
+use stgcheck_bdd::{fnv64, Bdd, BddCheckpoint, FaultPlan};
 use stgcheck_petri::{PetriNet, PlaceId, TransId};
 use stgcheck_stg::{
     parse_g, write_g, Code, FakeConflict, Implementability, Polarity, SignalId, Stg,
@@ -98,16 +99,16 @@ impl ResultStore {
     }
 
     /// Loads the cached report for `key`, which was computed for `stg`;
-    /// any unreadable or malformed artifact is a miss, and so is a report
-    /// that does not fit `stg` ([`report_fits`]). The `store-read`
-    /// failpoint injects the unreadable case: an armed run must degrade
-    /// to a clean cold recompute, never an error.
+    /// any unreadable, unsealed ([`unseal`]) or malformed artifact is a
+    /// miss, and so is a report that does not fit `stg` ([`report_fits`]).
+    /// The `store-read` failpoint injects the unreadable case: an armed
+    /// run must degrade to a clean cold recompute, never an error.
     pub(crate) fn load_report(&self, key: &str, stg: &Stg) -> Option<SymbolicReport> {
         if self.faults.hit("store-read") {
             return None;
         }
-        let text = std::fs::read_to_string(self.path(&format!("{key}.report"))).ok()?;
-        report_from_text(&text).filter(|r| report_fits(r, stg))
+        let bytes = std::fs::read(self.path(&format!("{key}.report"))).ok()?;
+        report_from_text(unseal(&bytes)?).filter(|r| report_fits(r, stg))
     }
 
     /// Loads the stored reached-set checkpoint for `key`.
@@ -137,7 +138,9 @@ impl ResultStore {
     ) -> io::Result<()> {
         let write =
             |file: String, bytes: &[u8]| write_atomically(&self.path(&file), bytes, &self.faults);
-        write(format!("{key}.report"), report_to_text(report).as_bytes())?;
+        let mut text = report_to_text(report);
+        text.push_str(&seal(text.as_bytes()));
+        write(format!("{key}.report"), text.as_bytes())?;
         write(format!("{key}.reached"), &reached.to_bytes())?;
         let declared = match stg.initial_code() {
             Some(c) => c.0.to_string(),
@@ -479,12 +482,34 @@ fn verdict_parse(s: &str) -> Option<Implementability> {
     }
 }
 
+/// Length of the [`seal`] line.
+const SEAL_LEN: usize = "sum 0123456789abcdef\n".len();
+
+/// The line that ends a stored report: `sum` and the FNV-1a-64 of every
+/// byte before it (the checksum of the request journal and of v3
+/// checkpoints), in 16 lowercase hex digits.
+fn seal(body: &[u8]) -> String {
+    format!("sum {:016x}\n", fnv64(body))
+}
+
+/// The body of a stored report when its last line is exactly the
+/// [`seal`] of everything before it, else `None`. The check runs on the
+/// raw bytes before anything is parsed, so an edit that keeps every
+/// index in range is a miss too.
+fn unseal(bytes: &[u8]) -> Option<&str> {
+    let (body, sum) = bytes.split_at(bytes.len().checked_sub(SEAL_LEN)?);
+    if sum != seal(body).as_bytes() {
+        return None;
+    }
+    std::str::from_utf8(body).ok()
+}
+
 /// Renders a report in the versioned line format. `f64` fields use
 /// Rust's shortest round-trip formatting, so loads are bit-exact.
 pub(crate) fn report_to_text(r: &SymbolicReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    out.push_str("stgcheck-report-v1\n");
+    out.push_str("stgcheck-report-v2\n");
     let _ = writeln!(out, "name {}", enc(&r.name));
     let _ = writeln!(out, "engine {}", enc(&r.engine));
     let _ = writeln!(out, "dims {} {}", r.places, r.signals);
@@ -592,7 +617,7 @@ fn report_fits(r: &SymbolicReport, stg: &Stg) -> bool {
 /// rebuild the real set in.
 pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
     let mut lines = text.lines();
-    if lines.next()? != "stgcheck-report-v1" {
+    if lines.next()? != "stgcheck-report-v2" {
         return None;
     }
     let mut name = None;
@@ -787,7 +812,7 @@ mod tests {
         }
         // Unknown tags, bad version and trailing junk are misses.
         assert!(report_from_text(&text.replace("verdict", "verdikt")).is_none());
-        assert!(report_from_text(&text.replace("report-v1", "report-v9")).is_none());
+        assert!(report_from_text(&text.replace("report-v2", "report-v9")).is_none());
         assert!(report_from_text(&format!("{text}junk\n")).is_none());
         // A report written before the worker-peak column was dropped has
         // a 7-field `trav` line: a clean miss, recomputed cold.
@@ -795,6 +820,27 @@ mod tests {
         let f: Vec<&str> = trav.split(' ').collect();
         let seven = format!("{} {} {} 0 {}", f[0], f[1], f[2], f[3..].join(" "));
         assert!(report_from_text(&text.replace(trav, &seven)).is_none());
+    }
+
+    #[test]
+    fn only_an_intact_seal_unseals() {
+        let report = crate::verify(&gen::mutex_element(), VerifyOptions::default()).unwrap();
+        let body = report_to_text(&report);
+        let sealed = format!("{body}{}", seal(body.as_bytes())).into_bytes();
+        assert_eq!(unseal(&sealed), Some(body.as_str()));
+        // Flipping any one bit of the body or of the seal, case included.
+        for at in 0..sealed.len() {
+            for bit in [0, 5] {
+                let mut edited = sealed.clone();
+                edited[at] ^= 1 << bit;
+                assert_eq!(unseal(&edited), None, "byte {at}, bit {bit}");
+            }
+        }
+        for cut in [0, SEAL_LEN - 1, SEAL_LEN, sealed.len() - 1] {
+            assert_eq!(unseal(&sealed[..cut]), None, "cut at {cut}");
+        }
+        assert_eq!(unseal(&[sealed.as_slice(), b"\n"].concat()), None);
+        assert_eq!(unseal(body.as_bytes()), None, "an unsealed report");
     }
 
     #[test]

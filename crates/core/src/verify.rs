@@ -81,6 +81,31 @@ impl BudgetSpec {
         Duration::try_from_secs_f64(secs)
             .map_err(|_| format!("must be at most {} seconds", Duration::MAX.as_secs()))
     }
+
+    /// Sets the limit of a valued budget flag — `--timeout <secs>`,
+    /// `--max-nodes <n>` or `--max-steps <n>` — from its text: the one
+    /// parser the CLI and `table1` share. `--fallback` takes no value and
+    /// is the caller's to set.
+    ///
+    /// # Errors
+    ///
+    /// `text` is not a valid value for `flag`, or `flag` is none of the
+    /// three; the message names the flag and the text, ready to print.
+    pub fn set_flag(&mut self, flag: &str, text: &str) -> Result<(), String> {
+        let number = |what: &str| format!("{flag} needs {what}, got `{text}`");
+        match flag {
+            "--timeout" => {
+                let secs: f64 = text.parse().map_err(|_| number("a number of seconds"))?;
+                let timeout = Self::timeout_from_secs(secs)
+                    .map_err(|e| format!("{flag} {e}, got `{text}`"))?;
+                self.timeout = Some(timeout);
+            }
+            "--max-nodes" => self.max_nodes = text.parse().map_err(|_| number("a number"))?,
+            "--max-steps" => self.max_steps = text.parse().map_err(|_| number("a number"))?,
+            _ => return Err(format!("`{flag}` is not a budget flag")),
+        }
+        Ok(())
+    }
 }
 
 /// Options for [`verify`].
@@ -1074,5 +1099,26 @@ mod tests {
             assert_eq!(explicit.verdict, symbolic.verdict, "{}", stg.name());
             assert_eq!(explicit.states as u128, symbolic.num_states, "{}", stg.name());
         }
+    }
+
+    #[test]
+    fn budget_flags_parse_their_values() {
+        let mut budget = BudgetSpec::default();
+        budget.set_flag("--timeout", "1.5").unwrap();
+        budget.set_flag("--max-nodes", "800").unwrap();
+        budget.set_flag("--max-steps", "300").unwrap();
+        assert_eq!(budget.timeout, Some(Duration::from_millis(1500)));
+        assert_eq!((budget.max_nodes, budget.max_steps), (800, 300));
+        for (flag, text, message) in [
+            ("--timeout", "soon", "--timeout needs a number of seconds, got `soon`"),
+            ("--timeout", "0", "--timeout must be a positive number of seconds, got `0`"),
+            ("--max-nodes", "-1", "--max-nodes needs a number, got `-1`"),
+            ("--max-steps", "few", "--max-steps needs a number, got `few`"),
+            ("--fallback", "1", "`--fallback` is not a budget flag"),
+        ] {
+            assert_eq!(budget.set_flag(flag, text), Err(message.to_string()));
+        }
+        // A refused value leaves the limit as it was.
+        assert_eq!((budget.max_nodes, budget.max_steps), (800, 300));
     }
 }

@@ -82,10 +82,10 @@
 use std::process::ExitCode;
 
 use stgcheck::core::{
-    run_daemon, verify_persistent, BudgetSpec, FaultPlan, Outcome, PersistOptions, ProcessExit,
+    outcome_exit, run_daemon, verify_persistent, FaultPlan, Outcome, PersistOptions, ProcessExit,
     ServeOptions, SymbolicReport, VerifyOptions,
 };
-use stgcheck::stg::{parse_g, Implementability, PersistencyPolicy};
+use stgcheck::stg::{parse_g, PersistencyPolicy};
 
 /// SIGINT/SIGTERM handling. The handler itself only flips a static
 /// atomic (the only thing that is async-signal-safe here); a watcher
@@ -257,23 +257,9 @@ fn parse_verify_flag(
             options.engine.jobs =
                 v.parse().map_err(|_| format!("--jobs needs a number, got `{v}`"))?;
         }
-        "--timeout" => {
-            let v = it.next().ok_or("--timeout needs a value in seconds")?;
-            let secs: f64 =
-                v.parse().map_err(|_| format!("--timeout needs a number of seconds, got `{v}`"))?;
-            let timeout = BudgetSpec::timeout_from_secs(secs)
-                .map_err(|e| format!("--timeout {e}, got `{v}`"))?;
-            options.budget.timeout = Some(timeout);
-        }
-        "--max-nodes" => {
-            let v = it.next().ok_or("--max-nodes needs a value")?;
-            options.budget.max_nodes =
-                v.parse().map_err(|_| format!("--max-nodes needs a number, got `{v}`"))?;
-        }
-        "--max-steps" => {
-            let v = it.next().ok_or("--max-steps needs a value")?;
-            options.budget.max_steps =
-                v.parse().map_err(|_| format!("--max-steps needs a number, got `{v}`"))?;
+        "--timeout" | "--max-nodes" | "--max-steps" => {
+            let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            options.budget.set_flag(arg, &v)?;
         }
         "--fallback" => options.budget.fallback = true,
         _ => return Ok(false),
@@ -478,43 +464,31 @@ fn main() -> ExitCode {
                 out!("{file}: note: {note}");
             }
         }
+        exit = exit.worst(outcome_exit(&run.outcome));
         match run.outcome {
-            Outcome::Interrupted { checkpoint } => {
-                exit = exit.worst(ProcessExit::Interrupted);
-                match checkpoint {
-                    Some(path) => out!(
-                        "{file}: interrupted (checkpoint written to {}; rerun with --resume)",
-                        path.display()
-                    ),
-                    None => out!("{file}: interrupted (no checkpoint written)"),
-                }
+            Outcome::Interrupted { checkpoint: Some(path) } => out!(
+                "{file}: interrupted (checkpoint written to {}; rerun with --resume)",
+                path.display()
+            ),
+            Outcome::Interrupted { checkpoint: None } => {
+                out!("{file}: interrupted (no checkpoint written)")
             }
-            Outcome::Exhausted { reason, checkpoint } => {
-                exit = exit.worst(ProcessExit::Exhausted);
-                match checkpoint {
-                    Some(path) => out!(
-                        "{file}: budget exhausted: {reason} (checkpoint written to {}; \
-                         rerun with --resume and a larger budget)",
-                        path.display()
-                    ),
-                    None if cli.persist.checkpoint.is_some() => out!(
-                        "{file}: budget exhausted: {reason} (no checkpoint written: \
-                         the budget tripped before any state was committed)"
-                    ),
-                    None => out!(
-                        "{file}: budget exhausted: {reason} (no checkpoint written; \
-                         run with --checkpoint to make such runs resumable)"
-                    ),
-                }
+            Outcome::Exhausted { reason, checkpoint: Some(path) } => out!(
+                "{file}: budget exhausted: {reason} (checkpoint written to {}; \
+                 rerun with --resume and a larger budget)",
+                path.display()
+            ),
+            Outcome::Exhausted { reason, checkpoint: None } if cli.persist.checkpoint.is_some() => {
+                out!(
+                    "{file}: budget exhausted: {reason} (no checkpoint written: \
+                     the budget tripped before any state was committed)"
+                )
             }
+            Outcome::Exhausted { reason, checkpoint: None } => out!(
+                "{file}: budget exhausted: {reason} (no checkpoint written; \
+                 run with --checkpoint to make such runs resumable)"
+            ),
             Outcome::Completed(report) => {
-                let implementable = matches!(
-                    report.verdict,
-                    Implementability::Gate | Implementability::InputOutput
-                );
-                if !implementable {
-                    exit = exit.worst(ProcessExit::Violation);
-                }
                 if cli.quiet {
                     out!("{file}: {}", report.verdict);
                 } else {

@@ -264,9 +264,9 @@ fn budget_trip_inside_the_checks_exits_4() {
     assert!(stdout.contains("budget exhausted"), "{stdout}");
 }
 
-/// A stored report whose indices no longer fit the net is a cache miss:
-/// the rerun recomputes cold and prints the violations of the first run,
-/// instead of indexing the net with a corrupted transition or signal.
+/// An edited stored report is a cache miss: the rerun recomputes cold
+/// and prints the violations of the first run, instead of indexing the
+/// net with a corrupted signal or serving an edit that stays in range.
 #[test]
 fn corrupted_stored_report_is_a_cold_miss() {
     let dir = scratch("corrupt-report");
@@ -291,14 +291,17 @@ fn corrupted_stored_report_is_a_cold_miss() {
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|x| x == "report"))
         .expect("the first run stored a report");
-    let text = std::fs::read_to_string(&report).unwrap();
-    // Signal 93 does not exist: mutex-3 has six.
-    let edited = text.replacen("\npersistency 4 3 ", "\npersistency 4 93 ", 1);
-    assert_ne!(edited, text, "{text}");
-    std::fs::write(&report, edited).unwrap();
-    let second = run();
-    assert!(second.contains("cache:       cold"), "{second}");
-    assert_eq!(violations(&second), violations(&first));
+    // Signal 93 does not exist: mutex-3 has six. Signal 2 does, so only
+    // the seal tells that edit from a stored answer.
+    for signal in ["93", "2"] {
+        let text = std::fs::read_to_string(&report).unwrap();
+        let edited = text.replacen("\npersistency 4 3 ", &format!("\npersistency 4 {signal} "), 1);
+        assert_ne!(edited, text, "{text}");
+        std::fs::write(&report, edited).unwrap();
+        let rerun = run();
+        assert!(rerun.contains("cache:       cold"), "signal {signal}: {rerun}");
+        assert_eq!(violations(&rerun), violations(&first), "signal {signal}");
+    }
 }
 
 /// Budget and fault-injection flags validate their arguments: garbage
