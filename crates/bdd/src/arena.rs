@@ -217,26 +217,6 @@ impl NodeArena {
         }
     }
 
-    /// Visits every allocated slot with index `>= start`, in index order
-    /// — the generational sweep: a minor collection only walks the slots
-    /// allocated since the last collection's watermark instead of the
-    /// whole arena.
-    pub(crate) fn for_each_from(&self, start: usize, mut f: impl FnMut(usize, Node)) {
-        let len = self.len();
-        let (first_seg, _) = locate(start);
-        for s in first_seg..NUM_SEGS {
-            let base = s << SEG_BITS;
-            if base >= len {
-                break;
-            }
-            let seg = self.segs[s].get().expect("allocated segment missing");
-            let skip = start.saturating_sub(base);
-            for (off, cell) in seg.iter().enumerate().take(len - base).skip(skip) {
-                f(base + off, decode(cell.load(Ordering::Relaxed)));
-            }
-        }
-    }
-
     /// Claims a fresh slot, allocating its segment on first touch.
     /// Callable from any thread; two callers never receive the same slot.
     ///
@@ -374,26 +354,6 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
             assert_eq!(a.get(i), b.get(i), "slot {i}");
-        }
-    }
-
-    #[test]
-    fn for_each_from_visits_exactly_the_tail() {
-        let arena = NodeArena::new(Node::terminal());
-        let total = 2 * SEG_SIZE + 100;
-        for k in 1..total {
-            let s = arena.alloc().unwrap();
-            arena.set(s as usize, Node { level: 0, lo: Bdd(0), hi: Bdd((k % 7) as u32 * 2) });
-        }
-        // Starts inside a segment, at a segment boundary, at 0 and at len.
-        for start in [0, 1, 17, SEG_SIZE - 1, SEG_SIZE, SEG_SIZE + 3, total - 1, total] {
-            let mut seen = Vec::new();
-            arena.for_each_from(start, |i, n| {
-                assert_eq!(n, arena.get(i));
-                seen.push(i);
-            });
-            let expect: Vec<usize> = (start..total).collect();
-            assert_eq!(seen, expect, "start {start}");
         }
     }
 }

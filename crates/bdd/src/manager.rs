@@ -73,11 +73,11 @@ pub struct ManagerStats {
     pub live_nodes: usize,
     /// High-water mark of live decision nodes since creation.
     pub peak_live_nodes: usize,
-    /// Number of garbage collections performed (minor and full).
+    /// Number of garbage collections performed; each one is a
+    /// whole-arena mark-and-sweep ([`BddManager::gc`]).
     pub gc_runs: usize,
-    /// Number of *full* (whole-arena) collections among `gc_runs`; the
-    /// rest were generational minor collections that only walked the
-    /// young space above the survivor watermark.
+    /// Always equal to `gc_runs`, since every collection is a
+    /// whole-arena one; kept for readers that still report it apart.
     pub gc_full_runs: usize,
     /// Total nodes reclaimed by garbage collection.
     pub gc_reclaimed: usize,
@@ -135,28 +135,9 @@ pub struct BddManager {
     pub(crate) live: AtomicUsize,
     pub(crate) peak_live: AtomicUsize,
     pub(crate) gc_runs: usize,
-    pub(crate) gc_full_runs: usize,
     pub(crate) gc_reclaimed: usize,
     /// Total nanoseconds spent inside collections (pause accounting).
     pub(crate) gc_pause_ns: u64,
-    /// The generational survivor watermark: the arena length at the end
-    /// of the last collection. Between collections the arena is
-    /// append-only, so every non-dead slot below the watermark is a
-    /// survivor of the last mark — and a survivor's children are
-    /// survivors, which is what lets a minor mark stop descending the
-    /// moment it reaches old space. `0` forces the next collection to be
-    /// full (fresh manager, or a structural operation rewired old slots
-    /// and invalidated the invariant).
-    gc_watermark: usize,
-    /// Minor collections since the last full one (the cadence counter).
-    minors_since_full: usize,
-    /// Old-space slots recycled off the free list since the last
-    /// collection. They hold *young* nodes despite sitting below the
-    /// watermark, so the minor mark must treat them as young and the
-    /// minor sweep must visit them. Pushed by `alloc_slot`/`mk_mut` at
-    /// free-list pop time — the only funnels through which a dead slot
-    /// comes back to life between quiesce points.
-    young_recycled: Mutex<Vec<u32>>,
     /// Variable groups that sift as one block (empty = every variable on
     /// its own); see [`BddManager::set_var_groups`].
     pub(crate) groups: Vec<Vec<Var>>,
@@ -216,12 +197,8 @@ impl BddManager {
             live: AtomicUsize::new(0),
             peak_live: AtomicUsize::new(0),
             gc_runs: 0,
-            gc_full_runs: 0,
             gc_reclaimed: 0,
             gc_pause_ns: 0,
-            gc_watermark: 0,
-            minors_since_full: 0,
-            young_recycled: Mutex::new(Vec::new()),
             groups: Vec::new(),
             sift_baseline: 0,
             gc_baseline: 0,
@@ -431,17 +408,12 @@ impl BddManager {
 
     /// Claims a node slot: recycled from the free list when the last GC
     /// left any, freshly bump-allocated otherwise. `None` when the arena
-    /// slot range is exhausted. A recycled slot is recorded as *young* —
-    /// it is about to hold a node allocated after the watermark, so the
-    /// next minor mark must descend into it and the minor sweep must
-    /// visit it.
+    /// slot range is exhausted.
     fn alloc_slot(&self) -> Option<u32> {
         if self.free_hint.load(Ordering::Relaxed) > 0 {
             let mut free = self.free.lock().expect("free list");
             if let Some(slot) = free.pop() {
                 self.free_hint.store(free.len(), Ordering::Relaxed);
-                drop(free);
-                self.young_recycled.lock().expect("young-recycled list").push(slot);
                 return Some(slot);
             }
         }
@@ -480,7 +452,6 @@ impl BddManager {
             match free.pop() {
                 Some(slot) => {
                     *self.free_hint.get_mut() = free.len();
-                    self.young_recycled.get_mut().expect("young-recycled list").push(slot);
                     Some(slot)
                 }
                 None if self.faults_armed && self.budget.faults().hit("arena-alloc") => None,
@@ -676,10 +647,6 @@ impl BddManager {
         if live > *self.peak_live.get_mut() {
             *self.peak_live.get_mut() = live;
         }
-        // The bulk loader recycles free slots without recording them as
-        // young, so the generational watermark no longer describes the
-        // arena — force the next collection to be a full mark.
-        self.invalidate_generation();
         match failure {
             Some(msg) => Err(msg),
             None => Ok(handles),
@@ -817,7 +784,7 @@ impl BddManager {
             live_nodes: self.live_nodes(),
             peak_live_nodes: self.peak_live_nodes(),
             gc_runs: self.gc_runs,
-            gc_full_runs: self.gc_full_runs,
+            gc_full_runs: self.gc_runs,
             gc_reclaimed: self.gc_reclaimed,
             gc_pause_ns: self.gc_pause_ns,
             num_vars: self.num_vars(),
@@ -885,54 +852,19 @@ impl BddManager {
     /// receiver guarantees no thread is concurrently reading or growing
     /// the manager.
     ///
-    /// Every handle transitively reachable from `roots` stays valid with
-    /// unchanged meaning; every other handle must be treated as dangling.
-    /// All operation caches are cleared. Complement tags are irrelevant
-    /// to reachability: keeping `f` keeps `¬f` by construction.
-    ///
-    /// Since the generational rework this dispatches between two
-    /// collectors. A **minor** collection marks and sweeps only the
-    /// *young* space — slots allocated above the survivor watermark of
-    /// the previous collection, plus old slots recycled off the free
-    /// list since. That is sound because the arena is append-only
-    /// between collections: an old survivor's children are old
-    /// survivors, so no young node is reachable *through* old space and
-    /// the mark may stop descending the moment it leaves it. Old-space
-    /// garbage (roots that died since the last collection) is retained
-    /// conservatively — still counted live, still in its unique table —
-    /// until a **full** collection is due (every
-    /// [`FULL_GC_CADENCE`](BddManager::gc_full)-th collection, after any
-    /// structural rewiring, or on explicit [`BddManager::gc_full`]),
-    /// which reclaims exactly what a from-scratch whole-graph mark
-    /// would.
+    /// One exact mark-and-sweep: marks every node reachable from `roots`,
+    /// then sweeps the whole arena and reclaims every node the mark did
+    /// not reach. Every handle transitively reachable from `roots` stays
+    /// valid with unchanged meaning; every other handle must be treated
+    /// as dangling. All operation caches are cleared. Complement tags are
+    /// irrelevant to reachability: keeping `f` keeps `¬f` by
+    /// construction. Afterwards `live_nodes()` equals
+    /// `size_many(roots)`.
     ///
     /// Returns the number of reclaimed nodes.
     pub fn gc(&mut self, roots: &[Bdd]) -> usize {
-        if self.gc_watermark == 0 || self.minors_since_full + 1 >= Self::FULL_GC_CADENCE {
-            self.gc_full(roots)
-        } else {
-            self.gc_minor(roots)
-        }
-    }
-
-    /// Every this-many-th collection is a full one, bounding how long
-    /// old-space garbage can be retained by the minor collector.
-    const FULL_GC_CADENCE: usize = 4;
-
-    /// Growth factor of the amortized collection trigger
-    /// ([`BddManager::gc_due`]): collect only once the live count has
-    /// grown this many times past the previous collection's survivors.
-    const GC_GROWTH: f64 = 1.5;
-
-    /// Full mark-and-sweep over the whole arena: reclaims every node not
-    /// reachable from `roots`, exactly the pre-generational behaviour.
-    /// Sifting forces one before its refcount build, and the stress
-    /// tests use it as the reference the minor collector is checked
-    /// against.
-    pub fn gc_full(&mut self, roots: &[Bdd]) -> usize {
         let start = std::time::Instant::now();
-        let len = self.nodes.len();
-        let mut marked = vec![false; len];
+        let mut marked = vec![false; self.nodes.len()];
         marked[0] = true;
         let mut stack: Vec<usize> = roots.iter().map(|r| r.index()).collect();
         while let Some(i) = stack.pop() {
@@ -965,107 +897,18 @@ impl BddManager {
         });
         *self.free_hint.get_mut() = free.len();
         *self.live.get_mut() -= reclaimed;
-        self.gc_full_runs += 1;
-        self.minors_since_full = 0;
-        self.finish_collection(reclaimed, start)
-    }
-
-    /// Generational minor collection: mark from `roots` but only into
-    /// young space (descent stops at old survivors — see
-    /// [`BddManager::gc`] for the soundness argument), then sweep only
-    /// the slots above the watermark plus the recycled list. Old-space
-    /// garbage is deliberately retained: its table entries and live
-    /// count stay consistent, and the next full collection reclaims it.
-    fn gc_minor(&mut self, roots: &[Bdd]) -> usize {
-        let start = std::time::Instant::now();
-        let base = self.gc_watermark;
-        let len = self.nodes.len();
-        debug_assert!(base > 0 && base <= len);
-        // Young = slots >= base, plus recycled old slots. Marks for the
-        // tail live in a dense offset vector; recycled marks ride along
-        // in a map (the recycled list is short — at most the slots the
-        // last collection freed).
-        let mut tail_marked = vec![false; len - base];
-        let mut recycled_marked: HashMap<u32, bool> = self
-            .young_recycled
-            .get_mut()
-            .expect("young-recycled list")
-            .iter()
-            .map(|&s| (s, false))
-            .collect();
-        let mut stack: Vec<usize> = roots.iter().map(|r| r.index()).collect();
-        while let Some(i) = stack.pop() {
-            let marked = if i >= base {
-                let m = &mut tail_marked[i - base];
-                std::mem::replace(m, true)
-            } else {
-                match recycled_marked.get_mut(&(i as u32)) {
-                    Some(m) => std::mem::replace(m, true),
-                    // Old survivor: its children are old survivors too —
-                    // nothing young is reachable through it.
-                    None => continue,
-                }
-            };
-            if marked {
-                continue;
-            }
-            let n = self.nodes.get(i);
-            debug_assert!(!n.is_dead(), "root set references a dead node");
-            stack.push(n.lo.index());
-            stack.push(n.hi.index());
-        }
-        let mut reclaimed = 0;
-        let nodes = &self.nodes;
-        let subtables = &mut self.subtables;
-        let free = self.free.get_mut().expect("free list");
-        let mut reclaim = |i: usize, n: Node| {
-            subtables[n.level as usize]
-                .get_mut()
-                .expect("unique-table shard")
-                .remove(&(n.lo, n.hi));
-            nodes.set_level(i, DEAD_LEVEL);
-            free.push(i as u32);
-            reclaimed += 1;
-        };
-        nodes.for_each_from(base, |i, n| {
-            if !tail_marked[i - base] && !n.is_dead() {
-                reclaim(i, n);
-            }
-        });
-        for (&slot, &marked) in &recycled_marked {
-            let n = nodes.get(slot as usize);
-            if !marked && !n.is_dead() {
-                reclaim(slot as usize, n);
-            }
-        }
-        *self.free_hint.get_mut() = free.len();
-        *self.live.get_mut() -= reclaimed;
-        self.minors_since_full += 1;
-        self.finish_collection(reclaimed, start)
-    }
-
-    /// Shared collection epilogue: counters, watermark, cache wipe.
-    fn finish_collection(&mut self, reclaimed: usize, start: std::time::Instant) -> usize {
         self.gc_baseline = *self.live.get_mut();
         self.gc_runs += 1;
         self.gc_reclaimed += reclaimed;
-        self.gc_watermark = self.nodes.len();
-        self.young_recycled.get_mut().expect("young-recycled list").clear();
         self.caches.clear();
         self.gc_pause_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         reclaimed
     }
 
-    /// Invalidates the generational watermark: the next collection will
-    /// be a full one. Must be called by every structural operation that
-    /// rewires or relabels old-space slots outside a collection (level
-    /// swaps, sifting, bulk imports recycling free slots) — after it,
-    /// "old survivor's children are old survivors" no longer holds.
-    pub(crate) fn invalidate_generation(&mut self) {
-        self.gc_watermark = 0;
-        self.minors_since_full = 0;
-        self.young_recycled.get_mut().expect("young-recycled list").clear();
-    }
+    /// Growth factor of the amortized collection trigger
+    /// ([`BddManager::gc_due`]): collect only once the live count has
+    /// grown this many times past the previous collection's survivors.
+    const GC_GROWTH: f64 = 1.5;
 
     /// `true` when the engines' amortized collection policy says a GC is
     /// worth its mark-and-sweep: the live count exceeds `threshold`
@@ -1078,16 +921,6 @@ impl BddManager {
     pub fn gc_due(&self, threshold: usize) -> bool {
         let live = self.live_nodes();
         live > threshold && (live as f64) > (self.gc_baseline as f64) * Self::GC_GROWTH
-    }
-
-    /// Runs [`BddManager::gc`] only when the live-node count exceeds
-    /// `threshold`. Returns the number of reclaimed nodes (0 if no GC ran).
-    pub fn gc_if_above(&mut self, threshold: usize, roots: &[Bdd]) -> usize {
-        if self.live_nodes() > threshold {
-            self.gc(roots)
-        } else {
-            0
-        }
     }
 
     /// Verifies internal invariants (canonicity including the
@@ -1285,160 +1118,6 @@ mod tests {
         assert!(m.peak_live_nodes() >= m.live_nodes());
         m.reset_peak();
         assert_eq!(m.peak_live_nodes(), m.live_nodes());
-    }
-
-    #[test]
-    fn gc_if_above_threshold() {
-        let mut m = BddManager::new();
-        let x = m.new_var("x");
-        let y = m.new_var("y");
-        let (a, b) = (m.var(x), m.var(y));
-        let _g = m.xor(a, b);
-        assert_eq!(m.gc_if_above(1_000_000, &[]), 0);
-        assert!(m.gc_if_above(0, &[]) > 0);
-        assert_eq!(m.live_nodes(), 0);
-    }
-
-    #[test]
-    fn minor_collection_tracks_full_mark_reference() {
-        // Replay one allocation/root-drop script on two managers: `m1`
-        // goes through the generational dispatch (first collection full,
-        // then minors), `m2` forces a full mark every time. Minors may
-        // retain old garbage, never more; a terminal full collection on
-        // `m1` must land on exactly the reference's live count, and the
-        // kept functions must stay structurally intact throughout.
-        let mut m1 = BddManager::new();
-        let mut m2 = BddManager::new();
-        let build = |m: &mut BddManager| {
-            let vars = m.new_vars("x", 12);
-            let roots: Vec<Bdd> = (0..6)
-                .map(|i| {
-                    let a = m.var(vars[2 * i]);
-                    let b = m.nvar(vars[2 * i + 1]);
-                    let c = m.var(vars[(3 * i + 2) % 12]);
-                    let t = m.xor(a, b);
-                    m.and(t, c)
-                })
-                .collect();
-            (vars, roots)
-        };
-        let (vars1, mut roots1) = build(&mut m1);
-        let (vars2, mut roots2) = build(&mut m2);
-        let sizes: Vec<usize> = roots1.iter().map(|&f| m1.size(f)).collect();
-        m1.gc(&roots1); // full: fresh manager has no watermark
-        m2.gc_full(&roots2);
-        for round in 0..3 {
-            // Fresh garbage (young space) plus one dropped old root.
-            for i in 0..4 {
-                let a = m1.var(vars1[(i + round) % 12]);
-                let b = m1.var(vars1[(i + round + 5) % 12]);
-                let _g = m1.xor(a, b);
-                let a = m2.var(vars2[(i + round) % 12]);
-                let b = m2.var(vars2[(i + round + 5) % 12]);
-                let _g = m2.xor(a, b);
-            }
-            roots1.pop();
-            roots2.pop();
-            m1.gc(&roots1); // minor: watermark set, cadence not reached
-            m2.gc_full(&roots2);
-            assert!(
-                m1.live_nodes() >= m2.live_nodes(),
-                "minor collection reclaimed live-by-reference nodes"
-            );
-            m1.check_invariants();
-            for (f, &s) in roots1.iter().zip(&sizes) {
-                assert_eq!(m1.size(*f), s, "a kept root lost structure across a minor GC");
-            }
-        }
-        assert!(m1.gc_full_runs < m2.gc_full_runs, "dispatch never took the minor path");
-        m1.gc_full(&roots1);
-        assert_eq!(
-            m1.live_nodes(),
-            m2.live_nodes(),
-            "full collection after minors disagrees with the full-mark reference"
-        );
-        m1.check_invariants();
-    }
-
-    #[test]
-    fn minor_collection_reclaims_exactly_the_young_garbage() {
-        let mut m = BddManager::new();
-        let vars = m.new_vars("x", 10);
-        let mut kept = m.one();
-        for &v in &vars[..5] {
-            let lv = m.var(v);
-            kept = m.and(kept, lv);
-        }
-        let mut old_root = m.one();
-        for &v in &vars[5..] {
-            let lv = m.nvar(v);
-            old_root = m.and(old_root, lv);
-        }
-        m.gc(&[kept, old_root]); // full; watermark recorded
-        let baseline = m.live_nodes();
-        // Young garbage: everything allocated after the watermark —
-        // including the literal nodes `var`/`nvar` recreate, which the
-        // full collection just reclaimed.
-        for i in 0..4 {
-            let a = m.var(vars[i]);
-            let b = m.nvar(vars[i + 5]);
-            let _g = m.xor(a, b);
-        }
-        let young = m.live_nodes() - baseline;
-        assert!(young > 0);
-        // Drop `old_root`: its nodes are old-space garbage the minor
-        // collector must conservatively retain.
-        let reclaimed = m.gc(&[kept]);
-        assert_eq!(reclaimed, young, "minor GC did not reclaim exactly the young garbage");
-        assert_eq!(m.live_nodes(), baseline, "old-space garbage was not retained");
-        m.check_invariants();
-        // The next full collection finally reclaims the dead old root.
-        let reclaimed = m.gc_full(&[kept]);
-        assert_eq!(m.live_nodes(), m.size(kept), "full GC missed the retired old-space root");
-        assert_eq!(reclaimed, baseline - m.size(kept));
-        assert_eq!(m.size(kept), 5);
-        m.check_invariants();
-    }
-
-    #[test]
-    fn recycled_slots_are_young_for_the_next_minor() {
-        let mut m = BddManager::new();
-        let vars = m.new_vars("x", 6);
-        let a = m.var(vars[0]);
-        let b = m.var(vars[1]);
-        let keep = m.and(a, b);
-        let _garbage = m.xor(a, b);
-        m.gc(&[keep]); // full: frees the xor + orphan literal slots
-        let before = m.live_nodes();
-        // These allocations recycle freed *old* slots — below the
-        // watermark, but they must still be both markable (when live) and
-        // sweepable (when dead) by the next minor collection.
-        let c = m.var(vars[2]);
-        let d = m.var(vars[3]);
-        let recycled_live = m.and(c, d);
-        let _recycled_dead = m.xor(c, d);
-        let young = m.live_nodes() - before;
-        let reclaimed = m.gc(&[keep, recycled_live]); // minor
-        assert_eq!(reclaimed, young - m.size(recycled_live), "minor GC mishandled recycled slots");
-        assert_eq!(m.size(recycled_live), 2, "a live recycled node was swept");
-        assert_eq!(m.live_nodes(), m.size(keep) + m.size(recycled_live));
-        m.check_invariants();
-    }
-
-    #[test]
-    fn full_collection_cadence_bounds_old_garbage() {
-        let mut m = BddManager::new();
-        let vars = m.new_vars("x", 4);
-        let a = m.var(vars[0]);
-        let b = m.var(vars[1]);
-        let keep = m.and(a, b);
-        m.gc(&[keep]);
-        let fulls_before = m.gc_full_runs;
-        for _ in 0..BddManager::FULL_GC_CADENCE {
-            m.gc(&[keep]);
-        }
-        assert!(m.gc_full_runs > fulls_before, "cadence never forced a full collection");
-        assert!(m.stats().gc_runs > m.stats().gc_full_runs, "no minor collection ever ran");
     }
 
     #[test]

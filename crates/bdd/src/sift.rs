@@ -70,10 +70,7 @@ impl BddManager {
     /// rewrote them away) and can create nodes at the sinking level. An
     /// orphan stays canonically registered and is reclaimed by the next
     /// [`BddManager::gc`]; during [`BddManager::sift`] the internal
-    /// reference counter reclaims it immediately instead. That next
-    /// collection is a full one: the rewritten nodes keep their old slots
-    /// but may now point at nodes allocated by the swap, which a minor
-    /// collection would not reach through old space.
+    /// reference counter reclaims it immediately instead.
     ///
     /// # Panics
     ///
@@ -81,14 +78,13 @@ impl BddManager {
     pub fn swap_levels(&mut self, level: usize) {
         assert!(level + 1 < self.num_vars(), "swap_levels({level}) needs two adjacent levels");
         self.swap_adjacent(level, &mut None);
-        self.invalidate_generation();
     }
 
     /// Moves the variables in place so that `order[k]` sits at level `k`:
     /// for each target level in turn, the wanted variable is swapped up
     /// from its current level by [`BddManager::swap_levels`]' primitive.
     /// Every handle keeps denoting the same function, and what the swaps
-    /// orphan is left to the next (full) [`BddManager::gc`].
+    /// orphan is left to the next [`BddManager::gc`].
     ///
     /// A variable passes every level between its current and its target
     /// position, rewriting the nodes there, so this suits lightly
@@ -110,7 +106,6 @@ impl BddManager {
                 self.swap_adjacent(l, &mut None);
             }
         }
-        self.invalidate_generation();
     }
 
     /// The swap primitive, optionally maintaining sifting ref-counts.
@@ -274,10 +269,8 @@ impl BddManager {
     fn sift_pass(&mut self, roots: &[Bdd], groups: &[Vec<Var>]) -> SiftStats {
         let swaps_at_entry = self.sift_swaps;
         // Exact live set: reclaim garbage so the size signal is truthful,
-        // and so the reference counts below are complete. Must be the
-        // *full* collector — a minor would retain old-space garbage,
-        // which would enter the parent counts as phantom structure.
-        self.gc_full(roots);
+        // and so the reference counts below are complete.
+        self.gc(roots);
         let before = self.live_nodes();
         let mut stats =
             SiftStats { nodes_before: before, nodes_after: before, swaps: 0, blocks_sifted: 0 };
@@ -346,10 +339,6 @@ impl BddManager {
         // Reclaimed slots may be recycled by the next operation; stale
         // memo entries must not resurrect them.
         self.caches.clear();
-        // Swaps rewired old-space slots and recycled orphans without
-        // young-tracking, so the survivor watermark no longer describes
-        // the arena: the next collection must be a full mark.
-        self.invalidate_generation();
         self.sift_baseline = self.live_nodes();
         self.sift_runs += 1;
     }

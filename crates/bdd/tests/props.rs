@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use stgcheck_bdd::{Bdd, BddCheckpoint, BddManager, BddOps, BoolExpr, Literal, Var};
 
 const NVARS: usize = 6;
@@ -618,15 +619,40 @@ fn table_of(m: &BddManager, f: Bdd) -> u32 {
         .fold(0, |t, b| t | 1 << b)
 }
 
+/// The pool's literal entries: variable `i` with its truth table.
+fn literal_pool(m: &mut BddManager) -> Vec<(Bdd, u32)> {
+    let vars = m.new_vars("x", SWAP_VARS);
+    vars.iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            (m.var(v), (0..32u32).filter(|b| b >> i & 1 == 1).fold(0, |t, b| t | 1 << b))
+        })
+        .collect()
+}
+
+/// Collects over `pool` and checks that the collection was exact: the
+/// live count is what the kept roots reach, a second collection reclaims
+/// nothing, the invariants hold and every entry keeps its truth table.
+fn collect_exactly(m: &mut BddManager, pool: &[(Bdd, u32)]) -> Result<(), TestCaseError> {
+    let roots: Vec<Bdd> = pool.iter().map(|&(f, _)| f).collect();
+    m.gc(&roots);
+    prop_assert_eq!(m.live_nodes(), m.size_many(&roots));
+    prop_assert_eq!(m.gc(&roots), 0);
+    prop_assert_eq!(m.stats().gc_full_runs, m.stats().gc_runs);
+    m.check_invariants();
+    for &(f, t) in pool {
+        prop_assert_eq!(table_of(m, f), t);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// A bare level swap between two collections. After a full `gc`,
-    /// `swap_levels` rewrites old-space nodes onto nodes it allocates
-    /// now, so the next collection must not be a minor one that stops
-    /// descending at old space: every kept root keeps its truth table,
-    /// the invariants hold, and later operations still build correct
-    /// functions.
+    /// A bare level swap between two collections rewrites surviving
+    /// nodes onto nodes it allocates now: every kept root keeps its
+    /// truth table, the invariants hold, and later operations still
+    /// build correct functions.
     #[test]
     fn swap_between_collections_keeps_roots(
         first in arb_steps(12),
@@ -634,19 +660,12 @@ proptest! {
         level in 0..SWAP_VARS - 1,
     ) {
         let mut m = BddManager::new();
-        let vars = m.new_vars("x", SWAP_VARS);
-        let mut pool: Vec<(Bdd, u32)> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (m.var(v), (0..32u32).filter(|b| b >> i & 1 == 1).fold(0, |t, b| t | 1 << b)))
-            .collect();
+        let mut pool = literal_pool(&mut m);
         for step in first {
             apply_step(&mut m, &mut pool, step);
         }
-        // Keeping every result leaves few free slots, so the swap
-        // allocates above the survivor watermark of the full collection.
         let roots: Vec<Bdd> = pool.iter().map(|&(f, _)| f).collect();
-        m.gc_full(&roots);
+        m.gc(&roots);
         m.swap_levels(level);
         m.gc(&roots);
         m.check_invariants();
@@ -657,5 +676,31 @@ proptest! {
         for &(f, t) in &pool {
             prop_assert_eq!(table_of(&m, f), t);
         }
+    }
+
+    /// Every collection is one exact mark-and-sweep, including one that
+    /// follows an earlier collection whose survivors have since been
+    /// dropped: nothing a kept root does not reach stays live.
+    #[test]
+    fn every_collection_is_exact(
+        first in arb_steps(16),
+        dropped in any::<u64>(),
+        then in arb_steps(16),
+    ) {
+        let mut m = BddManager::new();
+        let mut pool = literal_pool(&mut m);
+        for step in first {
+            apply_step(&mut m, &mut pool, step);
+        }
+        collect_exactly(&mut m, &pool)?;
+        let mut k = 0;
+        pool.retain(|_| {
+            k += 1;
+            k <= SWAP_VARS || dropped >> (k % 64) & 1 == 0
+        });
+        for step in then {
+            apply_step(&mut m, &mut pool, step);
+        }
+        collect_exactly(&mut m, &pool)?;
     }
 }

@@ -81,7 +81,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use stgcheck_bench::{quick_workloads, table1_workloads, workloads_from_dir};
-use stgcheck_core::protocol::{parse_json, Json};
+use stgcheck_core::protocol::{json_escape, parse_json, Json};
 use stgcheck_core::{
     format_states, verify_persistent, BudgetSpec, EngineKind, EngineOptions, Outcome,
     PersistOptions, ProcessExit, ReorderMode, SymbolicReport, VarOrder, VerifyError, VerifyOptions,
@@ -143,8 +143,8 @@ struct JsonRow {
     /// Fastest and slowest repeat (equal to `wall_s` without `--repeat`).
     wall_min_s: f64,
     wall_max_s: f64,
-    /// Garbage collections the row ran (minor + full) and the total
-    /// stop-the-world pause they cost, in milliseconds.
+    /// Garbage collections the row ran and the total stop-the-world
+    /// pause they cost, in milliseconds.
     gc_collections: usize,
     gc_pause_ms: f64,
     /// Process peak resident set (`VmHWM`) in kB after the row, read from
@@ -163,10 +163,6 @@ struct JsonRow {
     timeout_s: f64,
     max_nodes: usize,
     max_steps: u64,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn render_json(rows: &[JsonRow]) -> String {

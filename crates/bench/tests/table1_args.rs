@@ -122,3 +122,29 @@ fn exhausted_rows_are_recorded_and_exit_4() {
         assert_eq!(number(row, "max_steps"), 300.0);
     }
 }
+
+/// A net whose name holds a control byte still yields a `--json` file
+/// that parses, keeps the name, and that `--compare` reads back.
+#[test]
+fn control_bytes_in_names_round_trip_through_json() {
+    let dir = std::env::temp_dir().join(format!("table1-ctl-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = ".model hs\u{1}x\n.inputs r\n.outputs a\n.graph\nr+ a+\na+ r-\nr- a-\na- r+\n\
+               .marking { <a-,r+> }\n.end\n";
+    std::fs::write(dir.join("hs.g"), net).unwrap();
+    let from = ["--from-dir", dir.to_str().unwrap()];
+    let (out, rows) = json_run("ctl", &from);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(rows.len(), 1);
+    assert_eq!(text(&rows[0], "name"), "hs\u{1}x");
+
+    let base = dir.join("base.json");
+    let base = base.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_table1")).args(from).args(extra).output().expect("runs")
+    };
+    assert_eq!(run(&["--json", base]).status.code(), Some(0));
+    let same = run(&["--compare", base]);
+    assert_eq!(same.status.code(), Some(0), "{}", String::from_utf8_lossy(&same.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -27,6 +27,7 @@
 
 use std::fmt::Write as _;
 
+use crate::engine::EngineOptions;
 use crate::verify::{BudgetSpec, VerifyOptions};
 
 /// A parsed JSON value — just enough of the data model for the protocol.
@@ -470,6 +471,13 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
     opt_parse(json, "reorder", &mut options.reorder)?;
     opt_parse(json, "order", &mut options.order)?;
     if let Some(jobs) = opt_uint(json, "jobs")? {
+        // The parallel engine starts up to `jobs` threads at once; past
+        // the host's parallelism (what `jobs: 0` resolves to) they only
+        // add threads, so a request line cannot ask for thousands.
+        let most = EngineOptions::default().effective_jobs();
+        if jobs > most as u64 {
+            return Err(format!("`jobs` must be at most {most}, the available parallelism"));
+        }
         options.engine.jobs = jobs as usize;
     }
     if let Some(arb) = opt_bool(json, "arbitration")? {
@@ -567,6 +575,7 @@ mod tests {
             (r#"{"id":"a","net":"x","timeout_s":1e400}"#, "non-finite number"),
             (r#"{"id":"a","net":"x","order":"bogus"}"#, "`order`: unknown order `bogus`"),
             (r#"{"id":"a","net":"x","max_steps":1.5}"#, "non-negative integer"),
+            (r#"{"id":"a","net":"x","jobs":1000000}"#, "`jobs` must be at most"),
             (r#"{"op":"cancel"}"#, "needs a string `target`"),
             (r#"{"op":"frobnicate"}"#, "unknown op"),
             (
@@ -585,6 +594,11 @@ mod tests {
             let err = parse_request(line, &d).expect_err(line);
             assert!(err.contains(needle), "`{line}` → `{err}` (wanted `{needle}`)");
         }
+        // The `jobs` bound itself still parses.
+        let most = EngineOptions::default().effective_jobs();
+        let line = format!(r#"{{"id":"a","net":"x","jobs":{most}}}"#);
+        let Ok(Request::Verify(v)) = parse_request(&line, &d) else { panic!("`{line}` refused") };
+        assert_eq!(v.options.engine.jobs, most);
     }
 
     /// A verify request with a 1 MiB inline net — multi-byte characters,

@@ -509,13 +509,13 @@ fn unseal(bytes: &[u8]) -> Option<&str> {
 pub(crate) fn report_to_text(r: &SymbolicReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    out.push_str("stgcheck-report-v2\n");
+    out.push_str("stgcheck-report-v3\n");
     let _ = writeln!(out, "name {}", enc(&r.name));
     let _ = writeln!(out, "engine {}", enc(&r.engine));
     let _ = writeln!(out, "dims {} {}", r.places, r.signals);
     let _ = writeln!(out, "states {}", r.num_states);
     let _ = writeln!(out, "bdd {} {} {}", r.bdd_peak, r.sift_passes, r.bdd_final);
-    let _ = writeln!(out, "gc {} {} {}", r.gc_collections, r.gc_full_collections, r.gc_pause_ms);
+    let _ = writeln!(out, "gc {} {}", r.gc_collections, r.gc_pause_ms);
     let t = &r.traversal;
     let _ = writeln!(
         out,
@@ -617,7 +617,7 @@ fn report_fits(r: &SymbolicReport, stg: &Stg) -> bool {
 /// rebuild the real set in.
 pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
     let mut lines = text.lines();
-    if lines.next()? != "stgcheck-report-v2" {
+    if lines.next()? != "stgcheck-report-v3" {
         return None;
     }
     let mut name = None;
@@ -625,9 +625,7 @@ pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
     let mut dims = None;
     let mut states = None;
     let mut bdd = None;
-    // Optional line (absent from pre-generational-GC reports): collection
-    // counters default to zero rather than invalidating the cache entry.
-    let mut gc = (0, 0, 0.0);
+    let mut gc = None;
     let mut trav = None;
     let mut code = None;
     let mut deadlock = None;
@@ -657,9 +655,7 @@ pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
             ("bdd", [a, b, c]) => {
                 bdd = Some((a.parse().ok()?, b.parse().ok()?, c.parse().ok()?));
             }
-            ("gc", [a, b, c]) => {
-                gc = (a.parse().ok()?, b.parse().ok()?, c.parse().ok()?);
-            }
+            ("gc", [n, ms]) => gc = Some((n.parse().ok()?, ms.parse().ok()?)),
             ("trav", [a, b, c, d, e, f]) => {
                 trav = Some(TraversalStats {
                     iterations: a.parse().ok()?,
@@ -735,6 +731,7 @@ pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
     }
     let (places, signals) = dims?;
     let (bdd_peak, sift_passes, bdd_final) = bdd?;
+    let (gc_collections, gc_pause_ms) = gc?;
     Some(SymbolicReport {
         name: name?,
         engine: engine?,
@@ -743,9 +740,8 @@ pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
         num_states: states?,
         bdd_peak,
         sift_passes,
-        gc_collections: gc.0,
-        gc_full_collections: gc.1,
-        gc_pause_ms: gc.2,
+        gc_collections,
+        gc_pause_ms,
         bdd_final,
         traversal: trav?,
         initial_code: code?,
@@ -812,8 +808,12 @@ mod tests {
         }
         // Unknown tags, bad version and trailing junk are misses.
         assert!(report_from_text(&text.replace("verdict", "verdikt")).is_none());
-        assert!(report_from_text(&text.replace("report-v2", "report-v9")).is_none());
+        assert!(report_from_text(&text.replace("report-v3", "report-v9")).is_none());
         assert!(report_from_text(&format!("{text}junk\n")).is_none());
+        // The `gc` line is required and has exactly two fields.
+        let gc = text.lines().find(|l| l.starts_with("gc ")).unwrap();
+        assert!(report_from_text(&text.replace(&format!("{gc}\n"), "")).is_none());
+        assert!(report_from_text(&text.replace(gc, &format!("gc 0 {}", &gc[3..]))).is_none());
         // A report written before the worker-peak column was dropped has
         // a 7-field `trav` line: a clean miss, recomputed cold.
         let trav = text.lines().find(|l| l.starts_with("trav ")).unwrap();

@@ -161,11 +161,8 @@ pub struct SymbolicReport {
     /// In-place sifting passes run across all phases (0 unless a
     /// [`ReorderMode`] other than `None` was selected).
     pub sift_passes: usize,
-    /// Garbage collections run across all phases (minor + full).
+    /// Garbage collections run across all phases.
     pub gc_collections: usize,
-    /// Full (whole-arena) collections among [`Self::gc_collections`]; the
-    /// rest were generational minor collections.
-    pub gc_full_collections: usize,
     /// Total stop-the-world GC pause across all collections, in
     /// milliseconds.
     pub gc_pause_ms: f64,
@@ -487,7 +484,6 @@ fn finish_verification(
         bdd_peak: sym.manager().peak_live_nodes(),
         sift_passes: bdd_stats.sift_runs,
         gc_collections: bdd_stats.gc_runs,
-        gc_full_collections: bdd_stats.gc_full_runs,
         gc_pause_ms: bdd_stats.gc_pause_ns as f64 / 1e6,
         bdd_final: traversal.stats.final_nodes,
         traversal: traversal.stats,

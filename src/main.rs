@@ -390,9 +390,8 @@ fn print_full(report: &SymbolicReport, stg: &stgcheck::stg::Stg) {
     }
     if report.gc_collections > 0 {
         out!(
-            "  gc:          {} collections ({} full), {:.3} ms paused",
+            "  gc:          {} collections, {:.3} ms paused",
             report.gc_collections,
-            report.gc_full_collections,
             report.gc_pause_ms
         );
     }

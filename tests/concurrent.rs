@@ -346,19 +346,17 @@ fn two_workers_agree_with_one_across_reorders() {
 }
 
 // ---------------------------------------------------------------------
-// Generational GC vs the whole-graph full-mark reference.
+// Collecting at every quiesce point vs one closing collection.
 // ---------------------------------------------------------------------
 
-/// Generational stress: threaded phases allocate, a random subset of each
-/// phase's results is dropped, and the shared manager collects with the
-/// generational `gc` dispatch (full first, then minors). A sequential
-/// reference replay collects with `gc_full` — the whole-graph mark — at
-/// every quiesce point. Minor collections may conservatively retain dead
-/// *old* nodes between full collections, but a closing full collection on
-/// both managers must converge to the exact same live count, and every
-/// kept function must match the reference node-for-node.
+/// GC stress: threaded phases allocate, a random subset of each phase's
+/// results is dropped, and the shared manager collects at every quiesce
+/// point. Each collection must leave exactly what the kept roots reach
+/// live. A sequential reference replay collects only once, at the end:
+/// both managers must converge to the same live count, and every kept
+/// function must match the reference node-for-node.
 #[test]
-fn generational_gc_tracks_the_full_mark_reference() {
+fn collecting_every_phase_matches_one_closing_collection() {
     const THREADS: usize = 3;
     const PHASES: usize = 6;
     let all_scripts: Vec<Vec<Vec<Op>>> = (0..PHASES)
@@ -399,30 +397,28 @@ fn generational_gc_tracks_the_full_mark_reference() {
             from2.extend(kept.iter().map(|&i| results2[t][i]));
         }
 
-        // m1: generational dispatch at the quiesce point (one full, then
-        // minors). m2, the reference, collects nothing until the end.
+        // m1 collects at the quiesce point; m2, the reference, collects
+        // nothing until the end.
         m1.gc(&from1);
+        assert_eq!(
+            m1.live_nodes(),
+            m1.size_many(&from1),
+            "a collection kept nodes that no kept root reaches"
+        );
         m1.check_invariants();
     }
     let mut m2 = m2;
-    // m2 never collected above, so one closing full mark brings it to the
-    // minimal live set; the same full mark on m1 must land on the
-    // identical count — generational collection may only *defer*
-    // reclamation, never change it.
-    m1.gc_full(&from1);
-    m2.gc_full(&from2);
+    // m2 never collected above, so one closing collection brings it to the
+    // minimal live set; m1 must already be there.
+    m1.gc(&from1);
+    m2.gc(&from2);
     assert_eq!(
         m1.live_nodes(),
         m2.live_nodes(),
-        "generational GC and the full-mark reference disagree on the surviving set"
+        "per-phase collections and the closing reference disagree on the surviving set"
     );
     let stats = m1.stats();
-    assert!(
-        stats.gc_runs > stats.gc_full_runs,
-        "dispatch never took a minor collection (runs {}, full {})",
-        stats.gc_runs,
-        stats.gc_full_runs
-    );
+    assert_eq!(stats.gc_full_runs, stats.gc_runs);
     m1.check_invariants();
     m2.check_invariants();
     // Node-for-node: every surviving function matches the reference.

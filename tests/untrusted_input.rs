@@ -48,7 +48,7 @@ const REQUESTS: &[&str] = &[
     r#"{"op":"ping","id":"p0"}"#,
     r#"{"op":"cancel","target":"r2"}"#,
     r#"{"id":"r1","net_path":"benchmarks/par_join.g"}"#,
-    r#"{"id":"r2","op":"verify","net":".model hs\n.inputs r\n.outputs a\n.graph\nr+ a+\na+ r-\nr- a-\na- r+\n.marking { <a-,r+> }\n.end\n","engine":"saturation","reorder":"auto","order":"declaration","jobs":2,"arbitration":true}"#,
+    r#"{"id":"r2","op":"verify","net":".model hs\n.inputs r\n.outputs a\n.graph\nr+ a+\na+ r-\nr- a-\na- r+\n.marking { <a-,r+> }\n.end\n","engine":"saturation","reorder":"auto","order":"declaration","jobs":1,"arbitration":true}"#,
     r#"{"id":"r3","net_path":"benchmarks/mutex_3.g","timeout_s":1e10,"max_nodes":100000,"max_steps":5000,"fallback":false}"#,
 ];
 
