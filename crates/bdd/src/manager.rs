@@ -478,8 +478,10 @@ impl BddManager {
 
     /// The quiesce-time [`BddManager::mk`]: same hash-consing semantics,
     /// but through `get_mut` accessors — no shard lock, no atomic
-    /// read-modify-writes — which is what keeps sifting's swap storm
-    /// (thousands of node rewrites per pass) at its pre-concurrent cost.
+    /// read-modify-writes. Sifting calls it twice per node a swap
+    /// rewrites, and together with the rewritten node's own re-insert
+    /// these probes are all the hashing a swap does; a badly ordered net
+    /// runs tens of thousands of swaps per verification.
     /// Optionally keeps sifting reference counts in step when a node is
     /// genuinely created (a found node already owns its child references;
     /// the caller accounts for its own new edge to the returned node
@@ -489,7 +491,7 @@ impl BddManager {
         level: Level,
         lo: Bdd,
         hi: Bdd,
-        refs: &mut Option<&mut Vec<u32>>,
+        refs: Option<&mut Vec<u32>>,
     ) -> Bdd {
         debug_assert!(!self.node(lo).is_dead() && !self.node(hi).is_dead());
         debug_assert!(self.level(lo) > level && self.level(hi) > level);
@@ -863,6 +865,16 @@ impl BddManager {
     ///
     /// Returns the number of reclaimed nodes.
     pub fn gc(&mut self, roots: &[Bdd]) -> usize {
+        let reclaimed = self.mark_and_sweep(roots);
+        self.caches.clear();
+        reclaimed
+    }
+
+    /// [`BddManager::gc`] without the operation-cache clear, for a caller
+    /// that probes no cache before clearing it itself: a sifting pass
+    /// collects on entry and clears once when it ends. The pause recorded
+    /// is the mark and the sweep.
+    pub(crate) fn mark_and_sweep(&mut self, roots: &[Bdd]) -> usize {
         let start = std::time::Instant::now();
         let mut marked = vec![false; self.nodes.len()];
         marked[0] = true;
@@ -900,7 +912,6 @@ impl BddManager {
         self.gc_baseline = *self.live.get_mut();
         self.gc_runs += 1;
         self.gc_reclaimed += reclaimed;
-        self.caches.clear();
         self.gc_pause_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         reclaimed
     }

@@ -11,11 +11,11 @@
 //!
 //! The machinery here is the classic alternative:
 //!
-//! * [`BddManager::swap_levels`] exchanges two *adjacent* levels by
-//!   rewiring only the nodes of those two levels inside their unique
-//!   tables. Every node keeps its arena slot, so every [`Bdd`] handle
-//!   keeps denoting the same boolean function — no caller cooperation
-//!   needed.
+//! * [`BddManager::swap_levels`] exchanges two *adjacent* levels: the
+//!   levels trade unique tables, and only the nodes that depend on the
+//!   rising variable are rewritten and re-hashed. Every node keeps its
+//!   arena slot, so every [`Bdd`] handle keeps denoting the same boolean
+//!   function — no caller cooperation needed.
 //! * [`BddManager::permute_levels`] installs a whole target order by
 //!   such swaps — how a fresh context is lined up with a checkpoint's
 //!   order before the import.
@@ -52,19 +52,44 @@ pub struct SiftStats {
 const MAX_GROWTH_NUM: usize = 6;
 const MAX_GROWTH_DEN: usize = 5;
 
-/// Exact per-node reference counts, alive only for the duration of one
-/// sifting pass. `refs[i]` counts parent edges into node `i` plus one per
-/// occurrence in the pass's protected root set.
-type Refs = Vec<u32>;
+/// What a run of swaps carries from one swap to the next, so that a swap
+/// in the run allocates nothing once its buffers have grown.
+#[derive(Default)]
+struct SwapScratch {
+    /// Exact per-node reference counts, alive only for the duration of
+    /// one sifting pass (`None` for a bare swap, which leaves orphans to
+    /// the next GC). `refs[i]` counts parent edges into node `i` plus one
+    /// per occurrence in the pass's protected root set.
+    refs: Option<Vec<u32>>,
+    /// The swap's sinking-level nodes that depend on the rising variable.
+    dependent: Vec<Bdd>,
+    /// `drop_ref`'s cascade of nodes whose count reached zero.
+    dying: Vec<Bdd>,
+}
+
+impl SwapScratch {
+    /// Adds one parent reference to `f` (no-op outside sifting).
+    fn bump(&mut self, f: Bdd) {
+        if let Some(refs) = &mut self.refs {
+            if !f.is_terminal() {
+                refs[f.index()] += 1;
+            }
+        }
+    }
+}
 
 impl BddManager {
     /// Exchanges the variables at `level` and `level + 1` in place.
     ///
     /// Only nodes at those two levels are touched; all other levels, and
     /// crucially all outstanding [`Bdd`] handles, are untouched — every
-    /// handle denotes the same boolean function before and after. Nodes
-    /// at `level` that depended on the rising variable are rewritten in
-    /// their own arena slot; nodes that did not simply sink one level.
+    /// handle denotes the same boolean function before and after. The two
+    /// levels trade unique tables: the rising variable's nodes, and the
+    /// nodes at `level` that do not depend on it, only change their level
+    /// and keep their table entries. The nodes at `level` that depend on
+    /// the rising variable are rewritten in their own arena slot, and only
+    /// they and the children created for them are hashed, so a swap costs
+    /// what it rewrites plus one cheap walk over both levels.
     ///
     /// A swap can orphan nodes of the rising level (when every parent
     /// rewrote them away) and can create nodes at the sinking level. An
@@ -77,7 +102,7 @@ impl BddManager {
     /// Panics if `level + 1` is not a declared level.
     pub fn swap_levels(&mut self, level: usize) {
         assert!(level + 1 < self.num_vars(), "swap_levels({level}) needs two adjacent levels");
-        self.swap_adjacent(level, &mut None);
+        self.swap_adjacent(level, &mut SwapScratch::default());
     }
 
     /// Moves the variables in place so that `order[k]` sits at level `k`:
@@ -101,9 +126,10 @@ impl BddManager {
         for v in order {
             assert!(!std::mem::replace(&mut seen[v.index()], true), "duplicate variable in order");
         }
+        let mut scratch = SwapScratch::default();
         for (target, &v) in order.iter().enumerate() {
             for l in (target..self.level_of(v)).rev() {
-                self.swap_adjacent(l, &mut None);
+                self.swap_adjacent(l, &mut scratch);
             }
         }
     }
@@ -113,43 +139,39 @@ impl BddManager {
     /// A `&mut self` (quiesce-time) operation: the per-level shard
     /// mutexes are reached through `get_mut`, so the swap pays no locking
     /// even though the tables are the shared concurrent ones.
-    fn swap_adjacent(&mut self, l: usize, refs: &mut Option<&mut Refs>) {
+    ///
+    /// Beyond a growing table or arena, a swap allocates nothing once
+    /// `s`'s buffers have grown: a run of swaps passes one `s` along.
+    fn swap_adjacent(&mut self, l: usize, s: &mut SwapScratch) {
         let la = l as Level;
         let lb = la + 1;
-        let xs: Vec<Bdd> =
-            self.subtables[l].get_mut().expect("shard").drain().map(|(_, id)| id).collect();
-        let ys: Vec<Bdd> =
-            self.subtables[l + 1].get_mut().expect("shard").drain().map(|(_, id)| id).collect();
-        // Partition the upper level before any relabelling: a node whose
-        // children avoid level l+1 does not interact with the swap.
-        let mut dep = Vec::new();
-        let mut indep = Vec::new();
-        for &x in &xs {
-            let n = self.nodes.get(x.index());
-            if self.level(n.lo) == lb || self.level(n.hi) == lb {
-                dep.push(x);
+        // Partition the sinking level before any relabelling. A node
+        // whose children avoid level l+1 does not interact with the swap:
+        // it sinks one level and keeps its entry, as its key (its
+        // children) is unchanged. A node that depends on the rising
+        // variable leaves the table to be rewritten below. Relabelling
+        // during the walk is safe: no node of a level is a child of
+        // another node of that level (slot 0, the terminal, never reads
+        // as level l+1 either).
+        let nodes = &self.nodes;
+        let dependent = &mut s.dependent;
+        self.subtables[l].get_mut().expect("shard").retain(|_, &mut x| {
+            let n = nodes.get(x.index());
+            let depends = nodes.level(n.lo.index()) == lb || nodes.level(n.hi.index()) == lb;
+            if depends {
+                dependent.push(x);
             } else {
-                indep.push(x);
+                nodes.set_level(x.index(), lb);
             }
+            !depends
+        });
+        // The rising variable's nodes keep their structure and their
+        // entries; only their level changes. Their children live strictly
+        // below l+1, so the order invariant holds at level l.
+        for &y in self.subtables[l + 1].get_mut().expect("shard").values() {
+            nodes.set_level(y.index(), la);
         }
-        // The rising variable's nodes keep their structure; only their
-        // level changes. Their children live strictly below l+1, so the
-        // order invariant holds at level l.
-        for &y in &ys {
-            self.nodes.set_level(y.index(), la);
-            let n = self.nodes.get(y.index());
-            let prev = self.subtables[l].get_mut().expect("shard").insert((n.lo, n.hi), y);
-            debug_assert!(prev.is_none(), "rising node collides in its new table");
-        }
-        // Independent upper nodes sink one level unchanged. They cannot
-        // collide: the sinking level's table holds only other sunk nodes
-        // so far, and those were pairwise distinct functions already.
-        for &x in &indep {
-            self.nodes.set_level(x.index(), lb);
-            let n = self.nodes.get(x.index());
-            let prev = self.subtables[l + 1].get_mut().expect("shard").insert((n.lo, n.hi), x);
-            debug_assert!(prev.is_none(), "sinking node collides in its new table");
-        }
+        self.subtables.swap(l, l + 1);
         // Dependent nodes are rewritten in place:
         //   ite(x, f1, f0) = ite(y, ite(x, f11, f01), ite(x, f10, f00))
         // The slot keeps its identity (handles stay valid); the children
@@ -163,26 +185,28 @@ impl BddManager {
         // cannot collide with a rising node — equality would force both
         // new children x-free, contradicting lo != hi — nor with another
         // rewrite, by canonicity of the originals.
-        for &x in &dep {
+        for k in 0..s.dependent.len() {
+            let x = s.dependent[k];
             let n = self.nodes.get(x.index());
             let (f0, f1) = (n.lo, n.hi);
             let (f00, f01) = self.cofactors_at(f0, la);
             let (f10, f11) = self.cofactors_at(f1, la);
-            let lo = self.mk_counted(lb, f00, f10, refs);
-            let hi = self.mk_counted(lb, f01, f11, refs);
+            let lo = self.mk_counted(lb, f00, f10, s.refs.as_mut());
+            let hi = self.mk_counted(lb, f01, f11, s.refs.as_mut());
             debug_assert_ne!(lo, hi, "dependent node became redundant in a swap");
             debug_assert!(!lo.is_complemented(), "rewritten else edge lost canonical form");
-            self.bump(lo, refs);
-            self.bump(hi, refs);
+            s.bump(lo);
+            s.bump(hi);
             self.nodes.set(x.index(), Node { level: la, lo, hi });
             let prev = self.subtables[l].get_mut().expect("shard").insert((lo, hi), x);
             debug_assert!(prev.is_none(), "rewritten node collides in its table");
             // Release the old children only now that the new ones are
             // anchored — the cofactors above may share subgraphs with
             // them.
-            self.drop_ref(f0, refs);
-            self.drop_ref(f1, refs);
+            self.drop_ref(f0, s);
+            self.drop_ref(f1, s);
         }
+        s.dependent.clear();
         let (va, vb) = (self.var_at_level[l], self.var_at_level[l + 1]);
         self.var_at_level[l] = vb;
         self.var_at_level[l + 1] = va;
@@ -191,22 +215,14 @@ impl BddManager {
         self.sift_swaps += 1;
     }
 
-    /// Adds one parent reference to `f` (no-op outside sifting).
-    fn bump(&mut self, f: Bdd, refs: &mut Option<&mut Refs>) {
-        if let Some(refs) = refs {
-            if !f.is_terminal() {
-                refs[f.index()] += 1;
-            }
-        }
-    }
-
     /// Removes one parent reference from `f`, reclaiming it (and
     /// cascading into its children) when the count hits zero. No-op
-    /// outside sifting.
-    fn drop_ref(&mut self, f: Bdd, refs: &mut Option<&mut Refs>) {
-        let Some(refs) = refs else { return };
-        let mut stack = vec![f];
-        while let Some(g) = stack.pop() {
+    /// outside sifting. The cascade stack is touched only once a count
+    /// reaches zero.
+    fn drop_ref(&mut self, f: Bdd, s: &mut SwapScratch) {
+        let Some(refs) = &mut s.refs else { return };
+        let mut next = Some(f);
+        while let Some(g) = next.take().or_else(|| s.dying.pop()) {
             if g.is_terminal() {
                 continue;
             }
@@ -226,8 +242,8 @@ impl BddManager {
                 self.nodes.set_level(i, DEAD_LEVEL);
                 self.free_push(i as u32);
                 self.release_one_live();
-                stack.push(n.lo);
-                stack.push(n.hi);
+                s.dying.push(n.lo);
+                s.dying.push(n.hi);
             }
         }
     }
@@ -269,8 +285,10 @@ impl BddManager {
     fn sift_pass(&mut self, roots: &[Bdd], groups: &[Vec<Var>]) -> SiftStats {
         let swaps_at_entry = self.sift_swaps;
         // Exact live set: reclaim garbage so the size signal is truthful,
-        // and so the reference counts below are complete.
-        self.gc(roots);
+        // and so the reference counts below are complete. Swaps probe no
+        // operation cache, so `finish_sift`'s clear is the only one the
+        // pass needs.
+        self.mark_and_sweep(roots);
         let before = self.live_nodes();
         let mut stats =
             SiftStats { nodes_before: before, nodes_after: before, swaps: 0, blocks_sifted: 0 };
@@ -290,7 +308,7 @@ impl BddManager {
         }
         // Parent-edge counts over the now-exact live graph, plus one
         // count per root occurrence so protected functions never die.
-        let mut refs: Refs = vec![0; self.nodes.len()];
+        let mut refs = vec![0; self.nodes.len()];
         self.nodes.for_each(|i, node| {
             if i == 0 || node.is_dead() {
                 return;
@@ -307,15 +325,19 @@ impl BddManager {
                 refs[r.index()] += 1;
             }
         }
+        let mut scratch = SwapScratch { refs: Some(refs), ..SwapScratch::default() };
         let mut blocks = self.build_blocks(groups);
         // Rudell's processing order: heaviest block first, sized by its
         // current unique-table occupancy.
+        let (subtables, level_of_var) = (&mut self.subtables, &self.level_of_var);
         let mut heaviest: Vec<(usize, Var)> = blocks
             .iter()
             .map(|b| {
                 let weight = b
                     .iter()
-                    .map(|&v| self.subtables[self.level_of(v)].lock().expect("shard").len())
+                    .map(|v| {
+                        subtables[level_of_var[v.index()] as usize].get_mut().expect("shard").len()
+                    })
                     .sum();
                 (weight, b[0])
             })
@@ -326,7 +348,7 @@ impl BddManager {
                 .iter()
                 .position(|b| b.contains(&key))
                 .expect("sifted block vanished from the layout");
-            self.sift_block(&mut blocks, idx, &mut refs);
+            self.sift_block(&mut blocks, idx, &mut scratch);
             stats.blocks_sifted += 1;
         }
         self.finish_sift(&mut stats, swaps_at_entry);
@@ -389,7 +411,7 @@ impl BddManager {
 
     /// Sifts the block at `start` (an index into `blocks`) to its locally
     /// optimal position, updating `blocks` to the final layout.
-    fn sift_block(&mut self, blocks: &mut [Vec<Var>], start: usize, refs: &mut Refs) {
+    fn sift_block(&mut self, blocks: &mut [Vec<Var>], start: usize, s: &mut SwapScratch) {
         let nblocks = blocks.len();
         if nblocks < 2 {
             return;
@@ -405,7 +427,7 @@ impl BddManager {
             let go_down = down_first == (phase == 0);
             if go_down {
                 while pos + 1 < nblocks {
-                    self.swap_neighbor_blocks(blocks, pos, refs);
+                    self.swap_neighbor_blocks(blocks, pos, s);
                     pos += 1;
                     if self.live_nodes() < best_size {
                         best_size = self.live_nodes();
@@ -416,7 +438,7 @@ impl BddManager {
                 }
             } else {
                 while pos > 0 {
-                    self.swap_neighbor_blocks(blocks, pos - 1, refs);
+                    self.swap_neighbor_blocks(blocks, pos - 1, s);
                     pos -= 1;
                     if self.live_nodes() < best_size {
                         best_size = self.live_nodes();
@@ -428,11 +450,11 @@ impl BddManager {
             }
         }
         while pos < best_pos {
-            self.swap_neighbor_blocks(blocks, pos, refs);
+            self.swap_neighbor_blocks(blocks, pos, s);
             pos += 1;
         }
         while pos > best_pos {
-            self.swap_neighbor_blocks(blocks, pos - 1, refs);
+            self.swap_neighbor_blocks(blocks, pos - 1, s);
             pos -= 1;
         }
     }
@@ -441,16 +463,15 @@ impl BddManager {
     /// each variable of the lower block up through the upper block — the
     /// only block motion sifting ever performs, so declared groups stay
     /// contiguous at every observable point.
-    fn swap_neighbor_blocks(&mut self, blocks: &mut [Vec<Var>], i: usize, refs: &mut Refs) {
+    fn swap_neighbor_blocks(&mut self, blocks: &mut [Vec<Var>], i: usize, s: &mut SwapScratch) {
         let top = blocks[i].iter().map(|&v| self.level_of(v)).min().expect("empty sift block");
         let len_a = blocks[i].len();
         let len_b = blocks[i + 1].len();
-        let mut refs_opt = Some(refs);
         for k in 0..len_b {
             // The lower block's k-th variable sits at `top + len_a + k`;
             // bubble it up to `top + k`.
             for l in ((top + k)..(top + len_a + k)).rev() {
-                self.swap_adjacent(l, &mut refs_opt);
+                self.swap_adjacent(l, s);
             }
         }
         blocks.swap(i, i + 1);

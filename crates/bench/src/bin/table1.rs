@@ -52,10 +52,12 @@
 //! * `--compare <old.json>` matches every row of this run to the row of
 //!   an earlier `--json` file with the same name, engine, order, reorder
 //!   mode and jobs, prints the peak-live-node and wall ratios (this run
-//!   over the old one) per row with their medians, and exits 1 when a
-//!   row's `verdict`, `states`, `outcome`, `final_nodes` or `sift_passes`
-//!   differ or a row has no counterpart (rows only in the old file are
-//!   ignored) — the check that a change moved costs, not answers;
+//!   over the old one) per row with their medians, tallies the rows whose
+//!   peak is equal, higher (naming the largest rise) and lower, and exits
+//!   1 when a row's `verdict`, `states`, `outcome`, `final_nodes` or
+//!   `sift_passes` differ or a row has no counterpart (rows only in the
+//!   old file are ignored) — the check that a change moved costs, not
+//!   answers;
 //! * `--cache-dir <dir>` routes every row through the persistent result
 //!   store (see `docs/persistent-store.md`): a rerun of an unchanged
 //!   corpus reports `cache: warm` rows served without any fixpoint;
@@ -232,9 +234,10 @@ fn rows_of(text: &str) -> Result<Vec<Json>, String> {
 }
 
 /// `--compare`: matches each row of `new` to the row of `old` with the
-/// same [`KEY_COLUMNS`], prints its peak and wall ratios (new over old)
-/// and the medians, and returns the number of rows whose
-/// [`ANSWER_COLUMNS`] drifted or that have no counterpart in `old`.
+/// same [`KEY_COLUMNS`], prints its peak and wall ratios (new over old),
+/// the medians and a tally of equal, higher and lower peaks, and returns
+/// the number of rows whose [`ANSWER_COLUMNS`] drifted or that have no
+/// counterpart in `old`.
 fn compare(old: &[Json], new: &[Json]) -> usize {
     let key = |row: &Json| KEY_COLUMNS.map(|c| cell(row, c)).join(" ");
     let old_rows: HashMap<String, &Json> = old.iter().map(|row| (key(row), row)).collect();
@@ -243,6 +246,10 @@ fn compare(old: &[Json], new: &[Json]) -> usize {
         (a > 0.0).then(|| b / a)
     };
     let (mut peaks, mut walls, mut drifted) = (Vec::new(), Vec::new(), 0);
+    // Peak tally: rows whose peak is equal, higher and lower, and the
+    // largest rise (ratio, row) — a median ratio hides an outlier.
+    let peak_nodes = |row: &Json| row.get("peak_live_nodes").and_then(Json::as_num);
+    let (mut equal, mut higher, mut lower, mut largest) = (0, 0, 0, None::<(f64, String)>);
     println!();
     println!(
         "{:<60} {:>10} {:>10}",
@@ -257,6 +264,18 @@ fn compare(old: &[Json], new: &[Json]) -> usize {
         };
         let peak = ratio(old_row, row, "peak_live_nodes");
         let wall = ratio(old_row, row, "wall_s");
+        if let (Some(a), Some(b)) = (peak_nodes(old_row), peak_nodes(row)) {
+            if b == a {
+                equal += 1;
+            } else if b < a {
+                lower += 1;
+            } else {
+                higher += 1;
+                if largest.as_ref().is_none_or(|(r, _)| b / a > *r) {
+                    largest = Some((b / a, k.clone()));
+                }
+            }
+        }
         peaks.extend(peak);
         walls.extend(wall);
         let show = |r: Option<f64>| r.map_or_else(|| "—".to_string(), |r| format!("{r:.3}"));
@@ -286,6 +305,8 @@ fn compare(old: &[Json], new: &[Json]) -> usize {
         show_median(&mut walls),
         new.len(),
     );
+    let largest = largest.map_or_else(String::new, |(r, k)| format!(" (largest {r:.3}: {k})"));
+    println!("peak tally: {equal} equal, {higher} higher{largest}, {lower} lower");
     drifted
 }
 

@@ -58,8 +58,9 @@ fn unknown_flags_and_values_exit_2() {
     }
 }
 
-/// A run compared with its own `--json` file passes; the same file with
-/// one verdict changed, or a run whose rows the file lacks, exits 1.
+/// A run compared with its own `--json` file passes and tallies every
+/// peak equal; the same file with one verdict changed, or a run whose
+/// rows the file lacks, exits 1.
 #[test]
 fn compare_exits_1_on_answer_drift() {
     let dir = std::env::temp_dir().join(format!("table1-compare-{}", std::process::id()));
@@ -77,6 +78,9 @@ fn compare_exits_1_on_answer_drift() {
     assert_eq!(run(&["--json", base]).status.code(), Some(0));
     let same = run(&["--compare", base]);
     assert_eq!(same.status.code(), Some(0), "{}", String::from_utf8_lossy(&same.stdout));
+    // One net, one engine, one reorder mode: one row, its peak equal.
+    let tally = "peak tally: 1 equal, 0 higher, 0 lower";
+    assert!(String::from_utf8_lossy(&same.stdout).contains(tally), "{tally}");
 
     let text = std::fs::read_to_string(base).unwrap();
     assert!(text.contains(r#""verdict": "gate""#), "{text}");

@@ -7,8 +7,8 @@
 //! The companion Criterion bench (`crates/bench/benches/reorder.rs`)
 //! times the same configurations; `BENCH_table1.json` records them.
 
-use stgcheck::core::{EngineOptions, ReorderMode, SymbolicStg, VarOrder};
-use stgcheck::stg::gen;
+use stgcheck::core::{EngineKind, EngineOptions, ReorderMode, SymbolicStg, VarOrder};
+use stgcheck::stg::{gen, parse_g, write_g};
 
 /// Families where the declaration order is known-bad and sifting
 /// recovers an interleaving-quality order (see BENCH_table1.json for the
@@ -113,5 +113,49 @@ fn signal_groups_survive_traversal_sifting() {
         let lo = *levels.iter().min().unwrap();
         let hi = *levels.iter().max().unwrap();
         assert_eq!(hi - lo + 1, g.len(), "group {g:?} split by sifting");
+    }
+}
+
+/// The sift trajectory of the benchmark's `bad-order-sift` nets, pinned:
+/// passes, swaps, peak and live nodes, collections, states and the final
+/// size, under the declaration order with `--reorder auto` on the
+/// per-transition engine. Every sifting decision reads only the live
+/// count, which is canonical for an order, so a change to how a swap
+/// rewrites its two levels must leave all of these alone. The
+/// `BENCH_table1.json` gate compares only the corpus nets' sift passes
+/// and final sizes.
+#[test]
+fn sift_trajectory_is_pinned_on_the_benchmark_nets() {
+    // [sift_runs, sift_swaps, peak_live_nodes, live_nodes, gc_runs,
+    // gc_reclaimed], then states and the final size of `Reached`.
+    let pins = [
+        (gen::muller_pipeline(10), [18, 65_853, 2_838, 642, 18, 15_918], 1_024, 126),
+        (gen::master_read(6), [15, 77_910, 2_670, 1_035, 15, 7_681], 1_460, 263),
+        (gen::par_handshakes(6), [7, 16_749, 1_262, 1_262, 7, 3_210], 4_096, 93),
+    ];
+    for (net, manager, states, final_nodes) in pins {
+        let stg = parse_g(&write_g(&net)).unwrap();
+        let opts = EngineOptions {
+            kind: EngineKind::PerTransition,
+            reorder: ReorderMode::Auto,
+            ..EngineOptions::default()
+        };
+        let mut sym = SymbolicStg::new(&stg, VarOrder::Declaration);
+        sym.set_engine(opts);
+        let code = sym.effective_initial_code().unwrap();
+        let t = sym.traverse_with_engine(code, &opts);
+        let s = sym.manager().stats();
+        assert_eq!(
+            [s.sift_runs, s.sift_swaps, s.peak_live_nodes, s.live_nodes, s.gc_runs, s.gc_reclaimed],
+            manager,
+            "{}",
+            stg.name()
+        );
+        assert_eq!(
+            (t.stats.num_states, t.stats.final_nodes),
+            (states, final_nodes),
+            "{}",
+            stg.name()
+        );
     }
 }
