@@ -1,5 +1,5 @@
 //! Function analysis: evaluation, satisfying-assignment counting and
-//! enumeration.
+//! picking one satisfying cube.
 //!
 //! `sat_count` is what turns the `Reached` BDD of the symbolic traversal into
 //! the "# of states" column of the paper's Table 1.
@@ -44,20 +44,6 @@ impl BddManager {
     /// ```
     pub fn sat_count(&self, f: Bdd) -> u128 {
         let nvars = self.num_vars() as u32;
-        let mut memo: HashMap<Bdd, u128> = HashMap::new();
-        let top_gap = self.level_norm(f, nvars);
-        let c = self.sat_count_rec(f, nvars, &mut memo);
-        c.saturating_mul(pow2(top_gap))
-    }
-
-    /// Number of satisfying assignments restricted to `nvars` leading
-    /// variables of the order (useful when trailing variables are scratch).
-    pub fn sat_count_over(&self, f: Bdd, nvars: usize) -> u128 {
-        let nvars = nvars as u32;
-        debug_assert!(
-            self.support(f).iter().all(|v| self.level_of(*v) < nvars as usize),
-            "function depends on variables outside the counted prefix"
-        );
         let mut memo: HashMap<Bdd, u128> = HashMap::new();
         let top_gap = self.level_norm(f, nvars);
         let c = self.sat_count_rec(f, nvars, &mut memo);
@@ -121,15 +107,6 @@ impl BddManager {
         }
         Some(lits)
     }
-
-    /// Iterator over all cubes (paths to `TRUE`) of `f`.
-    ///
-    /// Each cube is a conflict-free list of literals ordered top-down by
-    /// level; variables skipped on the path are "don't care".
-    pub fn cubes(&self, f: Bdd) -> Cubes<'_> {
-        let stack = if f.is_false() { Vec::new() } else { vec![(f, Vec::new())] };
-        Cubes { manager: self, stack }
-    }
 }
 
 #[inline]
@@ -138,40 +115,6 @@ fn pow2(e: u32) -> u128 {
         u128::MAX
     } else {
         1u128 << e
-    }
-}
-
-/// Iterator over the cubes of a function; see [`BddManager::cubes`].
-pub struct Cubes<'a> {
-    manager: &'a BddManager,
-    stack: Vec<(Bdd, Vec<Literal>)>,
-}
-
-impl Iterator for Cubes<'_> {
-    type Item = Vec<Literal>;
-
-    fn next(&mut self) -> Option<Vec<Literal>> {
-        while let Some((f, path)) = self.stack.pop() {
-            if f.is_true() {
-                return Some(path);
-            }
-            if f.is_false() {
-                continue;
-            }
-            let v = self.manager.var_at(self.manager.node(f).level as usize);
-            let (lo, hi) = self.manager.children(f);
-            if !hi.is_false() {
-                let mut p = path.clone();
-                p.push(Literal::positive(v));
-                self.stack.push((hi, p));
-            }
-            if !lo.is_false() {
-                let mut p = path;
-                p.push(Literal::negative(v));
-                self.stack.push((lo, p));
-            }
-        }
-        None
     }
 }
 
@@ -219,16 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn sat_count_over_prefix() {
-        let mut m = BddManager::new();
-        let x = m.new_var("x");
-        let _scratch = m.new_vars("s", 5);
-        let vx = m.var(x);
-        assert_eq!(m.sat_count_over(vx, 1), 1);
-        assert_eq!(m.sat_count(vx), 32);
-    }
-
-    #[test]
     fn pick_cube_satisfies() {
         let mut m = BddManager::new();
         let x = m.new_var("x");
@@ -246,26 +179,5 @@ mod tests {
         assert!(m.eval(f, &assignment));
         assert_eq!(m.pick_cube(m.zero()), None);
         assert_eq!(m.pick_cube(m.one()), Some(vec![]));
-    }
-
-    #[test]
-    fn cube_enumeration_covers_function() {
-        let mut m = BddManager::new();
-        let x = m.new_var("x");
-        let y = m.new_var("y");
-        let z = m.new_var("z");
-        let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
-        let xy = m.and(vx, vy);
-        let f = m.or(xy, vz);
-        // Rebuild the function from its cubes.
-        let mut rebuilt = m.zero();
-        let cubes: Vec<_> = m.cubes(f).collect();
-        for c in &cubes {
-            let cb = m.cube(c);
-            rebuilt = m.or(rebuilt, cb);
-        }
-        assert_eq!(rebuilt, f);
-        assert!(m.cubes(m.zero()).next().is_none());
-        assert_eq!(m.cubes(m.one()).collect::<Vec<_>>(), vec![Vec::new()]);
     }
 }

@@ -28,8 +28,8 @@
 //!   primitives by which the paper defines the Petri-net transition
 //!   function (Section 4) — and the one-pass image kernel
 //!   [`BddOps::flip_cube`] that computes it;
-//! * satisfying-assignment counting and enumeration (the "# of states"
-//!   column of Table 1);
+//! * satisfying-assignment counting (the "# of states" column of
+//!   Table 1);
 //! * variable-ordering support: any static order at creation time and
 //!   **in-place dynamic reordering** — the handle-preserving
 //!   [`BddManager::swap_levels`] primitive, [`BddManager::permute_levels`]
@@ -40,8 +40,8 @@
 //! * a durable, checksummed multi-root serialized form
 //!   ([`BddCheckpoint`]) with an O(n) bulk loader — the artifact behind
 //!   `stgcheck-core`'s result cache and fixpoint checkpoints;
-//! * a boolean-expression AST with a parser ([`BoolExpr`]) that serves as
-//!   reference semantics for the property tests.
+//! * a boolean-expression AST ([`BoolExpr`]) that serves as reference
+//!   semantics for the property tests.
 //!
 //! # Quick example
 //!
@@ -76,10 +76,9 @@ mod quant;
 mod serialize;
 mod sift;
 
-pub use analysis::Cubes;
 pub use arena::{MAX_SLOTS, MAX_VARS};
 pub use budget::{Budget, ResourceError};
-pub use expr::{BoolExpr, ParseExprError};
+pub use expr::BoolExpr;
 pub use failpoint::FaultPlan;
 pub use manager::{BddManager, ManagerStats};
 pub use node::{Bdd, Literal, Var};

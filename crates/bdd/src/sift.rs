@@ -266,23 +266,11 @@ impl BddManager {
     /// The operation caches are cleared (reclaimed slots may be recycled)
     /// and the automatic-reorder baseline ([`BddManager::reorder_due`])
     /// is reset to the final live count.
-    pub fn sift(&mut self, roots: &[Bdd]) -> SiftStats {
-        let groups = self.groups.clone();
-        self.sift_pass(roots, &groups)
-    }
-
-    /// Like [`BddManager::sift`] but with an explicit grouping, ignoring
-    /// (and not replacing) the stored one.
     ///
     /// # Panics
     ///
-    /// Panics if a group names an undeclared variable, a variable appears
-    /// in two groups, or a group's variables are not at adjacent levels.
-    pub fn sift_grouped(&mut self, roots: &[Bdd], groups: &[Vec<Var>]) -> SiftStats {
-        self.sift_pass(roots, groups)
-    }
-
-    fn sift_pass(&mut self, roots: &[Bdd], groups: &[Vec<Var>]) -> SiftStats {
+    /// Panics if a group's variables are not at adjacent levels.
+    pub fn sift(&mut self, roots: &[Bdd]) -> SiftStats {
         let swaps_at_entry = self.sift_swaps;
         // Exact live set: reclaim garbage so the size signal is truthful,
         // and so the reference counts below are complete. Swaps probe no
@@ -326,7 +314,7 @@ impl BddManager {
             }
         }
         let mut scratch = SwapScratch { refs: Some(refs), ..SwapScratch::default() };
-        let mut blocks = self.build_blocks(groups);
+        let mut blocks = self.build_blocks();
         // Rudell's processing order: heaviest block first, sized by its
         // current unique-table occupancy.
         let (subtables, level_of_var) = (&mut self.subtables, &self.level_of_var);
@@ -365,14 +353,16 @@ impl BddManager {
         self.sift_runs += 1;
     }
 
-    /// The current level layout as a list of blocks (grouped variables
+    /// The current level layout as a list of blocks (the stored groups
     /// merged, everything else singleton), top to bottom.
+    /// [`BddManager::set_var_groups`] has already checked that the groups
+    /// are disjoint and name declared variables.
     ///
     /// # Panics
     ///
     /// Panics if a group is not contiguous in the current order.
-    fn build_blocks(&self, groups: &[Vec<Var>]) -> Vec<Vec<Var>> {
-        let n = self.num_vars();
+    fn build_blocks(&self) -> Vec<Vec<Var>> {
+        let (n, groups) = (self.num_vars(), &self.groups);
         let mut group_of: Vec<Option<usize>> = vec![None; n];
         for (gi, g) in groups.iter().enumerate() {
             let lo = g.iter().map(|&v| self.level_of(v)).min().unwrap_or(0);
@@ -382,8 +372,6 @@ impl BddManager {
                 "sift group {gi} is not contiguous in the current order"
             );
             for &v in g {
-                assert!(v.index() < n, "group names undeclared variable {v:?}");
-                assert!(group_of[v.index()].is_none(), "variable {v:?} appears in two groups");
                 group_of[v.index()] = Some(gi);
             }
         }
@@ -685,7 +673,8 @@ mod tests {
         m.permute_levels(&order);
         assert_eq!(m.order(), order);
         let tt = truth_table(&m, f, 2 * n);
-        m.sift_grouped(&[f], &groups);
+        m.set_var_groups(groups.clone());
+        m.sift(&[f]);
         m.check_invariants();
         assert_eq!(truth_table(&m, f, 2 * n), tt);
         for g in &groups {

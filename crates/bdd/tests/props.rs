@@ -329,7 +329,8 @@ proptest! {
         let f = e1.to_bdd(&mut m, &resolve);
         let g = e2.to_bdd(&mut m, &resolve);
         let groups: Vec<Vec<Var>> = vars.chunks(2).map(<[Var]>::to_vec).collect();
-        m.sift_grouped(&[f, g], &groups);
+        m.set_var_groups(groups.clone());
+        m.sift(&[f, g]);
         m.check_invariants();
         for pair in &groups {
             prop_assert_eq!(m.level_of(pair[0]).abs_diff(m.level_of(pair[1])), 1);
@@ -508,24 +509,6 @@ proptest! {
         let via_exclusive = op_script(&mut b, f, g, h, mask);
         prop_assert_eq!(via_shared, via_exclusive);
         prop_assert_eq!(a.stats(), b.stats());
-    }
-
-    /// Cube enumeration partitions the on-set: cubes are disjoint and their
-    /// union is the function.
-    #[test]
-    fn cubes_partition_function(e in arb_expr()) {
-        let (mut m, f) = compile(&e);
-        let cubes: Vec<Vec<Literal>> = m.cubes(f).collect();
-        let mut union = m.zero();
-        let mut total = 0u128;
-        for lits in &cubes {
-            let c = m.cube(lits);
-            prop_assert!(!m.intersects(union, c), "cubes overlap");
-            union = m.or(union, c);
-            total += 1u128 << (NVARS - lits.len());
-        }
-        prop_assert_eq!(union, f);
-        prop_assert_eq!(total, m.sat_count(f));
     }
 }
 

@@ -1,8 +1,7 @@
-//! Shared workload definitions for the `stgcheck` benchmark harness.
-//!
-//! The [`table1_workloads`] list drives both the `table1` binary (which
-//! regenerates the paper's Table 1) and the Criterion benches, so every
-//! consumer measures exactly the same nets.
+//! Shared workload definitions for the `table1` binary, which
+//! regenerates the paper's Table 1: the generator families
+//! ([`table1_workloads`]), a quick subset ([`quick_workloads`]) and a
+//! directory of `.g` files ([`workloads_from_dir`]).
 
 use std::path::Path;
 
@@ -28,9 +27,11 @@ impl Workload {
     }
 }
 
-/// The workload set regenerating the paper's Table 1: the Fig. 1 mutual
-/// exclusion element, scaled Muller pipelines, scaled master-read
-/// fork/joins, scaled independent handshakes and scaled mutex arbiters.
+/// The workload set regenerating the paper's Table 1 (`table1` with no
+/// `--small` or `--from-dir`): the Fig. 1 mutual exclusion element,
+/// scaled Muller pipelines, scaled master-read fork/joins, scaled
+/// independent handshakes, scaled mutex arbiters, rings and the VME-bus
+/// read cycle.
 pub fn table1_workloads() -> Vec<Workload> {
     let mut w = Vec::new();
     w.push(Workload::new(gen::mutex_element(), true, true));
@@ -93,8 +94,8 @@ pub fn workloads_from_dir(dir: &Path) -> Result<Vec<Workload>, String> {
     Ok(out)
 }
 
-/// Smaller workload set for the Criterion micro-benchmarks (kept fast so
-/// `cargo bench` terminates quickly).
+/// The quick subset behind `table1 --small`, small enough for a CI smoke
+/// run across every engine.
 pub fn quick_workloads() -> Vec<Workload> {
     vec![
         Workload::new(gen::mutex_element(), true, true),

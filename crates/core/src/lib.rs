@@ -56,7 +56,6 @@ mod exit;
 mod fake;
 mod image;
 pub mod journal;
-mod logic;
 mod persistency;
 pub mod protocol;
 mod safety;
@@ -71,7 +70,6 @@ pub use csc::CscAnalysis;
 pub use encode::{StateWitness, SymbolicStg, TransCubes, VarOrder};
 pub use engine::{EngineKind, EngineOptions, ReorderMode};
 pub use exit::ProcessExit;
-pub use logic::{LogicError, SignalFunction};
 pub use persistency::{SymSignalViolation, SymTransViolation};
 pub use safety::SafetyViolation;
 pub use serve::{

@@ -35,6 +35,7 @@ use stgcheck_stg::{parse_g, Implementability, Stg};
 use crate::exit::ProcessExit;
 use crate::journal::{self, Journal};
 use crate::protocol::{json_escape, parse_json, parse_request, Request, VerifyRequest};
+use crate::store::cache_key;
 use crate::verify::{verify_persistent, Outcome, PersistOptions, VerifyOptions, VerifyRun};
 
 /// Maps a run outcome to the one-shot CLI's exit code, the contract the
@@ -58,9 +59,9 @@ pub fn outcome_exit(outcome: &Outcome) -> ProcessExit {
 pub struct JobSpec {
     /// The net to verify.
     pub stg: Stg,
-    /// Verification options (the coalescing key covers these plus the
-    /// budget, so two jobs only share a computation when their entire
-    /// configuration matches).
+    /// Verification options (two jobs share a computation only when
+    /// these select the same run and their budgets match; see
+    /// `coalesce_key`).
     pub options: VerifyOptions,
     /// Cache/checkpoint plumbing. [`PersistOptions::cancel`] is owned by
     /// the scheduler — anything set here is replaced by the job's own
@@ -117,13 +118,16 @@ impl Shed {
 
 type Callback = Box<dyn FnOnce(JobResult) + Send + 'static>;
 
-/// Coalescing key: two jobs share one computation only when the net
-/// content *and* the entire option set — budget included — match. The
-/// budget must be part of the key (unlike the result-cache key, which
-/// deliberately excludes it): a follower with a generous budget must
-/// never be answered by a tightly budgeted leader's `exhausted`.
-fn coalesce_key(spec: &JobSpec) -> (u128, String) {
-    (spec.stg.content_hash(), format!("{:?}{:?}", spec.options, spec.persist.incremental))
+/// Coalescing key: two jobs share one computation only when they would
+/// share a result-store entry ([`cache_key`]: the net content and every
+/// option that changes what the run computes) *and* their budgets and
+/// `incremental` flags match. The budget must be part of this key
+/// (unlike the store key, which deliberately excludes it): a follower
+/// with a generous budget must never be answered by a tightly budgeted
+/// leader's `exhausted`.
+fn coalesce_key(spec: &JobSpec) -> String {
+    let key = cache_key(spec.stg.content_hash(), &spec.options);
+    format!("{key} {:?} {}", spec.options.budget, spec.persist.incremental)
 }
 
 struct Queued {
@@ -132,14 +136,14 @@ struct Queued {
     callback: Callback,
     latch: Arc<AtomicBool>,
     enqueued: Instant,
-    key: (u128, String),
+    key: String,
 }
 
 #[derive(Default)]
 struct SchedState {
     queue: VecDeque<Queued>,
     /// Followers attached to the queued-or-running leader per key.
-    inflight: HashMap<(u128, String), Vec<Queued>>,
+    inflight: HashMap<String, Vec<Queued>>,
     /// Live cancellation latches by job id (queued, running, follower).
     latches: HashMap<u64, Arc<AtomicBool>>,
     /// Jobs admitted and not yet delivered (queue + running + followers)
@@ -220,9 +224,10 @@ impl Scheduler {
     /// Admits a job; `callback` fires exactly once, on a worker thread,
     /// with the job's result. Returns the job id for [`Scheduler::cancel`].
     ///
-    /// A job whose net + full option set matches one already in flight is
-    /// *coalesced*: it attaches to that computation and shares its
-    /// result (marked [`JobResult::coalesced`]) instead of running.
+    /// A job whose net, options and budget select the same run as one
+    /// already in flight is *coalesced*: it attaches to that computation
+    /// and shares its result (marked [`JobResult::coalesced`]) instead of
+    /// running.
     ///
     /// # Errors
     ///

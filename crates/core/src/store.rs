@@ -289,7 +289,10 @@ fn opts_tag(opts: &VerifyOptions) -> String {
         ReorderMode::Sift => "rs",
         ReorderMode::Auto => "ra",
     };
-    format!("{order}-{policy}-{kind}-j{}-{reorder}", engine.jobs)
+    // Only the parallel engine reads `jobs`; any other engine computes
+    // the same run at every value, so it keys as the default 0.
+    let jobs = if engine.kind == EngineKind::ParallelSharded { engine.jobs } else { 0 };
+    format!("{order}-{policy}-{kind}-j{jobs}-{reorder}")
 }
 
 /// File name of the `latest` pointer: sanitized net name plus the option
@@ -902,6 +905,14 @@ mod tests {
         let mut pa = base;
         pa.engine.kind = EngineKind::ParallelSharded;
         assert_ne!(cache_key(7, &pa), k0);
+        // `jobs` separates parallel runs only: per-transition ignores it.
+        let mut pt_j2 = base;
+        pt_j2.engine.jobs = 2;
+        assert_eq!(cache_key(7, &pt_j2), k0);
+        let (mut pa_j1, mut pa_j2) = (pa, pa);
+        pa_j1.engine.jobs = 1;
+        pa_j2.engine.jobs = 2;
+        assert_ne!(cache_key(7, &pa_j1), cache_key(7, &pa_j2));
         // `clustered` is a spelling of saturation, so it shares its key.
         let with_engine = |name: &str| {
             let mut o = base;

@@ -4,8 +4,7 @@
 //! count while computing exactly the same state space — and the grouping
 //! metadata the encoder hands the manager must be well-formed.
 //!
-//! The companion Criterion bench (`crates/bench/benches/reorder.rs`)
-//! times the same configurations; `BENCH_table1.json` records them.
+//! `BENCH_table1.json` records the same configurations' peaks and walls.
 
 use stgcheck::core::{EngineKind, EngineOptions, ReorderMode, SymbolicStg, VarOrder};
 use stgcheck::stg::{gen, parse_g, write_g};

@@ -108,10 +108,20 @@ fn budget_trips_anywhere_resume_to_the_scratch_verdict() {
 /// persistency violations, so its checks decode witnesses; the dense
 /// rungs from 690 to 750 trip them at the points that once panicked.
 /// Every rung, under every engine, is an exhaustion or the scratch
-/// answer.
+/// answer, and every exhausted rung resumed with the budget lifted gives
+/// the scratch answer.
+///
+/// After a trip inside the checks the traversal had converged, so the
+/// run checkpoints the full reached set: per-transition converges on
+/// mutex-3 in 3 iterations and trips only inside the checks, so its
+/// resume starts at iteration 3 and needs one more to converge. (The
+/// parallel engine also trips inside its traversal on the low rungs, and
+/// saturation re-saturates every cluster on a resume, so their iteration
+/// counts are not pinned.)
 #[test]
 fn step_budget_trips_inside_the_checks_are_exhaustions() {
     let stg = bench_net("mutex_3.g");
+    let base = tmp("checks-trip");
     for kind in [EngineKind::PerTransition, EngineKind::ParallelSharded, EngineKind::Saturation] {
         let mut opts = VerifyOptions::default();
         opts.engine.kind = kind;
@@ -119,13 +129,34 @@ fn step_budget_trips_inside_the_checks_are_exhaustions() {
         let scratch = common::answer(&verify(&stg, opts).unwrap());
         let mut exhausted = 0;
         for max_steps in (600..690).step_by(10).chain(690..=750).chain((760..=1300).step_by(20)) {
+            let ck_path = base.join(format!("ck-{kind}-{max_steps}.bin"));
             let mut budgeted = opts;
             budgeted.budget = BudgetSpec { max_steps, ..BudgetSpec::default() };
-            let run = verify_persistent(&stg, budgeted, &PersistOptions::default()).unwrap();
+            let persist =
+                PersistOptions { checkpoint: Some(ck_path.clone()), ..PersistOptions::default() };
+            let run = verify_persistent(&stg, budgeted, &persist).unwrap();
             match run.exhausted() {
                 Some(reason) => {
                     assert_eq!(reason, ResourceError::StepBudget { limit: max_steps }, "{kind}");
                     exhausted += 1;
+                    let resume = PersistOptions {
+                        checkpoint: Some(ck_path),
+                        resume: true,
+                        ..PersistOptions::default()
+                    };
+                    let resumed = verify_persistent(&stg, opts, &resume).unwrap();
+                    let report = resumed.report().unwrap_or_else(|| {
+                        panic!("{kind}/{max_steps}: unbudgeted resume must complete")
+                    });
+                    assert_eq!(common::answer(report), scratch, "{kind}/{max_steps} resumed");
+                    if kind == EngineKind::PerTransition {
+                        let notes = &resumed.notes;
+                        assert!(
+                            notes.iter().any(|n| n == "resumed from checkpoint at iteration 3"),
+                            "{kind}/{max_steps}: {notes:?}"
+                        );
+                        assert_eq!(report.traversal.iterations, 4, "{kind}/{max_steps}");
+                    }
                 }
                 None => {
                     let report = run.into_report().expect("a run that did not trip completes");
