@@ -357,50 +357,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod readbench {
-    use super::*;
-    use crate::node::Bdd;
-
-    /// Dev-aid micro-benchmark: `cargo test --release -p stgcheck-bdd
-    /// arena_read_cost -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn arena_read_cost() {
-        const N: usize = 1 << 20;
-        let arena = NodeArena::new(Node::terminal());
-        let mut plain: Vec<Node> = vec![Node::terminal()];
-        for k in 1..N {
-            let s = arena.alloc().unwrap() as usize;
-            let n = Node {
-                level: (k % 64) as Level,
-                lo: Bdd((((k * 2_654_435_761) % N) & !1) as u32),
-                hi: Bdd(((k * 40_503) % N) as u32),
-            };
-            arena.set(s, n);
-            plain.push(n);
-        }
-        let rounds = 40_000_000usize;
-        let t = std::time::Instant::now();
-        let mut acc = 0u64;
-        let mut i = 1usize;
-        for _ in 0..rounds {
-            let n = arena.get(i);
-            acc = acc.wrapping_add(n.level as u64);
-            i = (n.lo.0 as usize).max(1) % N;
-        }
-        let ta = t.elapsed();
-        let t = std::time::Instant::now();
-        let mut acc2 = 0u64;
-        let mut i = 1usize;
-        for _ in 0..rounds {
-            let n = plain[i];
-            acc2 = acc2.wrapping_add(n.level as u64);
-            i = (n.lo.0 as usize).max(1) % N;
-        }
-        let tv = t.elapsed();
-        println!("arena: {ta:?}  vec: {tv:?}  ({acc} {acc2})");
-        assert_eq!(acc, acc2);
-    }
-}

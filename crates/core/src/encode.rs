@@ -353,17 +353,6 @@ impl<'a> SymbolicStg<'a> {
         self.mgr.var_groups()
     }
 
-    /// Exports named roots as a durable v3 checkpoint artifact stamped
-    /// with `net_hash` (see `docs/persistent-store.md`).
-    pub fn export_checkpoint(
-        &self,
-        net_hash: u128,
-        roots: &[(&str, Bdd)],
-        meta: &[(String, u64)],
-    ) -> BddCheckpoint {
-        self.mgr.export_checkpoint(net_hash, roots, meta)
-    }
-
     /// Imports a v3 checkpoint into this context by *name*: every
     /// checkpoint variable must exist here (place/signal variables are
     /// named `p:…`/`s:…`, so names are stable across runs), and the

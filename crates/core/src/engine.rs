@@ -45,7 +45,7 @@
 
 use std::collections::BTreeSet;
 
-use stgcheck_bdd::{Bdd, BddManager, BddOps, Budget, FaultPlan, ResourceError, Var};
+use stgcheck_bdd::{Bdd, BddCheckpoint, BddManager, BddOps, Budget, FaultPlan, ResourceError, Var};
 use stgcheck_petri::TransId;
 
 use crate::encode::{SymbolicStg, TransCubes};
@@ -234,7 +234,7 @@ impl FixpointSpec {
 }
 
 /// Why [`run_fixpoint`] stopped.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum FixpointStop {
     /// The least fixpoint was reached; `reached` is the full answer.
     Converged,
@@ -253,6 +253,17 @@ pub(crate) enum FixpointStop {
     Exhausted(ResourceError),
 }
 
+impl From<ResourceError> for FixpointStop {
+    /// A cancellation is a cooperative interrupt, every other trip an
+    /// exhaustion.
+    fn from(reason: ResourceError) -> FixpointStop {
+        match reason {
+            ResourceError::Cancelled => FixpointStop::Interrupted,
+            other => FixpointStop::Exhausted(other),
+        }
+    }
+}
+
 /// Result of one [`run_fixpoint`] call.
 pub(crate) struct FixpointOutcome {
     /// The least fixpoint: everything reachable from `init` under the
@@ -266,23 +277,64 @@ pub(crate) struct FixpointOutcome {
     pub stop: FixpointStop,
 }
 
-/// State imported from a previous run's checkpoint, ready to seed a
-/// fixpoint loop (the handles live in the *current* manager — the caller
-/// has already bulk-imported the snapshot and validated its header).
-pub(crate) struct ResumeState {
-    /// The reached set at the time of the snapshot.
+/// The state a fixpoint loop commits after an iteration — what every
+/// snapshot saves and every resume, `--fallback` retry and incremental
+/// seed restores. The handles live in the manager of the loop's
+/// [`SymbolicStg`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Committed {
+    /// Every state reached so far.
     pub reached: Bdd,
-    /// The frontier at the time of the snapshot.
+    /// The states the next sweep fires from: those first reached in the
+    /// last iteration. `FALSE` marks a converged state.
     pub frontier: Bdd,
-    /// Outer iterations completed at the time of the snapshot.
+    /// Outer iterations completed.
     pub iterations: usize,
+}
+
+impl Committed {
+    /// The v3 checkpoint of this state, stamped with `net_hash`: roots
+    /// `reached` and `frontier`, meta `iterations` — the one place that
+    /// spells the layout (see `docs/persistent-store.md`).
+    pub(crate) fn export(&self, sym: &SymbolicStg<'_>, net_hash: u128) -> BddCheckpoint {
+        sym.manager().export_checkpoint(
+            net_hash,
+            &[("reached", self.reached), ("frontier", self.frontier)],
+            &[("iterations".to_string(), self.iterations as u64)],
+        )
+    }
+
+    /// Imports a checkpoint written by [`Committed::export`] into `sym`
+    /// (see [`SymbolicStg::import_checkpoint`]); the caller checks the net
+    /// hash. Without a `frontier` root the state imports with `frontier =
+    /// reached`, without `iterations` at iteration 0. Fails on a variable
+    /// name mismatch or a missing `reached` root.
+    pub(crate) fn import(
+        sym: &mut SymbolicStg<'_>,
+        ck: &BddCheckpoint,
+    ) -> Result<Committed, String> {
+        let roots = sym.import_checkpoint(ck)?;
+        let find = |name: &str| roots.iter().find(|(n, _)| n == name).map(|(_, b)| *b);
+        let reached = find("reached").ok_or("checkpoint has no `reached` root")?;
+        Ok(Committed {
+            reached,
+            frontier: find("frontier").unwrap_or(reached),
+            iterations: ck.meta_value("iterations").unwrap_or(0) as usize,
+        })
+    }
+
+    /// The loop's result when it stops at this state.
+    fn outcome(self, stop: FixpointStop) -> FixpointOutcome {
+        FixpointOutcome { reached: self.reached, iterations: self.iterations, stop }
+    }
 }
 
 /// Mid-run checkpoint/resume control for [`run_fixpoint`]: the knobs
 /// behind `--checkpoint`, `--checkpoint-every`, `--resume` and the
 /// `--abort-after` test hook. [`FixpointCtl::default`] disables all of
 /// it, which is what every auxiliary fixpoint (per-signal inference,
-/// frozen traversals, CSC backward closures) passes.
+/// frozen traversals, CSC backward closures) passes. What it resumes
+/// from and snapshots is a [`Committed`] state.
 #[derive(Default)]
 pub(crate) struct FixpointCtl {
     /// Snapshot cadence in outer iterations; `0` disables periodic
@@ -297,8 +349,8 @@ pub(crate) struct FixpointCtl {
     /// iterations have run; `0` means run to convergence. Drives the
     /// resume-equivalence tests and the CI interrupt smoke.
     pub abort_after: usize,
-    /// Seed state from a previous snapshot; consumed by the engine.
-    pub resume: Option<ResumeState>,
+    /// Seed state from a previous snapshot; consumed by [`run_fixpoint`].
+    pub resume: Option<Committed>,
     /// The resource budget governing this loop. Must share its inner
     /// state with the budget installed on the manager
     /// ([`stgcheck_bdd::BddManager::set_budget`]) so the engine's commit
@@ -313,22 +365,26 @@ pub(crate) struct FixpointCtl {
 }
 
 impl FixpointCtl {
-    /// Seeds a loop: the resumed `(reached ∪ init, frontier, iterations)`
-    /// or the fresh `(init, init, 0)`. Union with `init` keeps the seed
-    /// sound even for a snapshot taken before init was folded in.
-    fn seed(&mut self, sym: &mut SymbolicStg<'_>, init: Bdd) -> (Bdd, Bdd, usize) {
-        match self.resume.take() {
-            Some(r) => {
-                self.last_snapshot = r.iterations;
-                (sym.manager_mut().or(r.reached, init), r.frontier, r.iterations)
-            }
-            None => (init, init, 0),
+    /// Seeds a loop: the resumed state, or the fresh `(init, init, 0)`.
+    /// The part of `init` a resumed state lacks joins both its reached
+    /// set and its frontier, so the loop explores from it too.
+    fn seed(&mut self, sym: &mut SymbolicStg<'_>, init: Bdd) -> Committed {
+        let Some(r) = self.resume.take() else {
+            return Committed { reached: init, frontier: init, iterations: 0 };
+        };
+        self.last_snapshot = r.iterations;
+        let mgr = sym.manager_mut();
+        let missing = mgr.diff(init, r.reached);
+        Committed {
+            reached: mgr.or(r.reached, missing),
+            frontier: mgr.or(r.frontier, missing),
+            iterations: r.iterations,
         }
     }
 
     /// End-of-iteration hook, run after the iteration's GC and (except in
     /// saturation) its sifting: stops with [`FixpointStop::Met`] when the
-    /// committed `reached` set meets [`FixpointSpec::until`]; otherwise
+    /// committed reached set meets [`FixpointSpec::until`]; otherwise
     /// writes a periodic snapshot when due and stops with
     /// [`FixpointStop::Interrupted`] once `abort_after` is reached, after
     /// writing a final snapshot unconditionally.
@@ -341,17 +397,15 @@ impl FixpointCtl {
         &mut self,
         sym: &mut SymbolicStg<'_>,
         spec: &FixpointSpec,
-        reached: Bdd,
-        frontier: Bdd,
-        iterations: usize,
+        done: Committed,
     ) -> Option<FixpointStop> {
-        if spec.until.is_some_and(|u| sym.manager_mut().intersects(reached, u)) {
+        if spec.until.is_some_and(|u| sym.manager_mut().intersects(done.reached, u)) {
             return Some(FixpointStop::Met);
         }
-        let abort = self.abort_after > 0 && iterations >= self.abort_after;
-        let due = self.every > 0 && iterations - self.last_snapshot >= self.every;
-        if self.path.is_some() && (abort || due) {
-            self.snapshot(sym, reached, frontier, iterations);
+        let abort = self.abort_after > 0 && done.iterations >= self.abort_after;
+        let due = self.every > 0 && done.iterations - self.last_snapshot >= self.every;
+        if abort || due {
+            self.snapshot(sym, done);
         }
         if abort {
             self.budget.trip(ResourceError::Cancelled);
@@ -365,39 +419,26 @@ impl FixpointCtl {
     /// computed since is inert garbage (tripped boolean operations
     /// return `FALSE` without publishing nodes — see
     /// [`stgcheck_bdd::Budget`]), so the engine abandons the in-flight
-    /// sets and returns the last-committed state, which this hook
+    /// sets and returns the last-committed state `done`, which this hook
     /// captures in a final snapshot. Doubling as the
     /// iteration-boundary coarse poll, it also observes the deadline and
     /// the cancel flag on allocation-free stretches.
-    fn budget_stop(
-        &mut self,
-        sym: &SymbolicStg<'_>,
-        reached: Bdd,
-        frontier: Bdd,
-        iterations: usize,
-    ) -> Option<FixpointStop> {
+    fn budget_stop(&mut self, sym: &SymbolicStg<'_>, done: Committed) -> Option<FixpointStop> {
         if !self.budget.is_tripped() {
             self.budget.check_coarse();
         }
         let reason = self.budget.tripped()?;
-        if self.path.is_some() {
-            self.snapshot(sym, reached, frontier, iterations);
-        }
-        Some(match reason {
-            ResourceError::Cancelled => FixpointStop::Interrupted,
-            other => FixpointStop::Exhausted(other),
-        })
+        self.snapshot(sym, done);
+        Some(reason.into())
     }
 
-    fn snapshot(&mut self, sym: &SymbolicStg<'_>, reached: Bdd, frontier: Bdd, iterations: usize) {
-        let Some(path) = self.path.clone() else { return };
-        self.last_snapshot = iterations;
-        let ck = sym.manager().export_checkpoint(
-            self.net_hash,
-            &[("reached", reached), ("frontier", frontier)],
-            &[("iterations".to_string(), iterations as u64)],
-        );
-        if let Err(e) = write_atomically(&path, &ck.to_bytes(), self.budget.faults()) {
+    /// Writes `done` to the checkpoint path, if one is configured; a
+    /// failed write is kept in `io_error` and does not stop the caller.
+    pub(crate) fn snapshot(&mut self, sym: &SymbolicStg<'_>, done: Committed) {
+        let Some(path) = &self.path else { return };
+        self.last_snapshot = done.iterations;
+        let bytes = done.export(sym, self.net_hash).to_bytes();
+        if let Err(e) = write_atomically(path, &bytes, self.budget.faults()) {
             self.io_error
                 .get_or_insert_with(|| format!("checkpoint write to {}: {e}", path.display()));
         }
@@ -428,7 +469,11 @@ pub(crate) fn write_atomically(
     std::fs::rename(&tmp, path)
 }
 
-/// Runs the shared fixed-point loop with the selected engine.
+/// Runs the shared fixed-point loop with the selected engine: seeds the
+/// committed state once (from `ctl.resume` or from `init`, see
+/// `FixpointCtl::seed`) and hands it to the engine. A seeded state with
+/// an empty frontier has converged already, so it returns at once on
+/// every engine, with the seeded iteration count.
 pub(crate) fn run_fixpoint(
     sym: &mut SymbolicStg<'_>,
     opts: &EngineOptions,
@@ -448,22 +493,20 @@ pub(crate) fn run_fixpoint(
     // a garbage snapshot would clobber a valid checkpoint that a later
     // `--resume` still needs.
     if let Some(reason) = ctl.budget.tripped() {
-        return FixpointOutcome {
-            reached: init,
-            iterations: ctl.resume.as_ref().map_or(0, |r| r.iterations),
-            stop: match reason {
-                ResourceError::Cancelled => FixpointStop::Interrupted,
-                other => FixpointStop::Exhausted(other),
-            },
-        };
+        let iterations = ctl.resume.map_or(0, |r| r.iterations);
+        return FixpointOutcome { reached: init, iterations, stop: reason.into() };
     }
     if spec.until.is_some_and(|u| sym.manager_mut().intersects(init, u)) {
         return FixpointOutcome { reached: init, iterations: 0, stop: FixpointStop::Met };
     }
+    let start = ctl.seed(sym, init);
+    if start.frontier.is_false() {
+        return start.outcome(FixpointStop::Converged);
+    }
     match opts.kind {
-        EngineKind::PerTransition => run_per_transition(sym, opts, spec, transitions, init, ctl),
-        EngineKind::ParallelSharded => run_parallel(sym, opts, spec, transitions, init, ctl),
-        EngineKind::Saturation => run_saturation(sym, opts, spec, transitions, init, ctl),
+        EngineKind::PerTransition => run_per_transition(sym, opts, spec, transitions, start, ctl),
+        EngineKind::ParallelSharded => run_parallel(sym, opts, spec, transitions, start, ctl),
+        EngineKind::Saturation => run_saturation(sym, opts, spec, transitions, start, ctl),
     }
 }
 
@@ -530,53 +573,75 @@ fn maybe_reorder(
 }
 
 // ---------------------------------------------------------------------------
-// Per-transition engine.
+// The Fig. 5 loop: per-transition and parallel engines.
 // ---------------------------------------------------------------------------
 
+/// The paper's Fig. 5 outer loop, shared by the per-transition and
+/// parallel engines, which differ only in `sweep`: it maps the committed
+/// state to the iteration's image set `to ⊇ frontier`. The loop takes
+/// the new states `to ∖ reached`, checks the budget before committing,
+/// and commits the grown set with the new states as the frontier until
+/// none are new, collecting, sifting and ticking after each commit.
+fn run_frontier_loop<'a>(
+    sym: &mut SymbolicStg<'a>,
+    opts: &EngineOptions,
+    spec: &FixpointSpec,
+    start: Committed,
+    ctl: &mut FixpointCtl,
+    mut sweep: impl FnMut(&mut SymbolicStg<'a>, Committed) -> Bdd,
+) -> FixpointOutcome {
+    let mut done = start;
+    loop {
+        let to = sweep(sym, done);
+        let mgr = sym.manager_mut();
+        let new = mgr.diff(to, done.reached);
+        let grown = mgr.or(done.reached, new);
+        // Budget check *before* the convergence test and the commit: a
+        // trip in the sweep, the diff or the union leaves inert garbage
+        // (a tripped diff is spuriously FALSE, a tripped union TRUE) —
+        // the loop must report exhaustion, never fake convergence or
+        // commit garbage.
+        if let Some(stop) = ctl.budget_stop(sym, done) {
+            return done.outcome(stop);
+        }
+        // An empty difference leaves `grown == reached`: the loop has
+        // converged, and the sweep that found nothing counts too.
+        done = Committed { reached: grown, frontier: new, iterations: done.iterations + 1 };
+        if new.is_false() {
+            return done.outcome(FixpointStop::Converged);
+        }
+        maybe_gc(sym, spec, &[done.reached, done.frontier]);
+        maybe_reorder(sym, opts, spec, &[done.reached, done.frontier]);
+        if let Some(stop) = ctl.tick(sym, spec, done) {
+            return done.outcome(stop);
+        }
+    }
+}
+
+/// The per-transition sweep: every transition fires in declaration order
+/// from the frontier plus what the earlier ones added in the same sweep.
 fn run_per_transition(
     sym: &mut SymbolicStg<'_>,
     opts: &EngineOptions,
     spec: &FixpointSpec,
     transitions: &[TransId],
-    init: Bdd,
+    start: Committed,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
-    let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
-    loop {
-        iterations += 1;
-        let mut to = from;
+    run_frontier_loop(sym, opts, spec, start, ctl, |sym, done| {
+        let mut to = done.frontier;
         for &t in transitions {
             let cubes = *sym.cubes(t);
             let img = apply_one(sym.manager_mut(), spec, &cubes, to);
             to = sym.manager_mut().or(to, img);
             // Intermediate sets inside one chained sweep are the memory
             // peak on deep pipelines: collect eagerly, keeping only the
-            // running accumulator — and the frontier, which a budget
-            // trip later in this iteration snapshots.
-            maybe_gc(sym, spec, &[reached, from, to]);
+            // running accumulator — and the committed state, which a
+            // budget trip later in this iteration snapshots.
+            maybe_gc(sym, spec, &[done.reached, done.frontier, to]);
         }
-        let new = sym.manager_mut().diff(to, reached);
-        let grown = sym.manager_mut().or(reached, new);
-        // Budget check *before* the convergence test and the commit: a
-        // trip in the sweep, the diff or the union leaves inert garbage
-        // (a tripped diff is spuriously FALSE, a tripped union TRUE) —
-        // the loop must report exhaustion, never fake convergence or
-        // commit garbage.
-        if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-            return FixpointOutcome { reached, iterations: iterations - 1, stop };
-        }
-        if new.is_false() {
-            break;
-        }
-        reached = grown;
-        from = new;
-        maybe_gc(sym, spec, &[reached, from]);
-        maybe_reorder(sym, opts, spec, &[reached, from]);
-        if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
-            return FixpointOutcome { reached, iterations, stop };
-        }
-    }
-    FixpointOutcome { reached, iterations, stop: FixpointStop::Converged }
+        to
+    })
 }
 
 /// The variables each transition's step reads or writes: its places and,
@@ -704,7 +769,7 @@ fn run_saturation(
     opts: &EngineOptions,
     spec: &FixpointSpec,
     transitions: &[TransId],
-    init: Bdd,
+    start: Committed,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
     let supports = transition_supports(sym, spec.marking_only, transitions);
@@ -718,7 +783,7 @@ fn run_saturation(
     // Saturation has no global frontier; a resumed snapshot seeds the
     // reached set and the sweep simply re-saturates every cluster against
     // it (already-saturated clusters converge in one pass).
-    let (mut reached, _, mut iterations) = ctl.seed(sym, init);
+    let Committed { mut reached, mut iterations, .. } = start;
     let mut pos = 0;
     while pos < schedule.len() {
         let c = schedule[pos];
@@ -747,13 +812,14 @@ fn run_saturation(
             grew = true;
             reached = acc;
         }
-        if let Some(stop) = ctl.budget_stop(sym, reached, reached, iterations) {
-            return FixpointOutcome { reached, iterations, stop };
-        }
         // The snapshot's frontier *is* the reached set here — saturation
         // resumes by re-saturating, not by frontier replay.
-        if let Some(stop) = ctl.tick(sym, spec, reached, reached, iterations) {
-            return FixpointOutcome { reached, iterations, stop };
+        let done = Committed { reached, frontier: reached, iterations };
+        if let Some(stop) = ctl.budget_stop(sym, done) {
+            return done.outcome(stop);
+        }
+        if let Some(stop) = ctl.tick(sym, spec, done) {
+            return done.outcome(stop);
         }
         if !grew {
             pos += 1;
@@ -871,20 +937,24 @@ fn run_parallel(
     opts: &EngineOptions,
     spec: &FixpointSpec,
     transitions: &[TransId],
-    init: Bdd,
+    start: Committed,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
     let jobs = opts.effective_jobs().min(transitions.len() / MIN_SHARD_TRANSITIONS);
     if jobs < 2 {
         // Degenerate shard count: the sequential chained loop computes
         // the same fixpoint without thread overhead.
-        return run_per_transition(sym, opts, spec, transitions, init, ctl);
+        return run_per_transition(sym, opts, spec, transitions, start, ctl);
     }
     let shards = balance_shards(sym, transitions, jobs);
-    let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
-    loop {
-        iterations += 1;
+    // A trip during the fan-out makes the workers' closures inert garbage
+    // (the closures themselves exit promptly — a tripped diff is FALSE,
+    // which reads as local convergence), and so does one in the join:
+    // the loop's pre-commit budget check abandons it all. The loop's GC
+    // and sifting run at the stop-the-world quiesce point after the join.
+    run_frontier_loop(sym, opts, spec, start, ctl, |sym, done| {
         let shared: &SymbolicStg<'_> = sym;
+        let from = done.frontier;
         let parts: Vec<Bdd> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
@@ -895,31 +965,8 @@ fn run_parallel(
         // Workers are joined: the coordinator holds `&mut` again, so the
         // join arithmetic runs the plain-store instantiation.
         let mgr = sym.manager_mut();
-        let to = parts.into_iter().fold(from, |to, part| mgr.or(to, part));
-        let new = mgr.diff(to, reached);
-        let grown = mgr.or(reached, new);
-        // Pre-commit budget check: a trip during the fan-out makes the
-        // workers' closures inert garbage (the closures themselves exit
-        // promptly — a tripped diff is FALSE, which reads as local
-        // convergence), and so does one in the join. Abandon it all, keep
-        // the committed state.
-        if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-            return FixpointOutcome { reached, iterations: iterations - 1, stop };
-        }
-        if new.is_false() {
-            break;
-        }
-        reached = grown;
-        from = new;
-        // Stop-the-world quiesce point: workers are joined, the `&mut`
-        // borrow is exclusive again.
-        maybe_gc(sym, spec, &[reached, from]);
-        maybe_reorder(sym, opts, spec, &[reached, from]);
-        if let Some(stop) = ctl.tick(sym, spec, reached, from, iterations) {
-            return FixpointOutcome { reached, iterations, stop };
-        }
-    }
-    FixpointOutcome { reached, iterations, stop: FixpointStop::Converged }
+        parts.into_iter().fold(from, |to, part| mgr.or(to, part))
+    })
 }
 
 #[cfg(test)]
@@ -1082,6 +1129,19 @@ mod tests {
         }
     }
 
+    /// One option set per engine, parallel at two workers.
+    fn three_engines() -> [EngineOptions; 3] {
+        [
+            EngineOptions::default(),
+            EngineOptions {
+                kind: EngineKind::ParallelSharded,
+                jobs: 2,
+                ..EngineOptions::default()
+            },
+            EngineOptions { kind: EngineKind::Saturation, ..EngineOptions::default() },
+        ]
+    }
+
     /// `until` ends every engine at a committed subset of the fixpoint that
     /// meets it, the seed included; a query set the fixpoint never meets
     /// changes nothing.
@@ -1102,15 +1162,7 @@ mod tests {
         let deep = sym.edge_enabled(ack, stgcheck_stg::Polarity::Fall);
         let deep = sym.manager_mut().and(deep, full);
         assert!(!sym.manager_mut().intersects(init, deep));
-        for opts in [
-            EngineOptions::default(),
-            EngineOptions {
-                kind: EngineKind::ParallelSharded,
-                jobs: 2,
-                ..EngineOptions::default()
-            },
-            EngineOptions { kind: EngineKind::Saturation, ..EngineOptions::default() },
-        ] {
+        for opts in three_engines() {
             let out = run(&mut sym, &opts, Some(deep));
             assert_eq!(out.stop, FixpointStop::Met, "{opts:?}");
             assert!(out.iterations > 0, "{opts:?}");
@@ -1124,5 +1176,68 @@ mod tests {
             assert_eq!(out.stop, FixpointStop::Converged, "{opts:?}");
             assert_eq!(out.reached, full, "{opts:?}");
         }
+    }
+
+    /// The part of `init` a resumed state lacks joins its frontier as well
+    /// as its reached set: on every engine an empty resume reaches the
+    /// scratch fixpoint, and a converged one (empty frontier) returns at
+    /// once with its own iteration count.
+    #[test]
+    fn a_resume_that_lacks_init_still_reaches_the_fixpoint() {
+        let stg = gen::master_read(3);
+        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
+        let code = sym.effective_initial_code().unwrap();
+        let init = sym.initial_state(code);
+        let transitions: Vec<_> = stg.net().transitions().collect();
+        let spec = FixpointSpec::forward_full();
+        let resume_from = |sym: &mut SymbolicStg<'_>, opts: &EngineOptions, resume| {
+            let mut ctl = FixpointCtl { resume, ..FixpointCtl::default() };
+            run_fixpoint(sym, opts, &spec, &transitions, init, &mut ctl)
+        };
+        let full = resume_from(&mut sym, &EngineOptions::default(), None).reached;
+        assert!(sym.manager().sat_count(full) > 1);
+        for opts in three_engines() {
+            let empty = Committed { reached: Bdd::FALSE, frontier: Bdd::FALSE, iterations: 0 };
+            let out = resume_from(&mut sym, &opts, Some(empty));
+            assert_eq!((out.reached, out.stop), (full, FixpointStop::Converged), "{opts:?}");
+
+            let converged = Committed { reached: full, frontier: Bdd::FALSE, iterations: 5 };
+            let out = resume_from(&mut sym, &opts, Some(converged));
+            assert_eq!(
+                (out.reached, out.iterations, out.stop),
+                (full, 5, FixpointStop::Converged),
+                "{opts:?}"
+            );
+        }
+    }
+
+    /// The one export/import pair carries a committed state into a fresh
+    /// context under another variable order; a checkpoint with only a
+    /// `reached` root imports as `frontier = reached` at iteration 0.
+    #[test]
+    fn committed_state_round_trips_through_a_checkpoint() {
+        let stg = gen::master_read(3);
+        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
+        let code = sym.effective_initial_code().unwrap();
+        let full = sym.traverse(code).reached;
+        let states = sym.manager().sat_count(full);
+        let hash = stg.content_hash();
+        let fresh_import = |ck: &BddCheckpoint| {
+            let ck = BddCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+            let mut fresh = SymbolicStg::new(&stg, VarOrder::Declaration);
+            let back = Committed::import(&mut fresh, &ck).unwrap();
+            (fresh.manager().sat_count(back.reached), back)
+        };
+        for frontier in [full, Bdd::FALSE] {
+            let done = Committed { reached: full, frontier, iterations: 4 };
+            let (count, back) = fresh_import(&done.export(&sym, hash));
+            assert_eq!(count, states);
+            assert_eq!(back.frontier.is_false(), frontier.is_false());
+            assert_eq!(back.iterations, 4);
+        }
+        let reached_only = sym.manager().export_checkpoint(hash, &[("reached", full)], &[]);
+        let (count, back) = fresh_import(&reached_only);
+        assert_eq!(count, states);
+        assert_eq!((back.frontier, back.iterations), (back.reached, 0));
     }
 }

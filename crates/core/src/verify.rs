@@ -16,16 +16,13 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stgcheck_bdd::{BddCheckpoint, BddOps, Budget, FaultPlan, Literal, ResourceError};
+use stgcheck_bdd::{Bdd, BddCheckpoint, BddOps, Budget, FaultPlan, Literal, ResourceError};
 use stgcheck_stg::{Code, FakeConflict, Implementability, PersistencyPolicy, SgError, Stg};
 
 use crate::consistency::ConsistencyViolation;
 use crate::csc::CscAnalysis;
 use crate::encode::{SymbolicStg, VarOrder};
-use crate::engine::{
-    write_atomically, EngineKind, EngineOptions, FixpointCtl, FixpointStop, ReorderMode,
-    ResumeState,
-};
+use crate::engine::{Committed, EngineKind, EngineOptions, FixpointCtl, FixpointStop, ReorderMode};
 use crate::persistency::{SymSignalViolation, SymTransViolation};
 use crate::safety::SafetyViolation;
 use crate::store::{cache_key, monotone_extension, place_names, CacheStatus, ResultStore};
@@ -638,13 +635,13 @@ impl VerifyRun {
     }
 }
 
-/// Maps a latched trip reason to the outcome it represents: an external
-/// cancellation is a cooperative interrupt, everything else a resource
-/// exhaustion.
-fn stop_outcome(reason: ResourceError, checkpoint: Option<PathBuf>) -> Outcome {
-    match reason {
-        ResourceError::Cancelled => Outcome::Interrupted { checkpoint },
-        other => Outcome::Exhausted { reason: other, checkpoint },
+/// The outcome a run reports when its loop stopped with `stop`: `None`
+/// when the loop converged or met its query, so the run goes on.
+fn stopped(stop: FixpointStop, checkpoint: Option<PathBuf>) -> Option<Outcome> {
+    match stop {
+        FixpointStop::Converged | FixpointStop::Met => None,
+        FixpointStop::Interrupted => Some(Outcome::Interrupted { checkpoint }),
+        FixpointStop::Exhausted(reason) => Some(Outcome::Exhausted { reason, checkpoint }),
     }
 }
 
@@ -654,6 +651,12 @@ fn stop_outcome(reason: ResourceError, checkpoint: Option<PathBuf>) -> Outcome {
 /// from an interrupted run's checkpoint (`resume`) or from a monotone
 /// predecessor's reached set (`incremental`), and the completed result
 /// is written back to the store.
+///
+/// A budget trip inside the Section 5 checks comes after the traversal
+/// converged, so the checkpoint it writes holds the converged state: the
+/// reached set with an empty frontier. A `--resume` from it runs no
+/// iteration and goes straight to the checks. The store's reached-set
+/// artifact has the same layout.
 ///
 /// # Errors
 ///
@@ -698,7 +701,7 @@ pub fn verify_persistent(
     let mut sym = SymbolicStg::new(stg, opts.order);
     let mut engine = effective_engine(&opts);
     sym.set_engine(engine);
-    let mut budget = opts.budget.build(persist.cancel.clone()).with_faults(persist.faults.clone());
+    let budget = opts.budget.build(persist.cancel.clone()).with_faults(persist.faults.clone());
     sym.manager_mut().set_budget(budget.clone());
     let phase1_start = Instant::now();
     let mut cache = if store.is_some() { CacheStatus::Cold } else { CacheStatus::Off };
@@ -706,13 +709,8 @@ pub fn verify_persistent(
     // A trip during inference can masquerade as an inference failure (the
     // frozen traversals converge on garbage), and a code inferred from
     // garbage must not start the main traversal: report the trip.
-    if let Some(reason) = budget.tripped() {
-        return Ok(VerifyRun {
-            outcome: stop_outcome(reason, None),
-            cache,
-            fell_back: false,
-            notes,
-        });
+    if let Some(outcome) = budget.tripped().and_then(|reason| stopped(reason.into(), None)) {
+        return Ok(VerifyRun { outcome, cache, fell_back: false, notes });
     }
     let initial_code = initial_code.map_err(VerifyError::InitialCode)?;
     let mut ctl = FixpointCtl {
@@ -720,7 +718,7 @@ pub fn verify_persistent(
         path: persist.checkpoint.clone(),
         net_hash: hash,
         abort_after: persist.abort_after,
-        budget: budget.clone(),
+        budget,
         ..FixpointCtl::default()
     };
     let mut fell_back = false;
@@ -759,9 +757,7 @@ pub fn verify_persistent(
     }
 
     let (mut traversal, mut stop) = sym.traverse_with_engine_ctl(initial_code, &engine, &mut ctl);
-    if let Some(err) = ctl.io_error.take() {
-        notes.push(format!("checkpoint write failed: {err}"));
-    }
+    notes.extend(ctl.io_error.take().map(|e| format!("checkpoint write failed: {e}")));
 
     // The --fallback degradation ladder: on node/arena exhaustion the
     // partial reached set is exported, a fresh manager is built, and the
@@ -769,62 +765,47 @@ pub fn verify_persistent(
     // we have — saturation (cluster-local fixpoints keep the working set
     // small) with forced sifting — against a re-armed budget with the
     // same absolute deadline.
-    if opts.budget.fallback {
-        if let FixpointStop::Exhausted(reason) = &stop {
-            if reason.fallback_eligible() {
-                let partial = sym.export_checkpoint(
-                    hash,
-                    &[("reached", traversal.reached), ("frontier", traversal.reached)],
-                    &[("iterations".to_string(), traversal.stats.iterations as u64)],
-                );
-                let fb_engine = EngineOptions {
-                    kind: EngineKind::Saturation,
-                    reorder: ReorderMode::Sift,
-                    ..engine
-                };
-                let fb_budget = budget.rearm();
-                let mut fresh = SymbolicStg::new(stg, opts.order);
-                fresh.set_engine(fb_engine);
-                fresh.manager_mut().set_budget(fb_budget.clone());
-                match fresh.import_checkpoint(&partial) {
-                    Ok(roots) => {
-                        let reached = roots
-                            .iter()
-                            .find(|(n, _)| n == "reached")
-                            .map(|(_, b)| *b)
-                            .expect("the root exported two statements above");
-                        notes.push(format!(
-                            "{reason}; --fallback: retrying the remaining fixpoint with the \
-                             saturation engine and forced sifting"
-                        ));
-                        let mut fb_ctl = FixpointCtl {
-                            every: persist.checkpoint_every,
-                            path: persist.checkpoint.clone(),
-                            net_hash: hash,
-                            budget: fb_budget.clone(),
-                            resume: Some(ResumeState {
-                                reached,
-                                frontier: reached,
-                                iterations: traversal.stats.iterations,
-                            }),
-                            ..FixpointCtl::default()
-                        };
-                        let (t2, s2) =
-                            fresh.traverse_with_engine_ctl(initial_code, &fb_engine, &mut fb_ctl);
-                        if let Some(err) = fb_ctl.io_error.take() {
-                            notes.push(format!("checkpoint write failed: {err}"));
-                        }
-                        sym = fresh;
-                        traversal = t2;
-                        stop = s2;
-                        budget = fb_budget;
-                        engine = fb_engine;
-                        fell_back = true;
-                    }
-                    Err(e) => notes.push(format!(
-                        "--fallback could not seed the retry ({e}); keeping the exhausted outcome"
-                    )),
+    if let FixpointStop::Exhausted(reason) = stop {
+        if opts.budget.fallback && reason.fallback_eligible() {
+            let partial = Committed {
+                reached: traversal.reached,
+                frontier: traversal.reached,
+                iterations: traversal.stats.iterations,
+            }
+            .export(&sym, hash);
+            let fb_engine = EngineOptions {
+                kind: EngineKind::Saturation,
+                reorder: ReorderMode::Sift,
+                ..engine
+            };
+            let fb_budget = ctl.budget.rearm();
+            let mut fresh = SymbolicStg::new(stg, opts.order);
+            fresh.set_engine(fb_engine);
+            fresh.manager_mut().set_budget(fb_budget.clone());
+            match Committed::import(&mut fresh, &partial) {
+                Ok(resume) => {
+                    notes.push(format!(
+                        "{reason}; --fallback: retrying the remaining fixpoint with the \
+                         saturation engine and forced sifting"
+                    ));
+                    ctl = FixpointCtl {
+                        budget: fb_budget,
+                        resume: Some(resume),
+                        abort_after: 0,
+                        ..ctl
+                    };
+                    (traversal, stop) =
+                        fresh.traverse_with_engine_ctl(initial_code, &fb_engine, &mut ctl);
+                    notes.extend(
+                        ctl.io_error.take().map(|e| format!("checkpoint write failed: {e}")),
+                    );
+                    sym = fresh;
+                    engine = fb_engine;
+                    fell_back = true;
                 }
+                Err(e) => notes.push(format!(
+                    "--fallback could not seed the retry ({e}); keeping the exhausted outcome"
+                )),
             }
         }
     }
@@ -834,28 +815,15 @@ pub fn verify_persistent(
     // snapshot (and a snapshot write can fail), and claiming one would
     // mislead the "rerun with --resume" guidance.
     let written = || persist.checkpoint.clone().filter(|p| p.exists());
-    match stop {
-        FixpointStop::Converged | FixpointStop::Met => {}
-        FixpointStop::Interrupted => {
-            return Ok(VerifyRun {
-                outcome: Outcome::Interrupted { checkpoint: written() },
-                cache,
-                fell_back,
-                notes,
-            });
-        }
-        FixpointStop::Exhausted(reason) => {
-            return Ok(VerifyRun {
-                outcome: Outcome::Exhausted { reason, checkpoint: written() },
-                cache,
-                fell_back,
-                notes,
-            });
-        }
+    if let Some(outcome) = stopped(stop, written()) {
+        return Ok(VerifyRun { outcome, cache, fell_back, notes });
     }
 
-    let reached = traversal.reached;
-    let iterations = traversal.stats.iterations as u64;
+    let done = Committed {
+        reached: traversal.reached,
+        frontier: Bdd::FALSE,
+        iterations: traversal.stats.iterations,
+    };
     let report = finish_verification(
         &mut sym,
         &opts,
@@ -868,30 +836,14 @@ pub fn verify_persistent(
     // The post-traversal phases (consistency, the code re-check,
     // persistency, CSC) run fixpoints of their own on the same budget; a
     // trip there leaves inert garbage in the report. The traversal itself
-    // completed, so checkpoint the full reached set — a --resume run with
-    // a larger budget converges in one iteration and goes straight to the
-    // checks.
-    if let Some(reason) = budget.tripped() {
-        let mut checkpoint = None;
-        if let Some(path) = &persist.checkpoint {
-            let ck = sym.export_checkpoint(
-                hash,
-                &[("reached", reached), ("frontier", reached)],
-                &[("iterations".to_string(), iterations)],
-            );
-            match write_atomically(path, &ck.to_bytes(), &persist.faults) {
-                Ok(()) => checkpoint = Some(path.clone()),
-                Err(e) => {
-                    notes.push(format!("checkpoint write to {}: {e}", path.display()));
-                }
-            }
-        }
-        return Ok(VerifyRun {
-            outcome: stop_outcome(reason, checkpoint),
-            cache,
-            fell_back,
-            notes,
-        });
+    // converged, so checkpoint the converged state: a --resume run with a
+    // larger budget seeds an empty frontier, runs no iteration and goes
+    // straight to the checks.
+    if let Some(reason) = ctl.budget.tripped() {
+        ctl.snapshot(&sym, done);
+        notes.extend(ctl.io_error.take().map(|e| format!("checkpoint write failed: {e}")));
+        let outcome = stopped(reason.into(), written()).expect("a trip stops the run");
+        return Ok(VerifyRun { outcome, cache, fell_back, notes });
     }
     if let Some(path) = &persist.checkpoint {
         // The run converged: the mid-run checkpoint is obsolete (and
@@ -901,12 +853,7 @@ pub fn verify_persistent(
     }
     let report = report.map_err(VerifyError::InitialCode)?;
     if let Some(store) = &store {
-        let ck = sym.export_checkpoint(
-            hash,
-            &[("reached", reached)],
-            &[("iterations".to_string(), iterations)],
-        );
-        if let Err(e) = store.store_result(&key, hash, stg, &report, &ck) {
+        if let Err(e) = store.store_result(&key, hash, stg, &report, &done.export(&sym, hash)) {
             notes.push(format!("could not store result: {e}"));
         }
         if let Some(cap) = persist.cache_max_bytes {
@@ -926,7 +873,7 @@ fn load_resume(
     path: &Path,
     hash: u128,
     sym: &mut SymbolicStg<'_>,
-) -> Result<Option<ResumeState>, String> {
+) -> Result<Option<Committed>, String> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -936,12 +883,7 @@ fn load_resume(
     if ck.net_hash != hash {
         return Err("checkpoint belongs to a different net".to_string());
     }
-    let roots = sym.import_checkpoint(&ck)?;
-    let find = |name: &str| roots.iter().find(|(n, _)| n == name).map(|(_, b)| *b);
-    let reached = find("reached").ok_or("checkpoint has no `reached` root")?;
-    let frontier = find("frontier").unwrap_or(reached);
-    let iterations = ck.meta_value("iterations").unwrap_or(0) as usize;
-    Ok(Some(ResumeState { reached, frontier, iterations }))
+    Committed::import(sym, &ck).map(Some)
 }
 
 /// Builds the incremental-reverification seed: the predecessor's reached
@@ -955,7 +897,7 @@ fn incremental_seed(
     key: &str,
     initial_code: Code,
     sym: &mut SymbolicStg<'_>,
-) -> Result<Option<(ResumeState, u128)>, String> {
+) -> Result<Option<(Committed, u128)>, String> {
     let Some((old, old_hash)) = store.load_predecessor(stg.name(), key) else {
         return Ok(None);
     };
@@ -971,12 +913,7 @@ fn incremental_seed(
     if ck.net_hash != old_hash {
         return Err("predecessor checkpoint carries a mismatched hash".to_string());
     }
-    let roots = sym.import_checkpoint(&ck)?;
-    let old_reached = roots
-        .iter()
-        .find(|(n, _)| n == "reached")
-        .map(|(_, b)| *b)
-        .ok_or("predecessor checkpoint has no `reached` root")?;
+    let prev = Committed::import(sym, &ck)?;
     let old_places = place_names(&old);
     let net = stg.net();
     let mut pins: Vec<Literal> = Vec::new();
@@ -987,8 +924,8 @@ fn incremental_seed(
     }
     let mgr = sym.manager_mut();
     let pin_cube = mgr.cube(&pins);
-    let seed = mgr.and(old_reached, pin_cube);
-    Ok(Some((ResumeState { reached: seed, frontier: seed, iterations: 0 }, old_report.num_states)))
+    let seed = mgr.and(prev.reached, pin_cube);
+    Ok(Some((Committed { reached: seed, frontier: seed, iterations: 0 }, old_report.num_states)))
 }
 
 #[cfg(test)]

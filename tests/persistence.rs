@@ -57,8 +57,11 @@ fn bulk_checkpoint_load_matches_ops_built_handle_on_corpus() {
         let code = sym.effective_initial_code().unwrap();
         let reached = sym.traverse(code).reached;
         let hash = stg.content_hash();
-        let ck =
-            sym.export_checkpoint(hash, &[("reached", reached)], &[("iterations".to_string(), 7)]);
+        let ck = sym.manager().export_checkpoint(
+            hash,
+            &[("reached", reached)],
+            &[("iterations".to_string(), 7)],
+        );
 
         // Byte round trip of the v3 artifact.
         let ck = BddCheckpoint::from_bytes(&ck.to_bytes()).unwrap_or_else(|e| {
